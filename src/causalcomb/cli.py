@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--delta", type=float, default=1e-6,
                    help="general: distance threshold for rejecting a pair")
     d.add_argument("--kappa", type=float, default=0.05,
-                   help="overall failure probability budget")
+                   help="general: failure probability of each swap test, so a run "
+                        "may fail with up to (number of tests) x kappa; totalorder and "
+                        "memoryless: overall budget behind the theoretical shot count")
     d.add_argument("--n-shots", type=int, default=100_000,
                    help="shot budget per correlation table")
     d.add_argument("--chi-min", type=float, default=None,

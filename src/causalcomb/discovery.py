@@ -251,6 +251,11 @@ def find_last(
     none does.  Returns the first accepted pair, or ``None`` when every
     pair is rejected — in which case no ordering whatsoever is
     compatible with the process.
+
+    ``kappa`` is the failure probability of each swap test, not of the
+    search: with ``m`` teeth and probe sets of ``d^2`` states the loop
+    runs at most ``m^2 (2 d^2 - 1)`` tests, and a union bound over them
+    is the search's failure probability.
     """
     eps = delta / 4.0
     swap_tests = 0
@@ -326,6 +331,12 @@ def discover_general(
     Repeatedly finds a valid last tooth and wires it shut, building the
     order back to front.  Fails with ``"not a quantum comb"`` when some
     stage rejects every remaining pair.
+
+    ``kappa`` is passed to every swap test as its own failure
+    probability, so a run can fail with probability up to the number of
+    tests it runs times ``kappa``.  ``theoretical_queries`` bounds the
+    billed queries by the loop bounds: stage ``m`` runs at most
+    ``m^2 (2 d^2 - 1)`` tests of ``2 * runs`` queries each.
     """
     t0 = time.perf_counter()
     n = session.n_teeth
@@ -352,7 +363,7 @@ def discover_general(
         if remaining > 1:
             current = current.reduce(*res.pair)
     runs = swap_test_sample_size(delta / 4.0, kappa)
-    theoretical = 2 * runs * (2 * n * d_max**2) * n
+    theoretical = 2 * runs * (2 * d_max**2 - 1) * sum(m * m for m in range(1, n + 1))
     return DiscoveryReport(
         algorithm="general",
         order=tuple(order) if failure is None else None,

@@ -118,22 +118,49 @@ class OracleSession:
 
     def __init__(self, spec: CombSpec, config: OracleConfig | None = None):
         config = config or OracleConfig()
-        self._config = config
-        self._choi = build_choi(spec, dim_cap=config.dim_cap)
-        self._rng = np.random.default_rng(config.seed)
-        self._meter = _QueryMeter(config.query_log, config.trial)
-        self._tables: dict = {}
+        self._setup(build_choi(spec, dim_cap=config.dim_cap), config)
 
-    # -- construction of reduced children -----------------------------------
+    def _setup(
+        self,
+        choi: Op,
+        config: OracleConfig,
+        rng: np.random.Generator | None = None,
+        meter: _QueryMeter | None = None,
+    ) -> None:
+        """The one place every session, root or reduced, gets its fields.
+
+        A root session draws a fresh random stream and query meter from
+        ``config``; a reduced child passes in its parent's.
+        """
+        self._config = config
+        self._choi = choi
+        self._rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
+        self._tables: dict = {}
+        # ((input, discard), Choi with the discard traced out, {state bytes: fed state})
+        self._prep_slot: tuple | None = None
+
+    # -- construction from a Choi operator ----------------------------------
+
+    @classmethod
+    def from_choi(cls, choi: Op, config: OracleConfig | None = None) -> "OracleSession":
+        """Root session on a raw Choi operator over wires ``A1..An, B1..Bn``.
+
+        Nothing checks that ``choi`` is a comb, so this also admits
+        processes with no causal order at all.  The wires are sorted, and
+        the operator must fit under the configured dimension cap.
+        """
+        config = config or OracleConfig()
+        if choi.space.dim > config.dim_cap:
+            raise ValueError(f"Choi dimension {choi.space.dim} exceeds cap {config.dim_cap}")
+        session = cls.__new__(cls)
+        session._setup(sort_wires(choi), config)
+        return session
 
     @classmethod
     def _from_choi(cls, choi: Op, parent: "OracleSession") -> "OracleSession":
         child = cls.__new__(cls)
-        child._config = parent._config
-        child._choi = choi
-        child._rng = parent._rng
-        child._meter = parent._meter
-        child._tables = {}
+        child._setup(choi, parent._config, parent._rng, parent._meter)
         return child
 
     def reduce(self, input_label: str, output_label: str) -> "OracleSession":
@@ -249,7 +276,9 @@ class OracleSession:
         every output.
         """
         pmap = self._povm_map(povms)
-        key = tuple((l, id(pmap[l])) for l in self._choi.labels)
+        key = tuple(
+            (l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self._choi.labels
+        )
         if key not in self._tables:
             tbl = product_born_table(self._choi, pmap)
             tbl = np.clip(tbl, 0.0, None)
@@ -320,13 +349,27 @@ class OracleSession:
     # -- overlap estimation -------------------------------------------------
 
     def _prepare(self, recipe: PrepRecipe) -> Op:
+        """The state a recipe leaves behind, wire-sorted.
+
+        Discarding an output commutes with feeding an input, so the
+        discarded wire is traced out of the Choi once per (input, discard)
+        pair and each distinct probe state is fed into that half-size
+        operator once.  One slot holds the current pair; a new pair
+        replaces it.
+        """
         d = self.dim_of(recipe.input_label)
         state = np.asarray(recipe.state, dtype=complex)
         if state.shape != (d, d):
             raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
-        fed = contract_wire(self._choi, recipe.input_label, d * state.T)
-        keep = [l for l in fed.labels if l != recipe.discard_label]
-        return sort_wires(partial_trace(fed, keep))
+        pair = (recipe.input_label, recipe.discard_label)
+        if self._prep_slot is None or self._prep_slot[0] != pair:
+            keep = [l for l in self._choi.labels if l != recipe.discard_label]
+            self._prep_slot = (pair, sort_wires(partial_trace(self._choi, keep)), {})
+        _, reduced, prepared = self._prep_slot
+        key = state.tobytes()
+        if key not in prepared:
+            prepared[key] = contract_wire(reduced, recipe.input_label, d * state.T)
+        return prepared[key]
 
     def overlap_estimate(
         self, recipe_a: PrepRecipe, recipe_b: PrepRecipe, eps: float, kappa: float
@@ -336,6 +379,7 @@ class OracleSession:
         Sampled mode runs ``N = ceil(2 eps^-2 log(2/kappa))`` simulated
         swap circuits (2N queries).  Exact mode returns the true overlap;
         the theoretical policy still bills the 2N virtual invocations.
+        ``kappa`` is the failure probability of this one estimate.
         """
         n = swap_test_sample_size(eps, kappa)
         rho_a = self._prepare(recipe_a)
@@ -344,7 +388,8 @@ class OracleSession:
             raise ValueError(
                 f"recipes leave different wires: {rho_a.labels} vs {rho_b.labels}"
             )
-        overlap = float(np.trace(rho_a.matrix @ rho_b.matrix).real)
+        # both states are Hermitian, so Tr[rho_a rho_b] = <rho_a, rho_b>_HS
+        overlap = float(np.vdot(rho_a.matrix, rho_b.matrix).real)
         if self.mode == "sampled":
             self._meter.charge("swap_test", 2 * n)
             p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)

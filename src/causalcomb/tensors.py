@@ -114,15 +114,17 @@ class Op:
     """A square operator on a :class:`WireSpace`.
 
     The matrix is coerced to complex, checked against the space dimension,
-    and frozen.  ``Op`` makes no positivity or trace assumptions; density
-    checks are explicit (:func:`assert_density`).
+    and frozen.  A complex array is not copied: the operator takes
+    ownership of it and makes it read-only, so the caller must not hand
+    over an array it still means to write.  ``Op`` makes no positivity or
+    trace assumptions; density checks are explicit (:func:`assert_density`).
     """
 
     space: WireSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         if mat.shape[0] != self.space.dim:

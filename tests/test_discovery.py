@@ -27,9 +27,9 @@ from causalcomb.discovery import (
     independence_matrix,
     xi_constant,
 )
-from causalcomb.oracle import OracleConfig, OracleSession
-from causalcomb.povm import sic_qubit
-from causalcomb.tensors import Op, WireSpace
+from causalcomb.oracle import OracleConfig, OracleSession, swap_test_sample_size
+from causalcomb.povm import ic_povm_for_dim, sic_qubit, state_set_of
+from causalcomb.tensors import PAULI_X, PAULI_Y, PAULI_Z, Op, WireSpace, kron_all
 
 
 def _session(spec, mode="exact", seed=0, policy="actual"):
@@ -75,26 +75,59 @@ def _xor_loop_session():
 
     No output can be emitted until both inputs have arrived, so no pair
     can be temporally last — every candidate leaks the other input.
-    Grafted straight into a session, since no comb spec generates it.
+    Built from its Choi operator, since no comb spec generates it.
     (Merely crossing wires, e.g. tooth one mapping A2 to B1, is NOT such
     a counterexample: that is an ordinary comb with a hidden
     permutation, and discovery finds it.)
     """
-    from causalcomb.oracle import _QueryMeter
-
     mat = np.zeros((16, 16))
     for a1 in range(2):
         for a2 in range(2):
             x = a1 ^ a2
             idx = ((a1 * 2 + a2) * 2 + x) * 2 + x  # wires (A1, A2, B1, B2)
             mat[idx, idx] = 0.25
-    session = OracleSession.__new__(OracleSession)
-    session._config = OracleConfig()
-    session._choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
-    session._rng = np.random.default_rng(0)
-    session._meter = _QueryMeter()
-    session._tables = {}
-    return session
+    choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
+    return OracleSession.from_choi(choi, OracleConfig(seed=0))
+
+
+def _last_probe_comb():
+    """Two classical teeth read along one Bloch axis, built so that the
+    search runs as long as its loop bounds allow.
+
+    B1 copies A1 and B2 is the XOR of both inputs, each input measured
+    along the axis orthogonal to r1 - r0 and r2 - r0 of the probe states'
+    Bloch vectors.  Probes 0, 1 and 2 then give the same residual state,
+    so every rejected pair is rejected only at the last probe, and the
+    one valid last tooth, (A2, B2), is the last pair in search order.
+    """
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    probes = state_set_of(ic_povm_for_dim(2)).elements
+    r = [np.real([np.trace(p @ s) for s in paulis]) for p in probes]
+    axis = np.cross(r[1] - r[0], r[2] - r[0])
+    _, vecs = np.linalg.eigh(sum(a * s for a, s in zip(axis, paulis)))
+    # the Choi operator sees the transpose of what is fed to its input
+    proj_in = [np.outer(v.conj(), v) for v in vecs.T]
+    proj_out = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    mat = sum(
+        kron_all([proj_in[a1], proj_in[a2], proj_out[a1], proj_out[a1 ^ a2]])
+        for a1 in range(2)
+        for a2 in range(2)
+    ) / 4
+    choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
+    return choi, OracleSession.from_choi(choi, OracleConfig(query_policy="theoretical"))
+
+
+def test_theoretical_bound_covers_the_longest_search():
+    """n = 2, d = 2: stage 2 runs 4 x 7 tests and stage 1 runs 7, 35 in all."""
+    choi, session = _last_probe_comb()
+    delta, kappa = 0.1, 0.05
+    report = discover_general(session, delta=delta, kappa=kappa)
+    assert report.ok
+    assert check_comb_condition(choi, report.order).ok
+    assert [s["swap_tests"] for s in report.diagnostics["stages"]] == [28, 7]
+    runs = swap_test_sample_size(delta / 4.0, kappa)
+    assert report.queries == 2 * runs * 35
+    assert report.theoretical_queries >= report.queries
 
 
 def test_find_last_on_xor_loop():

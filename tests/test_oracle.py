@@ -14,7 +14,7 @@ from causalcomb.oracle import (
     swap_test_estimate,
     swap_test_sample_size,
 )
-from causalcomb.povm import pair_probs, sic_qubit
+from causalcomb.povm import IcPovm, pair_probs, product_born_table, sic_qubit
 from causalcomb.tensors import (
     Op,
     WireSpace,
@@ -231,3 +231,40 @@ def test_dim_cap_refuses_monster_builds():
     spec = gen_unitary_comb(4, 2, 4, rng)
     with pytest.raises(ValueError, match="cap"):
         OracleSession(spec, OracleConfig(dim_cap=16))
+
+
+def test_table_cache_is_keyed_by_povm_content():
+    """Each POVM gets its own Born table, even when a freed POVM's id is reused."""
+    rng = np.random.default_rng(17)
+    spec = gen_unitary_comb(2, 2, 2, rng)
+    session = OracleSession(spec)
+    choi = build_choi(spec)
+    sic = sic_qubit()
+    for _ in range(4):
+        u = haar_unitary(2, rng)
+        povm = IcPovm(tuple(u @ e @ u.conj().T for e in sic.elements))
+        got = session.outcome_distribution(povm)
+        want = product_born_table(choi, {l: povm for l in choi.labels})
+        np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
+        del povm  # frees its id for the next POVM
+
+
+def test_from_choi_matches_the_spec_session():
+    rng = np.random.default_rng(18)
+    spec = gen_unitary_comb(2, 2, 2, rng)
+    choi = build_choi(spec)
+    session = OracleSession.from_choi(
+        reorder(choi, ["B2", "A1", "B1", "A2"]), OracleConfig(query_policy="theoretical")
+    )
+    assert session.wires == ("A1", "A2", "B1", "B2")
+    np.testing.assert_allclose(
+        session.outcome_distribution(sic_qubit()),
+        OracleSession(spec).outcome_distribution(sic_qubit()),
+        atol=1e-12,
+    )
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    r0 = PrepRecipe("A1", zero, discard_label="B1")
+    session.overlap_estimate(r0, r0, eps=0.1, kappa=0.05)
+    assert session.query_count == 2 * 738
+    with pytest.raises(ValueError, match="cap"):
+        OracleSession.from_choi(choi, OracleConfig(dim_cap=8))

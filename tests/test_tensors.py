@@ -42,6 +42,26 @@ def test_op_is_immutable():
         op.matrix[0, 0] = 5.0
 
 
+def test_op_takes_ownership_of_a_complex_array():
+    mat = np.eye(4, dtype=complex) / 4
+    op = Op(WireSpace(("A1", "B1"), (2, 2)), mat)
+    assert np.shares_memory(op.matrix, mat)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+
+
+def test_op_converts_lists_and_real_arrays():
+    real = np.eye(2) / 2
+    from_real = Op(WireSpace(("A1",), (2,)), real)
+    from_list = Op(WireSpace(("A1",), (2,)), [[0.5, 0.0], [0.0, 0.5]])
+    for op in (from_real, from_list):
+        assert op.matrix.dtype == complex
+        assert not op.matrix.flags.writeable
+        np.testing.assert_array_equal(op.matrix, real)
+    assert not np.shares_memory(from_real.matrix, real)
+    real[0, 0] = 1.0  # the caller's real array stays its own
+
+
 def test_tensor_and_partial_trace_roundtrip():
     rng = np.random.default_rng(0)
     a = Op(WireSpace(("A1",), (2,)), random_density(2, rng=rng))
