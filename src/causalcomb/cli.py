@@ -9,8 +9,9 @@ lemmas    run the numerical consistency battery
 bench     run a batch experiment from a JSON config
 
 Exit codes: 0 on success, 1 when a discovery or check fails, 2 for bad
-configuration or arguments.  ``CAUSALCOMB_OUT_DIR`` sets the default
-output directory for generated files.
+configuration or arguments, 3 when a numerical routine fails (for example
+an eigensolver that does not converge).  ``CAUSALCOMB_OUT_DIR`` sets the
+default output directory for generated files.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .serialize import load_comb, load_json, save_comb, save_json
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_NUMERIC = 3
 
 
 def format_order(order) -> str:
@@ -138,14 +140,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
     choi = build_choi(spec)
     if args.enumerate:
+        orders = enumerate_orders(spec.n)
         valid = 0
-        for order in enumerate_orders(spec.n):
+        for order in orders:
             check = check_comb_condition(choi, order, tol=args.tol)
             valid += check.ok
             mark = "ok " if check.ok else "   "
             print(f"{mark} {format_order(order):40s} worst={check.worst_deviation:.3g}")
-        total = len(enumerate_orders(spec.n))
-        print(f"{valid}/{total} orders valid at tol={args.tol}")
+        print(f"{valid}/{len(orders)} orders valid at tol={args.tol}")
         return EXIT_OK if valid else EXIT_FAIL
     order = parse_order(args.order) if args.order else spec.true_order
     check = check_comb_condition(choi, order, tol=args.tol)
@@ -272,6 +274,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, so it must come first
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -363,7 +363,10 @@ class OracleSession:
             raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
         pair = (recipe.input_label, recipe.discard_label)
         if self._prep_slot is None or self._prep_slot[0] != pair:
-            keep = [l for l in self._choi.labels if l != recipe.discard_label]
+            discard = recipe.discard_label
+            if discard is not None and discard not in self.output_labels:
+                raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
+            keep = [l for l in self._choi.labels if l != discard]
             self._prep_slot = (pair, sort_wires(partial_trace(self._choi, keep)), {})
         _, reduced, prepared = self._prep_slot
         key = state.tobytes()
@@ -392,8 +395,6 @@ class OracleSession:
         overlap = float(np.vdot(rho_a.matrix, rho_b.matrix).real)
         if self.mode == "sampled":
             self._meter.charge("swap_test", 2 * n)
-            p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
-            accepts = self._rng.binomial(n, p)
-            return 2.0 * accepts / n - 1.0
+            return swap_test_estimate(overlap, eps, kappa, self._rng)
         self.note_virtual_queries(2 * n, op="swap_test")
         return overlap

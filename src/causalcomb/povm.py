@@ -156,10 +156,7 @@ def tensor_povm(a: IcPovm, b: IcPovm) -> IcPovm:
     if a.kind != b.kind:
         raise ValueError("cannot tensor a POVM with a state set")
     els = tuple(np.kron(x, y) for x in a.elements for y in b.elements)
-    kind = a.kind
-    if kind == "state-set":
-        return IcPovm(els, kind=kind, name=f"{a.name}*{b.name}")
-    return IcPovm(els, kind=kind, name=f"{a.name}*{b.name}")
+    return IcPovm(els, kind=a.kind, name=f"{a.name}*{b.name}")
 
 
 def transpose_povm(povm: IcPovm) -> IcPovm:

@@ -241,9 +241,46 @@ def contract_wire(x: Op, label: str, k: np.ndarray) -> Op:
 # norms and spectra
 
 
+# Relative asymmetry below which a matrix counts as Hermitian, and the row
+# block the test walks so that its temporaries stay a few rows wide.
+_HERMITIAN_RTOL = 1e-12
+_HERMITIAN_ROWS = 64
+
+
+def _largest_part(a: np.ndarray):
+    """Largest absolute real or imaginary part; NaN if ``a`` holds one."""
+    return np.maximum(np.abs(a.real).max(), np.abs(a.imag).max())
+
+
+def _is_hermitian(m: np.ndarray) -> bool:
+    """Whether no part of ``m - m^H`` exceeds 1e-12 times the largest of ``m``.
+
+    Block row ``r`` is compared from its diagonal block rightwards, which
+    covers every pair of mirrored entries once.  A NaN entry makes it false.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    asym = scale = 0.0
+    for r in range(0, m.shape[0], _HERMITIAN_ROWS):
+        rows, cols = m[r : r + _HERMITIAN_ROWS], m[r:, r : r + _HERMITIAN_ROWS]
+        # np.maximum, unlike max, carries a NaN through
+        asym = np.maximum(asym, _largest_part(rows[:, r:] - cols.conj().T))
+        scale = np.maximum(scale, _largest_part(rows))
+    return bool(asym <= _HERMITIAN_RTOL * scale)
+
+
 def trace_norm(x) -> float:
-    """Sum of singular values (Schatten 1-norm)."""
-    return float(np.linalg.svd(_mat(x), compute_uv=False).sum())
+    """Sum of singular values (Schatten 1-norm).
+
+    A Hermitian matrix, up to a relative asymmetry of 1e-12, takes the
+    eigenvalue path: its singular values are the absolute values of its
+    eigenvalues, and ``eigvalsh`` costs about half an SVD.  Any other
+    matrix goes through the SVD.
+    """
+    m = _mat(x)
+    if _is_hermitian(m):
+        return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def hs_norm(x) -> float:

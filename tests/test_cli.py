@@ -94,6 +94,26 @@ def test_verify_enumerate_scores_all_orders(capsys, tmp_path):
     assert "2/4 orders valid" in out
 
 
+def test_numerical_failure_exits_3_and_bad_config_still_exits_2(capsys, tmp_path, monkeypatch):
+    import numpy as np
+
+    import causalcomb.combs as combs
+
+    path = tmp_path / "sig.json"
+    run(capsys, "gen", "--kind", "signaling", "--seed", "0", "-o", str(path))
+
+    def no_convergence(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(combs, "trace_norm", no_convergence)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "numerical error" in err
+    code, _, err = run(capsys, "verify", str(path), "--order", "A1B1")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_lemmas_subcommand(capsys):
     code, out, _ = run(capsys, "lemmas", "--seed", "0")
     assert code == 0

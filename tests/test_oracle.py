@@ -144,6 +144,15 @@ def test_prepare_reduces_to_fed_channel_output():
     np.testing.assert_allclose(out.matrix, u @ proj @ u.conj().T, atol=1e-12)
 
 
+def test_prepare_rejects_a_discard_label_that_is_no_output_wire():
+    session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(13)))
+    proj = np.diag([1.0, 0.0]).astype(complex)
+    for typo in ("b1", "B3", "A2"):
+        with pytest.raises(KeyError, match="discard label"):
+            session._prepare(PrepRecipe("A1", proj, discard_label=typo))
+    assert session._prepare(PrepRecipe("A1", proj, discard_label="B1")).labels == ("A2", "B2")
+
+
 def test_overlap_estimate_exact_equals_true_overlap():
     spec = gen_signaling_comb()
     session = OracleSession(spec)

@@ -1,0 +1,70 @@
+"""Property tests: invariants of the wire algebra and the comb checker."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from causalcomb.combs import (  # noqa: E402
+    build_choi,
+    check_comb_condition,
+    enumerate_orders,
+    gen_unitary_comb,
+)
+from causalcomb.tensors import Op, WireSpace, partial_trace, reorder, sort_wires  # noqa: E402
+
+# few examples each: these run in the tier-1 suite
+FEW = settings(max_examples=15, deadline=None, database=None)
+
+
+@st.composite
+def relabelled_checks(draw):
+    n = draw(st.integers(2, 3))
+    memory_dim = draw(st.sampled_from([1, 2]))
+    seed = draw(st.integers(0, 2**16))
+    order = draw(st.sampled_from(enumerate_orders(n)))
+    in_perm = draw(st.permutations(range(1, n + 1)))
+    out_perm = draw(st.permutations(range(1, n + 1)))
+    return n, memory_dim, seed, order, in_perm, out_perm
+
+
+@FEW
+@given(relabelled_checks())
+def test_relabelling_teeth_leaves_deviations_unchanged(case):
+    n, memory_dim, seed, order, in_perm, out_perm = case
+    choi = build_choi(gen_unitary_comb(n, 2, memory_dim, np.random.default_rng(seed)))
+    rename = {f"A{i}": f"A{in_perm[i - 1]}" for i in range(1, n + 1)}
+    rename.update({f"B{j}": f"B{out_perm[j - 1]}" for j in range(1, n + 1)})
+    renamed = Op(WireSpace(tuple(rename[l] for l in choi.labels), choi.space.dims), choi.matrix)
+    renamed_order = tuple((rename[a], rename[b]) for a, b in order)
+    # put the renamed wires back into sorted order, so the matrix changes too
+    renamed = sort_wires(renamed)
+    before = check_comb_condition(choi, order)
+    after = check_comb_condition(renamed, renamed_order)
+    np.testing.assert_allclose(after.deviations, before.deviations, rtol=0, atol=1e-12)
+    assert after.ok == before.ok
+
+
+@st.composite
+def operators_with_permutation_and_cut(draw):
+    k = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    labels = [f"W{i}" for i in range(k)]
+    dim = int(np.prod(dims))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    perm = draw(st.permutations(labels))
+    keep = draw(st.lists(st.sampled_from(labels), unique=True))
+    return Op(WireSpace(tuple(labels), tuple(dims)), mat), perm, keep
+
+
+@FEW
+@given(operators_with_permutation_and_cut())
+def test_partial_trace_and_reorder_commute(case):
+    x, perm, keep = case
+    traced_after = partial_trace(reorder(x, perm), keep)
+    traced_first = reorder(partial_trace(x, keep), [l for l in perm if l in keep])
+    assert traced_after.labels == traced_first.labels
+    np.testing.assert_allclose(traced_after.matrix, traced_first.matrix, rtol=0, atol=1e-12)

@@ -128,6 +128,35 @@ def test_trace_norm_of_density_difference():
     assert hs_norm(a - b) == pytest.approx(np.sqrt(2.0))
 
 
+def test_trace_norm_of_hermitian_input_matches_svd():
+    rng = np.random.default_rng(8)
+    for dim in (1, 5, 64, 130):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        herm = z + z.conj().T
+        # a real symmetric matrix, handed over as a transposed view
+        for m in (herm, herm.real.T):
+            svd_sum = np.linalg.svd(m, compute_uv=False).sum()
+            assert trace_norm(m) == pytest.approx(svd_sum, rel=0, abs=1e-12 * svd_sum)
+    diff = random_density(16, rng=rng) - random_density(16, rng=rng)
+    svd_sum = np.linalg.svd(diff, compute_uv=False).sum()
+    assert trace_norm(diff) == pytest.approx(svd_sum, rel=0, abs=1e-12)
+
+
+def test_trace_norm_of_non_hermitian_input_is_singular_value_sum():
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
+    # asymmetric by far more than the Hermitian tolerance, in one entry
+    # past the first row block
+    nearly = z + z.conj().T
+    nearly[68, 3] += 1e-6
+    rect = z[:, :40]
+    for m in (z, nearly, rect):
+        svd_sum = np.linalg.svd(m, compute_uv=False).sum()
+        assert trace_norm(m) == pytest.approx(svd_sum, rel=1e-12)
+    # the eigenvalue sum of the lower triangle would be a different number
+    assert np.abs(np.linalg.eigvalsh(z)).sum() != pytest.approx(trace_norm(z), rel=1e-3)
+
+
 def test_numerical_rank():
     rng = np.random.default_rng(6)
     for r in (1, 2, 5):
