@@ -25,14 +25,8 @@ import numpy as np
 
 from .checks import lemma_suite
 from .combs import build_choi, check_comb_condition, enumerate_orders
-from .discovery import (
-    discover_general,
-    discover_memoryless,
-    discover_totalorder,
-)
 from .oracle import OracleConfig, OracleSession
-from .povm import povm_preset
-from .runner import ConfigError, ExperimentConfig, generate_comb, run_experiment
+from .runner import ConfigError, ExperimentConfig, dispatch, generate_comb, run_experiment
 from .serialize import load_comb, load_json, save_comb, save_json
 
 EXIT_OK = 0
@@ -86,35 +80,27 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
+    choi = build_choi(spec)
+    alg = {
+        "name": args.algorithm,
+        "delta": args.delta,
+        "kappa": args.kappa,
+        "povm": args.povm,
+        "n_shots": args.n_shots,
+        "chi_min": args.chi_min,
+        "threshold": args.threshold,
+        "kappa_target": args.kappa,
+    }
     log = open(args.query_log, "w") if args.query_log else None
     try:
-        session = OracleSession(
-            spec,
-            OracleConfig(
-                mode=args.mode,
-                seed=args.seed,
-                query_policy=args.query_policy,
-                query_log=log,
-            ),
+        config = OracleConfig(
+            mode=args.mode, seed=args.seed, query_policy=args.query_policy, query_log=log
         )
-        if args.algorithm == "general":
-            report = discover_general(session, delta=args.delta, kappa=args.kappa)
-        else:
-            povms = povm_preset(args.povm or f"sic{spec.wire_dim}", spec.wire_dim)
-            if args.algorithm == "totalorder":
-                chi = args.chi_min
-                if chi is None:
-                    chi = spec.metadata.get("achieved_chi_min")
-                if chi is None:
-                    print("totalorder needs --chi-min", file=sys.stderr)
-                    return EXIT_CONFIG
-                report = discover_totalorder(
-                    session, povms, args.n_shots, float(chi), kappa_target=args.kappa
-                )
-            else:
-                report = discover_memoryless(
-                    session, povms, args.n_shots, args.threshold, kappa_target=args.kappa
-                )
+        report = dispatch(
+            OracleSession.from_choi(choi, config),
+            spec,
+            {k: v for k, v in alg.items() if v is not None},
+        )
     finally:
         if log is not None:
             log.close()
@@ -128,7 +114,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     print(f"order:     {format_order(report.order)}")
     if args.verify:
-        check = check_comb_condition(build_choi(spec), report.order, tol=args.tol)
+        check = check_comb_condition(choi, report.order, tol=args.tol)
         verdict = "valid" if check.ok else "INVALID"
         print(f"verify:    {verdict} (worst deviation {check.worst_deviation:.3g})")
         if not check.ok:

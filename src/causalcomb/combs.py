@@ -25,7 +25,7 @@ acceptance harness uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Sequence
 
@@ -33,10 +33,10 @@ import numpy as np
 
 from .tensors import (
     Op,
+    WireSpace,
     correlation_norm,
     haar_unitary,
     kron_all,
-    op_on,
     partial_trace,
     random_pure_state,
     trace_norm,
@@ -216,7 +216,7 @@ def build_choi(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> Op:
     perm = [labels.index(l) for l in wire_order] + [labels.index("M")]
     v = state.transpose(perm).reshape(total, dm)
     choi = v @ v.conj().T
-    return op_on(wire_order, [d] * (2 * n), choi)
+    return Op(WireSpace(tuple(wire_order), (d,) * (2 * n)), choi)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +418,7 @@ def gen_totalorder_comb(
         if floor >= corr_floor:
             meta = dict(spec.metadata)
             meta.update(generator="totalorder", achieved_chi_min=float(floor))
-            return CombSpec(
-                n=spec.n,
-                wire_dim=spec.wire_dim,
-                memory_dim=spec.memory_dim,
-                psi0=spec.psi0,
-                unitaries=spec.unitaries,
-                input_perm=spec.input_perm,
-                output_perm=spec.output_perm,
-                metadata=meta,
-            )
+            return replace(spec, metadata=meta)
     raise RejectionBudgetError(
         f"no draw reached pairwise correlation {corr_floor} in {budget} tries "
         f"(best {best_floor:.4f})",

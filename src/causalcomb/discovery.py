@@ -25,12 +25,15 @@ Three strategies, in decreasing order of generality and cost:
     Assumes the process is a product of single-wire teeth.  Each input is
     matched to the first output it is visibly correlated with; inputs
     with no visible partner (constant teeth) are paired up with the
-    leftover outputs in index order, any choice being equally valid.
+    leftover outputs in index order, any choice being equally valid.  A
+    wire visibly correlated with two partners breaks the promise, and the
+    run reports it.
 
 Correlations are estimated by two-sided linear inversion of the pairwise
-outcome counts (:func:`estimate_correlation_norm`); the frame
-eigenvalues of the POVMs give non-asymptotic confidence bounds
-(:func:`correlation_confidence`) used to size shot budgets.
+outcome frequencies (:func:`correlation_from_freqs`); the frame
+eigenvalues of the POVMs give non-asymptotic accuracy bounds
+(:func:`correlation_error_bound`) used to size shot budgets
+(:func:`correlation_sample_size`).
 
 This module sees sessions only through their public statistics API; it
 never touches the hidden spec or Choi operator, and a test pins that.
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .povm import (
     IcPovm,
     frame_of,
     ic_povm_for_dim,
+    povm_by_label,
     reconstruct_pair,
     state_set_of,
 )
@@ -60,10 +64,8 @@ __all__ = [
     "IndMatrix",
     "FindLastResult",
     "DiscoveryReport",
-    "estimate_correlation_norm",
     "correlation_from_freqs",
     "xi_constant",
-    "correlation_confidence",
     "correlation_error_bound",
     "correlation_sample_size",
     "independence_matrix",
@@ -75,6 +77,7 @@ __all__ = [
 
 NOT_A_COMB = "not a quantum comb"
 ASSUMPTION_VIOLATED = "assumption violated: ties in correlation counts"
+NOT_MEMORYLESS = "assumption violated: a wire correlates with more than one partner"
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +98,6 @@ def correlation_from_freqs(
     return correlation_norm(op, ["L"])
 
 
-def estimate_correlation_norm(
-    outcomes: Iterable[tuple[int, int]], povm_a: IcPovm, povm_b: IcPovm
-) -> float:
-    """Correlation estimate from raw (input outcome, output outcome) pairs."""
-    counts = np.zeros((povm_a.size, povm_b.size))
-    total = 0
-    for a, b in outcomes:
-        counts[a, b] += 1
-        total += 1
-    if total == 0:
-        raise ValueError("no outcomes given")
-    return correlation_from_freqs(counts / total, povm_a, povm_b)
-
-
 def xi_constant(povm_a: IcPovm, povm_b: IcPovm) -> float:
     """Error-propagation constant from outcome frequencies to correlation.
 
@@ -124,16 +113,6 @@ def xi_constant(povm_a: IcPovm, povm_b: IcPovm) -> float:
 def _outcome_classes(povm_a: IcPovm, povm_b: IcPovm) -> int:
     da, db = povm_a.dim, povm_b.dim
     return da**2 * db**2 + da**2 + db**2
-
-
-def correlation_confidence(
-    n_shots: int, eps: float, povm_a: IcPovm, povm_b: IcPovm
-) -> float:
-    """Failure probability bound for the correlation estimate at accuracy ``eps``."""
-    xi = xi_constant(povm_a, povm_b)
-    return 2.0 * _outcome_classes(povm_a, povm_b) * math.exp(
-        -2.0 * xi**2 * eps**2 * n_shots
-    )
 
 
 def correlation_error_bound(
@@ -174,12 +153,6 @@ class IndMatrix:
         return self.estimates <= self.threshold
 
 
-def _povm_by_label(povms, labels) -> dict[str, IcPovm]:
-    if isinstance(povms, IcPovm):
-        return {l: povms for l in labels}
-    return {l: povms[l] for l in labels}
-
-
 def independence_matrix(
     session: OracleSession, povms, n_shots: int, threshold: float
 ) -> IndMatrix:
@@ -192,7 +165,7 @@ def independence_matrix(
     query policy.
     """
     ins, outs = session.input_labels, session.output_labels
-    pmap = _povm_by_label(povms, session.wires)
+    pmap = povm_by_label(povms, session.wires)
     if session.mode == "sampled":
         freqs = session.sample_batch(n_shots, povms) / n_shots
     else:
@@ -382,6 +355,57 @@ def discover_general(
 
 
 # ---------------------------------------------------------------------------
+# promise algorithms: one shared shot table, then an ordering rule
+
+
+def _promise_discovery(
+    algorithm: str,
+    session: OracleSession,
+    povms,
+    threshold: float,
+    eps: float,
+    kappa_target: float,
+    rule: Callable,
+) -> DiscoveryReport:
+    """Time, bill and report one promise algorithm's ordering ``rule``.
+
+    ``rule(measure)`` draws independence matrices with ``measure(n_shots)``
+    and returns the last one, the order, the failure (``None`` on success)
+    and its own diagnostics.  ``eps`` is the per-pair theoretical accuracy.
+    """
+    t0 = time.perf_counter()
+    start_queries = session.query_count
+    ind, order, failure, diagnostics = rule(
+        lambda n_shots: independence_matrix(session, povms, n_shots, threshold)
+    )
+    pmap = povm_by_label(povms, session.wires)
+    a0, b0 = session.input_labels[0], session.output_labels[0]
+    theoretical = correlation_sample_size(
+        eps, kappa_target / session.n_teeth**2, pmap[a0], pmap[b0]
+    )
+    return DiscoveryReport(
+        algorithm=algorithm,
+        order=order,
+        queries=session.query_count - start_queries,
+        theoretical_queries=theoretical,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        diagnostics={
+            "threshold": threshold,
+            "n_shots": ind.n_shots,
+            "estimates": np.asarray(ind.estimates),
+            **diagnostics,
+        },
+        failure=failure,
+    )
+
+
+def _relation_counts(ind: IndMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per input and per output, how many wires it is related to."""
+    related = ~ind.ind
+    return related.sum(axis=1), related.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # correlation-count sorting: totally ordered combs
 
 
@@ -405,46 +429,29 @@ def discover_totalorder(
     profile triggers one retry with a doubled shot budget (sampled mode);
     persisting ties mean the promise does not hold for this process.
     """
-    t0 = time.perf_counter()
-    start_queries = session.query_count
-    threshold = chi_min / 2.0
-    ind = independence_matrix(session, povms, n_shots, threshold)
-    c_in = (~ind.ind).sum(axis=1)
-    c_out = (~ind.ind).sum(axis=0)
-    retried = False
-    if _has_ties(c_in) or _has_ties(c_out):
-        if session.mode == "sampled":
-            retried = True
-            ind = independence_matrix(session, povms, 2 * n_shots, threshold)
-            c_in = (~ind.ind).sum(axis=1)
-            c_out = (~ind.ind).sum(axis=0)
-    failure = ASSUMPTION_VIOLATED if (_has_ties(c_in) or _has_ties(c_out)) else None
-    in_rank = np.argsort(-c_in, kind="stable")
-    out_rank = np.argsort(c_out, kind="stable")
-    order = tuple(
-        (ind.input_labels[i], ind.output_labels[j]) for i, j in zip(in_rank, out_rank)
-    )
-    pmap = _povm_by_label(povms, session.wires)
-    a0, b0 = session.input_labels[0], session.output_labels[0]
-    theoretical = correlation_sample_size(
-        chi_min / 3.0, kappa_target / session.n_teeth**2, pmap[a0], pmap[b0]
-    )
-    return DiscoveryReport(
-        algorithm="totalorder",
-        order=order,
-        queries=session.query_count - start_queries,
-        theoretical_queries=theoretical,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        diagnostics={
+
+    def rank(measure):
+        ind = measure(n_shots)
+        c_in, c_out = _relation_counts(ind)
+        retried = session.mode == "sampled" and (_has_ties(c_in) or _has_ties(c_out))
+        if retried:
+            ind = measure(2 * n_shots)
+            c_in, c_out = _relation_counts(ind)
+        failure = ASSUMPTION_VIOLATED if (_has_ties(c_in) or _has_ties(c_out)) else None
+        in_rank = np.argsort(-c_in, kind="stable")
+        out_rank = np.argsort(c_out, kind="stable")
+        order = tuple(
+            (ind.input_labels[i], ind.output_labels[j]) for i, j in zip(in_rank, out_rank)
+        )
+        return ind, order, failure, {
             "chi_min": chi_min,
-            "threshold": threshold,
-            "n_shots": ind.n_shots,
-            "estimates": np.asarray(ind.estimates),
             "input_counts": c_in,
             "output_counts": c_out,
             "retried": retried,
-        },
-        failure=failure,
+        }
+
+    return _promise_discovery(
+        "totalorder", session, povms, chi_min / 2.0, chi_min / 3.0, kappa_target, rank
     )
 
 
@@ -464,39 +471,29 @@ def discover_memoryless(
     Each input takes the first output it is visibly correlated with;
     since a product comb correlates each input with at most one output,
     the leftover (constant-tooth) inputs can be paired with the leftover
-    outputs in any way, and index order is used.
+    outputs in any way, and index order is used.  A wire related to more
+    than one partner breaks that promise: the report fails with
+    ``NOT_MEMORYLESS`` and still carries the matched order.
     """
-    t0 = time.perf_counter()
-    start_queries = session.query_count
-    ind = independence_matrix(session, povms, n_shots, threshold)
-    ins, outs = ind.input_labels, ind.output_labels
-    matched_out: set[int] = set()
-    pairing: dict[int, int] = {}
-    for i in range(len(ins)):
-        for j in range(len(outs)):
-            if not ind.ind[i, j] and j not in matched_out:
-                pairing[i] = j
-                matched_out.add(j)
-                break
-    leftovers = [j for j in range(len(outs)) if j not in matched_out]
-    for i in range(len(ins)):
-        if i not in pairing:
-            pairing[i] = leftovers.pop(0)
-    order = tuple((ins[i], outs[pairing[i]]) for i in range(len(ins)))
-    pmap = _povm_by_label(povms, session.wires)
-    theoretical = correlation_sample_size(
-        threshold, kappa_target / session.n_teeth**2, pmap[ins[0]], pmap[outs[0]]
-    )
-    return DiscoveryReport(
-        algorithm="memoryless",
-        order=order,
-        queries=session.query_count - start_queries,
-        theoretical_queries=theoretical,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        diagnostics={
-            "threshold": threshold,
-            "n_shots": ind.n_shots,
-            "estimates": np.asarray(ind.estimates),
-        },
-        failure=None,
+
+    def match(measure):
+        ind = measure(n_shots)
+        ins, outs = ind.input_labels, ind.output_labels
+        pairing: dict[int, int] = {}
+        for i in range(len(ins)):
+            for j in range(len(outs)):
+                if not ind.ind[i, j] and j not in pairing.values():
+                    pairing[i] = j
+                    break
+        leftovers = [j for j in range(len(outs)) if j not in pairing.values()]
+        for i in range(len(ins)):
+            if i not in pairing:
+                pairing[i] = leftovers.pop(0)
+        order = tuple((ins[i], outs[pairing[i]]) for i in range(len(ins)))
+        c_in, c_out = _relation_counts(ind)
+        failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
+        return ind, order, failure, {}
+
+    return _promise_discovery(
+        "memoryless", session, povms, threshold, threshold, kappa_target, match
     )

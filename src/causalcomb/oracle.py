@@ -1,10 +1,10 @@
 """Query-metered black-box access to a hidden comb.
 
 An :class:`OracleSession` wraps a hidden :class:`~causalcomb.combs.CombSpec`
-and exposes only what a lab could do with the physical process: feed it
-inputs (``apply``), run prepare-and-measure shots (``sample_prepare_measure``
-/ ``sample_batch``), estimate state overlaps by destructive swap circuits
-(``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
+and exposes only what a lab could do with the physical process: run
+batches of prepare-and-measure shots (``sample_batch``), estimate state
+overlaps by destructive swap circuits (``overlap_estimate``), and wire a
+tooth shut (``reduce``).  The hidden
 spec and its Choi operator are private attributes with no accessor;
 discovery code sees statistics only.
 
@@ -23,12 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
 from .combs import DEFAULT_DIM_CAP, CombSpec, build_choi, trace_out_tooth
-from .povm import IcPovm, product_born_table
+from .povm import povm_by_label, product_born_table
 from .tensors import Op, contract_wire, partial_trace, sort_wires, wire_key
 
 __all__ = [
@@ -203,68 +203,7 @@ class OracleSession:
     def n_teeth(self) -> int:
         return len(self.input_labels)
 
-    # -- channel access -----------------------------------------------------
-
-    def apply(self, x: Op) -> Op:
-        """Run the process once on ``x`` (inputs plus optional ancilla wires).
-
-        ``x`` must be a density operator covering every input wire; extra
-        wires ride along untouched.  Returns the output density operator
-        on (output wires + ancillas), wire-sorted.  One query.
-        """
-        ins = self.input_labels
-        missing = set(ins) - set(x.labels)
-        if missing:
-            raise ValueError(f"input operator is missing wires {sorted(missing)}")
-        anc = [l for l in x.labels if l not in set(ins)]
-        clash = set(anc) & set(self.wires)
-        if clash:
-            raise ValueError(f"ancilla labels collide with process wires: {sorted(clash)}")
-
-        choi_t = self._choi.matrix.reshape(self._choi.space.dims * 2)
-        x_t = x.matrix.reshape(x.space.dims * 2)
-        nc, nx = len(self._choi.labels), len(x.labels)
-        # index plan: choi rows 0..nc-1, choi cols nc..2nc-1, then fresh for x
-        ci_row = {l: i for i, l in enumerate(self._choi.labels)}
-        ci_col = {l: nc + i for i, l in enumerate(self._choi.labels)}
-        nxt = 2 * nc
-        xi_row, xi_col = {}, {}
-        for l in x.labels:
-            if l in set(ins):
-                xi_row[l] = ci_row[l]
-                xi_col[l] = ci_col[l]
-            else:
-                xi_row[l], xi_col[l] = nxt, nxt + 1
-                nxt += 2
-        out_labels = list(self.output_labels) + anc
-        out_idx = [ci_row[l] if l in ci_row else xi_row[l] for l in out_labels] + [
-            ci_col[l] if l in ci_col else xi_col[l] for l in out_labels
-        ]
-        res = np.einsum(
-            choi_t,
-            [ci_row[l] for l in self._choi.labels] + [ci_col[l] for l in self._choi.labels],
-            x_t,
-            [xi_row[l] for l in x.labels] + [xi_col[l] for l in x.labels],
-            out_idx,
-        )
-        scale = 1.0
-        for l in ins:
-            scale *= self.dim_of(l)
-        dims = [self.dim_of(l) if l in self.wires else x.dim_of(l) for l in out_labels]
-        total = int(np.prod(dims)) if dims else 1
-        out = Op(
-            space=type(x.space)(tuple(out_labels), tuple(dims)),
-            matrix=scale * res.reshape(total, total),
-        )
-        self._meter.charge("apply", 1)
-        return sort_wires(out)
-
     # -- prepare-and-measure sampling ---------------------------------------
-
-    def _povm_map(self, povms) -> dict[str, IcPovm]:
-        if isinstance(povms, IcPovm):
-            return {l: povms for l in self.wires}
-        return {l: povms[l] for l in self.wires}
 
     def _joint_table(self, povms) -> np.ndarray:
         """Exact outcome distribution of the standard prepare-measure scheme.
@@ -275,7 +214,7 @@ class OracleSession:
         drawing dual input states by their trace weights and measuring
         every output.
         """
-        pmap = self._povm_map(povms)
+        pmap = povm_by_label(povms, self.wires)
         key = tuple(
             (l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self._choi.labels
         )
@@ -294,34 +233,6 @@ class OracleSession:
         nominal shot budget via :meth:`note_virtual_queries`.
         """
         return self._joint_table(povms).copy()
-
-    def sample_prepare_measure(self, input_choices, povms) -> tuple[int, ...]:
-        """One prepare-and-measure shot; returns per-output outcome indices.
-
-        ``input_choices`` gives, per input wire (sorted order, or a
-        mapping by label), the index of the dual prepared state — the
-        caller is expected to have drawn it with the POVM's trace weights.
-        One query.
-        """
-        if self.mode != "sampled":
-            raise ValueError("sample_prepare_measure requires sampled mode")
-        ins, outs = self.input_labels, self.output_labels
-        if isinstance(input_choices, Mapping):
-            choices = tuple(int(input_choices[l]) for l in ins)
-        else:
-            choices = tuple(int(c) for c in input_choices)
-        if len(choices) != len(ins):
-            raise ValueError(f"need one choice per input wire {ins}")
-        tbl = self._joint_table(povms)
-        # wires are sorted: input axes first
-        row = tbl[choices]
-        w = row.sum()
-        if w <= 0:
-            raise ValueError("chosen input has zero preparation weight")
-        flat = (row / w).reshape(-1)
-        idx = self._rng.choice(flat.size, p=flat)
-        self._meter.charge("sample", 1)
-        return tuple(int(v) for v in np.unravel_index(idx, row.shape))
 
     def sample_batch(self, n_shots: int, povms) -> np.ndarray:
         """Counts from ``n_shots`` independent prepare-and-measure shots.

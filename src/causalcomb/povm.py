@@ -27,12 +27,10 @@ __all__ = [
     "FrameOperator",
     "sic_qubit",
     "tensor_povm",
-    "transpose_povm",
     "state_set_of",
-    "prep_states",
-    "prep_weights",
     "ic_povm_for_dim",
     "povm_preset",
+    "povm_by_label",
     "frame_of",
     "born_probs",
     "pair_probs",
@@ -159,38 +157,10 @@ def tensor_povm(a: IcPovm, b: IcPovm) -> IcPovm:
     return IcPovm(els, kind=a.kind, name=f"{a.name}*{b.name}")
 
 
-def transpose_povm(povm: IcPovm) -> IcPovm:
-    """Element-wise transpose; preserves kind and frame spectrum."""
-    return IcPovm(
-        tuple(e.T.copy() for e in povm.elements),
-        kind=povm.kind,
-        name=f"{povm.name}^T" if povm.name else "",
-    )
-
-
 def state_set_of(povm: IcPovm) -> IcPovm:
     """Normalize each element to unit trace, giving an IC state set."""
     els = tuple(e / np.trace(e).real for e in povm.elements)
     return IcPovm(els, kind="state-set", name=f"states({povm.name})")
-
-
-def prep_states(povm: IcPovm) -> tuple[np.ndarray, ...]:
-    """Input states dual to measuring this POVM on the entangled copy.
-
-    Preparing ``element.T / Tr[element]`` with probability
-    ``Tr[element] / d`` and measuring the outputs reproduces, shot for
-    shot, the statistics of measuring the Choi operator with this POVM on
-    the input-copy wire (the transpose is what the entangled copy sees).
-    """
-    return tuple((e.T / np.trace(e).real).copy() for e in povm.elements)
-
-
-def prep_weights(povm: IcPovm) -> np.ndarray:
-    """Sampling weights ``Tr[element] / d`` for the dual input states."""
-    w = np.array([np.trace(e).real for e in povm.elements]) / povm.dim
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights do not sum to 1; not a POVM?")
-    return w
 
 
 def ic_povm_for_dim(d: int, rng: np.random.Generator | None = None) -> IcPovm:
@@ -240,6 +210,13 @@ def povm_preset(name: str, dim: int) -> IcPovm:
         seed = int(name.split(":", 1)[1])
         return ic_povm_for_dim(dim, np.random.default_rng(seed))
     raise ValueError(f"unknown POVM preset {name!r}")
+
+
+def povm_by_label(povms, labels) -> dict[str, IcPovm]:
+    """One POVM per wire label: a single POVM for every wire, or a mapping."""
+    if isinstance(povms, IcPovm):
+        return {l: povms for l in labels}
+    return {l: povms[l] for l in labels}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "TrialResult",
     "RunSummary",
     "generate_comb",
+    "dispatch",
     "run_trial",
     "run_experiment",
 ]
@@ -112,17 +113,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        known = {
-            "generator",
-            "algorithm",
-            "oracle",
-            "trials",
-            "seed",
-            "success_tol",
-            "min_success_rate",
-            "workers",
-        }
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         _require(not extra, f"unknown config keys: {sorted(extra)}")
         _require("generator" in data, "config needs a 'generator' section")
         _require("algorithm" in data, "config needs an 'algorithm' section")
@@ -179,9 +170,10 @@ def generate_comb(gen: Mapping[str, Any], rng: np.random.Generator) -> CombSpec:
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def _dispatch(
+def dispatch(
     session: OracleSession, spec: CombSpec, alg: Mapping[str, Any]
 ) -> DiscoveryReport:
+    """Run the algorithm that ``alg`` names; missing keys take the defaults below."""
     name = alg["name"]
     if name == "general":
         return discover_general(
@@ -194,7 +186,7 @@ def _dispatch(
     n_shots = int(alg.get("n_shots", 100_000))
     if name == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
-        _require(chi_min is not None, "totalorder needs chi_min (or generator metadata)")
+        _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")
         return discover_totalorder(
             session,
             povms,
@@ -228,12 +220,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         query_policy=config.oracle.get("query_policy", "actual"),
         trial=trial,
     )
-    session = OracleSession(spec, ocfg)
-    report = _dispatch(session, spec, config.algorithm)
+    choi = build_choi(spec)
+    report = dispatch(OracleSession.from_choi(choi, ocfg), spec, config.algorithm)
     wall = (time.perf_counter() - t0) * 1e3
     if not report.ok:
         return TrialResult(trial, False, None, report.queries, wall, None, report.failure)
-    check = check_comb_condition(build_choi(spec), report.order, tol=config.success_tol)
+    check = check_comb_condition(choi, report.order, tol=config.success_tol)
     failure = None if check.ok else f"emitted order deviates by {check.worst_deviation:.3g}"
     return TrialResult(
         trial, check.ok, report.order, report.queries, wall, check.worst_deviation, failure

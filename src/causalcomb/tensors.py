@@ -32,26 +32,17 @@ __all__ = [
     "sort_wires",
     "contract_wire",
     "trace_norm",
-    "hs_norm",
     "numerical_rank",
     "correlation_norm",
     "haar_unitary",
     "random_density",
     "random_pure_state",
     "max_entangled_ket",
-    "clamp_density",
-    "assert_density",
-    "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
 ]
 
-# Eigenvalues below this are treated as genuinely negative rather than
-# floating-point dust; between this and zero they are clamped.
-NEG_EIGVAL_FLOOR = -1e-8
-
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -117,7 +108,7 @@ class Op:
     and frozen.  A complex array is not copied: the operator takes
     ownership of it and makes it read-only, so the caller must not hand
     over an array it still means to write.  ``Op`` makes no positivity or
-    trace assumptions; density checks are explicit (:func:`assert_density`).
+    trace assumptions.
     """
 
     space: WireSpace
@@ -141,14 +132,6 @@ class Op:
 
     def dim_of(self, label: str) -> int:
         return self.space.dim_of(label)
-
-
-def op_on(labels: Sequence[str], dims: Sequence[int], matrix: np.ndarray) -> Op:
-    return Op(WireSpace(tuple(labels), tuple(dims)), matrix)
-
-
-def maximally_mixed(space: WireSpace) -> Op:
-    return Op(space, np.eye(space.dim) / space.dim)
 
 
 def _mat(x) -> np.ndarray:
@@ -283,11 +266,6 @@ def trace_norm(x) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def hs_norm(x) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(_mat(x)))
-
-
 def numerical_rank(x, tol: float = 1e-10) -> int:
     """Number of singular values above ``tol`` times the largest one."""
     s = np.linalg.svd(_mat(x), compute_uv=False)
@@ -366,36 +344,3 @@ def max_entangled_ket(dim: int) -> np.ndarray:
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# density hygiene
-
-
-def clamp_density(mat: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative eigenvalues and renormalize the trace.
-
-    Eigenvalues in ``(NEG_EIGVAL_FLOOR, 0)`` are numerical dust and get
-    clamped; anything at or below the floor raises.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    herm = (mat + mat.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
-    if vals.min() <= NEG_EIGVAL_FLOOR:
-        raise ValueError(f"matrix has genuinely negative eigenvalue {vals.min():.3e}")
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals) @ vecs.conj().T
-    return out / np.trace(out).real
-
-
-def assert_density(x, atol: float = 1e-9) -> None:
-    """Raise unless ``x`` is Hermitian, unit trace, and PSD within ``atol``."""
-    mat = _mat(x)
-    if np.abs(mat - mat.conj().T).max() > atol:
-        raise ValueError("not Hermitian")
-    tr = np.trace(mat)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"trace {tr} != 1")
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    if vals.min() < -atol:
-        raise ValueError(f"negative eigenvalue {vals.min():.3e}")

@@ -18,13 +18,11 @@ from causalcomb.combs import (
     enumerate_orders,
     gen_unitary_comb,
 )
-from causalcomb.tensors import (
-    WireSpace,
-    maximally_mixed,
-    partial_trace,
-    sort_wires,
-    tensor,
-)
+from causalcomb.tensors import Op, WireSpace, partial_trace, sort_wires, tensor
+
+
+def maximally_mixed(space):
+    return Op(space, np.eye(space.dim) / space.dim)
 
 
 def _reference_check(choi, order, tol=1e-9):

@@ -60,6 +60,16 @@ def test_discover_totalorder_uses_stored_floor(capsys, tmp_path):
     assert "valid" in out
 
 
+def test_discover_memoryless_reports_a_broken_promise(capsys, tmp_path):
+    """Output 2 of the signaling comb copies input 1, which also reaches output 1."""
+    path = tmp_path / "sig.json"
+    run(capsys, "gen", "--kind", "signaling", "--seed", "0", "-o", str(path))
+    code, out, _ = run(capsys, "discover", str(path), "--algorithm", "memoryless")
+    assert code == 1
+    assert "more than one partner" in out
+    assert "partial:" in out
+
+
 def test_discover_sampled_with_query_log(capsys, tmp_path):
     comb = tmp_path / "c.json"
     log = tmp_path / "q.jsonl"

@@ -9,6 +9,7 @@ import causalcomb.discovery as discovery
 from causalcomb.combs import (
     build_choi,
     check_comb_condition,
+    enumerate_orders,
     gen_fig3_comb,
     gen_memoryless_comb,
     gen_signaling_comb,
@@ -18,6 +19,7 @@ from causalcomb.combs import (
 from causalcomb.discovery import (
     ASSUMPTION_VIOLATED,
     NOT_A_COMB,
+    NOT_MEMORYLESS,
     correlation_error_bound,
     correlation_sample_size,
     discover_general,
@@ -29,7 +31,16 @@ from causalcomb.discovery import (
 )
 from causalcomb.oracle import OracleConfig, OracleSession, swap_test_sample_size
 from causalcomb.povm import ic_povm_for_dim, sic_qubit, state_set_of
-from causalcomb.tensors import PAULI_X, PAULI_Y, PAULI_Z, Op, WireSpace, kron_all
+from causalcomb.tensors import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    Op,
+    WireSpace,
+    haar_unitary,
+    kron_all,
+    max_entangled_ket,
+)
 
 
 def _session(spec, mode="exact", seed=0, policy="actual"):
@@ -159,6 +170,42 @@ def test_discover_general_not_a_comb_failure():
     assert report.failure == NOT_A_COMB
 
 
+def _global_unitary_choi(n, seed):
+    """Choi operator of one Haar-random unitary from all inputs to all outputs.
+
+    Every output depends on every input, so no tooth can come last and
+    the process has no causal order at all.
+    """
+    dim = 2**n
+    u = haar_unitary(dim, np.random.default_rng(seed))
+    v = np.kron(np.eye(dim), u) @ max_entangled_ket(dim)
+    labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
+    return Op(WireSpace(labels, (2,) * (2 * n)), np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_discover_general_global_unitary_is_not_a_comb(n, seed):
+    session = OracleSession.from_choi(_global_unitary_choi(n, seed))
+    report = discover_general(session)
+    assert report.failure == NOT_A_COMB
+    assert report.order is None
+    # the very first stage rejects every candidate for the last tooth
+    assert len(report.diagnostics["stages"]) == 1
+    assert report.diagnostics["stages"][0]["pairs_tested"] == n * n
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_checker_rejects_every_order_of_a_global_unitary(seed):
+    choi = _global_unitary_choi(2, seed)
+    orders = enumerate_orders(2)
+    assert len(orders) == 4
+    for order in orders:
+        check = check_comb_condition(choi, order)
+        assert not check.ok
+        assert check.worst_deviation > 0.5, (order, check.worst_deviation)
+
+
 def test_discover_general_sampled_two_tooth():
     rng = np.random.default_rng(2)
     hits = 0
@@ -238,6 +285,17 @@ def test_discover_memoryless_constant_tooth():
     report = discover_memoryless(_session(spec), sic_qubit(), 1000, threshold=0.1)
     assert report.ok
     assert check_comb_condition(build_choi(spec), report.order, tol=1e-6).ok
+
+
+def test_discover_memoryless_reports_a_broken_promise():
+    """A1 reaches both B1 and B2 in the signaling comb: not a product of teeth."""
+    report = discover_memoryless(
+        _session(gen_signaling_comb()), sic_qubit(), 1000, threshold=0.1
+    )
+    assert not report.ok
+    assert report.failure == NOT_MEMORYLESS
+    assert report.order is not None  # best-effort order still emitted
+    assert (~(report.diagnostics["estimates"] <= 0.1)).sum(axis=1).max() == 2
 
 
 def test_report_query_accounting_fields():

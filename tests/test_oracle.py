@@ -1,4 +1,4 @@
-"""Black-box session semantics: channel application, sampling, query billing."""
+"""Black-box session semantics: state preparation, sampling, query billing."""
 
 import io
 import json
@@ -15,14 +15,7 @@ from causalcomb.oracle import (
     swap_test_sample_size,
 )
 from causalcomb.povm import IcPovm, pair_probs, product_born_table, sic_qubit
-from causalcomb.tensors import (
-    Op,
-    WireSpace,
-    haar_unitary,
-    random_density,
-    random_pure_state,
-    reorder,
-)
+from causalcomb.tensors import haar_unitary, random_pure_state, reorder
 
 
 def _unitary_channel_spec(u):
@@ -45,30 +38,6 @@ def test_swap_test_estimate_concentrates():
         ov = abs(np.vdot(a, b)) ** 2
         misses += abs(swap_test_estimate(ov, 0.1, 0.05, rng) - ov) > 0.1
     assert misses / 300 <= 0.05 + 2 * np.sqrt(0.05 * 0.95 / 300)
-
-
-def test_apply_reproduces_unitary_channel():
-    """Feeding rho through the session equals conjugation by the tooth unitary."""
-    rng = np.random.default_rng(1)
-    u = haar_unitary(2, rng)
-    session = OracleSession(_unitary_channel_spec(u))
-    rho = random_density(2, rng=rng)
-    out = session.apply(Op(WireSpace(("A1",), (2,)), rho))
-    np.testing.assert_allclose(out.matrix, u @ rho @ u.conj().T, atol=1e-12)
-    assert session.query_count == 1  # exact mode still counts apply calls
-
-
-def test_apply_with_entangled_ancilla():
-    rng = np.random.default_rng(2)
-    u = haar_unitary(2, rng)
-    session = OracleSession(_unitary_channel_spec(u))
-    rho = random_density(4, rng=rng)
-    joint = Op(WireSpace(("A1", "R"), (2, 2)), rho)
-    out = session.apply(joint)
-    big = np.kron(u, np.eye(2))
-    np.testing.assert_allclose(
-        reorder(out, ["B1", "R"]).matrix, big @ rho @ big.conj().T, atol=1e-12
-    )
 
 
 def test_session_labels_and_dims():
@@ -109,27 +78,9 @@ def test_sampling_agrees_with_exact_table():
 def test_single_shot_requires_sampled_mode():
     rng = np.random.default_rng(7)
     session = OracleSession(gen_unitary_comb(1, 2, 1, rng))
-    with pytest.raises(ValueError):
-        session.sample_prepare_measure([0], sic_qubit())
-
-
-def test_single_shots_match_batch_statistics():
-    rng = np.random.default_rng(8)
-    spec = gen_unitary_comb(1, 2, 1, rng)
-    sic = sic_qubit()
-    session = OracleSession(spec, OracleConfig(mode="sampled", seed=9))
-    weights = np.array([np.trace(e).real / 2 for e in sic.elements])
-    draw = np.random.default_rng(10)
-    counts = np.zeros((4, 4))
-    shots = 20_000
-    for _ in range(shots):
-        a = draw.choice(4, p=weights)
-        (b,) = session.sample_prepare_measure([a], sic)
-        counts[a, b] += 1
-    exact = OracleSession(spec).outcome_distribution(sic)
-    tv = 0.5 * np.abs(counts / shots - exact).sum()
-    assert tv < 0.03
-    assert session.query_count == shots
+    with pytest.raises(ValueError, match="sampled mode"):
+        session.sample_batch(1, sic_qubit())
+    assert session.query_count == 0
 
 
 def test_prepare_reduces_to_fed_channel_output():

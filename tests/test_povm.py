@@ -11,15 +11,12 @@ from causalcomb.povm import (
     ic_povm_for_dim,
     pair_probs,
     povm_preset,
-    prep_states,
-    prep_weights,
     product_born_table,
     reconstruct,
     reconstruct_pair,
     sic_qubit,
     state_set_of,
     tensor_povm,
-    transpose_povm,
 )
 from causalcomb.tensors import (
     Op,
@@ -107,24 +104,6 @@ def test_tensor_povm_dimensions_and_probs():
     rho = random_density(4, rng=rng)
     np.testing.assert_allclose(
         born_probs(big, rho), pair_probs(sic, sic, rho).reshape(-1), atol=1e-12
-    )
-
-
-def test_prep_states_are_transposed_duals():
-    sic = sic_qubit()
-    states = prep_states(sic)
-    weights = prep_weights(sic)
-    np.testing.assert_allclose(sum(weights), 1.0)
-    for st, el, w in zip(states, sic.elements, weights):
-        np.testing.assert_allclose(st, el.T / np.trace(el).real, atol=1e-12)
-        assert np.trace(st) == pytest.approx(1.0)
-        assert w == pytest.approx(np.trace(el).real / 2)
-
-
-def test_transpose_povm_involution():
-    sic = sic_qubit()
-    np.testing.assert_allclose(
-        transpose_povm(transpose_povm(sic)).stack(), sic.stack(), atol=1e-12
     )
 
 

@@ -6,14 +6,11 @@ import pytest
 from causalcomb.tensors import (
     Op,
     WireSpace,
-    clamp_density,
     contract_wire,
     correlation_norm,
     haar_unitary,
-    hs_norm,
     kron_all,
     max_entangled_ket,
-    maximally_mixed,
     numerical_rank,
     partial_trace,
     random_density,
@@ -125,7 +122,6 @@ def test_trace_norm_of_density_difference():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
     assert trace_norm(a - b) == pytest.approx(2.0)
-    assert hs_norm(a - b) == pytest.approx(np.sqrt(2.0))
 
 
 def test_trace_norm_of_hermitian_input_matches_svd():
@@ -206,16 +202,5 @@ def test_max_entangled_ket_marginal_is_mixed():
 
 def test_kron_all_and_maximally_mixed():
     np.testing.assert_allclose(kron_all([np.eye(2), np.eye(3)]), np.eye(6))
-    m = maximally_mixed(WireSpace(("A1", "B1"), (2, 2)))
-    assert m.labels == ("A1", "B1")
-    np.testing.assert_allclose(m.matrix, np.eye(4) / 4)
-
-
-def test_clamp_density_floors_tiny_negatives():
-    rho = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
-    fixed = clamp_density(rho)
-    eig = np.linalg.eigvalsh(fixed)
-    assert eig.min() >= 0
-    assert np.trace(fixed) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        clamp_density(np.diag([1.5, -0.5]).astype(complex))
+    np.testing.assert_allclose(kron_all([np.eye(2) / 2, np.eye(2) / 2]), np.eye(4) / 4)
+    np.testing.assert_allclose(kron_all([]), np.eye(1))
