@@ -138,7 +138,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     order = parse_order(args.order) if args.order else spec.true_order
     check = check_comb_condition(choi, order, tol=args.tol)
     print(f"order:  {format_order(order)}")
-    print(f"worst:  {check.worst_deviation:.6g} (tol {args.tol})")
+    print(
+        f"worst:  {check.worst_deviation:.6g} (tol {args.tol}, "
+        f"factor residual bound {check.residual_bound:.3g})"
+    )
     print("valid" if check.ok else "INVALID")
     return EXIT_OK if check.ok else EXIT_FAIL
 

@@ -169,6 +169,9 @@ class CombCheck:
     worst_deviation: float
     deviations: tuple[float, ...]  # per prefix length 0..n-1
     tol: float
+    # verified bound on ||C - G G^H||_1 for the low-rank factor G the check
+    # used; 0.0 when it worked on the dense operator
+    residual_bound: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,113 @@ def _validate_order(order: Sequence[Sequence[str]], choi: Op) -> CausalOrder:
     return order
 
 
+#: The low-rank factor must reproduce the Choi operator to this fraction of
+#: its trace, in trace norm; it is fixed so that ``tol`` keeps its meaning.
+_FACTOR_RTOL = 1e-13
+# Rows per block of the factor's residual check, so no temporary is Choi-sized.
+_RESIDUAL_ROWS = 8
+
+
+def _pivoted_cholesky(c: np.ndarray, stop: float, cap: int) -> np.ndarray | None:
+    """Columns ``G`` with ``C ~ G G^H``; None if it needs none, or ``cap`` or more.
+
+    Each step takes the largest remaining diagonal entry as its pivot and
+    stops once none exceeds ``stop``.  Nothing here checks the result: an
+    indefinite operator can leave a residual far larger than its diagonal.
+    """
+    rows = np.empty((0, c.shape[0]), dtype=complex)  # the columns of G, grown as found
+    diag = c.diagonal().real.copy()
+    while len(rows) < cap:
+        p = int(np.argmax(diag))
+        if not diag[p] > stop:  # also stops on NaN
+            return rows.T if len(rows) else None
+        col = (c[:, p] - rows[:, p].conj() @ rows) / math.sqrt(diag[p])
+        rows = np.vstack([rows, col])
+        diag -= col.real**2 + col.imag**2
+    return None
+
+
+def _residual_bound(c: np.ndarray, g: np.ndarray) -> float:
+    """``sqrt(dim) * ||C - G G^H||_F``, a bound on ``||C - G G^H||_1``."""
+    gh = g.conj().T
+    block = np.empty((_RESIDUAL_ROWS, c.shape[0]), dtype=complex)
+    total = 0.0
+    for r in range(0, c.shape[0], _RESIDUAL_ROWS):
+        out = block[: min(_RESIDUAL_ROWS, c.shape[0] - r)]
+        np.matmul(g[r : r + _RESIDUAL_ROWS], gh, out=out)
+        out -= c[r : r + _RESIDUAL_ROWS]
+        total += np.vdot(out, out).real
+    return math.sqrt(c.shape[0] * total)
+
+
+def _dense_deviation(lhs: np.ndarray, d_late: int) -> float:
+    """``||lhs - Tr_late(lhs) / d_late (x) 1_late||_1``, overwriting ``lhs``.
+
+    ``lhs`` is a writable square matrix with the late wires last, so the
+    product term is block diagonal and is subtracted from the diagonal of
+    each (early, early) block in place.
+    """
+    dim = lhs.shape[0]
+    blocks = lhs.reshape(dim // d_late, d_late, dim // d_late, d_late)
+    small = np.trace(blocks, axis1=1, axis2=3) / d_late
+    diag = np.einsum("iaja->iaj", blocks)  # writable view of the late diagonals
+    diag -= small[:, None, :]
+    return trace_norm(lhs)
+
+
+def _dense_deviations(choi: Op, ins: list[str], outs: list[str]) -> list[float]:
+    """Every prefix deviation from the dense operator, longest prefix first.
+
+    Each marginal comes from the previous one by tracing out one output.
+    """
+    n = len(ins)
+    devs = [0.0] * n
+    lhs = choi
+    for k in range(n - 1, -1, -1):
+        lhs = partial_trace(lhs, ins + outs[:k])
+        late = ins[k:]
+        early = [l for l in lhs.labels if l not in late]
+        perm = [lhs.space.index(l) for l in early + late]
+        m = len(perm)
+        d_late = math.prod(lhs.dim_of(l) for l in late)
+        t = lhs.matrix.reshape(lhs.space.dims * 2).transpose(perm + [m + p for p in perm])
+        devs[k] = _dense_deviation(t.copy().reshape(lhs.space.dim, lhs.space.dim), d_late)
+    return devs
+
+
+def _factored_deviations(
+    choi: Op, g: np.ndarray, ins: list[str], outs: list[str]
+) -> list[float]:
+    """Every prefix deviation of ``G G^H``, each on a span that holds it.
+
+    For prefix ``k`` the columns ``G_k`` are ``G`` with the later outputs
+    folded in, so the marginal is ``G_k G_k^H``; folding the later inputs
+    in as well gives ``H_k`` with ``Tr_late`` of the marginal equal to
+    ``H_k H_k^H``.  Both terms of the deviation then map into the span of
+    ``Q (x) 1_late``, where ``Q`` is an orthonormal basis of the columns of
+    ``H_k``, and the deviation compressed there, ``K K^H`` minus its own
+    late marginal for ``K = (Q^H (x) 1) G_k``, has the same trace norm.
+    That form is used when ``H_k`` has fewer columns than rows; otherwise
+    the marginal is formed densely.
+    """
+    n = len(ins)
+    g = g.reshape(choi.space.dims + (g.shape[1],))
+    devs = [0.0] * n
+    for k in range(n):
+        early, late = ins[:k] + outs[:k], ins[k:]
+        axes = [choi.space.index(l) for l in early + late + outs[k:]] + [len(choi.labels)]
+        d_early = math.prod(choi.dim_of(l) for l in early)
+        d_late = math.prod(choi.dim_of(l) for l in late)
+        gk = g.transpose(axes).reshape(d_early, d_late, -1)
+        cols = gk.shape[1] * gk.shape[2]
+        if cols < d_early:
+            q, _ = np.linalg.qr(gk.reshape(d_early, cols))
+            gk = np.tensordot(q.conj(), gk, axes=(0, 0))
+        gk = gk.reshape(-1, gk.shape[2])
+        devs[k] = _dense_deviation(gk @ gk.conj().T, d_late)
+    return devs
+
+
 def check_comb_condition(choi: Op, order: Sequence[Sequence[str]], tol: float = 1e-9) -> CombCheck:
     """Measure how far ``choi`` is from being a comb in the given tooth order.
 
@@ -244,34 +354,48 @@ def check_comb_condition(choi: Op, order: Sequence[Sequence[str]], tol: float = 
     k teeth) x (maximally mixed on the later inputs).  ``ok`` means every
     deviation is at most ``tol``.
 
-    The prefixes are walked from ``k = n-1`` down, so each marginal comes
-    from the previous one by tracing out a single output.  The deviation
-    is formed with the later inputs as the last wires, where the product
-    term is block diagonal; the trace norm does not depend on wire order.
+    The Choi operator ``C`` is first factored as ``C = G G^H`` by pivoted
+    Cholesky, stopped once no residual diagonal entry exceeds
+    ``1e-13 * |Tr C| / dim``.  The factor is used only after it is
+    verified: ``sqrt(dim) * ||C - G G^H||_F``, which bounds
+    ``||C - G G^H||_1`` and is reported as ``residual_bound``, must be at
+    most ``1e-13 * |Tr C|``.  Every deviation is a linear map of ``C``
+    that at most doubles the trace norm, so the deviations of ``G G^H``
+    are those of ``C`` to within twice ``residual_bound``; the bound does
+    not depend on ``tol``.  Each prefix then takes its trace norm on the
+    span of the factor's columns (see ``_factored_deviations``) where that
+    span is smaller than the prefix, and forms the marginal densely from
+    the factor elsewhere.
+
+    A Choi operator whose factor has too many columns to shrink even the
+    last prefix, or whose factor fails verification (a full-rank,
+    indefinite or non-Hermitian input), takes the dense walk:
+    the prefixes go from ``k = n-1`` down, each marginal traced from the
+    previous one, ``residual_bound`` stays 0.0.  Both paths subtract the
+    product term from the diagonal blocks of one matrix with the later
+    inputs last; the trace norm does not depend on wire order.
     """
     order = _validate_order(order, choi)
-    n = len(order)
     ins = [p[0] for p in order]
     outs = [p[1] for p in order]
-    devs = [0.0] * n
-    lhs = choi
-    for k in range(n - 1, -1, -1):
-        lhs = partial_trace(lhs, ins + outs[:k])
-        late = ins[k:]
-        early = [l for l in lhs.labels if l not in late]
-        perm = [lhs.space.index(l) for l in early + late]
-        m, dim = len(perm), lhs.space.dim
-        d_late = math.prod(lhs.dim_of(l) for l in late)
-        # one writable copy, seen as (early, late) x (early, late) blocks
-        t = lhs.matrix.reshape(lhs.space.dims * 2).transpose(perm + [m + p for p in perm])
-        dev = t.copy().reshape(dim, dim)
-        blocks = dev.reshape(dim // d_late, d_late, dim // d_late, d_late)
-        small = np.trace(blocks, axis1=1, axis2=3) / d_late
-        diag = np.einsum("iaja->iaj", blocks)  # writable view of the late diagonals
-        diag -= small[:, None, :]
-        devs[k] = trace_norm(dev)
+    c = choi.matrix
+    bound = _FACTOR_RTOL * abs(np.trace(c))
+    # fewer columns than this leave the last prefix compressible
+    cap = choi.space.dim // (choi.dim_of(ins[-1]) * choi.dim_of(outs[-1])) ** 2
+    g = _pivoted_cholesky(c, bound / choi.space.dim, cap)
+    residual = _residual_bound(c, g) if g is not None else math.inf
+    if residual <= bound:
+        devs = _factored_deviations(choi, g, ins, outs)
+    else:
+        devs, residual = _dense_deviations(choi, ins, outs), 0.0
     worst = max(devs)
-    return CombCheck(ok=worst <= tol, worst_deviation=worst, deviations=tuple(devs), tol=tol)
+    return CombCheck(
+        ok=worst <= tol,
+        worst_deviation=worst,
+        deviations=tuple(devs),
+        tol=tol,
+        residual_bound=residual,
+    )
 
 
 def trace_out_tooth(choi: Op, in_label: str, out_label: str) -> Op:

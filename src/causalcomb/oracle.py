@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+#: Largest negative probability mass, as a fraction of the outcome table's
+#: total, that clipping may absorb as roundoff.
+_CLIP_RTOL = 1e-12
+
+
 def swap_test_sample_size(eps: float, kappa: float) -> int:
     """Circuit runs needed for overlap accuracy ``eps`` at confidence ``kappa``."""
     if not 0 < eps <= 1 or not 0 < kappa < 1:
@@ -181,6 +186,10 @@ class OracleSession:
         return self._config.mode
 
     @property
+    def query_policy(self) -> str:
+        return self._config.query_policy
+
+    @property
     def query_count(self) -> int:
         return self._meter.count
 
@@ -213,6 +222,11 @@ class OracleSession:
         on the Choi operator, which is also exactly the distribution of
         drawing dual input states by their trace weights and measuring
         every output.
+
+        Roundoff can leave tiny negative entries; they are clipped to zero
+        and the table is renormalized.  A clipped mass above ``_CLIP_RTOL``
+        of the table's total means the operator is not positive
+        semidefinite, and raises ``ValueError``.
         """
         pmap = povm_by_label(povms, self.wires)
         key = tuple(
@@ -220,8 +234,16 @@ class OracleSession:
         )
         if key not in self._tables:
             tbl = product_born_table(self._choi, pmap)
-            tbl = np.clip(tbl, 0.0, None)
-            tbl /= tbl.sum()
+            total = tbl.sum()
+            np.clip(tbl, 0.0, None, out=tbl)
+            kept = tbl.sum()
+            if kept - total > _CLIP_RTOL * kept:
+                raise ValueError(
+                    f"outcome table has negative probability mass {kept - total:.3g} "
+                    f"against a total of {kept:.3g}: the operator is not positive "
+                    "semidefinite"
+                )
+            tbl /= kept
             self._tables[key] = tbl
         return self._tables[key]
 

@@ -49,6 +49,7 @@ __all__ = [
 
 GENERATOR_KINDS = ("unitary", "memoryless", "totalorder", "signaling", "fig3")
 ALGORITHM_NAMES = ("general", "totalorder", "memoryless")
+PROMISE_ALGORITHMS = ("totalorder", "memoryless")
 
 
 class ConfigError(ValueError):
@@ -58,6 +59,17 @@ class ConfigError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _require_shots(name: str, mode: str, policy: str, n_shots) -> None:
+    """A promise algorithm draws its shot budget in sampled mode and bills it
+    under the theoretical policy; either way the budget must be named."""
+    if name in PROMISE_ALGORITHMS and (mode == "sampled" or policy == "theoretical"):
+        _require(
+            int(n_shots or 0) > 0,
+            f"algorithm {name!r} needs n_shots in sampled mode or under the "
+            "theoretical query policy",
+        )
 
 
 @dataclass(frozen=True)
@@ -105,11 +117,7 @@ class ExperimentConfig:
             0.0 <= self.min_success_rate <= 1.0, "min_success_rate must be in [0, 1]"
         )
         _require(self.workers >= 0, "workers must be >= 0")
-        if name in ("totalorder", "memoryless") and mode == "sampled":
-            _require(
-                int(self.algorithm.get("n_shots", 0)) > 0,
-                f"algorithm {name!r} needs n_shots in sampled mode",
-            )
+        _require_shots(name, mode, policy, self.algorithm.get("n_shots"))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -173,7 +181,11 @@ def generate_comb(gen: Mapping[str, Any], rng: np.random.Generator) -> CombSpec:
 def dispatch(
     session: OracleSession, spec: CombSpec, alg: Mapping[str, Any]
 ) -> DiscoveryReport:
-    """Run the algorithm that ``alg`` names; missing keys take the defaults below."""
+    """Run the algorithm that ``alg`` names; missing keys take the defaults below.
+
+    ``n_shots`` has no default: a promise algorithm without one runs only
+    in exact mode under the actual policy, where no shot is drawn or billed.
+    """
     name = alg["name"]
     if name == "general":
         return discover_general(
@@ -183,7 +195,8 @@ def dispatch(
         )
     d = spec.wire_dim
     povms = povm_preset(alg.get("povm", f"sic{d}"), d)
-    n_shots = int(alg.get("n_shots", 100_000))
+    _require_shots(name, session.mode, session.query_policy, alg.get("n_shots"))
+    n_shots = int(alg.get("n_shots", 0))
     if name == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
         _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")

@@ -1,9 +1,25 @@
-"""Shared pytest plumbing: the acceptance-criteria summary table.
+"""Shared pytest plumbing: the acceptance-criteria summary table, and test helpers.
 
 Acceptance tests register one verdict each via :func:`record`; the
 terminal-summary hook prints the whole table after the run so the
 per-criterion outcome is visible even when every test passes.
+:func:`reference_check` is the direct comb-condition checker the fast
+one is compared against, and :func:`global_unitary_choi` a process with
+no causal order.
 """
+
+import numpy as np
+
+from causalcomb.combs import CombCheck
+from causalcomb.tensors import (
+    Op,
+    WireSpace,
+    haar_unitary,
+    max_entangled_ket,
+    partial_trace,
+    sort_wires,
+    tensor,
+)
 
 ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
 
@@ -23,3 +39,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if details:
             line += f"  ({details})"
         terminalreporter.write_line(line)
+
+
+def maximally_mixed(space):
+    return Op(space, np.eye(space.dim) / space.dim)
+
+
+def reference_check(choi, order, tol=1e-9):
+    """Per prefix, from the full Choi: Kronecker product, sorted wires, SVD."""
+    ins = [p[0] for p in order]
+    outs = [p[1] for p in order]
+    devs = []
+    for k in range(len(order)):
+        lhs = sort_wires(partial_trace(choi, ins + outs[:k]))
+        small = partial_trace(choi, ins[:k] + outs[:k])
+        late = WireSpace(tuple(ins[k:]), tuple(choi.dim_of(l) for l in ins[k:]))
+        rhs = sort_wires(tensor(small, maximally_mixed(late)))
+        devs.append(float(np.linalg.svd(lhs.matrix - rhs.matrix, compute_uv=False).sum()))
+    worst = max(devs)
+    return CombCheck(ok=worst <= tol, worst_deviation=worst, deviations=tuple(devs), tol=tol)
+
+
+def global_unitary_choi(n, seed):
+    """Choi operator of one Haar-random unitary from all inputs to all outputs.
+
+    Every output depends on every input, so no tooth can come last and
+    the process has no causal order at all.  The operator has rank one.
+    """
+    dim = 2**n
+    u = haar_unitary(dim, np.random.default_rng(seed))
+    v = np.kron(np.eye(dim), u) @ max_entangled_ket(dim)
+    labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
+    return Op(WireSpace(labels, (2,) * (2 * n)), np.outer(v, v.conj()))

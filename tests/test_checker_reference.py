@@ -1,51 +1,39 @@
 """The comb-condition checker against its direct, per-prefix reference.
 
-The reference builds each prefix marginal from the full Choi operator,
-forms (early marginal) x (maximally mixed later inputs) with a Kronecker
-product, sorts both sides' wires and takes the SVD trace norm of the
-difference.  The checker instead walks the prefixes from the longest down,
-traces out one output per step, and subtracts the product term from the
-diagonal blocks of one reordered copy; deviations and verdicts must agree.
+The reference (``conftest.reference_check``) builds each prefix marginal
+from the full Choi operator, forms (early marginal) x (maximally mixed
+later inputs) with a Kronecker product, sorts both sides' wires and takes
+the SVD trace norm of the difference.  The checker instead factors the
+Choi operator, verifies the factor, and takes each prefix's trace norm on
+the factor's column span, or walks the dense prefixes from the longest
+down when there is no verified factor; deviations and verdicts must agree.
 """
 
 import numpy as np
 import pytest
+from conftest import global_unitary_choi, reference_check
 
 from causalcomb.combs import (
-    CombCheck,
     build_choi,
     check_comb_condition,
     enumerate_orders,
     gen_unitary_comb,
 )
-from causalcomb.tensors import Op, WireSpace, partial_trace, sort_wires, tensor
-
-
-def maximally_mixed(space):
-    return Op(space, np.eye(space.dim) / space.dim)
-
-
-def _reference_check(choi, order, tol=1e-9):
-    ins = [p[0] for p in order]
-    outs = [p[1] for p in order]
-    devs = []
-    for k in range(len(order)):
-        lhs = sort_wires(partial_trace(choi, ins + outs[:k]))
-        small = partial_trace(choi, ins[:k] + outs[:k])
-        late = WireSpace(tuple(ins[k:]), tuple(choi.dim_of(l) for l in ins[k:]))
-        rhs = sort_wires(tensor(small, maximally_mixed(late)))
-        devs.append(float(np.linalg.svd(lhs.matrix - rhs.matrix, compute_uv=False).sum()))
-    worst = max(devs)
-    return CombCheck(ok=worst <= tol, worst_deviation=worst, deviations=tuple(devs), tol=tol)
+from causalcomb.tensors import Op, WireSpace
 
 
 def _assert_same(choi, order):
     got = check_comb_condition(choi, order)
-    ref = _reference_check(choi, order)
+    ref = reference_check(choi, order)
     np.testing.assert_allclose(got.deviations, ref.deviations, rtol=0, atol=1e-12)
     assert got.ok == ref.ok, order
     assert got.worst_deviation == max(got.deviations)
     return got
+
+
+def _sampled_orders(n, rng, samples):
+    orders = enumerate_orders(n)
+    return [orders[i] for i in rng.choice(len(orders), size=samples, replace=False)]
 
 
 @pytest.mark.parametrize("memory_dim", [1, 2])
@@ -68,11 +56,72 @@ def test_sampled_orders_match_the_reference(n, samples, memory_dim):
     rng = np.random.default_rng([n, memory_dim, 7])
     spec = gen_unitary_comb(n, 2, memory_dim, rng)
     choi = build_choi(spec)
-    orders = enumerate_orders(n)
-    picks = [orders[i] for i in rng.choice(len(orders), size=samples, replace=False)]
+    picks = _sampled_orders(n, rng, samples)
     assert _assert_same(choi, spec.true_order).ok
     for order in picks:
         _assert_same(choi, order)
     # the generator's teeth run backwards: valid only without memory
     backwards = spec.true_order[::-1]
     assert _assert_same(choi, backwards).ok == (memory_dim == 1)
+
+
+def _indefinite_with_zero_diagonal_block(n, seed):
+    """Unit-trace Hermitian [[P, B], [B^H, 0]]: P a low-rank state, B random.
+
+    Pivots land in the P block only, so a factor judged by its diagonal
+    would stop with a small residual diagonal and miss B entirely.
+    """
+    rng = np.random.default_rng(seed)
+    dim, half = 4**n, 4**n // 2
+    v = rng.standard_normal((half, 2)) + 1j * rng.standard_normal((half, 2))
+    b = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[:half, :half] = v @ v.conj().T
+    mat[:half, half:] = 0.1 * b
+    mat[half:, :half] = 0.1 * b.conj().T
+    labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
+    return Op(WireSpace(labels, (2,) * (2 * n)), mat / np.trace(mat).real)
+
+
+def test_indefinite_operator_with_zero_diagonal_block_takes_the_dense_walk():
+    choi = _indefinite_with_zero_diagonal_block(3, 0)
+    assert np.linalg.eigvalsh(choi.matrix).min() < -0.01
+    rng = np.random.default_rng(1)
+    for order in _sampled_orders(3, rng, 6):
+        assert _assert_same(choi, order).residual_bound == 0.0
+
+
+def test_full_rank_noisy_comb_takes_the_dense_walk():
+    rng = np.random.default_rng(2)
+    spec = gen_unitary_comb(4, 2, 2, rng)
+    choi = build_choi(spec)
+    noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(choi.space.dim) / choi.space.dim)
+    for order in [spec.true_order, spec.true_order[::-1]] + _sampled_orders(4, rng, 3):
+        assert _assert_same(noisy, order).residual_bound == 0.0
+    # white noise is a valid comb in every order, so mixing keeps the true one
+    assert check_comb_condition(noisy, spec.true_order).ok
+
+
+def test_rank_one_global_unitary_takes_the_factor_and_fails_every_order():
+    choi = global_unitary_choi(3, 4)
+    for order in enumerate_orders(3):
+        got = _assert_same(choi, order)
+        assert not got.ok
+        assert 0.0 < got.residual_bound < 1e-12
+
+
+def test_qutrit_comb_matches_the_reference():
+    rng = np.random.default_rng(3)
+    spec = gen_unitary_comb(3, 3, 2, rng)
+    choi = build_choi(spec)
+    assert _assert_same(choi, spec.true_order).ok
+    for order in _sampled_orders(3, rng, 4):
+        assert _assert_same(choi, order).residual_bound > 0.0
+
+
+@pytest.mark.parametrize("n, memory_dim", [(3, 2), (4, 1), (4, 2), (5, 2), (5, 4)])
+def test_haar_comb_factor_bound_is_small(n, memory_dim):
+    spec = gen_unitary_comb(n, 2, memory_dim, np.random.default_rng([n, memory_dim]))
+    check = check_comb_condition(build_choi(spec), spec.true_order)
+    assert check.ok
+    assert 0.0 < check.residual_bound < 1e-12

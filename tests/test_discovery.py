@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+from conftest import global_unitary_choi
 
 import causalcomb.discovery as discovery
 from causalcomb.combs import (
@@ -37,9 +38,7 @@ from causalcomb.tensors import (
     PAULI_Z,
     Op,
     WireSpace,
-    haar_unitary,
     kron_all,
-    max_entangled_ket,
 )
 
 
@@ -170,23 +169,10 @@ def test_discover_general_not_a_comb_failure():
     assert report.failure == NOT_A_COMB
 
 
-def _global_unitary_choi(n, seed):
-    """Choi operator of one Haar-random unitary from all inputs to all outputs.
-
-    Every output depends on every input, so no tooth can come last and
-    the process has no causal order at all.
-    """
-    dim = 2**n
-    u = haar_unitary(dim, np.random.default_rng(seed))
-    v = np.kron(np.eye(dim), u) @ max_entangled_ket(dim)
-    labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
-    return Op(WireSpace(labels, (2,) * (2 * n)), np.outer(v, v.conj()))
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_discover_general_global_unitary_is_not_a_comb(n, seed):
-    session = OracleSession.from_choi(_global_unitary_choi(n, seed))
+    session = OracleSession.from_choi(global_unitary_choi(n, seed))
     report = discover_general(session)
     assert report.failure == NOT_A_COMB
     assert report.order is None
@@ -197,7 +183,7 @@ def test_discover_general_global_unitary_is_not_a_comb(n, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_checker_rejects_every_order_of_a_global_unitary(seed):
-    choi = _global_unitary_choi(2, seed)
+    choi = global_unitary_choi(2, seed)
     orders = enumerate_orders(2)
     assert len(orders) == 4
     for order in orders:

@@ -15,7 +15,7 @@ from causalcomb.oracle import (
     swap_test_sample_size,
 )
 from causalcomb.povm import IcPovm, pair_probs, product_born_table, sic_qubit
-from causalcomb.tensors import haar_unitary, random_pure_state, reorder
+from causalcomb.tensors import Op, WireSpace, haar_unitary, random_pure_state, reorder
 
 
 def _unitary_channel_spec(u):
@@ -73,6 +73,22 @@ def test_sampling_agrees_with_exact_table():
     tv = 0.5 * np.abs(counts / shots - exact).sum()
     assert tv < 0.02
     assert session.query_count == shots
+
+
+def test_negative_probability_mass_raises_and_bills_nothing():
+    # unit trace and Hermitian, but -1 on |0000>: the all-|0> SIC outcome,
+    # whose elements all contain |0><0| / 2, gets probability (2/16 - 1) / 16
+    dim = 16
+    mat = 2 * np.eye(dim, dtype=complex) / dim
+    mat[0, 0] -= 1.0
+    choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
+    exact = OracleSession.from_choi(choi, OracleConfig(query_policy="theoretical"))
+    with pytest.raises(ValueError, match="negative probability mass"):
+        exact.outcome_distribution(sic_qubit())
+    sampled = OracleSession.from_choi(choi, OracleConfig(mode="sampled", seed=1))
+    with pytest.raises(ValueError, match="negative probability mass"):
+        sampled.sample_batch(1000, sic_qubit())
+    assert exact.query_count == sampled.query_count == 0
 
 
 def test_single_shot_requires_sampled_mode():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import reference_check
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -68,3 +69,27 @@ def test_partial_trace_and_reorder_commute(case):
     traced_first = reorder(partial_trace(x, keep), [l for l in perm if l in keep])
     assert traced_after.labels == traced_first.labels
     np.testing.assert_allclose(traced_after.matrix, traced_first.matrix, rtol=0, atol=1e-12)
+
+
+@st.composite
+def low_rank_states_and_orders(draw):
+    n = draw(st.integers(3, 4))
+    rank = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    order = draw(st.sampled_from(enumerate_orders(n)))
+    return n, rank, seed, order
+
+
+@FEW
+@given(low_rank_states_and_orders())
+def test_checker_matches_the_reference_on_low_rank_states(case):
+    n, rank, seed, order = case
+    rng = np.random.default_rng(seed)
+    dim = 4**n
+    v = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
+    state = Op(WireSpace(labels, (2,) * (2 * n)), v @ v.conj().T / np.linalg.norm(v) ** 2)
+    got = check_comb_condition(state, order)
+    ref = reference_check(state, order)
+    np.testing.assert_allclose(got.deviations, ref.deviations, rtol=0, atol=1e-12)
+    assert got.ok == ref.ok

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from causalcomb.oracle import OracleConfig, OracleSession
 from causalcomb.runner import (
     ConfigError,
     ExperimentConfig,
+    dispatch,
     generate_comb,
     run_experiment,
     run_trial,
@@ -84,3 +86,27 @@ def test_run_experiment_with_workers_matches_serial():
         ExperimentConfig(**{**vars(cfg), "workers": 2})
     )
     assert [r.order for r in serial.results] == [r.order for r in parallel.results]
+
+
+def test_theoretical_exact_run_bills_the_named_budget():
+    base = dict(generator={"kind": "memoryless", "n": 3}, trials=1, seed=3)
+    theoretical = {"query_policy": "theoretical"}
+    named = ExperimentConfig(
+        algorithm={"name": "memoryless", "n_shots": 12_345}, oracle=theoretical, **base
+    )
+    result = run_trial(named, 0)
+    assert result.ok
+    assert result.queries == 12_345
+    # exact mode under the actual policy draws and bills nothing, so it needs no budget
+    unnamed = ExperimentConfig(algorithm={"name": "memoryless"}, **base)
+    assert run_trial(unnamed, 0).queries == 0
+    with pytest.raises(ConfigError, match="n_shots"):
+        ExperimentConfig(algorithm={"name": "memoryless"}, oracle=theoretical, **base)
+
+
+def test_dispatch_refuses_an_unnamed_budget_it_would_bill():
+    spec = generate_comb({"kind": "memoryless", "n": 2}, np.random.default_rng(0))
+    session = OracleSession(spec, OracleConfig(query_policy="theoretical"))
+    with pytest.raises(ConfigError, match="n_shots"):
+        dispatch(session, spec, {"name": "memoryless"})
+    assert session.query_count == 0
