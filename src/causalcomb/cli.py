@@ -80,7 +80,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
-    choi = build_choi(spec)
     alg = {
         "name": args.algorithm,
         "delta": args.delta,
@@ -97,7 +96,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
             mode=args.mode, seed=args.seed, query_policy=args.query_policy, query_log=log
         )
         report = dispatch(
-            OracleSession.from_choi(choi, config),
+            OracleSession(spec, config),
             spec,
             {k: v for k, v in alg.items() if v is not None},
         )
@@ -114,7 +113,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     print(f"order:     {format_order(report.order)}")
     if args.verify:
-        check = check_comb_condition(choi, report.order, tol=args.tol)
+        check = check_comb_condition(build_choi(spec), report.order, tol=args.tol)
         verdict = "valid" if check.ok else "INVALID"
         print(f"verify:    {verdict} (worst deviation {check.worst_deviation:.3g})")
         if not check.ok:

@@ -52,6 +52,7 @@ __all__ = [
     "input_label",
     "output_label",
     "build_choi",
+    "choi_factor",
     "check_comb_condition",
     "trace_out_tooth",
     "gen_unitary_comb",
@@ -186,12 +187,13 @@ def _apply_two_site(state, axes_labels, gate4, lab_a, lab_b, new_a, new_b):
     return out, [new_a, new_b] + rest
 
 
-def build_choi(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> Op:
-    """Simulate the comb on entangled-pair inputs and return its Choi operator.
+def choi_factor(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[WireSpace, np.ndarray]:
+    """Simulate the comb on entangled-pair inputs and return its purification.
 
-    The result lives on wires ``A1..An, B1..Bn`` (sorted), each of
-    dimension ``spec.wire_dim``, with unit trace and rank at most
-    ``spec.memory_dim``.
+    Returns the wire space ``A1..An, B1..Bn`` (sorted), each wire of
+    dimension ``spec.wire_dim``, and the ``d^{2n} x d_M`` matrix ``V`` whose
+    columns are the final state's components along the memory basis, so
+    that the unit-trace Choi operator is ``V V^H``.
     """
     d, dm, n = spec.wire_dim, spec.memory_dim, spec.n
     total = d ** (2 * n)
@@ -218,8 +220,16 @@ def build_choi(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> Op:
     wire_order = sorted((l for l in labels if l != "M"), key=wire_key)
     perm = [labels.index(l) for l in wire_order] + [labels.index("M")]
     v = state.transpose(perm).reshape(total, dm)
-    choi = v @ v.conj().T
-    return Op(WireSpace(tuple(wire_order), (d,) * (2 * n)), choi)
+    return WireSpace(tuple(wire_order), (d,) * (2 * n)), v
+
+
+def build_choi(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> Op:
+    """The comb's Choi operator ``V V^H`` for the ``V`` of :func:`choi_factor`.
+
+    It has unit trace and rank at most ``spec.memory_dim``.
+    """
+    space, v = choi_factor(spec, dim_cap)
+    return Op(space, v @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,35 @@ class IndMatrix:
         return self.estimates <= self.threshold
 
 
+def _indicators(shape: tuple[int, ...]) -> np.ndarray:
+    """One-hot outcome indicators of a row-major index over axes of ``shape``.
+
+    Row ``r`` holds a 1 in block ``a`` at the column of axis ``a``'s value
+    in flat index ``r``, so the blocks are ``len(shape)`` side by side.
+    """
+    cols = np.indices(shape).reshape(len(shape), -1).T + np.cumsum((0,) + shape[:-1])
+    ind = np.zeros((len(cols), sum(shape)))
+    ind[np.arange(len(cols))[:, None], cols] = 1.0
+    return ind
+
+
+def _pair_marginals(table: np.ndarray, n_in: int) -> list[list[np.ndarray]]:
+    """Every (input, output) pair marginal of a joint outcome table.
+
+    ``table`` has one axis per input, then one per output; entry ``[i][j]``
+    is the table summed over every axis but input ``i``'s and output
+    ``j``'s.  All of them come from one product ``X^T (T Y)``, with ``T``
+    the table as an (inputs x outputs) matrix and ``X``, ``Y`` the one-hot
+    indicators of its row and column indices.  It runs in float64, so
+    integer counts below ``2^53`` come out exact.
+    """
+    x, y = _indicators(table.shape[:n_in]), _indicators(table.shape[n_in:])
+    m = x.T @ (table.reshape(len(x), len(y)).astype(float, copy=False) @ y)
+    rows = np.cumsum(table.shape[:n_in])[:-1]
+    cols = np.cumsum(table.shape[n_in:])[:-1]
+    return [np.split(block, cols, axis=1) for block in np.split(m, rows, axis=0)]
+
+
 def independence_matrix(
     session: OracleSession, povms, n_shots: int, threshold: float
 ) -> IndMatrix:
@@ -167,19 +196,17 @@ def independence_matrix(
     ins, outs = session.input_labels, session.output_labels
     pmap = povm_by_label(povms, session.wires)
     if session.mode == "sampled":
-        freqs = session.sample_batch(n_shots, povms) / n_shots
+        table = session.sample_batch(n_shots, povms)
     else:
-        freqs = session.outcome_distribution(povms)
+        table = session.outcome_distribution(povms)
         session.note_virtual_queries(n_shots, op="independence")
-    wire_order = list(ins) + list(outs)  # sorted wires: inputs precede outputs
+    # sorted wires: the inputs' axes precede the outputs'
+    marginals = _pair_marginals(table, len(ins))
     est = np.zeros((len(ins), len(outs)))
     for i, a in enumerate(ins):
         for j, b in enumerate(outs):
-            keep = (wire_order.index(a), wire_order.index(b))
-            other = tuple(k for k in range(len(wire_order)) if k not in keep)
-            pair = freqs.sum(axis=other)
-            total = pair.sum()
-            est[i, j] = correlation_from_freqs(pair / total, pmap[a], pmap[b])
+            pair = marginals[i][j]
+            est[i, j] = correlation_from_freqs(pair / pair.sum(), pmap[a], pmap[b])
     est.setflags(write=False)
     return IndMatrix(
         input_labels=ins,

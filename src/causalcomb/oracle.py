@@ -8,6 +8,14 @@ tooth shut (``reduce``).  The hidden
 spec and its Choi operator are private attributes with no accessor;
 discovery code sees statistics only.
 
+A session holds its Choi operator as a factor, ``C = V diag(w) V^H`` with
+``V`` of shape ``d^{2n} x r`` and ``r`` real weights: the purification of
+the comb (``w = 1``, ``r = d_M``) for a spec, an eigendecomposition for
+:meth:`OracleSession.from_choi`.  Reducing a tooth and preparing states
+work on the factor, and their cost grows with ``r``, not with the Choi
+operator's size; only the Born tables of prepare-and-measure sampling
+form ``C`` itself, once per session.
+
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
 overlap estimate at accuracy ``eps`` and confidence ``kappa`` costs
@@ -27,9 +35,14 @@ from typing import IO
 
 import numpy as np
 
-from .combs import DEFAULT_DIM_CAP, CombSpec, build_choi, trace_out_tooth
+from .combs import DEFAULT_DIM_CAP, CombSpec, choi_factor
 from .povm import povm_by_label, product_born_table
-from .tensors import Op, contract_wire, partial_trace, sort_wires, wire_key
+from .tensors import Op, WireSpace, contract_wire, is_hermitian, sort_wires, wire_key
+
+# unused here; kept importable because the benchmark's tracer wraps them at
+# this import site (ROADMAP item 1a)
+from .combs import build_choi  # noqa: F401
+from .tensors import partial_trace  # noqa: F401
 
 __all__ = [
     "OracleConfig",
@@ -43,6 +56,15 @@ __all__ = [
 #: Largest negative probability mass, as a fraction of the outcome table's
 #: total, that clipping may absorb as roundoff.
 _CLIP_RTOL = 1e-12
+#: A factor keeps the eigenvalues above this fraction of the largest one.
+_RANK_RTOL = 1e-13
+
+
+def _eigen_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues of a Hermitian matrix, the negligible dropped."""
+    lam, u = np.linalg.eigh(mat)
+    keep = np.abs(lam) > _RANK_RTOL * np.abs(lam).max()
+    return u[:, keep], lam[keep]
 
 
 def swap_test_sample_size(eps: float, kappa: float) -> int:
@@ -123,26 +145,33 @@ class OracleSession:
 
     def __init__(self, spec: CombSpec, config: OracleConfig | None = None):
         config = config or OracleConfig()
-        self._setup(build_choi(spec, dim_cap=config.dim_cap), config)
+        space, v = choi_factor(spec, dim_cap=config.dim_cap)
+        self._setup(space, v, np.ones(v.shape[1]), config)
 
     def _setup(
         self,
-        choi: Op,
+        space: WireSpace,
+        v: np.ndarray,
+        w: np.ndarray,
         config: OracleConfig,
         rng: np.random.Generator | None = None,
         meter: _QueryMeter | None = None,
     ) -> None:
         """The one place every session, root or reduced, gets its fields.
 
-        A root session draws a fresh random stream and query meter from
-        ``config``; a reduced child passes in its parent's.
+        The hidden Choi operator is ``C = V diag(w) V^H`` on the sorted
+        wires of ``space``.  A root session draws a fresh random stream and
+        query meter from ``config``; a reduced child passes in its parent's.
         """
         self._config = config
-        self._choi = choi
+        self._space = space
+        self._v = v
+        self._w = w
+        self._dense: Op | None = None  # C itself, formed for the first Born table
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
         self._tables: dict = {}
-        # ((input, discard), Choi with the discard traced out, {state bytes: fed state})
+        # ((input, discard), pair operator, {state bytes: fed state})
         self._prep_slot: tuple | None = None
 
     # -- construction from a Choi operator ----------------------------------
@@ -153,20 +182,20 @@ class OracleSession:
 
         Nothing checks that ``choi`` is a comb, so this also admits
         processes with no causal order at all.  The wires are sorted, and
-        the operator must fit under the configured dimension cap.
+        the operator must fit under the configured dimension cap and be
+        Hermitian.  Its factor comes from ``eigh``: eigenvalues of size at
+        most ``1e-13`` of the largest are dropped, and the rest, negative
+        ones included, are kept as signed weights.
         """
         config = config or OracleConfig()
         if choi.space.dim > config.dim_cap:
             raise ValueError(f"Choi dimension {choi.space.dim} exceeds cap {config.dim_cap}")
+        choi = sort_wires(choi)
+        if not is_hermitian(choi.matrix):
+            raise ValueError("Choi operator is not Hermitian")
         session = cls.__new__(cls)
-        session._setup(sort_wires(choi), config)
+        session._setup(choi.space, *_eigen_factor(choi.matrix), config)
         return session
-
-    @classmethod
-    def _from_choi(cls, choi: Op, parent: "OracleSession") -> "OracleSession":
-        child = cls.__new__(cls)
-        child._setup(choi, parent._config, parent._rng, parent._meter)
-        return child
 
     def reduce(self, input_label: str, output_label: str) -> "OracleSession":
         """Session for the comb with one tooth wired shut.
@@ -174,10 +203,37 @@ class OracleSession:
         The named input is fed maximally mixed and the named output is
         discarded on every future invocation.  The child shares this
         session's query meter and random stream.
+
+        Both wires are folded into the factor's columns, which gives a
+        factor of the partial trace; a QR of it and ``eigh`` of the small
+        ``R diag(w) R^H`` recompress it to its numerical rank.
         """
-        return OracleSession._from_choi(
-            trace_out_tooth(self._choi, input_label, output_label), self
+        pair = (input_label, output_label)
+        keep = [l for l in self.wires if l not in pair]
+        if len(keep) != len(self.wires) - 2:
+            raise KeyError(f"wires {pair} not both present in {self.wires}")
+        v, w = self._folded(keep, list(pair))
+        q, r = np.linalg.qr(v)
+        u, w = _eigen_factor((r * w) @ r.conj().T)
+        child = OracleSession.__new__(OracleSession)
+        child._setup(
+            self._space.restrict(keep), q @ u, w, self._config, self._rng, self._meter
         )
+        return child
+
+    def _folded(self, rows: list[str], folded: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The factor with the ``folded`` wires moved into its columns.
+
+        Returns ``V`` as a matrix whose rows run over the ``rows`` wires in
+        that order, and the weights of its columns: the weights of ``V``
+        repeated once per value of the folded wires.
+        """
+        space = self._space
+        t = self._v.reshape(space.dims + (self._v.shape[1],))
+        axes = [space.index(l) for l in rows + folded] + [len(space.dims)]
+        d_folded = math.prod(space.dim_of(l) for l in folded)
+        v = t.transpose(axes).reshape(-1, d_folded * self._v.shape[1])
+        return v, np.tile(self._w, d_folded)
 
     # -- public geometry ----------------------------------------------------
 
@@ -195,7 +251,7 @@ class OracleSession:
 
     @property
     def wires(self) -> tuple[str, ...]:
-        return self._choi.labels
+        return self._space.labels
 
     @property
     def input_labels(self) -> tuple[str, ...]:
@@ -206,7 +262,7 @@ class OracleSession:
         return tuple(sorted((l for l in self.wires if l.startswith("B")), key=wire_key))
 
     def dim_of(self, label: str) -> int:
-        return self._choi.dim_of(label)
+        return self._space.dim_of(label)
 
     @property
     def n_teeth(self) -> int:
@@ -229,11 +285,11 @@ class OracleSession:
         semidefinite, and raises ``ValueError``.
         """
         pmap = povm_by_label(povms, self.wires)
-        key = tuple(
-            (l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self._choi.labels
-        )
+        key = tuple((l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self.wires)
         if key not in self._tables:
-            tbl = product_born_table(self._choi, pmap)
+            if self._dense is None:
+                self._dense = Op(self._space, (self._v * self._w) @ self._v.conj().T)
+            tbl = product_born_table(self._dense, pmap)
             total = tbl.sum()
             np.clip(tbl, 0.0, None, out=tbl)
             kept = tbl.sum()
@@ -282,13 +338,20 @@ class OracleSession:
     # -- overlap estimation -------------------------------------------------
 
     def _prepare(self, recipe: PrepRecipe) -> Op:
-        """The state a recipe leaves behind, wire-sorted.
+        """The state a recipe leaves behind, on the remaining wires or a span of them.
 
         Discarding an output commutes with feeding an input, so the
-        discarded wire is traced out of the Choi once per (input, discard)
-        pair and each distinct probe state is fed into that half-size
-        operator once.  One slot holds the current pair; a new pair
-        replaces it.
+        discard is folded into the factor's columns once per (input,
+        discard) pair, giving the pair operator ``K diag(w) K^H`` on the
+        input and the remaining wires.  When the factor's columns, with the
+        input folded in as well, are fewer than the remaining wires'
+        dimension, every prepared state lives on their span.  ``K`` is then
+        replaced by ``Q^H K`` for an orthonormal basis ``Q`` of that span,
+        which is the ``R`` of a QR of those columns, and the state comes
+        back as ``Q^H rho Q`` on one wire named after the wires it stands
+        for.  ``Q`` is an isometry, so overlaps are unchanged.  Each
+        distinct probe state is fed into the pair operator once.  One slot
+        holds the current pair; a new pair replaces it.
         """
         d = self.dim_of(recipe.input_label)
         state = np.asarray(recipe.state, dtype=complex)
@@ -296,16 +359,31 @@ class OracleSession:
             raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
         pair = (recipe.input_label, recipe.discard_label)
         if self._prep_slot is None or self._prep_slot[0] != pair:
-            discard = recipe.discard_label
-            if discard is not None and discard not in self.output_labels:
-                raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
-            keep = [l for l in self._choi.labels if l != discard]
-            self._prep_slot = (pair, sort_wires(partial_trace(self._choi, keep)), {})
-        _, reduced, prepared = self._prep_slot
+            self._prep_slot = (pair, self._pair_operator(*pair), {})
+        _, pair_op, prepared = self._prep_slot
         key = state.tobytes()
         if key not in prepared:
-            prepared[key] = contract_wire(reduced, recipe.input_label, d * state.T)
+            prepared[key] = contract_wire(pair_op, recipe.input_label, d * state.T)
         return prepared[key]
+
+    def _pair_operator(self, input_label: str, discard: str | None) -> Op:
+        """The Choi operator with ``discard`` traced out, as ``_prepare`` feeds it."""
+        if discard is not None and discard not in self.output_labels:
+            raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
+        folded = [] if discard is None else [discard]
+        rest = [l for l in self.wires if l != input_label and l not in folded]
+        v, w = self._folded([input_label] + rest, folded)
+        d_in = self.dim_of(input_label)
+        rest_space = self._space.restrict(rest)
+        k = v.reshape(d_in, rest_space.dim, -1)
+        if d_in * k.shape[2] < rest_space.dim:
+            # Q is never formed: Q^H k is R, reshaped
+            r = np.linalg.qr(k.transpose(1, 0, 2).reshape(rest_space.dim, -1), mode="r")
+            k = r.reshape(len(r), d_in, -1).transpose(1, 0, 2)
+            rest_space = WireSpace((f"span({','.join(rest)})",), (len(r),))
+        k = k.reshape(-1, k.shape[2])
+        space = WireSpace((input_label,) + rest_space.labels, (d_in,) + rest_space.dims)
+        return Op(space, (k * w) @ k.conj().T)
 
     def overlap_estimate(
         self, recipe_a: PrepRecipe, recipe_b: PrepRecipe, eps: float, kappa: float

@@ -106,11 +106,11 @@ class ExperimentConfig:
             f"algorithm.name must be one of {ALGORITHM_NAMES}, got {name!r}",
         )
         mode = self.oracle.get("mode", "exact")
-        _require(mode in ("exact", "sampled"), f"bad oracle.mode {mode!r}")
         policy = self.oracle.get("query_policy", "actual")
-        _require(
-            policy in ("actual", "theoretical"), f"bad oracle.query_policy {policy!r}"
-        )
+        try:
+            OracleConfig(mode=mode, seed=self.seed, query_policy=policy)
+        except ValueError as exc:
+            raise ConfigError(f"bad oracle section: {exc}") from None
         _require(self.trials >= 1, "trials must be >= 1")
         _require(self.success_tol > 0, "success_tol must be positive")
         _require(
@@ -233,12 +233,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         query_policy=config.oracle.get("query_policy", "actual"),
         trial=trial,
     )
-    choi = build_choi(spec)
-    report = dispatch(OracleSession.from_choi(choi, ocfg), spec, config.algorithm)
+    report = dispatch(OracleSession(spec, ocfg), spec, config.algorithm)
     wall = (time.perf_counter() - t0) * 1e3
     if not report.ok:
         return TrialResult(trial, False, None, report.queries, wall, None, report.failure)
-    check = check_comb_condition(choi, report.order, tol=config.success_tol)
+    check = check_comb_condition(build_choi(spec), report.order, tol=config.success_tol)
     failure = None if check.ok else f"emitted order deviates by {check.worst_deviation:.3g}"
     return TrialResult(
         trial, check.ok, report.order, report.queries, wall, check.worst_deviation, failure

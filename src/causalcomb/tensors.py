@@ -32,6 +32,7 @@ __all__ = [
     "sort_wires",
     "contract_wire",
     "trace_norm",
+    "is_hermitian",
     "numerical_rank",
     "correlation_norm",
     "haar_unitary",
@@ -79,7 +80,7 @@ class WireSpace:
     @property
     def dim(self) -> int:
         """Total (product) dimension."""
-        return int(np.prod(self.dims, dtype=np.int64)) if self.dims else 1
+        return math.prod(self.dims)
 
     def index(self, label: str) -> int:
         try:
@@ -235,7 +236,7 @@ def _largest_part(a: np.ndarray):
     return np.maximum(np.abs(a.real).max(), np.abs(a.imag).max())
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """Whether no part of ``m - m^H`` exceeds 1e-12 times the largest of ``m``.
 
     Block row ``r`` is compared from its diagonal block rightwards, which
@@ -261,7 +262,7 @@ def trace_norm(x) -> float:
     matrix goes through the SVD.
     """
     m = _mat(x)
-    if _is_hermitian(m):
+    if is_hermitian(m):
         return float(np.abs(np.linalg.eigvalsh(m)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 

@@ -1,6 +1,7 @@
 """Order-discovery algorithms driven through the black-box session only."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,3 +293,45 @@ def test_report_query_accounting_fields():
     assert report.theoretical_queries >= report.queries
     assert report.wall_ms > 0
     assert "stages" in report.diagnostics
+
+
+def _pair_sums(table, n_in):
+    """The pair marginals as full-table sums, one pair at a time."""
+    axes = range(table.ndim)
+    return [
+        [table.sum(axis=tuple(k for k in axes if k not in (i, n_in + j))) for j in range(n_in)]
+        for i in range(n_in)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_marginals_match_the_pair_sums(n):
+    spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([21, n]))
+    sic = sic_qubit()
+    counts = _session(spec, mode="sampled", seed=22).sample_batch(100_000, sic)
+    got, want = discovery._pair_marginals(counts, n), _pair_sums(counts, n)
+    for i in range(n):
+        for j in range(n):
+            np.testing.assert_array_equal(got[i][j], want[i][j])
+    # exact mode: the estimates of the old per-pair loop, within roundoff
+    session = _session(spec)
+    table = session.outcome_distribution(sic)
+    est = independence_matrix(session, sic, n_shots=1000, threshold=0.1).estimates
+    for i, row in enumerate(_pair_sums(table, n)):
+        for j, pair in enumerate(row):
+            want_est = discovery.correlation_from_freqs(pair / pair.sum(), sic, sic)
+            assert est[i, j] == pytest.approx(want_est, abs=1e-12)
+
+
+def test_general_path_forms_no_choi_sized_array():
+    """n = 6 with d_M = 2: the dense Choi operator alone would take 256 MB."""
+    spec = gen_unitary_comb(6, 2, 2, np.random.default_rng(23))
+    tracemalloc.start()
+    try:
+        session = OracleSession(spec, OracleConfig(dim_cap=2**12))
+        report = discover_general(session)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.order == spec.true_order
+    assert peak < 16 * 2**20, peak

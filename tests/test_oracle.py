@@ -5,8 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from conftest import global_unitary_choi
 
-from causalcomb.combs import CombSpec, build_choi, gen_signaling_comb, gen_unitary_comb
+from causalcomb.combs import (
+    CombSpec,
+    build_choi,
+    gen_signaling_comb,
+    gen_unitary_comb,
+    trace_out_tooth,
+)
 from causalcomb.oracle import (
     OracleConfig,
     OracleSession,
@@ -192,7 +199,7 @@ def test_reduce_shares_meter_and_matches_traced_choi():
     got = child.outcome_distribution(sic_qubit())
     np.testing.assert_allclose(
         got,
-        OracleSession._from_choi(want, session)._joint_table(sic_qubit()),
+        OracleSession.from_choi(want)._joint_table(sic_qubit()),
         atol=1e-12,
     )
 
@@ -244,3 +251,33 @@ def test_from_choi_matches_the_spec_session():
     assert session.query_count == 2 * 738
     with pytest.raises(ValueError, match="cap"):
         OracleSession.from_choi(choi, OracleConfig(dim_cap=8))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("dm", [1, 2, 4])
+def test_reduced_factor_matches_the_traced_choi(n, dm):
+    """Each reduction along the true order keeps the dense statistics and rank."""
+    spec = gen_unitary_comb(n, 2, dm, np.random.default_rng([19, n, dm]))
+    session = OracleSession(spec)
+    choi = build_choi(spec)
+    sic = sic_qubit()
+    for pair in reversed(spec.true_order[1:]):
+        session = session.reduce(*pair)
+        choi = trace_out_tooth(choi, *pair)
+        assert session.wires == choi.labels
+        assert session._v.shape[1] <= dm
+        want = product_born_table(choi, {l: sic for l in choi.labels})
+        np.testing.assert_allclose(session.outcome_distribution(sic), want, atol=1e-12)
+
+
+def test_from_choi_refuses_a_non_hermitian_operator():
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        OracleSession.from_choi(Op(WireSpace(("A1", "B1"), (2, 2)), mat))
+
+
+def test_from_choi_keeps_one_column_for_a_rank_one_operator():
+    session = OracleSession.from_choi(global_unitary_choi(2, 0))
+    assert session._v.shape == (16, 1)
+    assert session._w[0] == pytest.approx(1.0)

@@ -3,9 +3,12 @@
 The reference prepares both states of every swap test from the full Choi
 operator: feed the probe into the input wire, trace out the discarded
 output, sort the wires, and take ``Tr[rho_a rho_b]`` of the matrix
-product.  The session instead traces the discarded output out once per
-(input, discard) pair and feeds each distinct probe once; both must give
-the same overlaps, the same search and the same bill.
+product.  The session instead holds the Choi operator as a factor
+``V diag(w) V^H``: once per (input, discard) pair it folds the discarded
+output into the factor's columns, projects them onto their span where
+that is smaller than the remaining wires, and feeds each distinct probe
+into the small operator this gives once.  Both must give the same
+overlaps, the same search and the same bill.
 """
 
 import numpy as np

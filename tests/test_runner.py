@@ -28,6 +28,17 @@ def test_config_rejects_missing_shots_for_sampled_tables():
         )
 
 
+@pytest.mark.parametrize(
+    "oracle, match",
+    [({"mode": "fuzzy"}, "mode 'fuzzy'"), ({"query_policy": "maybe"}, "query policy 'maybe'")],
+)
+def test_config_rejects_bad_oracle_settings(oracle, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(
+            generator={"kind": "unitary"}, algorithm={"name": "general"}, oracle=oracle
+        )
+
+
 def test_from_dict_rejects_stray_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict(
