@@ -35,10 +35,13 @@ from .tensors import (
     Op,
     WireSpace,
     correlation_norm,
+    fold,
     haar_unitary,
     kron_all,
     partial_trace,
     random_pure_state,
+    reorder,
+    span,
     trace_norm,
     wire_key,
 )
@@ -48,7 +51,8 @@ __all__ = [
     "CausalOrder",
     "CombCheck",
     "RejectionBudgetError",
-    "DEFAULT_DIM_CAP",
+    "MAX_ENTRIES",
+    "check_entries",
     "input_label",
     "output_label",
     "build_choi",
@@ -63,11 +67,19 @@ __all__ = [
     "enumerate_orders",
 ]
 
-#: Refuse to build Choi operators larger than this total dimension.
-DEFAULT_DIM_CAP = 2**10
+#: Most complex entries of any array formed from a comb: ``d^{2n} d_M`` for
+#: its purification, ``dim^2`` for a dense Choi operator or Born table.
+#: ``2^20`` is a dense Choi operator at n = 5 on qubit wires.
+MAX_ENTRIES = 2**20
 
 #: An ordering of teeth as ((input_label, output_label), ...) pairs.
 CausalOrder = tuple[tuple[str, str], ...]
+
+
+def check_entries(entries: int, what: str) -> None:
+    """Raise ``ValueError`` before forming an array over :data:`MAX_ENTRIES`."""
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"{what} would have {entries} entries, over the cap of {MAX_ENTRIES}")
 
 
 def input_label(i: int) -> str:
@@ -187,7 +199,7 @@ def _apply_two_site(state, axes_labels, gate4, lab_a, lab_b, new_a, new_b):
     return out, [new_a, new_b] + rest
 
 
-def choi_factor(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[WireSpace, np.ndarray]:
+def choi_factor(spec: CombSpec) -> tuple[WireSpace, np.ndarray]:
     """Simulate the comb on entangled-pair inputs and return its purification.
 
     Returns the wire space ``A1..An, B1..Bn`` (sorted), each wire of
@@ -197,8 +209,7 @@ def choi_factor(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[WireSpa
     """
     d, dm, n = spec.wire_dim, spec.memory_dim, spec.n
     total = d ** (2 * n)
-    if total > dim_cap:
-        raise ValueError(f"Choi dimension {total} exceeds cap {dim_cap}")
+    check_entries(total * dm, "the purification")
 
     # State tensor over: one channel-side axis per tooth, one kept copy per
     # input wire, and the memory axis.  Each channel-side axis starts
@@ -223,12 +234,13 @@ def choi_factor(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[WireSpa
     return WireSpace(tuple(wire_order), (d,) * (2 * n)), v
 
 
-def build_choi(spec: CombSpec, dim_cap: int = DEFAULT_DIM_CAP) -> Op:
+def build_choi(spec: CombSpec) -> Op:
     """The comb's Choi operator ``V V^H`` for the ``V`` of :func:`choi_factor`.
 
     It has unit trace and rank at most ``spec.memory_dim``.
     """
-    space, v = choi_factor(spec, dim_cap)
+    space, v = choi_factor(spec)
+    check_entries(space.dim**2, "the Choi operator")
     return Op(space, v @ v.conj().T)
 
 
@@ -315,11 +327,8 @@ def _dense_deviations(choi: Op, ins: list[str], outs: list[str]) -> list[float]:
         lhs = partial_trace(lhs, ins + outs[:k])
         late = ins[k:]
         early = [l for l in lhs.labels if l not in late]
-        perm = [lhs.space.index(l) for l in early + late]
-        m = len(perm)
         d_late = math.prod(lhs.dim_of(l) for l in late)
-        t = lhs.matrix.reshape(lhs.space.dims * 2).transpose(perm + [m + p for p in perm])
-        devs[k] = _dense_deviation(t.copy().reshape(lhs.space.dim, lhs.space.dim), d_late)
+        devs[k] = _dense_deviation(reorder(lhs, early + late).matrix.copy(), d_late)
     return devs
 
 
@@ -335,23 +344,17 @@ def _factored_deviations(
     ``Q (x) 1_late``, where ``Q`` is an orthonormal basis of the columns of
     ``H_k``, and the deviation compressed there, ``K K^H`` minus its own
     late marginal for ``K = (Q^H (x) 1) G_k``, has the same trace norm.
-    That form is used when ``H_k`` has fewer columns than rows; otherwise
-    the marginal is formed densely.
+    ``Q^H H_k`` is :func:`~causalcomb.tensors.span` of ``H_k``, and ``K``
+    is that with the later inputs split back out of its columns; where
+    ``H_k`` has no fewer columns than rows, ``K`` is ``G_k`` itself.
     """
     n = len(ins)
-    g = g.reshape(choi.space.dims + (g.shape[1],))
     devs = [0.0] * n
     for k in range(n):
         early, late = ins[:k] + outs[:k], ins[k:]
-        axes = [choi.space.index(l) for l in early + late + outs[k:]] + [len(choi.labels)]
-        d_early = math.prod(choi.dim_of(l) for l in early)
         d_late = math.prod(choi.dim_of(l) for l in late)
-        gk = g.transpose(axes).reshape(d_early, d_late, -1)
-        cols = gk.shape[1] * gk.shape[2]
-        if cols < d_early:
-            q, _ = np.linalg.qr(gk.reshape(d_early, cols))
-            gk = np.tensordot(q.conj(), gk, axes=(0, 0))
-        gk = gk.reshape(-1, gk.shape[2])
+        h = fold(choi.space, g, early, late + outs[k:])
+        gk = span(h).reshape(-1, h.shape[1] // d_late)
         devs[k] = _dense_deviation(gk @ gk.conj().T, d_late)
     return devs
 
@@ -511,18 +514,22 @@ def gen_memoryless_comb(
     )
 
 
-def pairwise_correlation_floor(choi: Op, spec: CombSpec) -> float:
+def pairwise_correlation_floor(spec: CombSpec) -> float:
     """Smallest pairwise correlation over tooth pairs (i, j) with j >= i.
 
     Pairs with j < i in tooth order are causally forced to be exactly
-    uncorrelated and are excluded from the floor.
+    uncorrelated and are excluded from the floor.  Each pair marginal is
+    read from the comb's purification with every other wire folded into
+    its columns, so no Choi-sized array is formed.
     """
+    space, v = choi_factor(spec)
     floor = math.inf
     for i in range(spec.n):
         for j in range(i, spec.n):
             a = input_label(spec.input_perm[i])
             b = output_label(spec.output_perm[j])
-            pair = partial_trace(choi, [a, b])
+            k = fold(space, v, [a, b], [l for l in space.labels if l not in (a, b)])
+            pair = Op(WireSpace((a, b), (spec.wire_dim,) * 2), k @ k.conj().T)
             floor = min(floor, correlation_norm(pair, [a]))
     return floor
 
@@ -546,7 +553,7 @@ def gen_totalorder_comb(
     best, best_floor = None, -math.inf
     for _ in range(budget):
         spec = gen_unitary_comb(n, wire_dim, memory_dim, rng)
-        floor = pairwise_correlation_floor(build_choi(spec), spec)
+        floor = pairwise_correlation_floor(spec)
         if floor > best_floor:
             best, best_floor = spec, floor
         if floor >= corr_floor:

@@ -41,10 +41,11 @@ never touches the hidden spec or Choi operator, and a test pins that.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -229,18 +230,15 @@ class FindLastResult:
     rejection_gaps: dict  # (input, output) -> first gap estimate that exceeded delta
 
 
+@functools.cache
 def _probe_states(dim: int) -> tuple[np.ndarray, ...]:
-    # deterministic IC probe set; seeded construction for exotic dimensions
+    # deterministic IC probe set; seeded construction for exotic dimensions.
+    # The elements are frozen arrays, so every caller may share them.
     povm = ic_povm_for_dim(dim, np.random.default_rng(0))
     return state_set_of(povm).elements
 
 
-def find_last(
-    session: OracleSession,
-    delta: float,
-    kappa: float,
-    probe_states: Mapping[str, Sequence[np.ndarray]] | None = None,
-) -> FindLastResult:
+def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastResult:
     """Search for a pair that can be the process's final tooth.
 
     For each candidate (input i, output j), row-major over sorted wires,
@@ -262,9 +260,7 @@ def find_last(
     pairs_tested = 0
     gaps: dict = {}
     for i in session.input_labels:
-        states = (
-            probe_states[i] if probe_states is not None else _probe_states(session.dim_of(i))
-        )
+        states = _probe_states(session.dim_of(i))
         for j in session.output_labels:
             pairs_tested += 1
             recipes = [PrepRecipe(i, s, j) for s in states]

@@ -14,7 +14,10 @@ the comb (``w = 1``, ``r = d_M``) for a spec, an eigendecomposition for
 :meth:`OracleSession.from_choi`.  Reducing a tooth and preparing states
 work on the factor, and their cost grows with ``r``, not with the Choi
 operator's size; only the Born tables of prepare-and-measure sampling
-form ``C`` itself, once per session.
+form ``C`` itself, once per session.  Both stay under
+:data:`~causalcomb.combs.MAX_ENTRIES`: the factor of a spec counts
+``d^{2n} d_M`` entries and ``C`` counts ``dim^2``, so a session too large
+for Born tables still runs the general algorithm.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -35,9 +38,9 @@ from typing import IO
 
 import numpy as np
 
-from .combs import DEFAULT_DIM_CAP, CombSpec, choi_factor
+from .combs import CombSpec, check_entries, choi_factor
 from .povm import povm_by_label, product_born_table
-from .tensors import Op, WireSpace, contract_wire, is_hermitian, sort_wires, wire_key
+from .tensors import Op, WireSpace, contract_wire, fold, is_hermitian, sort_wires, span, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1a)
@@ -110,7 +113,6 @@ class OracleConfig:
     mode: str = "exact"  # "exact" | "sampled"
     seed: int | None = None
     query_policy: str = "actual"  # "actual" | "theoretical"
-    dim_cap: int = DEFAULT_DIM_CAP
     query_log: IO[str] | None = None
     trial: int | None = None
 
@@ -145,7 +147,7 @@ class OracleSession:
 
     def __init__(self, spec: CombSpec, config: OracleConfig | None = None):
         config = config or OracleConfig()
-        space, v = choi_factor(spec, dim_cap=config.dim_cap)
+        space, v = choi_factor(spec)
         self._setup(space, v, np.ones(v.shape[1]), config)
 
     def _setup(
@@ -182,17 +184,19 @@ class OracleSession:
 
         Nothing checks that ``choi`` is a comb, so this also admits
         processes with no causal order at all.  The wires are sorted, and
-        the operator must fit under the configured dimension cap and be
-        Hermitian.  Its factor comes from ``eigh``: eigenvalues of size at
-        most ``1e-13`` of the largest are dropped, and the rest, negative
-        ones included, are kept as signed weights.
+        the operator must fit under :data:`~causalcomb.combs.MAX_ENTRIES`,
+        be Hermitian and have a positive trace.  Its factor comes from
+        ``eigh``: eigenvalues of size at most ``1e-13`` of the largest are
+        dropped, and the rest, negative ones included, are kept as signed
+        weights.
         """
         config = config or OracleConfig()
-        if choi.space.dim > config.dim_cap:
-            raise ValueError(f"Choi dimension {choi.space.dim} exceeds cap {config.dim_cap}")
+        check_entries(choi.space.dim**2, "the Choi operator")
         choi = sort_wires(choi)
         if not is_hermitian(choi.matrix):
             raise ValueError("Choi operator is not Hermitian")
+        if not np.trace(choi.matrix).real > 0:
+            raise ValueError("Choi operator has no positive trace")
         session = cls.__new__(cls)
         session._setup(choi.space, *_eigen_factor(choi.matrix), config)
         return session
@@ -205,35 +209,23 @@ class OracleSession:
         session's query meter and random stream.
 
         Both wires are folded into the factor's columns, which gives a
-        factor of the partial trace; a QR of it and ``eigh`` of the small
-        ``R diag(w) R^H`` recompress it to its numerical rank.
+        factor ``K`` of the partial trace; ``eigh`` of ``R diag(w) R^H``,
+        for ``R`` the span step of ``K``, recompresses it to its numerical
+        rank.  ``R = Q^H K``, so an eigenvector ``u`` with eigenvalue
+        ``lam`` gives the new column ``Q u = K diag(w) R^H u / lam``.
         """
         pair = (input_label, output_label)
         keep = [l for l in self.wires if l not in pair]
         if len(keep) != len(self.wires) - 2:
             raise KeyError(f"wires {pair} not both present in {self.wires}")
-        v, w = self._folded(keep, list(pair))
-        q, r = np.linalg.qr(v)
-        u, w = _eigen_factor((r * w) @ r.conj().T)
+        k = fold(self._space, self._v, keep, pair)
+        w = np.tile(self._w, k.shape[1] // len(self._w))
+        r = span(k)
+        u, lam = _eigen_factor((r * w) @ r.conj().T)
+        v = (k * w) @ (r.conj().T @ (u / lam))
         child = OracleSession.__new__(OracleSession)
-        child._setup(
-            self._space.restrict(keep), q @ u, w, self._config, self._rng, self._meter
-        )
+        child._setup(self._space.restrict(keep), v, lam, self._config, self._rng, self._meter)
         return child
-
-    def _folded(self, rows: list[str], folded: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The factor with the ``folded`` wires moved into its columns.
-
-        Returns ``V`` as a matrix whose rows run over the ``rows`` wires in
-        that order, and the weights of its columns: the weights of ``V``
-        repeated once per value of the folded wires.
-        """
-        space = self._space
-        t = self._v.reshape(space.dims + (self._v.shape[1],))
-        axes = [space.index(l) for l in rows + folded] + [len(space.dims)]
-        d_folded = math.prod(space.dim_of(l) for l in folded)
-        v = t.transpose(axes).reshape(-1, d_folded * self._v.shape[1])
-        return v, np.tile(self._w, d_folded)
 
     # -- public geometry ----------------------------------------------------
 
@@ -288,6 +280,7 @@ class OracleSession:
         key = tuple((l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self.wires)
         if key not in self._tables:
             if self._dense is None:
+                check_entries(self._space.dim**2, "the Choi operator")
                 self._dense = Op(self._space, (self._v * self._w) @ self._v.conj().T)
             tbl = product_born_table(self._dense, pmap)
             total = tbl.sum()
@@ -346,12 +339,12 @@ class OracleSession:
         input and the remaining wires.  When the factor's columns, with the
         input folded in as well, are fewer than the remaining wires'
         dimension, every prepared state lives on their span.  ``K`` is then
-        replaced by ``Q^H K`` for an orthonormal basis ``Q`` of that span,
-        which is the ``R`` of a QR of those columns, and the state comes
-        back as ``Q^H rho Q`` on one wire named after the wires it stands
-        for.  ``Q`` is an isometry, so overlaps are unchanged.  Each
-        distinct probe state is fed into the pair operator once.  One slot
-        holds the current pair; a new pair replaces it.
+        replaced by ``Q^H K`` for an orthonormal basis ``Q`` of that span
+        (the :func:`~causalcomb.tensors.span` step of those columns), and
+        the state comes back as ``Q^H rho Q`` on one wire named after the
+        wires it stands for.  ``Q`` is an isometry, so overlaps are
+        unchanged.  Each distinct probe state is fed into the pair operator
+        once.  One slot holds the current pair; a new pair replaces it.
         """
         d = self.dim_of(recipe.input_label)
         state = np.asarray(recipe.state, dtype=complex)
@@ -372,16 +365,15 @@ class OracleSession:
             raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
         folded = [] if discard is None else [discard]
         rest = [l for l in self.wires if l != input_label and l not in folded]
-        v, w = self._folded([input_label] + rest, folded)
-        d_in = self.dim_of(input_label)
+        k = fold(self._space, self._v, rest, [input_label] + folded)
+        r = span(k)
         rest_space = self._space.restrict(rest)
-        k = v.reshape(d_in, rest_space.dim, -1)
-        if d_in * k.shape[2] < rest_space.dim:
-            # Q is never formed: Q^H k is R, reshaped
-            r = np.linalg.qr(k.transpose(1, 0, 2).reshape(rest_space.dim, -1), mode="r")
-            k = r.reshape(len(r), d_in, -1).transpose(1, 0, 2)
+        if len(r) < len(k):
             rest_space = WireSpace((f"span({','.join(rest)})",), (len(r),))
-        k = k.reshape(-1, k.shape[2])
+        # move the input back from the columns to the rows, ahead of the rest
+        d_in = self.dim_of(input_label)
+        k = r.reshape(len(r), d_in, -1).transpose(1, 0, 2).reshape(d_in * len(r), -1)
+        w = np.tile(self._w, k.shape[1] // len(self._w))
         space = WireSpace((input_label,) + rest_space.labels, (d_in,) + rest_space.dims)
         return Op(space, (k * w) @ k.conj().T)
 

@@ -50,6 +50,15 @@ __all__ = [
 GENERATOR_KINDS = ("unitary", "memoryless", "totalorder", "signaling", "fig3")
 ALGORITHM_NAMES = ("general", "totalorder", "memoryless")
 PROMISE_ALGORITHMS = ("totalorder", "memoryless")
+#: The keys each config section may hold; anything else is a typo.  An
+#: algorithm reads the subset relevant to its name.
+SECTION_KEYS = {
+    "generator": ("kind", "n", "d", "d_M", "constant_tooth", "corr_floor", "dressed"),
+    "algorithm": (
+        "name", "delta", "kappa", "povm", "n_shots", "chi_min", "threshold", "kappa_target"
+    ),
+    "oracle": ("mode", "query_policy"),
+}
 
 
 class ConfigError(ValueError):
@@ -76,10 +85,8 @@ def _require_shots(name: str, mode: str, policy: str, n_shots) -> None:
 class ExperimentConfig:
     """Full description of one batch experiment.
 
-    generator: {"kind", "n", "d", "d_M", "constant_tooth", "corr_floor", "dressed"}
-    algorithm: {"name", "delta", "kappa", "povm", "n_shots", "chi_min",
-                "threshold", "kappa_target"} (subset relevant to the name)
-    oracle:    {"mode", "query_policy"}
+    ``generator``, ``algorithm`` and ``oracle`` hold only the keys
+    ``SECTION_KEYS`` lists for them; any other key is a ``ConfigError``.
     """
 
     generator: Mapping[str, Any]
@@ -95,6 +102,9 @@ class ExperimentConfig:
         _require(isinstance(self.generator, Mapping), "generator must be a mapping")
         _require(isinstance(self.algorithm, Mapping), "algorithm must be a mapping")
         _require(isinstance(self.oracle, Mapping), "oracle must be a mapping")
+        for section, keys in SECTION_KEYS.items():
+            extra = set(getattr(self, section)) - set(keys)
+            _require(not extra, f"unknown {section} keys: {sorted(extra)}")
         kind = self.generator.get("kind")
         _require(
             kind in GENERATOR_KINDS,

@@ -31,6 +31,8 @@ __all__ = [
     "reorder",
     "sort_wires",
     "contract_wire",
+    "fold",
+    "span",
     "trace_norm",
     "is_hermitian",
     "numerical_rank",
@@ -219,6 +221,44 @@ def contract_wire(x: Op, label: str, k: np.ndarray) -> Op:
     res = np.einsum(t, row_idx + col_idx, k, k_idx, out_idx)
     space = x.space.restrict(set(x.labels) - {label})
     return Op(space, res.reshape(space.dim, space.dim))
+
+
+# ---------------------------------------------------------------------------
+# factors
+#
+# A factor of an operator C on a wire space is a matrix V with one row per
+# basis state of the space and C = V D V^H for some diagonal D of column
+# weights.
+
+
+def fold(space: WireSpace, v: np.ndarray, rows: Sequence[str], folded: Sequence[str]) -> np.ndarray:
+    """Move the ``folded`` wires of a factor ``V`` on ``space`` into its columns.
+
+    ``rows`` and ``folded`` together name every wire of ``space`` once.
+    The result has one row per value of the ``rows`` wires, in that order,
+    and one column per value of the ``folded`` wires and a column of ``V``,
+    the latter fastest.  Its Gram product ``K K^H`` is ``Tr_folded(V V^H)``;
+    with weights, ``K``'s column weights are ``V``'s repeated once per value
+    of the folded wires.
+    """
+    t = v.reshape(space.dims + (v.shape[1],))
+    axes = [space.index(l) for l in [*rows, *folded]] + [len(space.dims)]
+    d_rows = math.prod(space.dim_of(l) for l in rows)
+    return t.transpose(axes).reshape(d_rows, -1)
+
+
+def span(k: np.ndarray) -> np.ndarray:
+    """``K`` written in an orthonormal basis of its column span, if that is smaller.
+
+    With fewer columns than rows this is the ``R`` of a QR of ``K``, which
+    is ``Q^H K`` for an isometry ``Q`` onto the span of ``K``'s columns;
+    ``Q`` is never formed.  Then ``R D R^H = Q^H (K D K^H) Q`` for any
+    ``D``, so the two share their nonzero spectrum and every overlap, and
+    ``K D K^H = Q R D R^H Q^H``.  Otherwise ``K`` itself is returned.
+    """
+    if k.shape[1] < k.shape[0]:
+        return np.linalg.qr(k, mode="r")
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,16 @@ def test_memoryless_constant_tooth_hides_one_output():
 def test_totalorder_comb_meets_floor():
     rng = np.random.default_rng(8)
     spec = gen_totalorder_comb(2, 2, 2, rng, corr_floor=0.05)
-    floor = pairwise_correlation_floor(build_choi(spec), spec)
+    floor = pairwise_correlation_floor(spec)
     assert floor >= 0.05
+    # the floor read from the purification is the one the dense Choi gives
+    choi = build_choi(spec)
+    dense = min(
+        correlation_norm(partial_trace(choi, [a, b]), [a])
+        for i, (a, _) in enumerate(spec.true_order)
+        for _, b in spec.true_order[i:]
+    )
+    assert floor == pytest.approx(dense, abs=1e-12)
     assert spec.metadata["achieved_chi_min"] == pytest.approx(floor)
     assert check_comb_condition(build_choi(spec), spec.true_order).ok
 

@@ -328,10 +328,23 @@ def test_general_path_forms_no_choi_sized_array():
     spec = gen_unitary_comb(6, 2, 2, np.random.default_rng(23))
     tracemalloc.start()
     try:
-        session = OracleSession(spec, OracleConfig(dim_cap=2**12))
-        report = discover_general(session)
+        report = discover_general(OracleSession(spec))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.order == spec.true_order
     assert peak < 16 * 2**20, peak
+
+
+def test_born_table_past_the_cap_is_refused_before_it_is_formed():
+    """n = 6 on qubits: the dense Choi operator would take 2^24 entries."""
+    spec = gen_unitary_comb(6, 2, 2, np.random.default_rng(24))
+    session = OracleSession(spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            session.outcome_distribution(sic_qubit())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

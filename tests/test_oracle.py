@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import global_unitary_choi
 
+import causalcomb.combs as combs
 from causalcomb.combs import (
     CombSpec,
     build_choi,
@@ -209,11 +210,13 @@ def test_sampled_mode_requires_seed():
         OracleConfig(mode="sampled")
 
 
-def test_dim_cap_refuses_monster_builds():
+def test_size_cap_refuses_monster_builds():
+    """n = 10, d_M = 2: the purification alone has 2^21 entries, over the cap."""
     rng = np.random.default_rng(16)
-    spec = gen_unitary_comb(4, 2, 4, rng)
+    spec = gen_unitary_comb(10, 2, 2, rng)
+    assert 4**10 * 2 > combs.MAX_ENTRIES
     with pytest.raises(ValueError, match="cap"):
-        OracleSession(spec, OracleConfig(dim_cap=16))
+        OracleSession(spec)
 
 
 def test_table_cache_is_keyed_by_povm_content():
@@ -232,7 +235,7 @@ def test_table_cache_is_keyed_by_povm_content():
         del povm  # frees its id for the next POVM
 
 
-def test_from_choi_matches_the_spec_session():
+def test_from_choi_matches_the_spec_session(monkeypatch):
     rng = np.random.default_rng(18)
     spec = gen_unitary_comb(2, 2, 2, rng)
     choi = build_choi(spec)
@@ -249,8 +252,9 @@ def test_from_choi_matches_the_spec_session():
     r0 = PrepRecipe("A1", zero, discard_label="B1")
     session.overlap_estimate(r0, r0, eps=0.1, kappa=0.05)
     assert session.query_count == 2 * 738
+    monkeypatch.setattr(combs, "MAX_ENTRIES", choi.space.dim**2 - 1)
     with pytest.raises(ValueError, match="cap"):
-        OracleSession.from_choi(choi, OracleConfig(dim_cap=8))
+        OracleSession.from_choi(choi)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -275,6 +279,12 @@ def test_from_choi_refuses_a_non_hermitian_operator():
     mat[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
         OracleSession.from_choi(Op(WireSpace(("A1", "B1"), (2, 2)), mat))
+
+
+def test_from_choi_refuses_an_operator_without_positive_trace():
+    """The zero operator would leave an all-NaN outcome table."""
+    with pytest.raises(ValueError, match="trace"):
+        OracleSession.from_choi(Op(WireSpace(("A1", "B1"), (2, 2)), np.zeros((4, 4))))
 
 
 def test_from_choi_keeps_one_column_for_a_rank_one_operator():

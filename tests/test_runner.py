@@ -46,6 +46,22 @@ def test_from_dict_rejects_stray_keys():
         )
 
 
+@pytest.mark.parametrize(
+    "section, typo",
+    [("generator", "dM"), ("algorithm", "detla"), ("oracle", "mod")],
+)
+def test_config_rejects_stray_section_keys(section, typo):
+    """A misspelt key would otherwise run with the default it meant to replace."""
+    data = {
+        "generator": {"kind": "unitary", "n": 2},
+        "algorithm": {"name": "general", "delta": 0.5},
+        "oracle": {"mode": "sampled"},
+    }
+    data[section] = {**data[section], typo: 1}
+    with pytest.raises(ConfigError, match=f"unknown {section} keys: \\['{typo}'\\]"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_generate_comb_dispatch():
     rng = np.random.default_rng(0)
     assert generate_comb({"kind": "unitary", "n": 3, "d_M": 1}, rng).n == 3

@@ -8,6 +8,7 @@ from causalcomb.tensors import (
     WireSpace,
     contract_wire,
     correlation_norm,
+    fold,
     haar_unitary,
     kron_all,
     max_entangled_ket,
@@ -17,6 +18,7 @@ from causalcomb.tensors import (
     random_pure_state,
     reorder,
     sort_wires,
+    span,
     tensor,
     trace_norm,
     wire_key,
@@ -115,6 +117,30 @@ def test_contract_wire_with_identity_is_partial_trace():
     via_contract = contract_wire(joint, "A1", np.eye(2))
     via_trace = partial_trace(joint, ["B1"])
     np.testing.assert_allclose(via_contract.matrix, via_trace.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fold_gives_a_factor_of_the_partial_trace(seed):
+    """Random wire subsets, in random order, of a rank-3 factor on mixed dims."""
+    rng = np.random.default_rng([9, seed])
+    space = WireSpace(("A1", "A2", "B1", "B2"), (2, 3, 2, 1))
+    v = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
+    labels = list(rng.permutation(space.labels))
+    cut = int(rng.integers(0, len(labels) + 1))
+    rows, folded = labels[:cut], labels[cut:]
+    k = fold(space, v, rows, folded)
+    want = reorder(partial_trace(Op(space, v @ v.conj().T), rows), rows)
+    np.testing.assert_allclose(k @ k.conj().T, want.matrix, atol=1e-12)
+
+
+def test_span_keeps_every_overlap_and_only_compresses():
+    rng = np.random.default_rng(10)
+    tall = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    r = span(tall)
+    assert r.shape == (5, 5)
+    np.testing.assert_allclose(r.conj().T @ r, tall.conj().T @ tall, atol=1e-12)
+    wide = tall.T
+    assert span(wide) is wide
 
 
 def test_trace_norm_of_density_difference():
