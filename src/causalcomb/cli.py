@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import lemma_suite
-from .combs import build_choi, check_comb_condition, enumerate_orders
+from .combs import check_comb_condition, enumerate_orders
 from .oracle import OracleConfig, OracleSession
 from .runner import ConfigError, ExperimentConfig, dispatch, generate_comb, run_experiment
 from .serialize import load_comb, load_json, save_comb, save_json
@@ -113,7 +113,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     print(f"order:     {format_order(report.order)}")
     if args.verify:
-        check = check_comb_condition(build_choi(spec), report.order, tol=args.tol)
+        check = check_comb_condition(spec, report.order, tol=args.tol)
         verdict = "valid" if check.ok else "INVALID"
         print(f"verify:    {verdict} (worst deviation {check.worst_deviation:.3g})")
         if not check.ok:
@@ -123,19 +123,18 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
-    choi = build_choi(spec)
     if args.enumerate:
         orders = enumerate_orders(spec.n)
         valid = 0
         for order in orders:
-            check = check_comb_condition(choi, order, tol=args.tol)
+            check = check_comb_condition(spec, order, tol=args.tol)
             valid += check.ok
             mark = "ok " if check.ok else "   "
             print(f"{mark} {format_order(order):40s} worst={check.worst_deviation:.3g}")
         print(f"{valid}/{len(orders)} orders valid at tol={args.tol}")
         return EXIT_OK if valid else EXIT_FAIL
     order = parse_order(args.order) if args.order else spec.true_order
-    check = check_comb_condition(choi, order, tol=args.tol)
+    check = check_comb_condition(spec, order, tol=args.tol)
     print(f"order:  {format_order(order)}")
     print(
         f"worst:  {check.worst_deviation:.6g} (tol {args.tol}, "

@@ -19,7 +19,9 @@ operator when, for every proper prefix, discarding the later outputs
 leaves the later inputs maximally mixed and uncorrelated.
 ``check_comb_condition`` measures the worst trace-norm deviation from
 that family of identities, which is exactly the certificate the
-acceptance harness uses.
+acceptance harness uses.  It works on one factor ``G`` with
+``C = G G^H``: a spec's purification, or the verified Cholesky factor of
+a dense operator, which also certifies that the operator is positive.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .tensors import (
     kron_all,
     partial_trace,
     random_pure_state,
-    reorder,
     span,
     trace_norm,
     wire_key,
@@ -68,7 +69,8 @@ __all__ = [
 ]
 
 #: Most complex entries of any array formed from a comb: ``d^{2n} d_M`` for
-#: its purification, ``dim^2`` for a dense Choi operator or Born table.
+#: its purification, ``dim^2`` for a dense Choi operator, Born table or
+#: one prefix of the comb checker.
 #: ``2^20`` is a dense Choi operator at n = 5 on qubit wires.
 MAX_ENTRIES = 2**20
 
@@ -182,8 +184,8 @@ class CombCheck:
     worst_deviation: float
     deviations: tuple[float, ...]  # per prefix length 0..n-1
     tol: float
-    # verified bound on ||C - G G^H||_1 for the low-rank factor G the check
-    # used; 0.0 when it worked on the dense operator
+    # verified bound on ||C - G G^H||_1 for the factor G the check used;
+    # 0.0 for a spec, whose purification is exact
     residual_bound: float = 0.0
 
 
@@ -248,15 +250,15 @@ def build_choi(spec: CombSpec) -> Op:
 # compatibility checking
 
 
-def _validate_order(order: Sequence[Sequence[str]], choi: Op) -> CausalOrder:
+def _validate_order(order: Sequence[Sequence[str]], space: WireSpace) -> CausalOrder:
     order = tuple((str(a), str(b)) for a, b in order)
     ins = [p[0] for p in order]
     outs = [p[1] for p in order]
-    have_in = sorted(l for l in choi.labels if l.startswith("A"))
-    have_out = sorted(l for l in choi.labels if l.startswith("B"))
+    have_in = sorted(l for l in space.labels if l.startswith("A"))
+    have_out = sorted(l for l in space.labels if l.startswith("B"))
     if sorted(ins) != have_in or sorted(outs) != have_out:
         raise ValueError(
-            f"order {order} does not cover the Choi wires {choi.labels} exactly once each"
+            f"order {order} does not cover the Choi wires {space.labels} exactly once each"
         )
     return order
 
@@ -268,8 +270,8 @@ _FACTOR_RTOL = 1e-13
 _RESIDUAL_ROWS = 8
 
 
-def _pivoted_cholesky(c: np.ndarray, stop: float, cap: int) -> np.ndarray | None:
-    """Columns ``G`` with ``C ~ G G^H``; None if it needs none, or ``cap`` or more.
+def _pivoted_cholesky(c: np.ndarray, stop: float) -> np.ndarray:
+    """Columns ``G`` with ``C ~ G G^H``, at most one per row of ``C``.
 
     Each step takes the largest remaining diagonal entry as its pivot and
     stops once none exceeds ``stop``.  Nothing here checks the result: an
@@ -277,14 +279,14 @@ def _pivoted_cholesky(c: np.ndarray, stop: float, cap: int) -> np.ndarray | None
     """
     rows = np.empty((0, c.shape[0]), dtype=complex)  # the columns of G, grown as found
     diag = c.diagonal().real.copy()
-    while len(rows) < cap:
+    while len(rows) < c.shape[0]:
         p = int(np.argmax(diag))
         if not diag[p] > stop:  # also stops on NaN
-            return rows.T if len(rows) else None
+            break
         col = (c[:, p] - rows[:, p].conj() @ rows) / math.sqrt(diag[p])
         rows = np.vstack([rows, col])
         diag -= col.real**2 + col.imag**2
-    return None
+    return rows.T
 
 
 def _residual_bound(c: np.ndarray, g: np.ndarray) -> float:
@@ -300,7 +302,7 @@ def _residual_bound(c: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt(c.shape[0] * total)
 
 
-def _dense_deviation(lhs: np.ndarray, d_late: int) -> float:
+def _deviation(lhs: np.ndarray, d_late: int) -> float:
     """``||lhs - Tr_late(lhs) / d_late (x) 1_late||_1``, overwriting ``lhs``.
 
     ``lhs`` is a writable square matrix with the late wires last, so the
@@ -315,25 +317,8 @@ def _dense_deviation(lhs: np.ndarray, d_late: int) -> float:
     return trace_norm(lhs)
 
 
-def _dense_deviations(choi: Op, ins: list[str], outs: list[str]) -> list[float]:
-    """Every prefix deviation from the dense operator, longest prefix first.
-
-    Each marginal comes from the previous one by tracing out one output.
-    """
-    n = len(ins)
-    devs = [0.0] * n
-    lhs = choi
-    for k in range(n - 1, -1, -1):
-        lhs = partial_trace(lhs, ins + outs[:k])
-        late = ins[k:]
-        early = [l for l in lhs.labels if l not in late]
-        d_late = math.prod(lhs.dim_of(l) for l in late)
-        devs[k] = _dense_deviation(reorder(lhs, early + late).matrix.copy(), d_late)
-    return devs
-
-
 def _factored_deviations(
-    choi: Op, g: np.ndarray, ins: list[str], outs: list[str]
+    space: WireSpace, g: np.ndarray, ins: list[str], outs: list[str]
 ) -> list[float]:
     """Every prefix deviation of ``G G^H``, each on a span that holds it.
 
@@ -352,55 +337,57 @@ def _factored_deviations(
     devs = [0.0] * n
     for k in range(n):
         early, late = ins[:k] + outs[:k], ins[k:]
-        d_late = math.prod(choi.dim_of(l) for l in late)
-        h = fold(choi.space, g, early, late + outs[k:])
+        d_late = math.prod(space.dim_of(l) for l in late)
+        h = fold(space, g, early, late + outs[k:])
         gk = span(h).reshape(-1, h.shape[1] // d_late)
-        devs[k] = _dense_deviation(gk @ gk.conj().T, d_late)
+        check_entries(gk.shape[0] ** 2, f"the prefix-{k} deviation")
+        devs[k] = _deviation(gk @ gk.conj().T, d_late)
     return devs
 
 
-def check_comb_condition(choi: Op, order: Sequence[Sequence[str]], tol: float = 1e-9) -> CombCheck:
-    """Measure how far ``choi`` is from being a comb in the given tooth order.
+def check_comb_condition(
+    choi: Op | CombSpec, order: Sequence[Sequence[str]], tol: float = 1e-9
+) -> CombCheck:
+    """Measure how far a Choi operator is from being a comb in the given tooth order.
 
     For each prefix length ``k`` (0..n-1) the marginal on (all inputs +
     first k outputs) is compared in trace norm against (marginal on first
     k teeth) x (maximally mixed on the later inputs).  ``ok`` means every
     deviation is at most ``tol``.
 
-    The Choi operator ``C`` is first factored as ``C = G G^H`` by pivoted
+    Every prefix is checked on one factor ``G`` of ``C = G G^H`` (see
+    ``_factored_deviations``).  A :class:`CombSpec` gives its purification
+    from :func:`choi_factor`, which is exact: ``residual_bound`` is 0.0 and
+    no Choi-sized array is formed.  A dense ``Op`` is factored by pivoted
     Cholesky, stopped once no residual diagonal entry exceeds
-    ``1e-13 * |Tr C| / dim``.  The factor is used only after it is
-    verified: ``sqrt(dim) * ||C - G G^H||_F``, which bounds
-    ``||C - G G^H||_1`` and is reported as ``residual_bound``, must be at
-    most ``1e-13 * |Tr C|``.  Every deviation is a linear map of ``C``
-    that at most doubles the trace norm, so the deviations of ``G G^H``
-    are those of ``C`` to within twice ``residual_bound``; the bound does
-    not depend on ``tol``.  Each prefix then takes its trace norm on the
-    span of the factor's columns (see ``_factored_deviations``) where that
-    span is smaller than the prefix, and forms the marginal densely from
-    the factor elsewhere.
-
-    A Choi operator whose factor has too many columns to shrink even the
-    last prefix, or whose factor fails verification (a full-rank,
-    indefinite or non-Hermitian input), takes the dense walk:
-    the prefixes go from ``k = n-1`` down, each marginal traced from the
-    previous one, ``residual_bound`` stays 0.0.  Both paths subtract the
-    product term from the diagonal blocks of one matrix with the later
-    inputs last; the trace norm does not depend on wire order.
+    ``1e-13 * Tr C / dim``, and the factor is used only if
+    ``sqrt(dim) * ||C - G G^H||_F``, a bound on ``||C - G G^H||_1``
+    reported as ``residual_bound``, is at most ``1e-13 * Tr C``.  Each
+    deviation is a linear map of ``C`` that at most doubles the trace
+    norm, so the deviations of ``G G^H`` are those of ``C`` to within twice
+    ``residual_bound``; and as ``G G^H`` is positive semidefinite, so is
+    ``C`` to within it.  An operator without positive trace, or one the
+    factor cannot reproduce (indefinite or non-Hermitian), raises
+    ``ValueError``, as does a prefix matrix over :data:`MAX_ENTRIES`
+    (from n = 8 on qubit wires with d_M = 2).
     """
-    order = _validate_order(order, choi)
-    ins = [p[0] for p in order]
-    outs = [p[1] for p in order]
-    c = choi.matrix
-    bound = _FACTOR_RTOL * abs(np.trace(c))
-    # fewer columns than this leave the last prefix compressible
-    cap = choi.space.dim // (choi.dim_of(ins[-1]) * choi.dim_of(outs[-1])) ** 2
-    g = _pivoted_cholesky(c, bound / choi.space.dim, cap)
-    residual = _residual_bound(c, g) if g is not None else math.inf
-    if residual <= bound:
-        devs = _factored_deviations(choi, g, ins, outs)
+    if isinstance(choi, CombSpec):
+        (space, g), residual = choi_factor(choi), 0.0
     else:
-        devs, residual = _dense_deviations(choi, ins, outs), 0.0
+        space, c = choi.space, choi.matrix
+        trace = np.trace(c).real
+        if not trace > 0:  # also refuses NaN
+            raise ValueError(f"the operator has trace {trace:.3g}, not a positive one")
+        bound = _FACTOR_RTOL * trace
+        g = _pivoted_cholesky(c, bound / space.dim)
+        residual = _residual_bound(c, g)
+        if not residual <= bound:
+            raise ValueError(
+                f"the operator is not positive semidefinite: G G^H misses it by up to "
+                f"{residual:.3g} in trace norm, over {bound:.3g}"
+            )
+    order = _validate_order(order, space)
+    devs = _factored_deviations(space, g, [p[0] for p in order], [p[1] for p in order])
     worst = max(devs)
     return CombCheck(
         ok=worst <= tol,

@@ -6,6 +6,8 @@ JSON for the command line.  Every trial gets its own derived seed; the
 emitted order of each successful trial is verified against the ground
 truth by the exact comb-condition checker, never by comparison with the
 hidden permutations — algorithms are allowed to find any valid order.
+The checker works on the comb's purification, so no trial forms the
+dense Choi operator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .combs import (
     CombSpec,
-    build_choi,
     check_comb_condition,
     gen_fig3_comb,
     gen_memoryless_comb,
@@ -247,7 +248,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     wall = (time.perf_counter() - t0) * 1e3
     if not report.ok:
         return TrialResult(trial, False, None, report.queries, wall, None, report.failure)
-    check = check_comb_condition(build_choi(spec), report.order, tol=config.success_tol)
+    check = check_comb_condition(spec, report.order, tol=config.success_tol)
     failure = None if check.ok else f"emitted order deviates by {check.worst_deviation:.3g}"
     return TrialResult(
         trial, check.ok, report.order, report.queries, wall, check.worst_deviation, failure

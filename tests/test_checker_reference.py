@@ -3,10 +3,10 @@
 The reference (``conftest.reference_check``) builds each prefix marginal
 from the full Choi operator, forms (early marginal) x (maximally mixed
 later inputs) with a Kronecker product, sorts both sides' wires and takes
-the SVD trace norm of the difference.  The checker instead factors the
-Choi operator, verifies the factor, and takes each prefix's trace norm on
-the factor's column span, or walks the dense prefixes from the longest
-down when there is no verified factor; deviations and verdicts must agree.
+the SVD trace norm of the difference.  The checker instead takes each
+prefix's trace norm on the column span of a factor: a spec's
+purification, or the verified Cholesky factor of a dense operator, which
+it refuses when there is none; deviations and verdicts must agree.
 """
 
 import numpy as np
@@ -19,15 +19,21 @@ from causalcomb.combs import (
     enumerate_orders,
     gen_unitary_comb,
 )
-from causalcomb.tensors import Op, WireSpace
+from causalcomb.tensors import Op, WireSpace, sort_wires
 
 
-def _assert_same(choi, order):
+def _assert_same(choi, order, spec=None):
+    """Check ``choi`` against the reference; with its ``spec``, check that too."""
     got = check_comb_condition(choi, order)
     ref = reference_check(choi, order)
     np.testing.assert_allclose(got.deviations, ref.deviations, rtol=0, atol=1e-12)
     assert got.ok == ref.ok, order
     assert got.worst_deviation == max(got.deviations)
+    if spec is not None:
+        by_spec = check_comb_condition(spec, order)
+        np.testing.assert_allclose(by_spec.deviations, ref.deviations, rtol=0, atol=1e-12)
+        assert by_spec.ok == ref.ok, order
+        assert by_spec.residual_bound == 0.0
     return got
 
 
@@ -40,7 +46,7 @@ def _sampled_orders(n, rng, samples):
 def test_every_order_at_n3_matches_the_reference(memory_dim):
     spec = gen_unitary_comb(3, 2, memory_dim, np.random.default_rng(30 + memory_dim))
     choi = build_choi(spec)
-    verdicts = {o: _assert_same(choi, o).ok for o in enumerate_orders(3)}
+    verdicts = {o: _assert_same(choi, o, spec).ok for o in enumerate_orders(3)}
     assert verdicts[spec.true_order]
     if memory_dim == 2:
         # with memory every earlier input signals to every later output
@@ -57,12 +63,12 @@ def test_sampled_orders_match_the_reference(n, samples, memory_dim):
     spec = gen_unitary_comb(n, 2, memory_dim, rng)
     choi = build_choi(spec)
     picks = _sampled_orders(n, rng, samples)
-    assert _assert_same(choi, spec.true_order).ok
+    assert _assert_same(choi, spec.true_order, spec).ok
     for order in picks:
-        _assert_same(choi, order)
+        _assert_same(choi, order, spec)
     # the generator's teeth run backwards: valid only without memory
     backwards = spec.true_order[::-1]
-    assert _assert_same(choi, backwards).ok == (memory_dim == 1)
+    assert _assert_same(choi, backwards, spec).ok == (memory_dim == 1)
 
 
 def _indefinite_with_zero_diagonal_block(n, seed):
@@ -83,21 +89,44 @@ def _indefinite_with_zero_diagonal_block(n, seed):
     return Op(WireSpace(labels, (2,) * (2 * n)), mat / np.trace(mat).real)
 
 
-def test_indefinite_operator_with_zero_diagonal_block_takes_the_dense_walk():
+def test_indefinite_operator_with_zero_diagonal_block_is_refused():
     choi = _indefinite_with_zero_diagonal_block(3, 0)
     assert np.linalg.eigvalsh(choi.matrix).min() < -0.01
     rng = np.random.default_rng(1)
     for order in _sampled_orders(3, rng, 6):
-        assert _assert_same(choi, order).residual_bound == 0.0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            check_comb_condition(choi, order)
 
 
-def test_full_rank_noisy_comb_takes_the_dense_walk():
+def test_checker_refuses_an_operator_it_cannot_factor():
+    rng = np.random.default_rng(4)
+    spec = gen_unitary_comb(3, 2, 2, rng)
+    choi = build_choi(spec)
+    # a traceless Hermitian term on the last output: every prefix traces it
+    # out, so only positivity tells this operator from a comb
+    last = spec.true_order[-1][1]
+    rest = [l for l in choi.labels if l != last]
+    x = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    h = (x + x.conj().T) / 2
+    term = Op(WireSpace((*rest, last), (2,) * 6), np.kron(h, np.diag([1.0, -1.0])))
+    perturbed = Op(choi.space, choi.matrix + 0.05 * sort_wires(term).matrix)
+    assert np.linalg.eigvalsh(perturbed.matrix).min() < -0.1
+    assert reference_check(perturbed, spec.true_order).ok
+    zero = Op(choi.space, np.zeros_like(choi.matrix))
+    y = rng.standard_normal(choi.matrix.shape) + 1j * rng.standard_normal(choi.matrix.shape)
+    non_hermitian = Op(choi.space, y / np.trace(y))
+    for op in (zero, perturbed, non_hermitian):
+        with pytest.raises(ValueError):
+            check_comb_condition(op, spec.true_order)
+
+
+def test_full_rank_noisy_comb_is_checked_on_its_factor():
     rng = np.random.default_rng(2)
     spec = gen_unitary_comb(4, 2, 2, rng)
     choi = build_choi(spec)
     noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(choi.space.dim) / choi.space.dim)
     for order in [spec.true_order, spec.true_order[::-1]] + _sampled_orders(4, rng, 3):
-        assert _assert_same(noisy, order).residual_bound == 0.0
+        assert 0.0 < _assert_same(noisy, order).residual_bound <= 1e-13
     # white noise is a valid comb in every order, so mixing keeps the true one
     assert check_comb_condition(noisy, spec.true_order).ok
 
@@ -114,9 +143,9 @@ def test_qutrit_comb_matches_the_reference():
     rng = np.random.default_rng(3)
     spec = gen_unitary_comb(3, 3, 2, rng)
     choi = build_choi(spec)
-    assert _assert_same(choi, spec.true_order).ok
+    assert _assert_same(choi, spec.true_order, spec).ok
     for order in _sampled_orders(3, rng, 4):
-        assert _assert_same(choi, order).residual_bound > 0.0
+        assert _assert_same(choi, order, spec).residual_bound > 0.0
 
 
 @pytest.mark.parametrize("n, memory_dim", [(3, 2), (4, 1), (4, 2), (5, 2), (5, 4)])

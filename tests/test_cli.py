@@ -101,10 +101,8 @@ def test_verify_states_the_factor_residual_bound(capsys, tmp_path):
     run(capsys, "gen", "--kind", "unitary", "--n", "3", "--seed", "5", "-o", str(path))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
-    worst = next(line for line in out.splitlines() if line.startswith("worst:"))
-    bound = float(worst.split("factor residual bound ")[1].rstrip(")"))
-    assert 0.0 < bound < 1e-12
-    # two teeth leave no prefix smaller than a factor, so the check is dense
+    # a stored comb is checked on its purification, which is exact
+    assert "factor residual bound 0)" in out
     path = tmp_path / "sig.json"
     run(capsys, "gen", "--kind", "signaling", "--seed", "0", "-o", str(path))
     _, out, _ = run(capsys, "verify", str(path))

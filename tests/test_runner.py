@@ -1,8 +1,12 @@
 """Experiment configs, per-trial verification, and batch summaries."""
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from causalcomb import cli, runner
 from causalcomb.oracle import OracleConfig, OracleSession
 from causalcomb.runner import (
     ConfigError,
@@ -137,3 +141,25 @@ def test_dispatch_refuses_an_unnamed_budget_it_would_bill():
     with pytest.raises(ConfigError, match="n_shots"):
         dispatch(session, spec, {"name": "memoryless"})
     assert session.query_count == 0
+
+
+def test_general_trial_verifies_past_the_dense_cap():
+    """n = 6 with a qubit memory: the dense Choi alone would be 256 MB."""
+    config = ExperimentConfig(
+        generator={"kind": "unitary", "n": 6, "d_M": 2}, algorithm={"name": "general"}, trials=1
+    )
+    tracemalloc.start()
+    try:
+        result = run_trial(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok, result.failure
+    assert result.worst_deviation <= 1e-9
+    assert peak < 32 * 2**20
+
+
+def test_verification_never_builds_the_dense_choi():
+    """The emitted order is checked on the spec, so it is not capped at n = 5."""
+    for module in (runner, cli):
+        assert "build_choi" not in inspect.getsource(module), module.__name__
