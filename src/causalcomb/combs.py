@@ -345,6 +345,38 @@ def _factored_deviations(
     return devs
 
 
+def _checker_factor(choi: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
+    """The factor ``G`` that :func:`check_comb_condition` checks on, and its residual bound.
+
+    Both are computed once per input and kept in its ``__dict__``, where
+    ``functools.cached_property`` would put them.  ``Op`` and ``CombSpec``
+    are frozen and hold read-only arrays, so the memo is keyed by content
+    and is freed with its input.  A refused operator is not memoized.
+    """
+    memo = vars(choi)
+    if "_checker_factor" in memo:
+        return memo["_checker_factor"]
+    if isinstance(choi, CombSpec):
+        space, g = choi_factor(choi)
+        residual = 0.0
+    else:
+        space, c = choi.space, choi.matrix
+        trace = np.trace(c).real
+        if not trace > 0:  # also refuses NaN
+            raise ValueError(f"the operator has trace {trace:.3g}, not a positive one")
+        bound = _FACTOR_RTOL * trace
+        g = _pivoted_cholesky(c, bound / space.dim)
+        residual = _residual_bound(c, g)
+        if not residual <= bound:
+            raise ValueError(
+                f"the operator is not positive semidefinite: G G^H misses it by up to "
+                f"{residual:.3g} in trace norm, over {bound:.3g}"
+            )
+    g.setflags(write=False)
+    memo["_checker_factor"] = space, g, residual
+    return space, g, residual
+
+
 def check_comb_condition(
     choi: Op | CombSpec, order: Sequence[Sequence[str]], tol: float = 1e-9
 ) -> CombCheck:
@@ -369,23 +401,11 @@ def check_comb_condition(
     ``C`` to within it.  An operator without positive trace, or one the
     factor cannot reproduce (indefinite or non-Hermitian), raises
     ``ValueError``, as does a prefix matrix over :data:`MAX_ENTRIES`
-    (from n = 8 on qubit wires with d_M = 2).
+    (from n = 8 on qubit wires with d_M = 2).  The factor and its
+    residual are computed once per input and kept on it, so checking many
+    orders of one operator or spec factors it once.
     """
-    if isinstance(choi, CombSpec):
-        (space, g), residual = choi_factor(choi), 0.0
-    else:
-        space, c = choi.space, choi.matrix
-        trace = np.trace(c).real
-        if not trace > 0:  # also refuses NaN
-            raise ValueError(f"the operator has trace {trace:.3g}, not a positive one")
-        bound = _FACTOR_RTOL * trace
-        g = _pivoted_cholesky(c, bound / space.dim)
-        residual = _residual_bound(c, g)
-        if not residual <= bound:
-            raise ValueError(
-                f"the operator is not positive semidefinite: G G^H misses it by up to "
-                f"{residual:.3g} in trace norm, over {bound:.3g}"
-            )
+    space, g, residual = _checker_factor(choi)
     order = _validate_order(order, space)
     devs = _factored_deviations(space, g, [p[0] for p in order], [p[1] for p in order])
     worst = max(devs)

@@ -11,12 +11,12 @@ discovery code sees statistics only.
 A session holds its Choi operator as a factor, ``C = V diag(w) V^H`` with
 ``V`` of shape ``d^{2n} x r`` and ``r`` real weights: the purification of
 the comb (``w = 1``, ``r = d_M``) for a spec, an eigendecomposition for
-:meth:`OracleSession.from_choi`.  Reducing a tooth and preparing states
-work on the factor, and their cost grows with ``r``, not with the Choi
-operator's size; only the Born tables of prepare-and-measure sampling
-form ``C`` itself, once per session.  Both stay under
-:data:`~causalcomb.combs.MAX_ENTRIES`: the factor of a spec counts
-``d^{2n} d_M`` entries and ``C`` counts ``dim^2``, so a session too large
+:meth:`OracleSession.from_choi`.  Reducing a tooth, preparing states and
+the Born tables of prepare-and-measure sampling all work on the factor,
+and no session forms ``C`` itself: a product POVM acts on each column of
+``V`` as a product map.  The factor of a spec counts ``d^{2n} d_M``
+entries and an outcome table one cell per joint outcome, and each must
+fit under :data:`~causalcomb.combs.MAX_ENTRIES`, so a session too large
 for Born tables still runs the general algorithm.
 
 Every channel invocation — real or virtual — goes through one cumulative
@@ -169,7 +169,6 @@ class OracleSession:
         self._space = space
         self._v = v
         self._w = w
-        self._dense: Op | None = None  # C itself, formed for the first Born table
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
         self._tables: dict = {}
@@ -269,7 +268,8 @@ class OracleSession:
         entry for (a, b) equals the Born probability of the product POVM
         on the Choi operator, which is also exactly the distribution of
         drawing dual input states by their trace weights and measuring
-        every output.
+        every output.  It is computed from the session's factor by
+        :func:`~causalcomb.povm.product_born_table`, once per POVM.
 
         Roundoff can leave tiny negative entries; they are clipped to zero
         and the table is renormalized.  A clipped mass above ``_CLIP_RTOL``
@@ -279,10 +279,7 @@ class OracleSession:
         pmap = povm_by_label(povms, self.wires)
         key = tuple((l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self.wires)
         if key not in self._tables:
-            if self._dense is None:
-                check_entries(self._space.dim**2, "the Choi operator")
-                self._dense = Op(self._space, (self._v * self._w) @ self._v.conj().T)
-            tbl = product_born_table(self._dense, pmap)
+            tbl = product_born_table(self._space, self._v, self._w, pmap)
             total = tbl.sum()
             np.clip(tbl, 0.0, None, out=tbl)
             kept = tbl.sum()

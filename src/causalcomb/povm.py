@@ -15,12 +15,15 @@ estimator leans on.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensors import Op, random_pure_state
+from .combs import check_entries
+from .tensors import Op, WireSpace, random_pure_state
 
 __all__ = [
     "IcPovm",
@@ -90,6 +93,36 @@ class IcPovm:
     def stack(self) -> np.ndarray:
         """Elements as one array of shape (m, d, d)."""
         return np.stack(self.elements)
+
+    # The elements are read-only, so what is derived from them is computed on
+    # first use and kept, read-only too, on the instance.
+
+    @functools.cached_property
+    def dual(self) -> np.ndarray:
+        """The dual frame ``F^-1 [|P_a>>]``, shape ``(d*d, m)``: ``dual @ p`` inverts ``p``."""
+        dual = frame_of(self).inverse() @ _flat(self).T
+        dual.setflags(write=False)
+        return dual
+
+    @functools.cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``sqrt(lam) u^H``, one per eigenvector ``u`` of each element, and their elements.
+
+        Returns the ``(rows, d)`` matrix and, per row, the index of its
+        element, in ascending order; the rows of element ``x`` give
+        ``E_x = sum_k r_k^H r_k``.  A rank-one element has one row.
+        Eigenvalues below ``1e-12`` of the element's largest are dropped.
+        """
+        rows, owner = [], []
+        for x, e in enumerate(self.elements):
+            lam, u = np.linalg.eigh(e)
+            keep = lam > 1e-12 * lam.max()
+            rows.append((u[:, keep] * np.sqrt(lam[keep])).conj().T)
+            owner += [x] * int(keep.sum())
+        rows, owner = np.vstack(rows), np.array(owner, dtype=int)
+        rows.setflags(write=False)
+        owner.setflags(write=False)
+        return rows, owner
 
 
 @dataclass(frozen=True)
@@ -236,27 +269,60 @@ def pair_probs(povm_a: IcPovm, povm_b: IcPovm, rho_ab: np.ndarray | Op) -> np.nd
     return np.einsum("aij,bkl,jlik->ab", povm_a.stack(), povm_b.stack(), t).real
 
 
-def product_born_table(x: Op, povms: Mapping[str, IcPovm]) -> np.ndarray:
-    """Outcome probabilities of measuring every wire of ``x`` with its POVM.
+def _per_wire(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``(M_0 (x) M_1 (x) ...) t`` for a row-major vector ``t``, one factor per step.
 
-    Returns a real array with one axis per wire, in ``x``'s label order.
+    Each step maps the leading axis of ``t`` and puts the result last, so
+    after the last step the new axes stand in the order of ``mats``.
     """
-    missing = set(x.labels) - set(povms)
+    for m in mats:
+        t = t.reshape(m.shape[1], -1).T @ m.T
+    return t.reshape(-1)
+
+
+def _add_power(table: np.ndarray, amp: np.ndarray, weight: float) -> None:
+    """``table += weight * |amp|^2``, squaring ``amp``'s real and imaginary parts in place."""
+    parts = amp.view(np.float64)
+    np.square(parts, out=parts)
+    parts *= weight
+    table += parts[0::2]
+    table += parts[1::2]
+
+
+def product_born_table(
+    space: WireSpace, v: np.ndarray, w: np.ndarray, povms: Mapping[str, IcPovm]
+) -> np.ndarray:
+    """Outcome probabilities of measuring every wire of ``C = V diag(w) V^H`` with its POVM.
+
+    Returns a real array with one axis per wire, in ``space``'s label
+    order.  ``C`` is never formed.  With ``r`` the :attr:`IcPovm.rows` of
+    an element, ``Tr[(x) E C] = sum_c w_c |((x) r) v_c|^2`` summed over
+    the element's rows, so the rows of every wire are applied to one
+    column of ``V`` at a time, two wires' Kronecker product per step, and
+    the weighted squares are added up.  The weights may be signed, so the
+    table may have negative entries.  The table and the amplitudes of one
+    column must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.
+    """
+    missing = set(space.labels) - set(povms)
     if missing:
         raise KeyError(f"no POVM given for wires {sorted(missing)}")
-    labels = x.labels
-    n = len(labels)
-    t = x.matrix.reshape(x.space.dims * 2)
-    # contract wire 0 repeatedly; finished outcome axes pile up in front
-    for k in range(n):
-        stack = povms[labels[k]].stack()
-        # current layout: k outcome axes, then rows, then cols of the rest
-        row_ax = k + 0
-        col_ax = k + (n - k)
-        t = np.tensordot(stack, t, axes=([1, 2], [col_ax, row_ax]))
-    # outcome axes are now reversed (last contracted first)
-    t = t.transpose(tuple(reversed(range(n))))
-    return np.ascontiguousarray(t.real)
+    wire_povms = [povms[l] for l in space.labels]
+    shape = tuple(p.size for p in wire_povms)
+    check_entries(math.prod(shape), "the outcome table")
+    mats, owners = zip(*(p.rows for p in wire_povms))
+    check_entries(math.prod(len(m) for m in mats), "the outcome amplitudes")
+    # two wires per step: 2.5 times as fast as one at n = 5, d_M = 2
+    steps = [np.kron(a, b) for a, b in zip(mats[0::2], mats[1::2])]
+    if len(mats) % 2:
+        steps.append(mats[-1])
+    table = np.zeros(math.prod(len(m) for m in mats))
+    for vc, wc in zip(np.ascontiguousarray(v.T), w):
+        _add_power(table, _per_wire(vc, steps), wc)
+    if any(not np.array_equal(o, np.arange(m)) for m, o in zip(shape, owners)):
+        # sum the rows of each element into its outcome
+        sums = [(np.arange(m)[:, None] == o).astype(float) for m, o in zip(shape, owners)]
+        table = _per_wire(table, sums)
+    return table.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +334,7 @@ def reconstruct(povm: IcPovm, probs: Sequence[float]) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (povm.size,):
         raise ValueError(f"expected {povm.size} probabilities, got shape {probs.shape}")
-    frame = frame_of(povm)
-    flat = _flat(povm)
-    vec = frame.inverse() @ (flat.T @ probs)
+    vec = povm.dual @ probs
     d = povm.dim
     mat = vec.reshape(d, d)
     return (mat + mat.conj().T) / 2
@@ -289,9 +353,7 @@ def reconstruct_pair(povm_a: IcPovm, povm_b: IcPovm, joint: np.ndarray) -> np.nd
         raise ValueError(
             f"joint shape {joint.shape} != ({povm_a.size}, {povm_b.size})"
         )
-    ma = frame_of(povm_a).inverse() @ _flat(povm_a).T  # (da^2, m_a)
-    mb = frame_of(povm_b).inverse() @ _flat(povm_b).T
-    v = ma @ joint @ mb.T  # indices ((i,i'), (j,j'))
+    v = povm_a.dual @ joint @ povm_b.dual.T  # indices ((i,i'), (j,j'))
     da, db = povm_a.dim, povm_b.dim
     mat = v.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
     return (mat + mat.conj().T) / 2

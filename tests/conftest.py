@@ -4,8 +4,9 @@ Acceptance tests register one verdict each via :func:`record`; the
 terminal-summary hook prints the whole table after the run so the
 per-criterion outcome is visible even when every test passes.
 :func:`reference_check` is the direct comb-condition checker the fast
-one is compared against, and :func:`global_unitary_choi` a process with
-no causal order.
+one is compared against, :func:`reference_born_table` the dense Born
+table the factored one is compared against, and
+:func:`global_unitary_choi` a process with no causal order.
 """
 
 import numpy as np
@@ -58,6 +59,23 @@ def reference_check(choi, order, tol=1e-9):
         devs.append(float(np.linalg.svd(lhs.matrix - rhs.matrix, compute_uv=False).sum()))
     worst = max(devs)
     return CombCheck(ok=worst <= tol, worst_deviation=worst, deviations=tuple(devs), tol=tol)
+
+
+def reference_born_table(x, povms):
+    """Born table of measuring every wire of the dense operator ``x`` with its POVM.
+
+    Contracts one wire's POVM elements with the dense operator at a time;
+    one real axis per wire, in ``x``'s label order.
+    """
+    labels = x.labels
+    n = len(labels)
+    t = x.matrix.reshape(x.space.dims * 2)
+    # contract wire 0 repeatedly; finished outcome axes pile up in front
+    for k in range(n):
+        # current layout: k outcome axes, then rows, then cols of the rest
+        t = np.tensordot(povms[labels[k]].stack(), t, axes=([1, 2], [n, k]))
+    # outcome axes are now reversed (last contracted first)
+    return np.ascontiguousarray(t.transpose(tuple(reversed(range(n)))).real)
 
 
 def global_unitary_choi(n, seed):

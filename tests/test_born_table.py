@@ -1,0 +1,150 @@
+"""Born tables from a factor against the dense reference.
+
+``conftest.reference_born_table`` contracts each wire's POVM elements with
+the dense operator.  ``povm.product_born_table`` applies each wire's POVM
+rows to the columns of a factor ``C = V diag(w) V^H`` and never forms
+``C``; the two must agree, and a session's samples must be the
+multinomial of the reference table.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from conftest import reference_born_table
+
+from causalcomb.combs import build_choi, choi_factor, gen_unitary_comb
+from causalcomb.oracle import OracleConfig, OracleSession
+from causalcomb.povm import IcPovm, povm_preset, product_born_table, sic_qubit
+from causalcomb.tensors import Op, WireSpace
+
+
+def _rank_two_povm() -> IcPovm:
+    """``E = diag(0.3, 0.2)`` (rank two) and the qubit SIC squeezed into ``1 - E``.
+
+    Five outcomes, six rows: the SIC elements stay rank one under
+    ``S^(1/2) . S^(1/2)`` for ``S = 1 - E = diag(0.7, 0.8)``.
+    """
+    e = np.diag([0.3, 0.2])
+    root = np.sqrt(np.eye(2) - e)
+    return IcPovm((e,) + tuple(root @ x @ root for x in sic_qubit().elements))
+
+
+def _spec_tables(spec, povms):
+    space, v = choi_factor(spec)
+    got = product_born_table(space, v, np.ones(v.shape[1]), povms)
+    return got, reference_born_table(build_choi(spec), povms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dm", [1, 2, 4])
+def test_factored_table_matches_the_reference(n, dm):
+    spec = gen_unitary_comb(n, 2, dm, np.random.default_rng([40, n, dm]))
+    sic = sic_qubit()
+    got, want = _spec_tables(spec, {l: sic for l in choi_factor(spec)[0].labels})
+    assert got.shape == want.shape == (4,) * (2 * n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_qutrit_random_ic_table_matches_the_reference():
+    spec = gen_unitary_comb(2, 3, 2, np.random.default_rng(41))
+    povm = povm_preset("random-ic:5", 3)
+    got, want = _spec_tables(spec, {l: povm for l in ("A1", "A2", "B1", "B2")})
+    assert got.shape == (9,) * 4
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_rank_two_element_rows_sum_into_its_outcome():
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(42))
+    rank_two, sic = _rank_two_povm(), sic_qubit()
+    rows, owner = rank_two.rows
+    assert rows.shape == (6, 2)
+    assert owner.tolist() == [0, 0, 1, 2, 3, 4]
+    povms = {"A1": rank_two, "A2": sic, "B1": sic, "B2": rank_two}
+    got, want = _spec_tables(spec, povms)
+    assert got.shape == (5, 4, 4, 5)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_signed_factor_on_an_odd_number_of_mixed_wires():
+    """Three wires of dimensions 2, 3, 2 leave one wire for the last step alone."""
+    rng = np.random.default_rng(43)
+    space = WireSpace(("A1", "A2", "B1"), (2, 3, 2))
+    x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    lam, u = np.linalg.eigh(x + x.conj().T)
+    assert lam.min() < 0 < lam.max()
+    povms = {"A1": _rank_two_povm(), "A2": povm_preset("random-ic:6", 3), "B1": sic_qubit()}
+    got = product_born_table(space, u, lam, povms)
+    want = reference_born_table(Op(space, (u * lam) @ u.conj().T), povms)
+    assert got.shape == (5, 9, 4)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_from_choi_signed_weights_match_the_reference_and_negative_mass_raises():
+    """A comb minus ``eta |b><b|`` for ``b`` outside its support is indefinite.
+
+    Below ``eta*``, the smallest ratio of the comb's table to ``b``'s, every
+    outcome keeps a positive probability, and the session's table is the
+    reference's; at ``2 eta*`` one outcome has negative mass, which raises
+    before anything is billed.
+    """
+    rng = np.random.default_rng(44)
+    choi = build_choi(gen_unitary_comb(2, 2, 2, rng))
+    lam, u = np.linalg.eigh(choi.matrix)
+    support = u[:, lam > 1e-12]
+    b = rng.normal(size=16) + 1j * rng.normal(size=16)
+    b -= support @ (support.conj().T @ b)
+    b /= np.linalg.norm(b)
+    sic = sic_qubit()
+    povms = {l: sic for l in choi.labels}
+    comb_table = reference_born_table(choi, povms)
+    b_table = reference_born_table(Op(choi.space, np.outer(b, b.conj())), povms)
+    eta_star = (comb_table / b_table).min()
+    assert eta_star > 1e-6
+
+    def shifted(eta):
+        return Op(choi.space, choi.matrix - eta * np.outer(b, b.conj()))
+
+    mixed = shifted(eta_star / 2)
+    assert np.linalg.eigvalsh(mixed.matrix).min() < 0
+    session = OracleSession.from_choi(mixed, OracleConfig(query_policy="theoretical"))
+    assert (session._w < 0).any()
+    want = reference_born_table(mixed, povms)
+    np.testing.assert_allclose(
+        session.outcome_distribution(sic), want / want.sum(), rtol=0, atol=1e-12
+    )
+
+    bad = shifted(2 * eta_star)
+    exact = OracleSession.from_choi(bad, OracleConfig(query_policy="theoretical"))
+    sampled = OracleSession.from_choi(bad, OracleConfig(mode="sampled", seed=1))
+    with pytest.raises(ValueError, match="negative probability mass"):
+        exact.outcome_distribution(sic)
+    with pytest.raises(ValueError, match="negative probability mass"):
+        sampled.sample_batch(1000, sic)
+    assert exact.query_count == sampled.query_count == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sampled_counts_are_the_multinomial_of_the_reference(n):
+    spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([45, n]))
+    sic = sic_qubit()
+    shots = 100_000
+    counts = OracleSession(spec, OracleConfig(mode="sampled", seed=46)).sample_batch(shots, sic)
+    choi = build_choi(spec)
+    want = np.clip(reference_born_table(choi, {l: sic for l in choi.labels}), 0.0, None)
+    want /= want.sum()
+    expected = np.random.default_rng(46).multinomial(shots, want.reshape(-1))
+    np.testing.assert_array_equal(counts, expected.reshape(want.shape))
+
+
+def test_one_table_at_n5_stays_small():
+    """n = 5, d_M = 2: the dense Choi operator and its contraction peaked at 64 MB."""
+    session = OracleSession(gen_unitary_comb(5, 2, 2, np.random.default_rng(47)))
+    tracemalloc.start()
+    try:
+        table = session._joint_table(sic_qubit())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4,) * 10
+    assert peak < 48 * 2**20, peak

@@ -9,10 +9,13 @@ purification, or the verified Cholesky factor of a dense operator, which
 it refuses when there is none; deviations and verdicts must agree.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import global_unitary_choi, reference_check
 
+import causalcomb.combs as combs
 from causalcomb.combs import (
     build_choi,
     check_comb_condition,
@@ -154,3 +157,56 @@ def test_haar_comb_factor_bound_is_small(n, memory_dim):
     check = check_comb_condition(build_choi(spec), spec.true_order)
     assert check.ok
     assert 0.0 < check.residual_bound < 1e-12
+
+
+def _counting(monkeypatch, name):
+    """Replace ``combs.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(combs, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(combs, name, counted)
+    return calls
+
+
+def _orders_with_the_true_one(spec, rng, samples):
+    others = [o for o in _sampled_orders(spec.n, rng, samples) if o != spec.true_order]
+    return [spec.true_order] + others[: samples - 1]
+
+
+def test_an_operator_is_factored_once_for_many_orders(monkeypatch):
+    rng = np.random.default_rng(5)
+    spec = gen_unitary_comb(4, 2, 2, rng)
+    choi = build_choi(spec)
+    orders = _orders_with_the_true_one(spec, rng, 20)
+    calls = _counting(monkeypatch, "_pivoted_cholesky")
+    checks = [check_comb_condition(choi, order) for order in orders]
+    assert len(calls) == 1
+    assert sum(c.ok for c in checks) == 1
+    for order, check in zip(orders, checks):
+        # a new operator on the same matrix carries no memo
+        assert check == check_comb_condition(Op(choi.space, choi.matrix), order)
+    assert len(calls) == 1 + len(orders)
+
+
+def test_a_spec_is_simulated_once_for_many_orders(monkeypatch):
+    rng = np.random.default_rng(6)
+    spec = gen_unitary_comb(4, 2, 2, rng)
+    orders = _orders_with_the_true_one(spec, rng, 20)
+    calls = _counting(monkeypatch, "choi_factor")
+    checks = [check_comb_condition(spec, order) for order in orders]
+    assert len(calls) == 1
+    for order, check in zip(orders, checks):
+        assert check == check_comb_condition(dataclasses.replace(spec), order)
+    assert len(calls) == 1 + len(orders)
+
+
+def test_a_refused_operator_is_refused_again():
+    choi = _indefinite_with_zero_diagonal_block(2, 3)
+    order = enumerate_orders(2)[0]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            check_comb_condition(choi, order)

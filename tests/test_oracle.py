@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import global_unitary_choi
+from conftest import global_unitary_choi, reference_born_table
 
 import causalcomb.combs as combs
 from causalcomb.combs import (
@@ -22,7 +22,7 @@ from causalcomb.oracle import (
     swap_test_estimate,
     swap_test_sample_size,
 )
-from causalcomb.povm import IcPovm, pair_probs, product_born_table, sic_qubit
+from causalcomb.povm import IcPovm, pair_probs, sic_qubit
 from causalcomb.tensors import Op, WireSpace, haar_unitary, random_pure_state, reorder
 
 
@@ -230,7 +230,7 @@ def test_table_cache_is_keyed_by_povm_content():
         u = haar_unitary(2, rng)
         povm = IcPovm(tuple(u @ e @ u.conj().T for e in sic.elements))
         got = session.outcome_distribution(povm)
-        want = product_born_table(choi, {l: povm for l in choi.labels})
+        want = reference_born_table(choi, {l: povm for l in choi.labels})
         np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
         del povm  # frees its id for the next POVM
 
@@ -270,7 +270,7 @@ def test_reduced_factor_matches_the_traced_choi(n, dm):
         choi = trace_out_tooth(choi, *pair)
         assert session.wires == choi.labels
         assert session._v.shape[1] <= dm
-        want = product_born_table(choi, {l: sic for l in choi.labels})
+        want = reference_born_table(choi, {l: sic for l in choi.labels})
         np.testing.assert_allclose(session.outcome_distribution(sic), want, atol=1e-12)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import causalcomb.povm as povm_module
 from causalcomb.povm import (
     IcPovm,
     born_probs,
@@ -19,7 +20,6 @@ from causalcomb.povm import (
     tensor_povm,
 )
 from causalcomb.tensors import (
-    Op,
     WireSpace,
     max_entangled_ket,
     random_density,
@@ -139,9 +139,27 @@ def test_product_born_table_matches_pair_probs():
     rng = np.random.default_rng(6)
     sic = sic_qubit()
     rho = random_density(4, rng=rng)
-    op = Op(WireSpace(("A1", "B1"), (2, 2)), rho)
-    table = product_born_table(op, {"A1": sic, "B1": sic})
+    lam, u = np.linalg.eigh(rho)
+    table = product_born_table(WireSpace(("A1", "B1"), (2, 2)), u, lam, {"A1": sic, "B1": sic})
     np.testing.assert_allclose(table, pair_probs(sic, sic, rho), atol=1e-12)
+
+
+def test_dual_frame_is_computed_once_per_povm(monkeypatch):
+    rng = np.random.default_rng(8)
+    sic = sic_qubit()
+    flat = sic.stack().reshape(sic.size, -1)
+    dual = frame_of(sic).inverse() @ flat.T
+    calls = []
+    original = povm_module.frame_of
+    monkeypatch.setattr(povm_module, "frame_of", lambda p: calls.append(1) or original(p))
+    for _ in range(10):
+        joint = rng.dirichlet(np.ones(16)).reshape(4, 4)
+        got = reconstruct_pair(sic, sic, joint)
+        # the inversion as it was computed on every call
+        v = (dual @ joint @ dual.T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        np.testing.assert_array_equal(got, (v + v.conj().T) / 2)
+    assert len(calls) == 1
+    assert sic.dual is sic.dual
 
 
 def test_frame_norm_bounds_bracket_hs_distance():
