@@ -58,6 +58,7 @@ __all__ = [
     "output_label",
     "build_choi",
     "choi_factor",
+    "verified_factor",
     "check_comb_condition",
     "trace_out_tooth",
     "gen_unitary_comb",
@@ -277,16 +278,21 @@ def _pivoted_cholesky(c: np.ndarray, stop: float) -> np.ndarray:
     stops once none exceeds ``stop``.  Nothing here checks the result: an
     indefinite operator can leave a residual far larger than its diagonal.
     """
-    rows = np.empty((0, c.shape[0]), dtype=complex)  # the columns of G, grown as found
+    rows = np.empty((1, c.shape[0]), dtype=complex)  # the columns of G, filled in as found
     diag = c.diagonal().real.copy()
-    while len(rows) < c.shape[0]:
+    k = 0
+    while k < c.shape[0]:
         p = int(np.argmax(diag))
         if not diag[p] > stop:  # also stops on NaN
             break
-        col = (c[:, p] - rows[:, p].conj() @ rows) / math.sqrt(diag[p])
-        rows = np.vstack([rows, col])
-        diag -= col.real**2 + col.imag**2
-    return rows.T
+        if k == len(rows):
+            # double the room: rows are copied O(log dim) times, and a
+            # low-rank operator allocates no more than its factor needs
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[k] = (c[:, p] - rows[:k, p].conj() @ rows[:k]) / math.sqrt(diag[p])
+        diag -= rows[k].real**2 + rows[k].imag**2
+        k += 1
+    return rows[:k].copy().T
 
 
 def _residual_bound(c: np.ndarray, g: np.ndarray) -> float:
@@ -345,22 +351,34 @@ def _factored_deviations(
     return devs
 
 
-def _checker_factor(choi: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
-    """The factor ``G`` that :func:`check_comb_condition` checks on, and its residual bound.
+def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
+    """A factor ``G`` with ``C = G G^H``, its wire space and a bound on its residual.
 
-    Both are computed once per input and kept in its ``__dict__``, where
-    ``functools.cached_property`` would put them.  ``Op`` and ``CombSpec``
-    are frozen and hold read-only arrays, so the memo is keyed by content
-    and is freed with its input.  A refused operator is not memoized.
+    A :class:`CombSpec` gives its purification from :func:`choi_factor`,
+    which is exact, so the residual is 0.0.  A dense ``Op`` is factored by
+    pivoted Cholesky, stopped once no residual diagonal entry exceeds
+    ``1e-13 * Tr C / dim``.  The factor is used only if
+    ``sqrt(dim) * ||C - G G^H||_F``, a bound on ``||C - G G^H||_1`` and the
+    residual returned, is at most ``1e-13 * Tr C``; as ``G G^H`` is
+    positive semidefinite, so is ``C`` to within it.  An operator without
+    positive trace, or one the factor cannot reproduce (indefinite or not
+    Hermitian), raises ``ValueError``.  The rows of ``G`` follow the
+    input's wire order.
+
+    The result is computed once per input and kept in its ``__dict__``,
+    where ``functools.cached_property`` would put it, with ``G``
+    read-only.  ``Op`` and ``CombSpec`` are frozen and hold read-only
+    arrays, so the memo is keyed by content and is freed with its input.
+    A refused operator is not memoized.
     """
-    memo = vars(choi)
-    if "_checker_factor" in memo:
-        return memo["_checker_factor"]
-    if isinstance(choi, CombSpec):
-        space, g = choi_factor(choi)
+    memo = vars(x)
+    if "verified_factor" in memo:
+        return memo["verified_factor"]
+    if isinstance(x, CombSpec):
+        space, g = choi_factor(x)
         residual = 0.0
     else:
-        space, c = choi.space, choi.matrix
+        space, c = x.space, x.matrix
         trace = np.trace(c).real
         if not trace > 0:  # also refuses NaN
             raise ValueError(f"the operator has trace {trace:.3g}, not a positive one")
@@ -369,11 +387,11 @@ def _checker_factor(choi: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
         residual = _residual_bound(c, g)
         if not residual <= bound:
             raise ValueError(
-                f"the operator is not positive semidefinite: G G^H misses it by up to "
-                f"{residual:.3g} in trace norm, over {bound:.3g}"
+                f"the operator is not Hermitian positive semidefinite: G G^H misses it "
+                f"by up to {residual:.3g} in trace norm, over {bound:.3g}"
             )
     g.setflags(write=False)
-    memo["_checker_factor"] = space, g, residual
+    memo["verified_factor"] = space, g, residual
     return space, g, residual
 
 
@@ -387,25 +405,20 @@ def check_comb_condition(
     k teeth) x (maximally mixed on the later inputs).  ``ok`` means every
     deviation is at most ``tol``.
 
-    Every prefix is checked on one factor ``G`` of ``C = G G^H`` (see
-    ``_factored_deviations``).  A :class:`CombSpec` gives its purification
-    from :func:`choi_factor`, which is exact: ``residual_bound`` is 0.0 and
-    no Choi-sized array is formed.  A dense ``Op`` is factored by pivoted
-    Cholesky, stopped once no residual diagonal entry exceeds
-    ``1e-13 * Tr C / dim``, and the factor is used only if
-    ``sqrt(dim) * ||C - G G^H||_F``, a bound on ``||C - G G^H||_1``
-    reported as ``residual_bound``, is at most ``1e-13 * Tr C``.  Each
-    deviation is a linear map of ``C`` that at most doubles the trace
-    norm, so the deviations of ``G G^H`` are those of ``C`` to within twice
-    ``residual_bound``; and as ``G G^H`` is positive semidefinite, so is
-    ``C`` to within it.  An operator without positive trace, or one the
-    factor cannot reproduce (indefinite or non-Hermitian), raises
+    Every prefix is checked on the factor ``G`` of :func:`verified_factor`
+    (see ``_factored_deviations``): a spec's purification, with no
+    Choi-sized array formed, or the verified Cholesky factor of a dense
+    ``Op``, whose bound on ``||C - G G^H||_1`` is reported as
+    ``residual_bound``.  Each deviation is a linear map of ``C`` that at
+    most doubles the trace norm, so the deviations of ``G G^H`` are those
+    of ``C`` to within twice ``residual_bound``.  An operator that is not
+    Hermitian positive semidefinite with a positive trace raises
     ``ValueError``, as does a prefix matrix over :data:`MAX_ENTRIES`
-    (from n = 8 on qubit wires with d_M = 2).  The factor and its
-    residual are computed once per input and kept on it, so checking many
-    orders of one operator or spec factors it once.
+    (from n = 8 on qubit wires with d_M = 2).  The factor is computed
+    once per input and kept on it, so checking many orders of one
+    operator or spec factors it once.
     """
-    space, g, residual = _checker_factor(choi)
+    space, g, residual = verified_factor(choi)
     order = _validate_order(order, space)
     devs = _factored_deviations(space, g, [p[0] for p in order], [p[1] for p in order])
     worst = max(devs)

@@ -8,10 +8,12 @@ tooth shut (``reduce``).  The hidden
 spec and its Choi operator are private attributes with no accessor;
 discovery code sees statistics only.
 
-A session holds its Choi operator as a factor, ``C = V diag(w) V^H`` with
-``V`` of shape ``d^{2n} x r`` and ``r`` real weights: the purification of
-the comb (``w = 1``, ``r = d_M``) for a spec, an eigendecomposition for
-:meth:`OracleSession.from_choi`.  Reducing a tooth, preparing states and
+A session holds its Choi operator as a factor, ``C = V V^H`` with ``V`` of
+shape ``d^{2n} x r``: the purification of the comb (``r = d_M``) for a
+spec, the verified Cholesky factor of
+:func:`~causalcomb.combs.verified_factor` for
+:meth:`OracleSession.from_choi`.  ``C`` is therefore positive
+semidefinite by construction.  Reducing a tooth, preparing states and
 the Born tables of prepare-and-measure sampling all work on the factor,
 and no session forms ``C`` itself: a product POVM acts on each column of
 ``V`` as a product map.  The factor of a spec counts ``d^{2n} d_M``
@@ -38,9 +40,9 @@ from typing import IO
 
 import numpy as np
 
-from .combs import CombSpec, check_entries, choi_factor
+from .combs import CombSpec, check_entries, choi_factor, verified_factor
 from .povm import povm_by_label, product_born_table
-from .tensors import Op, WireSpace, contract_wire, fold, is_hermitian, sort_wires, span, wire_key
+from .tensors import Op, WireSpace, contract_wire, fold, span, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1a)
@@ -56,18 +58,8 @@ __all__ = [
 ]
 
 
-#: Largest negative probability mass, as a fraction of the outcome table's
-#: total, that clipping may absorb as roundoff.
-_CLIP_RTOL = 1e-12
-#: A factor keeps the eigenvalues above this fraction of the largest one.
+#: A reduced factor keeps the eigenvalues above this fraction of the largest one.
 _RANK_RTOL = 1e-13
-
-
-def _eigen_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors and eigenvalues of a Hermitian matrix, the negligible dropped."""
-    lam, u = np.linalg.eigh(mat)
-    keep = np.abs(lam) > _RANK_RTOL * np.abs(lam).max()
-    return u[:, keep], lam[keep]
 
 
 def swap_test_sample_size(eps: float, kappa: float) -> int:
@@ -146,29 +138,25 @@ class OracleSession:
     """Black-box handle on a comb; see the module docstring for the contract."""
 
     def __init__(self, spec: CombSpec, config: OracleConfig | None = None):
-        config = config or OracleConfig()
-        space, v = choi_factor(spec)
-        self._setup(space, v, np.ones(v.shape[1]), config)
+        self._setup(*choi_factor(spec), config or OracleConfig())
 
     def _setup(
         self,
         space: WireSpace,
         v: np.ndarray,
-        w: np.ndarray,
         config: OracleConfig,
         rng: np.random.Generator | None = None,
         meter: _QueryMeter | None = None,
     ) -> None:
         """The one place every session, root or reduced, gets its fields.
 
-        The hidden Choi operator is ``C = V diag(w) V^H`` on the sorted
-        wires of ``space``.  A root session draws a fresh random stream and
+        The hidden Choi operator is ``C = V V^H`` on the sorted wires of
+        ``space``.  A root session draws a fresh random stream and
         query meter from ``config``; a reduced child passes in its parent's.
         """
         self._config = config
         self._space = space
         self._v = v
-        self._w = w
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
         self._tables: dict = {}
@@ -182,22 +170,21 @@ class OracleSession:
         """Root session on a raw Choi operator over wires ``A1..An, B1..Bn``.
 
         Nothing checks that ``choi`` is a comb, so this also admits
-        processes with no causal order at all.  The wires are sorted, and
-        the operator must fit under :data:`~causalcomb.combs.MAX_ENTRIES`,
-        be Hermitian and have a positive trace.  Its factor comes from
-        ``eigh``: eigenvalues of size at most ``1e-13`` of the largest are
-        dropped, and the rest, negative ones included, are kept as signed
-        weights.
+        processes with no causal order at all.  The operator must fit under
+        :data:`~causalcomb.combs.MAX_ENTRIES`, and it must be Hermitian
+        positive semidefinite with a positive trace: the session opens on
+        its factor from :func:`~causalcomb.combs.verified_factor`, the one
+        :func:`~causalcomb.combs.check_comb_condition` checks on, and any
+        other operator raises ``ValueError`` here, before a query is
+        billed.  The factor's rows are put into sorted wire order.
         """
         config = config or OracleConfig()
         check_entries(choi.space.dim**2, "the Choi operator")
-        choi = sort_wires(choi)
-        if not is_hermitian(choi.matrix):
-            raise ValueError("Choi operator is not Hermitian")
-        if not np.trace(choi.matrix).real > 0:
-            raise ValueError("Choi operator has no positive trace")
+        space, g, _ = verified_factor(choi)
+        labels = tuple(sorted(space.labels, key=wire_key))
+        sorted_space = WireSpace(labels, tuple(space.dim_of(l) for l in labels))
         session = cls.__new__(cls)
-        session._setup(choi.space, *_eigen_factor(choi.matrix), config)
+        session._setup(sorted_space, fold(space, g, labels, []), config)
         return session
 
     def reduce(self, input_label: str, output_label: str) -> "OracleSession":
@@ -208,22 +195,22 @@ class OracleSession:
         session's query meter and random stream.
 
         Both wires are folded into the factor's columns, which gives a
-        factor ``K`` of the partial trace; ``eigh`` of ``R diag(w) R^H``,
-        for ``R`` the span step of ``K``, recompresses it to its numerical
-        rank.  ``R = Q^H K``, so an eigenvector ``u`` with eigenvalue
-        ``lam`` gives the new column ``Q u = K diag(w) R^H u / lam``.
+        factor ``K`` of the partial trace; ``eigh`` of ``R R^H``, for ``R``
+        the span step of ``K``, recompresses it to its numerical rank.
+        ``R = Q^H K``, so an eigenvector ``u`` with eigenvalue ``lam``
+        gives the new column ``sqrt(lam) Q u = K R^H u / sqrt(lam)``.
         """
         pair = (input_label, output_label)
         keep = [l for l in self.wires if l not in pair]
         if len(keep) != len(self.wires) - 2:
             raise KeyError(f"wires {pair} not both present in {self.wires}")
         k = fold(self._space, self._v, keep, pair)
-        w = np.tile(self._w, k.shape[1] // len(self._w))
         r = span(k)
-        u, lam = _eigen_factor((r * w) @ r.conj().T)
-        v = (k * w) @ (r.conj().T @ (u / lam))
+        lam, u = np.linalg.eigh(r @ r.conj().T)
+        rank = lam > _RANK_RTOL * lam.max()
+        v = k @ (r.conj().T @ (u[:, rank] / np.sqrt(lam[rank])))
         child = OracleSession.__new__(OracleSession)
-        child._setup(self._space.restrict(keep), v, lam, self._config, self._rng, self._meter)
+        child._setup(self._space.restrict(keep), v, self._config, self._rng, self._meter)
         return child
 
     # -- public geometry ----------------------------------------------------
@@ -261,46 +248,27 @@ class OracleSession:
 
     # -- prepare-and-measure sampling ---------------------------------------
 
-    def _joint_table(self, povms) -> np.ndarray:
-        """Exact outcome distribution of the standard prepare-measure scheme.
+    def outcome_distribution(self, povms) -> np.ndarray:
+        """Exact joint outcome table; the infinite-shot limit of sampling.
 
-        Axis order follows the sorted wire labels (inputs first).  The
-        entry for (a, b) equals the Born probability of the product POVM
-        on the Choi operator, which is also exactly the distribution of
-        drawing dual input states by their trace weights and measuring
-        every output.  It is computed from the session's factor by
-        :func:`~causalcomb.povm.product_born_table`, once per POVM.
-
-        Roundoff can leave tiny negative entries; they are clipped to zero
-        and the table is renormalized.  A clipped mass above ``_CLIP_RTOL``
-        of the table's total means the operator is not positive
-        semidefinite, and raises ``ValueError``.
+        Axes follow sorted wire order, inputs then outputs.  The entry for
+        (a, b) equals the Born probability of the product POVM on the
+        Choi operator, which is also exactly the distribution of drawing
+        dual input states by their trace weights and measuring every
+        output.  It is computed from the session's factor by
+        :func:`~causalcomb.povm.product_born_table` and normalized, once
+        per POVM, and the same read-only table is returned on every call.
+        No queries are charged here; exact-probability callers account for
+        their nominal shot budget via :meth:`note_virtual_queries`.
         """
         pmap = povm_by_label(povms, self.wires)
         key = tuple((l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self.wires)
         if key not in self._tables:
-            tbl = product_born_table(self._space, self._v, self._w, pmap)
-            total = tbl.sum()
-            np.clip(tbl, 0.0, None, out=tbl)
-            kept = tbl.sum()
-            if kept - total > _CLIP_RTOL * kept:
-                raise ValueError(
-                    f"outcome table has negative probability mass {kept - total:.3g} "
-                    f"against a total of {kept:.3g}: the operator is not positive "
-                    "semidefinite"
-                )
-            tbl /= kept
+            tbl = product_born_table(self._space, self._v, pmap)
+            tbl /= tbl.sum()
+            tbl.setflags(write=False)
             self._tables[key] = tbl
         return self._tables[key]
-
-    def outcome_distribution(self, povms) -> np.ndarray:
-        """Exact joint outcome table; the infinite-shot limit of sampling.
-
-        Axes follow sorted wire order, inputs then outputs.  No queries
-        are charged here; exact-probability callers account for their
-        nominal shot budget via :meth:`note_virtual_queries`.
-        """
-        return self._joint_table(povms).copy()
 
     def sample_batch(self, n_shots: int, povms) -> np.ndarray:
         """Counts from ``n_shots`` independent prepare-and-measure shots.
@@ -314,7 +282,7 @@ class OracleSession:
             raise ValueError("sample_batch requires sampled mode")
         if n_shots < 1:
             raise ValueError("need at least one shot")
-        tbl = self._joint_table(povms)
+        tbl = self.outcome_distribution(povms)
         counts = self._rng.multinomial(n_shots, tbl.reshape(-1)).reshape(tbl.shape)
         self._meter.charge("sample_batch", n_shots)
         return counts
@@ -332,7 +300,7 @@ class OracleSession:
 
         Discarding an output commutes with feeding an input, so the
         discard is folded into the factor's columns once per (input,
-        discard) pair, giving the pair operator ``K diag(w) K^H`` on the
+        discard) pair, giving the pair operator ``K K^H`` on the
         input and the remaining wires.  When the factor's columns, with the
         input folded in as well, are fewer than the remaining wires'
         dimension, every prepared state lives on their span.  ``K`` is then
@@ -370,9 +338,8 @@ class OracleSession:
         # move the input back from the columns to the rows, ahead of the rest
         d_in = self.dim_of(input_label)
         k = r.reshape(len(r), d_in, -1).transpose(1, 0, 2).reshape(d_in * len(r), -1)
-        w = np.tile(self._w, k.shape[1] // len(self._w))
         space = WireSpace((input_label,) + rest_space.labels, (d_in,) + rest_space.dims)
-        return Op(space, (k * w) @ k.conj().T)
+        return Op(space, k @ k.conj().T)
 
     def overlap_estimate(
         self, recipe_a: PrepRecipe, recipe_b: PrepRecipe, eps: float, kappa: float

@@ -280,28 +280,27 @@ def _per_wire(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _add_power(table: np.ndarray, amp: np.ndarray, weight: float) -> None:
-    """``table += weight * |amp|^2``, squaring ``amp``'s real and imaginary parts in place."""
+def _add_power(table: np.ndarray, amp: np.ndarray) -> None:
+    """``table += |amp|^2``, squaring ``amp``'s real and imaginary parts in place."""
     parts = amp.view(np.float64)
     np.square(parts, out=parts)
-    parts *= weight
     table += parts[0::2]
     table += parts[1::2]
 
 
 def product_born_table(
-    space: WireSpace, v: np.ndarray, w: np.ndarray, povms: Mapping[str, IcPovm]
+    space: WireSpace, v: np.ndarray, povms: Mapping[str, IcPovm]
 ) -> np.ndarray:
-    """Outcome probabilities of measuring every wire of ``C = V diag(w) V^H`` with its POVM.
+    """Outcome probabilities of measuring every wire of ``C = V V^H`` with its POVM.
 
     Returns a real array with one axis per wire, in ``space``'s label
     order.  ``C`` is never formed.  With ``r`` the :attr:`IcPovm.rows` of
-    an element, ``Tr[(x) E C] = sum_c w_c |((x) r) v_c|^2`` summed over
-    the element's rows, so the rows of every wire are applied to one
-    column of ``V`` at a time, two wires' Kronecker product per step, and
-    the weighted squares are added up.  The weights may be signed, so the
-    table may have negative entries.  The table and the amplitudes of one
-    column must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.
+    an element, ``Tr[(x) E C] = sum_c |((x) r) v_c|^2`` summed over the
+    element's rows, so the rows of every wire are applied to one column
+    of ``V`` at a time, two wires' Kronecker product per step, and the
+    squares are added up; no entry can be negative.  The table and the
+    amplitudes of one column must fit under
+    :data:`~causalcomb.combs.MAX_ENTRIES`.
     """
     missing = set(space.labels) - set(povms)
     if missing:
@@ -316,8 +315,8 @@ def product_born_table(
     if len(mats) % 2:
         steps.append(mats[-1])
     table = np.zeros(math.prod(len(m) for m in mats))
-    for vc, wc in zip(np.ascontiguousarray(v.T), w):
-        _add_power(table, _per_wire(vc, steps), wc)
+    for vc in np.ascontiguousarray(v.T):
+        _add_power(table, _per_wire(vc, steps))
     if any(not np.array_equal(o, np.arange(m)) for m, o in zip(shape, owners)):
         # sum the rows of each element into its outcome
         sums = [(np.arange(m)[:, None] == o).astype(float) for m, o in zip(shape, owners)]

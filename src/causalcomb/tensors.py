@@ -227,8 +227,7 @@ def contract_wire(x: Op, label: str, k: np.ndarray) -> Op:
 # factors
 #
 # A factor of an operator C on a wire space is a matrix V with one row per
-# basis state of the space and C = V D V^H for some diagonal D of column
-# weights.
+# basis state of the space and C = V V^H, so C is positive semidefinite.
 
 
 def fold(space: WireSpace, v: np.ndarray, rows: Sequence[str], folded: Sequence[str]) -> np.ndarray:
@@ -237,9 +236,7 @@ def fold(space: WireSpace, v: np.ndarray, rows: Sequence[str], folded: Sequence[
     ``rows`` and ``folded`` together name every wire of ``space`` once.
     The result has one row per value of the ``rows`` wires, in that order,
     and one column per value of the ``folded`` wires and a column of ``V``,
-    the latter fastest.  Its Gram product ``K K^H`` is ``Tr_folded(V V^H)``;
-    with weights, ``K``'s column weights are ``V``'s repeated once per value
-    of the folded wires.
+    the latter fastest.  Its Gram product ``K K^H`` is ``Tr_folded(V V^H)``.
     """
     t = v.reshape(space.dims + (v.shape[1],))
     axes = [space.index(l) for l in [*rows, *folded]] + [len(space.dims)]
@@ -252,9 +249,9 @@ def span(k: np.ndarray) -> np.ndarray:
 
     With fewer columns than rows this is the ``R`` of a QR of ``K``, which
     is ``Q^H K`` for an isometry ``Q`` onto the span of ``K``'s columns;
-    ``Q`` is never formed.  Then ``R D R^H = Q^H (K D K^H) Q`` for any
-    ``D``, so the two share their nonzero spectrum and every overlap, and
-    ``K D K^H = Q R D R^H Q^H``.  Otherwise ``K`` itself is returned.
+    ``Q`` is never formed.  Then ``R R^H = Q^H (K K^H) Q``, so the two
+    share their nonzero spectrum and every overlap, and
+    ``K K^H = Q R R^H Q^H``.  Otherwise ``K`` itself is returned.
     """
     if k.shape[1] < k.shape[0]:
         return np.linalg.qr(k, mode="r")

@@ -2,11 +2,12 @@
 
 ``conftest.reference_born_table`` contracts each wire's POVM elements with
 the dense operator.  ``povm.product_born_table`` applies each wire's POVM
-rows to the columns of a factor ``C = V diag(w) V^H`` and never forms
-``C``; the two must agree, and a session's samples must be the
-multinomial of the reference table.
+rows to the columns of a factor ``C = V V^H`` and never forms ``C``; the
+two must agree, and a session's samples must be the multinomial of the
+reference table.
 """
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ def _rank_two_povm() -> IcPovm:
 
 def _spec_tables(spec, povms):
     space, v = choi_factor(spec)
-    got = product_born_table(space, v, np.ones(v.shape[1]), povms)
+    got = product_born_table(space, v, povms)
     return got, reference_born_table(build_choi(spec), povms)
 
 
@@ -66,27 +67,38 @@ def test_rank_two_element_rows_sum_into_its_outcome():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_signed_factor_on_an_odd_number_of_mixed_wires():
+def test_factor_on_an_odd_number_of_mixed_wires():
     """Three wires of dimensions 2, 3, 2 leave one wire for the last step alone."""
     rng = np.random.default_rng(43)
     space = WireSpace(("A1", "A2", "B1"), (2, 3, 2))
-    x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    lam, u = np.linalg.eigh(x + x.conj().T)
-    assert lam.min() < 0 < lam.max()
+    v = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     povms = {"A1": _rank_two_povm(), "A2": povm_preset("random-ic:6", 3), "B1": sic_qubit()}
-    got = product_born_table(space, u, lam, povms)
-    want = reference_born_table(Op(space, (u * lam) @ u.conj().T), povms)
+    got = product_born_table(space, v, povms)
+    want = reference_born_table(Op(space, v @ v.conj().T), povms)
     assert got.shape == (5, 9, 4)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_from_choi_signed_weights_match_the_reference_and_negative_mass_raises():
+def test_from_choi_on_a_full_rank_operator_matches_the_reference():
+    """An n = 3 comb mixed with 10 % white noise: the factor has all 64 columns."""
+    choi = build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(48)))
+    noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64) / 64)
+    session = OracleSession.from_choi(noisy)
+    assert session._v.shape == (64, 64)
+    for povm in (sic_qubit(), _rank_two_povm()):
+        want = reference_born_table(noisy, {l: povm for l in noisy.labels})
+        np.testing.assert_allclose(
+            session.outcome_distribution(povm), want / want.sum(), rtol=0, atol=1e-12
+        )
+
+
+def test_from_choi_refuses_an_indefinite_operator_even_with_a_positive_table():
     """A comb minus ``eta |b><b|`` for ``b`` outside its support is indefinite.
 
     Below ``eta*``, the smallest ratio of the comb's table to ``b``'s, every
-    outcome keeps a positive probability, and the session's table is the
-    reference's; at ``2 eta*`` one outcome has negative mass, which raises
-    before anything is billed.
+    SIC outcome keeps a positive probability, so no table could tell; at
+    ``2 eta*`` one outcome has negative mass.  Both operators are refused
+    when the session is opened, before anything is billed.
     """
     rng = np.random.default_rng(44)
     choi = build_choi(gen_unitary_comb(2, 2, 2, rng))
@@ -105,23 +117,16 @@ def test_from_choi_signed_weights_match_the_reference_and_negative_mass_raises()
     def shifted(eta):
         return Op(choi.space, choi.matrix - eta * np.outer(b, b.conj()))
 
-    mixed = shifted(eta_star / 2)
+    mixed, bad = shifted(eta_star / 2), shifted(2 * eta_star)
     assert np.linalg.eigvalsh(mixed.matrix).min() < 0
-    session = OracleSession.from_choi(mixed, OracleConfig(query_policy="theoretical"))
-    assert (session._w < 0).any()
-    want = reference_born_table(mixed, povms)
-    np.testing.assert_allclose(
-        session.outcome_distribution(sic), want / want.sum(), rtol=0, atol=1e-12
-    )
-
-    bad = shifted(2 * eta_star)
-    exact = OracleSession.from_choi(bad, OracleConfig(query_policy="theoretical"))
-    sampled = OracleSession.from_choi(bad, OracleConfig(mode="sampled", seed=1))
-    with pytest.raises(ValueError, match="negative probability mass"):
-        exact.outcome_distribution(sic)
-    with pytest.raises(ValueError, match="negative probability mass"):
-        sampled.sample_batch(1000, sic)
-    assert exact.query_count == sampled.query_count == 0
+    assert reference_born_table(mixed, povms).min() > 0
+    assert reference_born_table(bad, povms).min() < 0
+    for op in (mixed, bad):
+        for config in (OracleConfig(query_policy="theoretical"), OracleConfig(mode="sampled", seed=1)):
+            config.query_log = io.StringIO()
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                OracleSession.from_choi(op, config)
+            assert config.query_log.getvalue() == ""
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -142,7 +147,7 @@ def test_one_table_at_n5_stays_small():
     session = OracleSession(gen_unitary_comb(5, 2, 2, np.random.default_rng(47)))
     tracemalloc.start()
     try:
-        table = session._joint_table(sic_qubit())
+        table = session.outcome_distribution(sic_qubit())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

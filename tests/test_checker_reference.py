@@ -22,6 +22,7 @@ from causalcomb.combs import (
     enumerate_orders,
     gen_unitary_comb,
 )
+from causalcomb.oracle import OracleSession
 from causalcomb.tensors import Op, WireSpace, sort_wires
 
 
@@ -183,8 +184,11 @@ def test_an_operator_is_factored_once_for_many_orders(monkeypatch):
     choi = build_choi(spec)
     orders = _orders_with_the_true_one(spec, rng, 20)
     calls = _counting(monkeypatch, "_pivoted_cholesky")
+    # a session opened on the operator shares the checker's factor
+    session = OracleSession.from_choi(choi)
     checks = [check_comb_condition(choi, order) for order in orders]
     assert len(calls) == 1
+    assert session.wires == choi.labels
     assert sum(c.ok for c in checks) == 1
     for order, check in zip(orders, checks):
         # a new operator on the same matrix carries no memo

@@ -84,19 +84,27 @@ def test_sampling_agrees_with_exact_table():
 
 
 def test_negative_probability_mass_raises_and_bills_nothing():
-    # unit trace and Hermitian, but -1 on |0000>: the all-|0> SIC outcome,
+    # unit trace and Hermitian, but -7/8 on |0000>: the all-|0> SIC outcome,
     # whose elements all contain |0><0| / 2, gets probability (2/16 - 1) / 16
     dim = 16
     mat = 2 * np.eye(dim, dtype=complex) / dim
     mat[0, 0] -= 1.0
     choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
-    exact = OracleSession.from_choi(choi, OracleConfig(query_policy="theoretical"))
-    with pytest.raises(ValueError, match="negative probability mass"):
-        exact.outcome_distribution(sic_qubit())
-    sampled = OracleSession.from_choi(choi, OracleConfig(mode="sampled", seed=1))
-    with pytest.raises(ValueError, match="negative probability mass"):
-        sampled.sample_batch(1000, sic_qubit())
-    assert exact.query_count == sampled.query_count == 0
+    for config in (
+        OracleConfig(query_policy="theoretical", query_log=io.StringIO()),
+        OracleConfig(mode="sampled", seed=1, query_log=io.StringIO()),
+    ):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            OracleSession.from_choi(choi, config)
+        assert config.query_log.getvalue() == ""
+
+
+def test_outcome_table_is_cached_read_only():
+    session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(9)))
+    table = session.outcome_distribution(sic_qubit())
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0, 0] = 1.0
+    assert session.outcome_distribution(sic_qubit()) is table
 
 
 def test_single_shot_requires_sampled_mode():
@@ -200,7 +208,7 @@ def test_reduce_shares_meter_and_matches_traced_choi():
     got = child.outcome_distribution(sic_qubit())
     np.testing.assert_allclose(
         got,
-        OracleSession.from_choi(want)._joint_table(sic_qubit()),
+        OracleSession.from_choi(want).outcome_distribution(sic_qubit()),
         atol=1e-12,
     )
 
@@ -290,4 +298,4 @@ def test_from_choi_refuses_an_operator_without_positive_trace():
 def test_from_choi_keeps_one_column_for_a_rank_one_operator():
     session = OracleSession.from_choi(global_unitary_choi(2, 0))
     assert session._v.shape == (16, 1)
-    assert session._w[0] == pytest.approx(1.0)
+    assert np.linalg.norm(session._v) ** 2 == pytest.approx(1.0)

@@ -140,7 +140,8 @@ def test_product_born_table_matches_pair_probs():
     sic = sic_qubit()
     rho = random_density(4, rng=rng)
     lam, u = np.linalg.eigh(rho)
-    table = product_born_table(WireSpace(("A1", "B1"), (2, 2)), u, lam, {"A1": sic, "B1": sic})
+    space = WireSpace(("A1", "B1"), (2, 2))
+    table = product_born_table(space, u * np.sqrt(lam), {"A1": sic, "B1": sic})
     np.testing.assert_allclose(table, pair_probs(sic, sic, rho), atol=1e-12)
 
 
