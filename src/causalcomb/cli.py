@@ -88,7 +88,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
         "n_shots": args.n_shots,
         "chi_min": args.chi_min,
         "threshold": args.threshold,
-        "kappa_target": args.kappa,
     }
     log = open(args.query_log, "w") if args.query_log else None
     try:
@@ -104,7 +103,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
         if log is not None:
             log.close()
     print(f"algorithm: {report.algorithm}")
-    print(f"queries:   {report.queries} (theoretical bound {report.theoretical_queries})")
+    bound = report.theoretical_queries
+    bound_note = "" if bound is None else f" (theoretical bound {bound})"
+    print(f"queries:   {report.queries}{bound_note}")
     print(f"wall:      {report.wall_ms:.1f} ms")
     if not report.ok:
         print(f"failure:   {report.failure}")
@@ -221,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="general: distance threshold for rejecting a pair")
     d.add_argument("--kappa", type=float, default=0.05,
                    help="general: failure probability of each swap test, so a run "
-                        "may fail with up to (number of tests) x kappa; totalorder and "
-                        "memoryless: overall budget behind the theoretical shot count")
+                        "may fail with up to (number of tests) x kappa")
     d.add_argument("--n-shots", type=int, default=100_000,
                    help="shot budget per correlation table")
     d.add_argument("--chi-min", type=float, default=None,

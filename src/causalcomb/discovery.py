@@ -297,8 +297,10 @@ class DiscoveryReport:
     """Outcome of one discovery run.
 
     ``order`` lists teeth first-to-last as (input, output) label pairs.
-    ``queries`` is the session meter after the run; ``theoretical_queries``
-    is the a-priori worst-case bookkeeping for the same parameters.
+    ``queries`` is the session meter after the run.  ``theoretical_queries``
+    is an a-priori bound on those billed queries, set from the loop bounds
+    of the general algorithm; it is ``None`` for the promise algorithms,
+    which bill exactly the shots they are given.
     ``failure`` is ``None`` on success, else a short reason string.
     """
 
@@ -382,35 +384,27 @@ def discover_general(
 
 
 def _promise_discovery(
-    algorithm: str,
-    session: OracleSession,
-    povms,
-    threshold: float,
-    eps: float,
-    kappa_target: float,
-    rule: Callable,
+    algorithm: str, session: OracleSession, povms, threshold: float, rule: Callable
 ) -> DiscoveryReport:
     """Time, bill and report one promise algorithm's ordering ``rule``.
 
     ``rule(measure)`` draws independence matrices with ``measure(n_shots)``
     and returns the last one, the order, the failure (``None`` on success)
-    and its own diagnostics.  ``eps`` is the per-pair theoretical accuracy.
+    and its own diagnostics.  The run bills exactly the shots the rule
+    draws, in sampled mode or under the theoretical policy, and nothing
+    otherwise; so the report's ``theoretical_queries`` is ``None``.  The
+    shots the theory asks for come from :func:`correlation_sample_size`.
     """
     t0 = time.perf_counter()
     start_queries = session.query_count
     ind, order, failure, diagnostics = rule(
         lambda n_shots: independence_matrix(session, povms, n_shots, threshold)
     )
-    pmap = povm_by_label(povms, session.wires)
-    a0, b0 = session.input_labels[0], session.output_labels[0]
-    theoretical = correlation_sample_size(
-        eps, kappa_target / session.n_teeth**2, pmap[a0], pmap[b0]
-    )
     return DiscoveryReport(
         algorithm=algorithm,
         order=order,
         queries=session.query_count - start_queries,
-        theoretical_queries=theoretical,
+        theoretical_queries=None,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         diagnostics={
             "threshold": threshold,
@@ -437,11 +431,7 @@ def _has_ties(values: np.ndarray) -> bool:
 
 
 def discover_totalorder(
-    session: OracleSession,
-    povms,
-    n_shots: int,
-    chi_min: float,
-    kappa_target: float = 0.05,
+    session: OracleSession, povms, n_shots: int, chi_min: float
 ) -> DiscoveryReport:
     """Recover both hidden permutations of a fully correlated comb.
 
@@ -451,6 +441,8 @@ def discover_totalorder(
     inputs and outputs into temporal position.  A tie in either count
     profile triggers one retry with a doubled shot budget (sampled mode);
     persisting ties mean the promise does not hold for this process.
+    In sampled mode, or under the theoretical policy, the run bills
+    ``n_shots`` queries, or ``3 * n_shots`` after a retry.
     """
 
     def rank(measure):
@@ -473,9 +465,7 @@ def discover_totalorder(
             "retried": retried,
         }
 
-    return _promise_discovery(
-        "totalorder", session, povms, chi_min / 2.0, chi_min / 3.0, kappa_target, rank
-    )
+    return _promise_discovery("totalorder", session, povms, chi_min / 2.0, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +473,7 @@ def discover_totalorder(
 
 
 def discover_memoryless(
-    session: OracleSession,
-    povms,
-    n_shots: int,
-    threshold: float,
-    kappa_target: float = 0.05,
+    session: OracleSession, povms, n_shots: int, threshold: float
 ) -> DiscoveryReport:
     """Recover the input-output pairing of a product-of-teeth comb.
 
@@ -496,7 +482,8 @@ def discover_memoryless(
     the leftover (constant-tooth) inputs can be paired with the leftover
     outputs in any way, and index order is used.  A wire related to more
     than one partner breaks that promise: the report fails with
-    ``NOT_MEMORYLESS`` and still carries the matched order.
+    ``NOT_MEMORYLESS`` and still carries the matched order.  In sampled
+    mode, or under the theoretical policy, the run bills ``n_shots`` queries.
     """
 
     def match(measure):
@@ -517,6 +504,4 @@ def discover_memoryless(
         failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
         return ind, order, failure, {}
 
-    return _promise_discovery(
-        "memoryless", session, povms, threshold, threshold, kappa_target, match
-    )
+    return _promise_discovery("memoryless", session, povms, threshold, match)

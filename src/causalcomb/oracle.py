@@ -233,11 +233,11 @@ class OracleSession:
 
     @property
     def input_labels(self) -> tuple[str, ...]:
-        return tuple(sorted((l for l in self.wires if l.startswith("A")), key=wire_key))
+        return tuple(l for l in self.wires if l.startswith("A"))
 
     @property
     def output_labels(self) -> tuple[str, ...]:
-        return tuple(sorted((l for l in self.wires if l.startswith("B")), key=wire_key))
+        return tuple(l for l in self.wires if l.startswith("B"))
 
     def dim_of(self, label: str) -> int:
         return self._space.dim_of(label)
@@ -296,20 +296,19 @@ class OracleSession:
     # -- overlap estimation -------------------------------------------------
 
     def _prepare(self, recipe: PrepRecipe) -> Op:
-        """The state a recipe leaves behind, on the remaining wires or a span of them.
+        """The state a recipe leaves behind, on the span of the remaining wires.
 
         Discarding an output commutes with feeding an input, so the
-        discard is folded into the factor's columns once per (input,
-        discard) pair, giving the pair operator ``K K^H`` on the
-        input and the remaining wires.  When the factor's columns, with the
-        input folded in as well, are fewer than the remaining wires'
-        dimension, every prepared state lives on their span.  ``K`` is then
-        replaced by ``Q^H K`` for an orthonormal basis ``Q`` of that span
-        (the :func:`~causalcomb.tensors.span` step of those columns), and
-        the state comes back as ``Q^H rho Q`` on one wire named after the
-        wires it stands for.  ``Q`` is an isometry, so overlaps are
-        unchanged.  Each distinct probe state is fed into the pair operator
-        once.  One slot holds the current pair; a new pair replaces it.
+        discard and the input are folded into the factor's columns once
+        per (input, discard) pair.  The :func:`~causalcomb.tensors.span`
+        step of those columns ``K`` gives ``Q^H K`` for an orthonormal basis
+        ``Q`` of their span, or ``K`` itself (``Q = 1``) when the columns
+        are not fewer than the rows.  The input goes back to the rows of
+        the pair operator, and every state comes back as ``Q^H rho Q`` on
+        one wire named ``span(...)`` after the remaining wires.  ``Q`` is
+        an isometry, so overlaps are unchanged.  Each distinct probe state
+        is fed into the pair operator once.  One slot holds the current
+        pair; a new pair replaces it.
         """
         d = self.dim_of(recipe.input_label)
         state = np.asarray(recipe.state, dtype=complex)
@@ -324,21 +323,16 @@ class OracleSession:
             prepared[key] = contract_wire(pair_op, recipe.input_label, d * state.T)
         return prepared[key]
 
-    def _pair_operator(self, input_label: str, discard: str | None) -> Op:
+    def _pair_operator(self, input_label: str, discard: str) -> Op:
         """The Choi operator with ``discard`` traced out, as ``_prepare`` feeds it."""
-        if discard is not None and discard not in self.output_labels:
+        if discard not in self.output_labels:
             raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
-        folded = [] if discard is None else [discard]
-        rest = [l for l in self.wires if l != input_label and l not in folded]
-        k = fold(self._space, self._v, rest, [input_label] + folded)
-        r = span(k)
-        rest_space = self._space.restrict(rest)
-        if len(r) < len(k):
-            rest_space = WireSpace((f"span({','.join(rest)})",), (len(r),))
+        rest = [l for l in self.wires if l not in (input_label, discard)]
+        r = span(fold(self._space, self._v, rest, [input_label, discard]))
         # move the input back from the columns to the rows, ahead of the rest
         d_in = self.dim_of(input_label)
         k = r.reshape(len(r), d_in, -1).transpose(1, 0, 2).reshape(d_in * len(r), -1)
-        space = WireSpace((input_label,) + rest_space.labels, (d_in,) + rest_space.dims)
+        space = WireSpace((input_label, f"span({','.join(rest)})"), (d_in, len(r)))
         return Op(space, k @ k.conj().T)
 
     def overlap_estimate(

@@ -152,11 +152,16 @@ def _flat(povm: IcPovm) -> np.ndarray:
     return povm.stack().reshape(povm.size, -1)
 
 
-def frame_of(povm: IcPovm, ic_tol: float = 1e-10) -> FrameOperator:
+#: A frame counts as informationally complete when its smallest eigenvalue
+#: exceeds this fraction of the largest one (or of 1, if that is larger).
+_IC_RTOL = 1e-10
+
+
+def frame_of(povm: IcPovm) -> FrameOperator:
     flat = _flat(povm)
     f = flat.T @ flat.conj()
     vals = np.linalg.eigvalsh(f)
-    is_ic = bool(vals[0] > ic_tol * max(vals[-1], 1.0))
+    is_ic = bool(vals[0] > _IC_RTOL * max(vals[-1], 1.0))
     return FrameOperator(matrix=f, eigenvalues=vals, is_ic=is_ic)
 
 

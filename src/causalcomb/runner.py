@@ -55,9 +55,7 @@ PROMISE_ALGORITHMS = ("totalorder", "memoryless")
 #: algorithm reads the subset relevant to its name.
 SECTION_KEYS = {
     "generator": ("kind", "n", "d", "d_M", "constant_tooth", "corr_floor", "dressed"),
-    "algorithm": (
-        "name", "delta", "kappa", "povm", "n_shots", "chi_min", "threshold", "kappa_target"
-    ),
+    "algorithm": ("name", "delta", "kappa", "povm", "n_shots", "chi_min", "threshold"),
     "oracle": ("mode", "query_policy"),
 }
 
@@ -211,20 +209,10 @@ def dispatch(
     if name == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
         _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")
-        return discover_totalorder(
-            session,
-            povms,
-            n_shots,
-            float(chi_min),
-            kappa_target=float(alg.get("kappa_target", 0.05)),
-        )
+        return discover_totalorder(session, povms, n_shots, float(chi_min))
     if name == "memoryless":
         return discover_memoryless(
-            session,
-            povms,
-            n_shots,
-            float(alg.get("threshold", 0.1)),
-            kappa_target=float(alg.get("kappa_target", 0.05)),
+            session, povms, n_shots, float(alg.get("threshold", 0.1))
         )
     raise ConfigError(f"unknown algorithm {name!r}")
 

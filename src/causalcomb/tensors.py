@@ -351,26 +351,18 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_density(
-    dim: int,
-    rank: int | None = None,
-    rng: np.random.Generator | None = None,
-    uniform_spectrum: bool = False,
+    dim: int, rank: int | None = None, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Random density matrix of the given rank in a Haar-random eigenbasis.
 
-    With ``uniform_spectrum`` the nonzero eigenvalues are all ``1/rank``
-    (so ``rank=dim`` gives the maximally mixed state); otherwise the
-    spectrum is a flat-Dirichlet draw.
+    The nonzero spectrum is a flat-Dirichlet draw.
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required")
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    if uniform_spectrum:
-        spectrum = np.full(rank, 1.0 / rank)
-    else:
-        spectrum = rng.dirichlet(np.ones(rank))
+    spectrum = rng.dirichlet(np.ones(rank))
     u = haar_unitary(dim, rng)[:, :rank]
     return (u * spectrum) @ u.conj().T
 

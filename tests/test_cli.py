@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through main() in-process."""
 
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,29 @@ def test_discover_memoryless_reports_a_broken_promise(capsys, tmp_path):
     assert code == 1
     assert "more than one partner" in out
     assert "partial:" in out
+
+
+def test_queries_line_states_a_bound_only_when_the_report_has_one(capsys, tmp_path):
+    """A promise run bills the shots it is given; general bounds its queries."""
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--kind", "memoryless", "--n", "3", "--seed", "4", "-o", str(path))
+    code, out, _ = run(
+        capsys,
+        "discover", str(path),
+        "--algorithm", "memoryless",
+        "--mode", "sampled",
+        "--seed", "1",
+        "--n-shots", "1000000000",
+    )
+    assert code == 0
+    assert "queries:   1000000000\n" in out
+    assert "bound" not in out
+    code, out, _ = run(
+        capsys, "discover", str(path), "--seed", "1", "--query-policy", "theoretical"
+    )
+    assert code == 0
+    queries, bound = re.search(r"queries:   (\d+) \(theoretical bound (\d+)\)", out).groups()
+    assert 0 < int(queries) <= int(bound)
 
 
 def test_discover_sampled_with_query_log(capsys, tmp_path):

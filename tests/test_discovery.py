@@ -286,6 +286,7 @@ def test_discover_memoryless_reports_a_broken_promise():
 
 
 def test_report_query_accounting_fields():
+    """general bounds its billed queries a priori; a promise run bills its shots."""
     rng = np.random.default_rng(8)
     spec = gen_unitary_comb(2, 2, 2, rng)
     report = discover_general(_session(spec, policy="theoretical"))
@@ -293,6 +294,16 @@ def test_report_query_accounting_fields():
     assert report.theoretical_queries >= report.queries
     assert report.wall_ms > 0
     assert "stages" in report.diagnostics
+    to_spec = gen_totalorder_comb(2, 2, 2, rng, corr_floor=0.05)
+    chi = to_spec.metadata["achieved_chi_min"]
+    sampled = _session(to_spec, mode="sampled", seed=3)
+    report = discover_totalorder(sampled, sic_qubit(), 1000, chi)
+    assert report.queries == (3000 if report.diagnostics["retried"] else 1000)
+    assert report.theoretical_queries is None
+    ml_session = _session(gen_memoryless_comb(2, 2, rng), policy="theoretical")
+    report = discover_memoryless(ml_session, sic_qubit(), 1000, threshold=0.1)
+    assert report.queries == 1000
+    assert report.theoretical_queries is None
 
 
 def _pair_sums(table, n_in):

@@ -26,10 +26,6 @@ from causalcomb.povm import IcPovm, pair_probs, sic_qubit
 from causalcomb.tensors import Op, WireSpace, haar_unitary, random_pure_state, reorder
 
 
-def _unitary_channel_spec(u):
-    return CombSpec(1, u.shape[0], 1, np.ones(1), (u,), (1,), (1,))
-
-
 def test_sample_size_formula():
     assert swap_test_sample_size(0.1, 0.05) == 738
     assert swap_test_sample_size(1.0, 0.5) == 3
@@ -116,15 +112,24 @@ def test_single_shot_requires_sampled_mode():
 
 
 def test_prepare_reduces_to_fed_channel_output():
-    """Feed psi at A1, discard nothing else: result is the comb acting on psi."""
+    """Product comb, identity wiring: feed psi at A1, discard B2.
+
+    The second tooth's input, traced of its output, is maximally mixed, so
+    what is left on (A2, B1) is ``1/2 (x) U1 psi U1^H``.
+    """
     rng = np.random.default_rng(11)
-    u = haar_unitary(2, rng)
-    session = OracleSession(_unitary_channel_spec(u))
+    u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
+    session = OracleSession(CombSpec(2, 2, 1, np.ones(1), (u1, u2), (1, 2), (1, 2)))
     psi = random_pure_state(2, rng)
     proj = np.outer(psi, psi.conj())
-    recipe = PrepRecipe("A1", proj, discard_label=None)
-    out = session._prepare(recipe)
-    np.testing.assert_allclose(out.matrix, u @ proj @ u.conj().T, atol=1e-12)
+    out = session._prepare(PrepRecipe("A1", proj, discard_label="B2"))
+    assert out.labels == ("span(A2,B1)",)
+    np.testing.assert_allclose(
+        out.matrix, np.kron(np.eye(2) / 2, u1 @ proj @ u1.conj().T), atol=1e-12
+    )
+    with pytest.raises(KeyError, match="is not an output wire"):
+        session._prepare(PrepRecipe("A1", proj, discard_label=None))
+    assert session.query_count == 0
 
 
 def test_prepare_rejects_a_discard_label_that_is_no_output_wire():
@@ -133,7 +138,9 @@ def test_prepare_rejects_a_discard_label_that_is_no_output_wire():
     for typo in ("b1", "B3", "A2"):
         with pytest.raises(KeyError, match="discard label"):
             session._prepare(PrepRecipe("A1", proj, discard_label=typo))
-    assert session._prepare(PrepRecipe("A1", proj, discard_label="B1")).labels == ("A2", "B2")
+    assert session._prepare(PrepRecipe("A1", proj, discard_label="B1")).labels == (
+        "span(A2,B2)",
+    )
 
 
 def test_overlap_estimate_exact_equals_true_overlap():

@@ -66,6 +66,14 @@ def test_config_rejects_stray_section_keys(section, typo):
         ExperimentConfig.from_dict(data)
 
 
+def test_config_refuses_kappa_target():
+    with pytest.raises(ConfigError, match="unknown algorithm keys: \\['kappa_target'\\]"):
+        ExperimentConfig(
+            generator={"kind": "memoryless", "n": 2},
+            algorithm={"name": "memoryless", "kappa_target": 0.1},
+        )
+
+
 def test_generate_comb_dispatch():
     rng = np.random.default_rng(0)
     assert generate_comb({"kind": "unitary", "n": 3, "d_M": 1}, rng).n == 3
