@@ -26,7 +26,8 @@ import numpy as np
 from .checks import lemma_suite
 from .combs import check_comb_condition, enumerate_orders
 from .oracle import OracleConfig, OracleSession
-from .runner import ConfigError, ExperimentConfig, dispatch, generate_comb, run_experiment
+from .runner import ALGORITHM_KEYS, ConfigError, ExperimentConfig, dispatch
+from .runner import generate_comb, run_experiment
 from .serialize import load_comb, load_json, save_comb, save_json
 
 EXIT_OK = 0
@@ -80,25 +81,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
-    alg = {
-        "name": args.algorithm,
-        "delta": args.delta,
-        "kappa": args.kappa,
-        "povm": args.povm,
-        "n_shots": args.n_shots,
-        "chi_min": args.chi_min,
-        "threshold": args.threshold,
-    }
+    # only the keys the named algorithm reads; an unset option keeps its default
+    given = {k: getattr(args, k) for k in ALGORITHM_KEYS[args.algorithm]}
+    alg = {"name": args.algorithm, **{k: v for k, v in given.items() if v is not None}}
     log = open(args.query_log, "w") if args.query_log else None
     try:
         config = OracleConfig(
             mode=args.mode, seed=args.seed, query_policy=args.query_policy, query_log=log
         )
-        report = dispatch(
-            OracleSession(spec, config),
-            spec,
-            {k: v for k, v in alg.items() if v is not None},
-        )
+        report = dispatch(OracleSession(spec, config), spec, alg)
     finally:
         if log is not None:
             log.close()

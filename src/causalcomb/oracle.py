@@ -13,13 +13,14 @@ shape ``d^{2n} x r``: the purification of the comb (``r = d_M``) for a
 spec, the verified Cholesky factor of
 :func:`~causalcomb.combs.verified_factor` for
 :meth:`OracleSession.from_choi`.  ``C`` is therefore positive
-semidefinite by construction.  Reducing a tooth, preparing states and
+semidefinite by construction.  Reducing a tooth, estimating overlaps and
 the Born tables of prepare-and-measure sampling all work on the factor,
-and no session forms ``C`` itself: a product POVM acts on each column of
-``V`` as a product map.  The factor of a spec counts ``d^{2n} d_M``
-entries and an outcome table one cell per joint outcome, and each must
-fit under :data:`~causalcomb.combs.MAX_ENTRIES`, so a session too large
-for Born tables still runs the general algorithm.
+and no session forms ``C`` itself: reductions and overlaps take the Gram
+of the folded factor on its smaller side, and a product POVM acts on
+each column of ``V`` as a product map.  The factor of a spec counts
+``d^{2n} d_M`` entries and an outcome table one cell per joint outcome,
+and each must fit under :data:`~causalcomb.combs.MAX_ENTRIES`, so a
+session too large for Born tables still runs the general algorithm.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -42,7 +43,7 @@ import numpy as np
 
 from .combs import CombSpec, check_entries, choi_factor, verified_factor
 from .povm import povm_by_label, product_born_table
-from .tensors import Op, WireSpace, contract_wire, fold, span, wire_key
+from .tensors import Op, WireSpace, contract_wire, fold, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1a)
@@ -160,8 +161,8 @@ class OracleSession:
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
         self._tables: dict = {}
-        # ((input, discard), pair operator, {state bytes: fed state})
-        self._prep_slot: tuple | None = None
+        # ((input, discard), swap operator, {state bytes: the state fed into it})
+        self._swap_slot: tuple | None = None
 
     # -- construction from a Choi operator ----------------------------------
 
@@ -195,20 +196,21 @@ class OracleSession:
         session's query meter and random stream.
 
         Both wires are folded into the factor's columns, which gives a
-        factor ``K`` of the partial trace; ``eigh`` of ``R R^H``, for ``R``
-        the span step of ``K``, recompresses it to its numerical rank.
-        ``R = Q^H K``, so an eigenvector ``u`` with eigenvalue ``lam``
-        gives the new column ``sqrt(lam) Q u = K R^H u / sqrt(lam)``.
+        factor ``K`` of the partial trace, and the Gram of ``K`` on its
+        smaller side recompresses it to its numerical rank.  For a tall
+        ``K`` an eigenvector ``u`` of ``K^H K`` gives the new column
+        ``K u``; for a wide one an eigenvector of ``K K^H`` with
+        eigenvalue ``lam`` is itself the column, scaled by ``sqrt(lam)``.
         """
         pair = (input_label, output_label)
         keep = [l for l in self.wires if l not in pair]
         if len(keep) != len(self.wires) - 2:
             raise KeyError(f"wires {pair} not both present in {self.wires}")
         k = fold(self._space, self._v, keep, pair)
-        r = span(k)
-        lam, u = np.linalg.eigh(r @ r.conj().T)
+        tall = k.shape[1] < k.shape[0]
+        lam, u = np.linalg.eigh(k.conj().T @ k if tall else k @ k.conj().T)
         rank = lam > _RANK_RTOL * lam.max()
-        v = k @ (r.conj().T @ (u[:, rank] / np.sqrt(lam[rank])))
+        v = k @ u[:, rank] if tall else u[:, rank] * np.sqrt(lam[rank])
         child = OracleSession.__new__(OracleSession)
         child._setup(self._space.restrict(keep), v, self._config, self._rng, self._meter)
         return child
@@ -295,45 +297,36 @@ class OracleSession:
 
     # -- overlap estimation -------------------------------------------------
 
-    def _prepare(self, recipe: PrepRecipe) -> Op:
-        """The state a recipe leaves behind, on the span of the remaining wires.
+    def _swap_operator(self, input_label: str, discard: str) -> Op:
+        """The swap test's acceptance operator on the input wire and a primed copy.
 
-        Discarding an output commutes with feeding an input, so the
-        discard and the input are folded into the factor's columns once
-        per (input, discard) pair.  The :func:`~causalcomb.tensors.span`
-        step of those columns ``K`` gives ``Q^H K`` for an orthonormal basis
-        ``Q`` of their span, or ``K`` itself (``Q = 1``) when the columns
-        are not fewer than the rows.  The input goes back to the rows of
-        the pair operator, and every state comes back as ``Q^H rho Q`` on
-        one wire named ``span(...)`` after the remaining wires.  ``Q`` is
-        an isometry, so overlaps are unchanged.  Each distinct probe state
-        is fed into the pair operator once.  One slot holds the current
-        pair; a new pair replaces it.
+        ``Tr[rho_a rho_b] = Tr[(d s_a^T (x) d s_b^T) W]`` for the states
+        left by feeding ``s_a`` and ``s_b`` into the input and discarding
+        the output.  With ``K_x`` the factor's rows at input value ``x``,
+        the discard folded into its columns, ``W[(x,u),(y,v)]`` is
+        ``Tr(K_x K_y^H K_u K_v^H)``: ``Tr(P_xy P_uv)`` from the row Gram
+        ``P_xy = K_x K_y^H``, or ``Tr(G_yu G_vx)`` from the column Gram
+        ``G_yu = K_y^H K_u``, whichever has fewer entries.
         """
-        d = self.dim_of(recipe.input_label)
-        state = np.asarray(recipe.state, dtype=complex)
-        if state.shape != (d, d):
-            raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
-        pair = (recipe.input_label, recipe.discard_label)
-        if self._prep_slot is None or self._prep_slot[0] != pair:
-            self._prep_slot = (pair, self._pair_operator(*pair), {})
-        _, pair_op, prepared = self._prep_slot
-        key = state.tobytes()
-        if key not in prepared:
-            prepared[key] = contract_wire(pair_op, recipe.input_label, d * state.T)
-        return prepared[key]
-
-    def _pair_operator(self, input_label: str, discard: str) -> Op:
-        """The Choi operator with ``discard`` traced out, as ``_prepare`` feeds it."""
         if discard not in self.output_labels:
             raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
         rest = [l for l in self.wires if l not in (input_label, discard)]
-        r = span(fold(self._space, self._v, rest, [input_label, discard]))
-        # move the input back from the columns to the rows, ahead of the rest
-        d_in = self.dim_of(input_label)
-        k = r.reshape(len(r), d_in, -1).transpose(1, 0, 2).reshape(d_in * len(r), -1)
-        space = WireSpace((input_label, f"span({','.join(rest)})"), (d_in, len(r)))
-        return Op(space, k @ k.conj().T)
+        d, d_out = self.dim_of(input_label), self.dim_of(discard)
+        rows, cols = len(self._v) // (d * d_out), d_out * self._v.shape[1]
+        check_entries((d * min(rows, cols)) ** 2, "the swap operator's Gram")
+        if rows <= cols:
+            k = fold(self._space, self._v, [input_label, *rest], [discard])
+            gram, axes = k @ k.conj().T, (0, 2, 1, 3)  # [x, r, y, s] = P_xy[r, s]
+        else:
+            k = fold(self._space, self._v, rest, [input_label, discard])
+            gram, axes = k.conj().T @ k, (3, 1, 0, 2)  # [y, a, u, b] = G_yu[a, b]
+        t = gram.reshape(d, len(gram) // d, d, -1)
+        # Tr(T_ij T_kl) for the blocks T_ij = t[i, :, j, :], then (x, u, y, v) first
+        blocks = t.transpose(0, 2, 1, 3).reshape(d * d, -1)
+        swapped = t.transpose(0, 2, 3, 1).reshape(d * d, -1)  # each T_kl transposed
+        w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
+        space = WireSpace((input_label, f"{input_label}'"), (d, d))
+        return Op(space, w.reshape(d * d, d * d))
 
     def overlap_estimate(
         self, recipe_a: PrepRecipe, recipe_b: PrepRecipe, eps: float, kappa: float
@@ -344,16 +337,31 @@ class OracleSession:
         swap circuits (2N queries).  Exact mode returns the true overlap;
         the theoretical policy still bills the 2N virtual invocations.
         ``kappa`` is the failure probability of this one estimate.
+
+        Both recipes feed one input and discard one output.  One slot holds
+        the swap operator ``W`` of the current pair.  Each distinct state
+        ``s_a`` is fed into ``W`` once, leaving ``M_a`` on the copy, and the
+        overlap is ``Tr[d s_b^T M_a] = d sum(M_a * s_b)``.
         """
         n = swap_test_sample_size(eps, kappa)
-        rho_a = self._prepare(recipe_a)
-        rho_b = self._prepare(recipe_b)
-        if rho_a.labels != rho_b.labels:
-            raise ValueError(
-                f"recipes leave different wires: {rho_a.labels} vs {rho_b.labels}"
-            )
-        # both states are Hermitian, so Tr[rho_a rho_b] = <rho_a, rho_b>_HS
-        overlap = float(np.vdot(rho_a.matrix, rho_b.matrix).real)
+        pair = (recipe_a.input_label, recipe_a.discard_label)
+        other = (recipe_b.input_label, recipe_b.discard_label)
+        if other != pair:
+            raise ValueError(f"recipes feed and discard different wires: {pair} vs {other}")
+        d = self.dim_of(pair[0])
+        s_a = np.asarray(recipe_a.state, dtype=complex)
+        s_b = np.asarray(recipe_b.state, dtype=complex)
+        for state in (s_a, s_b):
+            if state.shape != (d, d):
+                raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
+        if self._swap_slot is None or self._swap_slot[0] != pair:
+            self._swap_slot = (pair, self._swap_operator(*pair), {})
+        _, swap_op, fed = self._swap_slot
+        key = s_a.tobytes()
+        if key not in fed:
+            fed[key] = contract_wire(swap_op, pair[0], d * s_a.T).matrix
+        # sum(M_a * s_b), not np.vdot: M_a must not be conjugated
+        overlap = float(d * (fed[key].ravel() @ s_b.ravel()).real)
         if self.mode == "sampled":
             self._meter.charge("swap_test", 2 * n)
             return swap_test_estimate(overlap, eps, kappa, self._rng)

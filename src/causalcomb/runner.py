@@ -13,7 +13,6 @@ dense Choi operator.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -49,13 +48,17 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("unitary", "memoryless", "totalorder", "signaling", "fig3")
-ALGORITHM_NAMES = ("general", "totalorder", "memoryless")
 PROMISE_ALGORITHMS = ("totalorder", "memoryless")
-#: The keys each config section may hold; anything else is a typo.  An
-#: algorithm reads the subset relevant to its name.
+#: The keys each algorithm reads besides ``name``; any other key has no
+#: effect on it, so the algorithm section refuses it.
+ALGORITHM_KEYS = {
+    "general": ("delta", "kappa"),
+    "totalorder": ("povm", "n_shots", "chi_min"),
+    "memoryless": ("povm", "n_shots", "threshold"),
+}
+#: The keys the generator and oracle sections may hold; anything else is a typo.
 SECTION_KEYS = {
     "generator": ("kind", "n", "d", "d_M", "constant_tooth", "corr_floor", "dressed"),
-    "algorithm": ("name", "delta", "kappa", "povm", "n_shots", "chi_min", "threshold"),
     "oracle": ("mode", "query_policy"),
 }
 
@@ -67,6 +70,18 @@ class ConfigError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _check_algorithm(alg: Mapping[str, Any]) -> str:
+    """The algorithm's name, once ``alg`` names a known one and only its keys."""
+    name, names = alg.get("name"), tuple(ALGORITHM_KEYS)
+    _require(name in names, f"algorithm.name must be one of {names}, got {name!r}")
+    extra = set(alg) - {"name", *ALGORITHM_KEYS[name]}
+    _require(
+        not extra,
+        f"unknown algorithm keys: {sorted(extra)} ({name!r} takes {ALGORITHM_KEYS[name]})",
+    )
+    return name
 
 
 def _require_shots(name: str, mode: str, policy: str, n_shots) -> None:
@@ -84,8 +99,10 @@ def _require_shots(name: str, mode: str, policy: str, n_shots) -> None:
 class ExperimentConfig:
     """Full description of one batch experiment.
 
-    ``generator``, ``algorithm`` and ``oracle`` hold only the keys
-    ``SECTION_KEYS`` lists for them; any other key is a ``ConfigError``.
+    ``generator`` and ``oracle`` hold only the keys ``SECTION_KEYS`` lists
+    for them, and ``algorithm`` its ``name`` and the keys
+    ``ALGORITHM_KEYS`` lists for that name; any other key is a
+    ``ConfigError``.
     """
 
     generator: Mapping[str, Any]
@@ -109,11 +126,7 @@ class ExperimentConfig:
             kind in GENERATOR_KINDS,
             f"generator.kind must be one of {GENERATOR_KINDS}, got {kind!r}",
         )
-        name = self.algorithm.get("name")
-        _require(
-            name in ALGORITHM_NAMES,
-            f"algorithm.name must be one of {ALGORITHM_NAMES}, got {name!r}",
-        )
+        name = _check_algorithm(self.algorithm)
         mode = self.oracle.get("mode", "exact")
         policy = self.oracle.get("query_policy", "actual")
         try:
@@ -192,10 +205,12 @@ def dispatch(
 ) -> DiscoveryReport:
     """Run the algorithm that ``alg`` names; missing keys take the defaults below.
 
-    ``n_shots`` has no default: a promise algorithm without one runs only
-    in exact mode under the actual policy, where no shot is drawn or billed.
+    ``alg`` holds the name and only keys that algorithm reads
+    (``ALGORITHM_KEYS``); any other is a ``ConfigError``.  ``n_shots`` has
+    no default: a promise algorithm without one runs only in exact mode
+    under the actual policy, where no shot is drawn or billed.
     """
-    name = alg["name"]
+    name = _check_algorithm(alg)
     if name == "general":
         return discover_general(
             session,
@@ -210,11 +225,7 @@ def dispatch(
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
         _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")
         return discover_totalorder(session, povms, n_shots, float(chi_min))
-    if name == "memoryless":
-        return discover_memoryless(
-            session, povms, n_shots, float(alg.get("threshold", 0.1))
-        )
-    raise ConfigError(f"unknown algorithm {name!r}")
+    return discover_memoryless(session, povms, n_shots, float(alg.get("threshold", 0.1)))
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -247,6 +258,9 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     """Run all trials (optionally in worker processes) and summarize."""
     t0 = time.perf_counter()
     if config.workers > 0:
+        # imported here: the pool machinery costs every process that loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
     else:

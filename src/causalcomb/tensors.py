@@ -205,21 +205,17 @@ def contract_wire(x: Op, label: str, k: np.ndarray) -> Op:
     ``k = d * state.T``) and for accumulating measurement elements
     (use ``k = povm_element``).
     """
-    n = len(x.labels)
     w = x.space.index(label)
-    d = x.space.dims[w]
+    labels, dims = x.labels, x.space.dims
+    d = dims[w]
     k = np.asarray(k, dtype=complex)
     if k.shape != (d, d):
         raise ValueError(f"contraction kernel shape {k.shape} != wire dim {d}")
-    t = _as_tensor(x)
-    row_idx = list(range(n))
-    col_idx = list(range(n, 2 * n))
+    pre, post = math.prod(dims[:w]), math.prod(dims[w + 1 :])
+    t = x.matrix.reshape(pre, d, post, pre, d, post)
     # Tr_w[(K x 1) X] contracts K[r, s] against X[row_w = s, col_w = r].
-    k_idx = [2 * n, w]
-    col_idx[w] = 2 * n
-    out_idx = [i for i in range(n) if i != w] + [n + i for i in range(n) if i != w]
-    res = np.einsum(t, row_idx + col_idx, k, k_idx, out_idx)
-    space = x.space.restrict(set(x.labels) - {label})
+    res = np.einsum("asbtrc,rs->abtc", t, k)
+    space = WireSpace(labels[:w] + labels[w + 1 :], dims[:w] + dims[w + 1 :])
     return Op(space, res.reshape(space.dim, space.dim))
 
 

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from causalcomb import cli
 from causalcomb.cli import format_order, main, parse_order
+from causalcomb.runner import ALGORITHM_KEYS, dispatch
 from causalcomb.serialize import load_comb
 
 
@@ -69,6 +71,29 @@ def test_discover_memoryless_reports_a_broken_promise(capsys, tmp_path):
     assert code == 1
     assert "more than one partner" in out
     assert "partial:" in out
+
+
+@pytest.mark.parametrize(
+    "kind, algorithm",
+    [("unitary", "general"), ("totalorder", "totalorder"), ("memoryless", "memoryless")],
+)
+def test_discover_passes_only_the_named_algorithm_keys(
+    capsys, tmp_path, monkeypatch, kind, algorithm
+):
+    """Every option is set, but only the named algorithm's keys reach dispatch."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", kind, "--n", "2", "--seed", "8", "-o", str(path))
+    seen = []
+
+    def recording(session, spec, alg):
+        seen.append(dict(alg))
+        return dispatch(session, spec, alg)
+
+    monkeypatch.setattr(cli, "dispatch", recording)
+    options = ["--delta", "1e-6", "--chi-min", "0.05", "--threshold", "0.1", "--povm", "sic2"]
+    code, _, err = run(capsys, "discover", str(path), "--algorithm", algorithm, *options)
+    assert code == 0, err
+    assert len(seen) == 1 and set(seen[0]) == {"name", *ALGORITHM_KEYS[algorithm]}
 
 
 def test_queries_line_states_a_bound_only_when_the_report_has_one(capsys, tmp_path):

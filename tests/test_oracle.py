@@ -23,7 +23,16 @@ from causalcomb.oracle import (
     swap_test_sample_size,
 )
 from causalcomb.povm import IcPovm, pair_probs, sic_qubit
-from causalcomb.tensors import Op, WireSpace, haar_unitary, random_pure_state, reorder
+from causalcomb.tensors import (
+    Op,
+    WireSpace,
+    contract_wire,
+    haar_unitary,
+    partial_trace,
+    random_density,
+    random_pure_state,
+    reorder,
+)
 
 
 def test_sample_size_formula():
@@ -112,35 +121,51 @@ def test_single_shot_requires_sampled_mode():
 
 
 def test_prepare_reduces_to_fed_channel_output():
-    """Product comb, identity wiring: feed psi at A1, discard B2.
+    """Product comb, identity wiring: feed a state at A1, discard B2.
 
     The second tooth's input, traced of its output, is maximally mixed, so
-    what is left on (A2, B1) is ``1/2 (x) U1 psi U1^H``.
+    what is left on (A2, B1) is ``1/2 (x) U1 s U1^H`` and two such states
+    overlap by ``Tr(s_a s_b) / 2``.
     """
     rng = np.random.default_rng(11)
     u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
-    session = OracleSession(CombSpec(2, 2, 1, np.ones(1), (u1, u2), (1, 2), (1, 2)))
+    spec = CombSpec(2, 2, 1, np.ones(1), (u1, u2), (1, 2), (1, 2))
+    session = OracleSession(spec, OracleConfig(query_policy="theoretical"))
     psi = random_pure_state(2, rng)
-    proj = np.outer(psi, psi.conj())
-    out = session._prepare(PrepRecipe("A1", proj, discard_label="B2"))
-    assert out.labels == ("span(A2,B1)",)
-    np.testing.assert_allclose(
-        out.matrix, np.kron(np.eye(2) / 2, u1 @ proj @ u1.conj().T), atol=1e-12
-    )
+    states = [np.outer(psi, psi.conj()), random_density(2, rng=rng), np.eye(2) / 2]
+    for s_a in states:
+        for s_b in states:
+            got = session.overlap_estimate(
+                PrepRecipe("A1", s_a, discard_label="B2"),
+                PrepRecipe("A1", s_b, discard_label="B2"),
+                eps=0.1,
+                kappa=0.05,
+            )
+            assert got == pytest.approx(0.5 * np.trace(s_a @ s_b).real, abs=1e-12)
+    billed = session.query_count
+    bad = PrepRecipe("A1", states[0], discard_label=None)
     with pytest.raises(KeyError, match="is not an output wire"):
-        session._prepare(PrepRecipe("A1", proj, discard_label=None))
-    assert session.query_count == 0
+        session.overlap_estimate(bad, bad, eps=0.1, kappa=0.05)
+    assert session.query_count == billed
+    fresh = OracleSession(spec, OracleConfig(query_policy="theoretical"))
+    with pytest.raises(KeyError, match="is not an output wire"):
+        fresh.overlap_estimate(bad, bad, eps=0.1, kappa=0.05)
+    assert fresh.query_count == 0
 
 
 def test_prepare_rejects_a_discard_label_that_is_no_output_wire():
-    session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(13)))
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(13))
+    session = OracleSession(spec, OracleConfig(query_policy="theoretical"))
     proj = np.diag([1.0, 0.0]).astype(complex)
     for typo in ("b1", "B3", "A2"):
-        with pytest.raises(KeyError, match="discard label"):
-            session._prepare(PrepRecipe("A1", proj, discard_label=typo))
-    assert session._prepare(PrepRecipe("A1", proj, discard_label="B1")).labels == (
-        "span(A2,B2)",
-    )
+        bad = PrepRecipe("A1", proj, discard_label=typo)
+        with pytest.raises(KeyError, match="discard label .* is not an output wire"):
+            session.overlap_estimate(bad, bad, eps=0.1, kappa=0.05)
+    assert session.query_count == 0
+    good = PrepRecipe("A1", proj, discard_label="B1")
+    rho = partial_trace(contract_wire(build_choi(spec), "A1", 2 * proj.T), ["A2", "B2"])
+    got = session.overlap_estimate(good, good, eps=0.1, kappa=0.05)
+    assert got == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, abs=1e-12)
 
 
 def test_overlap_estimate_exact_equals_true_overlap():

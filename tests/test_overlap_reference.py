@@ -4,21 +4,24 @@ The reference prepares both states of every swap test from the full Choi
 operator: feed the probe into the input wire, trace out the discarded
 output, sort the wires, and take ``Tr[rho_a rho_b]`` of the matrix
 product.  The session instead holds the Choi operator as a factor
-``V V^H``: once per (input, discard) pair it folds the discarded
-output into the factor's columns, projects them onto their span where
-that is smaller than the remaining wires, and feeds each distinct probe
-into the small operator this gives once.  Both must give the same
-overlaps, the same search and the same bill.
+``V V^H``: once per (input, discard) pair it folds the input and the
+discarded output out of the rows, takes the Gram of the result on its
+smaller side, and contracts that into the swap operator, a ``d^2 x d^2``
+operator on the input and a copy of it.  Each distinct probe is fed into
+the swap operator once, and an overlap is read off against the other
+probe.  Both must give the same overlaps, the same search and the same
+bill.
 """
 
 import numpy as np
 import pytest
 
+import causalcomb.oracle as oracle
 from causalcomb.combs import build_choi, gen_unitary_comb, trace_out_tooth
 from causalcomb.discovery import find_last
 from causalcomb.oracle import OracleConfig, OracleSession, PrepRecipe, swap_test_sample_size
 from causalcomb.povm import ic_povm_for_dim, state_set_of
-from causalcomb.tensors import contract_wire, partial_trace, sort_wires
+from causalcomb.tensors import Op, contract_wire, partial_trace, sort_wires
 
 PROBES = state_set_of(ic_povm_for_dim(2)).elements
 
@@ -87,29 +90,100 @@ def _haar_combs():
         yield gen_unitary_comb(n, 2, dm, np.random.default_rng([2012, k]))
 
 
+def _with_white_noise(choi):
+    """``0.9 C + 0.1 I / dim``: full rank, so its factor is wide."""
+    dim = choi.space.dim
+    return Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(dim) / dim)
+
+
+def _assert_overlaps_match(session, choi, probes, rng):
+    """Every probe pair of every (input, discard) pair, in a shuffled order."""
+    calls = [
+        (i, j, a, b)
+        for i in session.input_labels
+        for j in session.output_labels
+        for a in range(len(probes))
+        for b in range(len(probes))
+    ]
+    ref = {
+        (i, j, a): _reference_prepare(choi, PrepRecipe(i, probes[a], j)).matrix
+        for i, j, a, _ in calls
+    }
+    # a shuffled order also replaces the session's swap operator often
+    for idx in rng.permutation(len(calls)):
+        i, j, a, b = calls[idx]
+        ra, rb = PrepRecipe(i, probes[a], j), PrepRecipe(i, probes[b], j)
+        got = session.overlap_estimate(ra, rb, eps=0.1, kappa=0.05)
+        want = np.trace(ref[i, j, a] @ ref[i, j, b]).real
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_exact_overlaps_match_the_reference():
     rng = np.random.default_rng(31)
     for spec in _haar_combs():
-        session = OracleSession(spec)
-        choi = build_choi(spec)
-        calls = [
-            (i, j, a, b)
-            for i in session.input_labels
-            for j in session.output_labels
-            for a in range(len(PROBES))
-            for b in range(len(PROBES))
-        ]
-        ref = {
-            (i, j, a): _reference_prepare(choi, PrepRecipe(i, PROBES[a], j)).matrix
-            for i, j, a, _ in calls
-        }
-        # a shuffled order also replaces the session's prepared pair often
-        for idx in rng.permutation(len(calls)):
-            i, j, a, b = calls[idx]
-            ra, rb = PrepRecipe(i, PROBES[a], j), PrepRecipe(i, PROBES[b], j)
-            got = session.overlap_estimate(ra, rb, eps=0.1, kappa=0.05)
-            want = np.trace(ref[i, j, a] @ ref[i, j, b]).real
-            assert got == pytest.approx(want, abs=1e-12)
+        _assert_overlaps_match(OracleSession(spec), build_choi(spec), PROBES, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dm", [1, 3])
+def test_qutrit_overlaps_match_the_reference(n, dm):
+    spec = gen_unitary_comb(n, 3, dm, np.random.default_rng([32, n, dm]))
+    probes = state_set_of(ic_povm_for_dim(3, np.random.default_rng(0))).elements
+    rng = np.random.default_rng(33)
+    _assert_overlaps_match(OracleSession(spec), build_choi(spec), probes[:4], rng)
+
+
+def test_wide_factor_overlaps_match_and_stay_within_the_pair_operator(monkeypatch):
+    """A full-rank ``from_choi`` factor has more columns than rows.
+
+    Its swap operator comes from the row Gram, which holds no more entries
+    than the dense pair operator ``Tr_discard C`` on the input and the span
+    of the rest: ``(d_in * min(rest, d_in * d_out * rank))^2``.
+    """
+    noisy = _with_white_noise(build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(34))))
+    session = OracleSession.from_choi(noisy)
+    rank = session._v.shape[1]
+    assert rank == noisy.space.dim
+    sizes = []
+    monkeypatch.setattr(oracle, "check_entries", lambda entries, what: sizes.append(entries))
+    _assert_overlaps_match(session, noisy, PROBES, np.random.default_rng(35))
+    rest = noisy.space.dim // 4
+    assert sizes and max(sizes) <= (2 * min(rest, 4 * rank)) ** 2
+
+
+def test_a_pair_feeds_each_probe_into_the_swap_operator_once(monkeypatch):
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(36))
+    fed = []
+
+    def counting(x, label, k):
+        fed.append((x, np.asarray(k).tobytes()))
+        return contract_wire(x, label, k)
+
+    monkeypatch.setattr(oracle, "contract_wire", counting)
+    res = find_last(OracleSession(spec), 1e-6, 0.05)
+    assert res.pairs_tested > 1
+    operators = {id(x) for x, _ in fed}
+    assert len(operators) == res.pairs_tested
+    for op_id in operators:
+        kernels = [k for x, k in fed if id(x) == op_id]
+        assert len(kernels) == len(set(kernels)) <= len(PROBES)
+
+
+def test_overlaps_and_reduction_need_no_qr(monkeypatch):
+    specs = list(_haar_combs())
+    noisy = _with_white_noise(build_choi(specs[0]))
+    sessions = [OracleSession(spec) for spec in specs] + [OracleSession.from_choi(noisy)]
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for session in sessions:
+        while True:
+            res = find_last(session, 1e-6, 0.05)
+            if len(session.input_labels) == 1:
+                break
+            session = session.reduce(*res.pair)
 
 
 def test_exact_search_matches_the_reference_at_every_stage():

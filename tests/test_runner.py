@@ -1,11 +1,16 @@
 """Experiment configs, per-trial verification, and batch summaries."""
 
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalcomb
 from causalcomb import cli, runner
 from causalcomb.oracle import OracleConfig, OracleSession
 from causalcomb.runner import (
@@ -72,6 +77,29 @@ def test_config_refuses_kappa_target():
             generator={"kind": "memoryless", "n": 2},
             algorithm={"name": "memoryless", "kappa_target": 0.1},
         )
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("memoryless", "kappa"), ("totalorder", "delta"), ("general", "threshold"), ("general", "povm")],
+)
+def test_config_and_dispatch_refuse_keys_the_named_algorithm_never_reads(name, key):
+    """Such a key would run and change nothing, so it is refused, not ignored."""
+    match = f"unknown algorithm keys: \\['{key}'\\]"
+    alg = {"name": name, key: 0.5}
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(generator={"kind": "memoryless", "n": 3}, algorithm=alg)
+    spec = generate_comb({"kind": "memoryless", "n": 2}, np.random.default_rng(0))
+    session = OracleSession(spec, OracleConfig(query_policy="theoretical"))
+    with pytest.raises(ConfigError, match=match):
+        dispatch(session, spec, alg)
+    assert session.query_count == 0
+
+
+def test_config_accepts_every_key_the_named_algorithm_reads():
+    for name, keys in runner.ALGORITHM_KEYS.items():
+        alg = {"name": name, **{k: 1 for k in keys}}
+        assert ExperimentConfig(generator={"kind": "unitary"}, algorithm=alg).algorithm == alg
 
 
 def test_generate_comb_dispatch():
@@ -171,3 +199,16 @@ def test_verification_never_builds_the_dense_choi():
     """The emitted order is checked on the spec, so it is not capped at n = 5."""
     for module in (runner, cli):
         assert "build_choi" not in inspect.getsource(module), module.__name__
+
+
+def test_importing_the_library_loads_no_process_pool():
+    """The pool is imported only by a run with workers, not by every process."""
+    code = (
+        "import sys, causalcomb; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(causalcomb.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
