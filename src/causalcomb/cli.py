@@ -9,9 +9,11 @@ lemmas    run the numerical consistency battery
 bench     run a batch experiment from a JSON config
 
 Exit codes: 0 on success, 1 when a discovery or check fails, 2 for bad
-configuration or arguments, 3 when a numerical routine fails (for example
-an eigensolver that does not converge).  ``CAUSALCOMB_OUT_DIR`` sets the
-default output directory for generated files.
+configuration or arguments (a malformed comb file included, and a
+correlation floor that no draw reaches within the rejection budget), 3
+when a numerical routine fails (for example an eigensolver that does not
+converge).  ``CAUSALCOMB_OUT_DIR`` sets the default output directory for
+generated files.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import lemma_suite
-from .combs import check_comb_condition, enumerate_orders
+from .combs import RejectionBudgetError, check_comb_condition, enumerate_orders
 from .oracle import OracleConfig, OracleSession
 from .runner import ALGORITHM_KEYS, ConfigError, ExperimentConfig, dispatch
 from .runner import generate_comb, run_experiment
@@ -215,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="general: failure probability of each swap test, so a run "
                         "may fail with up to (number of tests) x kappa")
     d.add_argument("--n-shots", type=int, default=100_000,
-                   help="shot budget per correlation table")
+                   help="promise algorithms: prepare-and-measure shots per independence "
+                        "matrix, drawn in sampled mode and billed under the theoretical policy")
     d.add_argument("--chi-min", type=float, default=None,
                    help="totalorder: promised minimum causal correlation")
     d.add_argument("--threshold", type=float, default=0.1,
@@ -255,7 +258,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, so it must come first
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, RejectionBudgetError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -40,6 +40,7 @@ from .tensors import (
     fold,
     haar_unitary,
     kron_all,
+    marginal,
     partial_trace,
     random_pure_state,
     span,
@@ -539,8 +540,8 @@ def pairwise_correlation_floor(spec: CombSpec) -> float:
 
     Pairs with j < i in tooth order are causally forced to be exactly
     uncorrelated and are excluded from the floor.  Each pair marginal is
-    read from the comb's purification with every other wire folded into
-    its columns, so no Choi-sized array is formed.
+    read from the comb's purification by :func:`~causalcomb.tensors.marginal`,
+    so no Choi-sized array is formed.
     """
     space, v = choi_factor(spec)
     floor = math.inf
@@ -548,8 +549,7 @@ def pairwise_correlation_floor(spec: CombSpec) -> float:
         for j in range(i, spec.n):
             a = input_label(spec.input_perm[i])
             b = output_label(spec.output_perm[j])
-            k = fold(space, v, [a, b], [l for l in space.labels if l not in (a, b)])
-            pair = Op(WireSpace((a, b), (spec.wire_dim,) * 2), k @ k.conj().T)
+            pair = Op(WireSpace((a, b), (spec.wire_dim,) * 2), marginal(space, v, [a, b]))
             floor = min(floor, correlation_norm(pair, [a]))
     return floor
 

@@ -140,7 +140,7 @@ def correlation_sample_size(
 
 @dataclass(frozen=True)
 class IndMatrix:
-    """Pairwise independence verdicts from one shared shot table."""
+    """Pairwise independence verdicts, one per (input, output) pair."""
 
     input_labels: tuple[str, ...]
     output_labels: tuple[str, ...]
@@ -186,23 +186,21 @@ def _pair_marginals(table: np.ndarray, n_in: int) -> list[list[np.ndarray]]:
 def independence_matrix(
     session: OracleSession, povms, n_shots: int, threshold: float
 ) -> IndMatrix:
-    """Estimate every (input, output) correlation from one shot table.
+    """Estimate every (input, output) correlation from pair statistics.
 
-    In sampled mode this draws ``n_shots`` joint prepare-and-measure
-    shots once and reuses them for all pairs.  In exact mode the Born
-    table stands in for the empirical frequencies (the infinite-shot
-    limit); the nominal budget is still billed under the theoretical
-    query policy.
+    Sampled mode draws ``n_shots`` joint prepare-and-measure shots once
+    and reads every pair's marginal off them.  Exact mode reads each
+    pair's exact distribution (the infinite-shot limit) and forms no joint
+    table; it still bills the nominal budget under the theoretical policy.
     """
     ins, outs = session.input_labels, session.output_labels
     pmap = povm_by_label(povms, session.wires)
     if session.mode == "sampled":
-        table = session.sample_batch(n_shots, povms)
+        # sorted wires: the inputs' axes precede the outputs'
+        marginals = _pair_marginals(session.sample_batch(n_shots, povms), len(ins))
     else:
-        table = session.outcome_distribution(povms)
+        marginals = [[session.pair_distribution(a, b, povms) for b in outs] for a in ins]
         session.note_virtual_queries(n_shots, op="independence")
-    # sorted wires: the inputs' axes precede the outputs'
-    marginals = _pair_marginals(table, len(ins))
     est = np.zeros((len(ins), len(outs)))
     for i, a in enumerate(ins):
         for j, b in enumerate(outs):

@@ -2,25 +2,27 @@
 
 An :class:`OracleSession` wraps a hidden :class:`~causalcomb.combs.CombSpec`
 and exposes only what a lab could do with the physical process: run
-batches of prepare-and-measure shots (``sample_batch``), estimate state
-overlaps by destructive swap circuits (``overlap_estimate``), and wire a
-tooth shut (``reduce``).  The hidden
-spec and its Choi operator are private attributes with no accessor;
-discovery code sees statistics only.
+batches of prepare-and-measure shots (``sample_batch``), read the
+infinite-shot statistics of one (input, output) pair
+(``pair_distribution``), estimate state overlaps by destructive swap
+circuits (``overlap_estimate``), and wire a tooth shut (``reduce``).  The
+hidden spec and its Choi operator are private attributes with no
+accessor; discovery code sees statistics only.
 
 A session holds its Choi operator as a factor, ``C = V V^H`` with ``V`` of
 shape ``d^{2n} x r``: the purification of the comb (``r = d_M``) for a
 spec, the verified Cholesky factor of
 :func:`~causalcomb.combs.verified_factor` for
 :meth:`OracleSession.from_choi`.  ``C`` is therefore positive
-semidefinite by construction.  Reducing a tooth, estimating overlaps and
-the Born tables of prepare-and-measure sampling all work on the factor,
-and no session forms ``C`` itself: reductions and overlaps take the Gram
-of the folded factor on its smaller side, and a product POVM acts on
-each column of ``V`` as a product map.  The factor of a spec counts
-``d^{2n} d_M`` entries and an outcome table one cell per joint outcome,
-and each must fit under :data:`~causalcomb.combs.MAX_ENTRIES`, so a
-session too large for Born tables still runs the general algorithm.
+semidefinite by construction.  Every method works on the factor, and no
+session forms ``C`` itself: reductions and overlaps take the Gram of the
+folded factor on its smaller side, a pair's statistics its state
+``K K^H`` with every other wire folded into ``K``'s columns, and a
+sampled table applies a product POVM to each column of ``V``.  The
+factor of a spec counts ``d^{2n} d_M`` entries and a sampled table one
+cell per joint outcome, and each must fit under
+:data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no
+table, so they run as far as the factor fits.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -42,8 +44,8 @@ from typing import IO
 import numpy as np
 
 from .combs import CombSpec, check_entries, choi_factor, verified_factor
-from .povm import povm_by_label, product_born_table
-from .tensors import Op, WireSpace, contract_wire, fold, wire_key
+from .povm import pair_probs, povm_by_label, product_born_table
+from .tensors import Op, WireSpace, contract_wire, fold, marginal, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1a)
@@ -160,7 +162,6 @@ class OracleSession:
         self._v = v
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
-        self._tables: dict = {}
         # ((input, discard), swap operator, {state bytes: the state fed into it})
         self._swap_slot: tuple | None = None
 
@@ -250,41 +251,34 @@ class OracleSession:
 
     # -- prepare-and-measure sampling ---------------------------------------
 
-    def outcome_distribution(self, povms) -> np.ndarray:
-        """Exact joint outcome table; the infinite-shot limit of sampling.
+    def pair_distribution(self, input_label: str, output_label: str, povms) -> np.ndarray:
+        """Exact outcome probabilities of one (input, output) pair.
 
-        Axes follow sorted wire order, inputs then outputs.  The entry for
-        (a, b) equals the Born probability of the product POVM on the
-        Choi operator, which is also exactly the distribution of drawing
-        dual input states by their trace weights and measuring every
-        output.  It is computed from the session's factor by
-        :func:`~causalcomb.povm.product_born_table` and normalized, once
-        per POVM, and the same read-only table is returned on every call.
-        No queries are charged here; exact-probability callers account for
-        their nominal shot budget via :meth:`note_virtual_queries`.
+        The infinite-shot limit of that pair's counts in :meth:`sample_batch`,
+        read off its state :func:`~causalcomb.tensors.marginal` with no joint
+        table.  Nothing is billed; see :meth:`note_virtual_queries`.
         """
-        pmap = povm_by_label(povms, self.wires)
-        key = tuple((l, tuple(e.tobytes() for e in pmap[l].elements)) for l in self.wires)
-        if key not in self._tables:
-            tbl = product_born_table(self._space, self._v, pmap)
-            tbl /= tbl.sum()
-            tbl.setflags(write=False)
-            self._tables[key] = tbl
-        return self._tables[key]
+        pmap = povm_by_label(povms, (input_label, output_label))
+        rho = marginal(self._space, self._v, [input_label, output_label])
+        probs = pair_probs(pmap[input_label], pmap[output_label], rho)
+        return probs / probs.sum()
 
     def sample_batch(self, n_shots: int, povms) -> np.ndarray:
         """Counts from ``n_shots`` independent prepare-and-measure shots.
 
-        Returns an integer array shaped like the joint table (inputs then
-        outputs, sorted wire order).  Drawing the whole multinomial at
-        once is statistically identical to looping single shots and
-        costs ``n_shots`` queries either way.
+        Returns an integer array with one axis per wire (inputs then
+        outputs, sorted wire order), drawn from the factor's Born table
+        (:func:`~causalcomb.povm.product_born_table`), which must fit under
+        :data:`~causalcomb.combs.MAX_ENTRIES`.  Drawing the whole
+        multinomial at once is statistically identical to looping single
+        shots and costs ``n_shots`` queries either way.
         """
         if self.mode != "sampled":
             raise ValueError("sample_batch requires sampled mode")
         if n_shots < 1:
             raise ValueError("need at least one shot")
-        tbl = self.outcome_distribution(povms)
+        tbl = product_born_table(self._space, self._v, povm_by_label(povms, self.wires))
+        tbl /= tbl.sum()
         counts = self._rng.multinomial(n_shots, tbl.reshape(-1)).reshape(tbl.shape)
         self._meter.charge("sample_batch", n_shots)
         return counts

@@ -15,6 +15,8 @@ import numpy as np
 from .combs import CombSpec
 
 FORMAT_VERSION = 1
+#: The keys :func:`comb_from_dict` reads; ``metadata`` is optional.
+_COMB_KEYS = ("n", "d_A", "d_M", "psi0", "unitaries", "sigma_true", "pi_true")
 
 __all__ = [
     "FORMAT_VERSION",
@@ -68,6 +70,9 @@ def comb_from_dict(data: dict) -> CombSpec:
         raise ValueError(f"not a comb spec file (kind={data.get('kind')!r})")
     if data.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {data.get('format_version')!r}")
+    missing = [k for k in _COMB_KEYS if k not in data]
+    if missing:
+        raise ValueError(f"comb spec file is missing keys {missing}")
     return CombSpec(
         n=int(data["n"]),
         wire_dim=int(data["d_A"]),

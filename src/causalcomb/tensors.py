@@ -32,6 +32,7 @@ __all__ = [
     "sort_wires",
     "contract_wire",
     "fold",
+    "marginal",
     "span",
     "trace_norm",
     "is_hermitian",
@@ -238,6 +239,12 @@ def fold(space: WireSpace, v: np.ndarray, rows: Sequence[str], folded: Sequence[
     axes = [space.index(l) for l in [*rows, *folded]] + [len(space.dims)]
     d_rows = math.prod(space.dim_of(l) for l in rows)
     return t.transpose(axes).reshape(d_rows, -1)
+
+
+def marginal(space: WireSpace, v: np.ndarray, keep: Sequence[str]) -> np.ndarray:
+    """``Tr_rest(V V^H)`` on the ``keep`` wires, in that order, for a factor ``V`` on ``space``."""
+    k = fold(space, v, keep, [l for l in space.labels if l not in keep])
+    return k @ k.conj().T
 
 
 def span(k: np.ndarray) -> np.ndarray:

@@ -5,13 +5,15 @@ terminal-summary hook prints the whole table after the run so the
 per-criterion outcome is visible even when every test passes.
 :func:`reference_check` is the direct comb-condition checker the fast
 one is compared against, :func:`reference_born_table` the dense Born
-table the factored one is compared against, and
+table the factored one is compared against, :func:`session_born_table`
+the whole normalized table a session samples from, and
 :func:`global_unitary_choi` a process with no causal order.
 """
 
 import numpy as np
 
 from causalcomb.combs import CombCheck
+from causalcomb.povm import povm_by_label, product_born_table
 from causalcomb.tensors import (
     Op,
     WireSpace,
@@ -76,6 +78,18 @@ def reference_born_table(x, povms):
         t = np.tensordot(povms[labels[k]].stack(), t, axes=([1, 2], [n, k]))
     # outcome axes are now reversed (last contracted first)
     return np.ascontiguousarray(t.transpose(tuple(reversed(range(n)))).real)
+
+
+def session_born_table(session, povms):
+    """The normalized Born table a sampled session draws from, read off its factor.
+
+    No session method returns a whole table: ``sample_batch`` forms one,
+    draws from it and drops it.  One real axis per wire, in sorted wire
+    order.
+    """
+    pmap = povm_by_label(povms, session.wires)
+    table = product_born_table(session._space, session._v, pmap)
+    return table / table.sum()
 
 
 def global_unitary_choi(n, seed):

@@ -4,7 +4,8 @@
 the dense operator.  ``povm.product_born_table`` applies each wire's POVM
 rows to the columns of a factor ``C = V V^H`` and never forms ``C``; the
 two must agree, and a session's samples must be the multinomial of the
-reference table.
+reference table.  A session's exact pair distributions must match the
+dense partial trace.
 """
 
 import io
@@ -12,12 +13,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_born_table
+from conftest import reference_born_table, session_born_table
 
-from causalcomb.combs import build_choi, choi_factor, gen_unitary_comb
+from causalcomb.combs import build_choi, choi_factor, gen_unitary_comb, trace_out_tooth
 from causalcomb.oracle import OracleConfig, OracleSession
-from causalcomb.povm import IcPovm, povm_preset, product_born_table, sic_qubit
-from causalcomb.tensors import Op, WireSpace
+from causalcomb.povm import IcPovm, pair_probs, povm_preset, product_born_table, sic_qubit
+from causalcomb.tensors import Op, WireSpace, partial_trace
 
 
 def _rank_two_povm() -> IcPovm:
@@ -88,7 +89,7 @@ def test_from_choi_on_a_full_rank_operator_matches_the_reference():
     for povm in (sic_qubit(), _rank_two_povm()):
         want = reference_born_table(noisy, {l: povm for l in noisy.labels})
         np.testing.assert_allclose(
-            session.outcome_distribution(povm), want / want.sum(), rtol=0, atol=1e-12
+            session_born_table(session, povm), want / want.sum(), rtol=0, atol=1e-12
         )
 
 
@@ -144,12 +145,42 @@ def test_sampled_counts_are_the_multinomial_of_the_reference(n):
 
 def test_one_table_at_n5_stays_small():
     """n = 5, d_M = 2: the dense Choi operator and its contraction peaked at 64 MB."""
-    session = OracleSession(gen_unitary_comb(5, 2, 2, np.random.default_rng(47)))
+    spec = gen_unitary_comb(5, 2, 2, np.random.default_rng(47))
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=1))
     tracemalloc.start()
     try:
-        table = session.outcome_distribution(sic_qubit())
+        counts = session.sample_batch(100_000, sic_qubit())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.shape == (4,) * 10
+    assert counts.shape == (4,) * 10
     assert peak < 48 * 2**20, peak
+
+
+def _dense_pair_probs(choi, pair, povm):
+    rho = partial_trace(choi, pair)
+    return pair_probs(povm, povm, rho) / np.trace(rho.matrix).real
+
+
+@pytest.mark.parametrize("povm", [sic_qubit(), _rank_two_povm()], ids=["sic", "rank-two"])
+def test_pair_distribution_matches_the_dense_partial_trace(povm):
+    """Spec, reduced and full-rank ``from_choi`` sessions, every (input, output) pair.
+
+    The full-rank operator is a comb plus white noise, left unnormalized.
+    """
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(49))
+    choi = build_choi(spec)
+    last = spec.true_order[-1]
+    noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64))
+    cases = [
+        (OracleSession(spec), choi),
+        (OracleSession(spec).reduce(*last), trace_out_tooth(choi, *last)),
+        (OracleSession.from_choi(noisy), noisy),
+    ]
+    for session, dense in cases:
+        for a in session.input_labels:
+            for b in session.output_labels:
+                got = session.pair_distribution(a, b, povm)
+                want = _dense_pair_probs(dense, [a, b], povm)
+                assert got.shape == (povm.size, povm.size)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

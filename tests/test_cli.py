@@ -226,6 +226,47 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_comb_file_missing_a_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "comb_spec", "n": 2}))
+    for argv in (("discover", str(path)), ("verify", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "missing keys" in err and "'d_A'" in err
+
+
+def test_unreachable_totalorder_floor_exits_2(capsys, tmp_path, monkeypatch):
+    """Running out of rejection draws is a setting no comb meets, not a failed run."""
+    import causalcomb.runner as runner
+
+    original = runner.gen_totalorder_comb
+
+    def small_budget(*args, **kwargs):
+        return original(*args, **kwargs, budget=3)
+
+    monkeypatch.setattr(runner, "gen_totalorder_comb", small_budget)
+    code, out, err = run(
+        capsys, "gen", "--kind", "totalorder", "--n", "2", "--corr-floor", "3.0",
+        "-o", str(tmp_path / "c.json"),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no draw reached pairwise correlation 3.0 in 3 tries")
+    assert err.count("\n") == 1
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "generator": {"kind": "totalorder", "n": 2, "corr_floor": 3.0},
+                "algorithm": {"name": "totalorder"},
+                "trials": 1,
+            }
+        )
+    )
+    code, _, err = run(capsys, "bench", str(cfg))
+    assert code == 2
+    assert err.startswith("error: no draw reached") and err.count("\n") == 1
+
+
 def test_totalorder_without_floor_exits_2(capsys, tmp_path):
     """A plain unitary comb has no stored correlation floor to fall back on."""
     path = tmp_path / "c.json"

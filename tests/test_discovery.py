@@ -1,11 +1,12 @@
 """Order-discovery algorithms driven through the black-box session only."""
 
+import ast
 import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import global_unitary_choi
+from conftest import global_unitary_choi, session_born_table
 
 import causalcomb.discovery as discovery
 from causalcomb.combs import (
@@ -50,10 +51,20 @@ def _session(spec, mode="exact", seed=0, policy="actual"):
 
 
 def test_oracle_opacity_of_discovery_source():
-    """Discovery never peeks: no spec, no Choi construction, no session internals."""
+    """Discovery never peeks: no spec, no Choi construction, no session internals.
+
+    It reads no ``_``-prefixed attribute off anything, a session included,
+    and names none of the helpers that read a factor of the hidden process.
+    """
     src = inspect.getsource(discovery)
     for forbidden in ("_choi", "_spec", "build_choi", "CombSpec", "true_order"):
         assert forbidden not in src, forbidden
+    factor_helpers = {"fold", "marginal", "choi_factor", "verified_factor"}
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_"), f"reads .{node.attr}"
+        named = {getattr(node, f, None) for f in ("id", "attr", "name", "asname")}
+        assert not named & factor_helpers, named & factor_helpers
 
 
 def test_xi_constant_sic_pair():
@@ -326,7 +337,7 @@ def test_pair_marginals_match_the_pair_sums(n):
             np.testing.assert_array_equal(got[i][j], want[i][j])
     # exact mode: the estimates of the old per-pair loop, within roundoff
     session = _session(spec)
-    table = session.outcome_distribution(sic)
+    table = session_born_table(session, sic)
     est = independence_matrix(session, sic, n_shots=1000, threshold=0.1).estimates
     for i, row in enumerate(_pair_sums(table, n)):
         for j, pair in enumerate(row):
@@ -348,14 +359,49 @@ def test_general_path_forms_no_choi_sized_array():
 
 
 def test_born_table_past_the_cap_is_refused_before_it_is_formed():
-    """n = 6 on qubits: the dense Choi operator would take 2^24 entries."""
+    """n = 6 on qubits: a sampled table would have 4^12 = 2^24 cells.
+
+    It is refused before it is formed and before a shot is billed.
+    """
     spec = gen_unitary_comb(6, 2, 2, np.random.default_rng(24))
-    session = OracleSession(spec)
+    session = _session(spec, mode="sampled", seed=25)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="cap"):
-            session.outcome_distribution(sic_qubit())
+            session.sample_batch(1000, sic_qubit())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+    assert session.query_count == 0
+
+
+def test_exact_independence_matrix_forms_no_joint_table(monkeypatch):
+    import causalcomb.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact mode formed a joint Born table")
+
+    monkeypatch.setattr(oracle, "product_born_table", refuse)
+    session = _session(gen_unitary_comb(4, 2, 2, np.random.default_rng(26)), policy="theoretical")
+    ind = independence_matrix(session, sic_qubit(), n_shots=1000, threshold=0.1)
+    assert ind.estimates.shape == (4, 4)
+    assert session.query_count == 1000
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_exact_memoryless_runs_past_the_table_cap(n):
+    """A joint table at n = 6 would already have 2^24 cells."""
+    spec = gen_memoryless_comb(n, 2, np.random.default_rng([27, n]))
+    report = discover_memoryless(_session(spec), sic_qubit(), 0, threshold=0.1)
+    assert report.ok
+    assert check_comb_condition(spec, report.order).ok
+
+
+def test_exact_totalorder_runs_past_the_table_cap():
+    # about 3 s of rejection sampling for a comb whose every causal pair correlates
+    spec = gen_totalorder_comb(6, 2, 2, np.random.default_rng(3))
+    chi_min = spec.metadata["achieved_chi_min"]
+    report = discover_totalorder(_session(spec), sic_qubit(), 0, chi_min)
+    assert report.ok
+    assert check_comb_condition(spec, report.order).ok

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import global_unitary_choi, reference_born_table
+from conftest import global_unitary_choi, reference_born_table, session_born_table
 
 import causalcomb.combs as combs
 from causalcomb.combs import (
@@ -62,12 +62,12 @@ def test_session_labels_and_dims():
     assert session.dim_of("A2") == 2
 
 
-def test_outcome_distribution_matches_direct_born():
+def test_pair_distribution_matches_direct_born():
     rng = np.random.default_rng(4)
     spec = gen_unitary_comb(1, 2, 2, rng)
     session = OracleSession(spec)
     sic = sic_qubit()
-    table = session.outcome_distribution(sic)
+    table = session.pair_distribution("A1", "B1", sic)
     choi = reorder(build_choi(spec), ["A1", "B1"])
     np.testing.assert_allclose(table, pair_probs(sic, sic, choi.matrix), atol=1e-12)
     assert table.sum() == pytest.approx(1.0)
@@ -77,7 +77,7 @@ def test_sampling_agrees_with_exact_table():
     rng = np.random.default_rng(5)
     spec = gen_unitary_comb(2, 2, 2, rng)
     sic = sic_qubit()
-    exact = OracleSession(spec).outcome_distribution(sic)
+    exact = session_born_table(OracleSession(spec), sic)
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=6))
     shots = 200_000
     counts = session.sample_batch(shots, sic)
@@ -102,14 +102,6 @@ def test_negative_probability_mass_raises_and_bills_nothing():
         with pytest.raises(ValueError, match="positive semidefinite"):
             OracleSession.from_choi(choi, config)
         assert config.query_log.getvalue() == ""
-
-
-def test_outcome_table_is_cached_read_only():
-    session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(9)))
-    table = session.outcome_distribution(sic_qubit())
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0, 0, 0] = 1.0
-    assert session.outcome_distribution(sic_qubit()) is table
 
 
 def test_single_shot_requires_sampled_mode():
@@ -237,11 +229,9 @@ def test_reduce_shares_meter_and_matches_traced_choi():
     from causalcomb.combs import trace_out_tooth
 
     want = trace_out_tooth(build_choi(spec), last_in, last_out)
-    got = child.outcome_distribution(sic_qubit())
+    got = session_born_table(child, sic_qubit())
     np.testing.assert_allclose(
-        got,
-        OracleSession.from_choi(want).outcome_distribution(sic_qubit()),
-        atol=1e-12,
+        got, session_born_table(OracleSession.from_choi(want), sic_qubit()), atol=1e-12
     )
 
 
@@ -259,19 +249,25 @@ def test_size_cap_refuses_monster_builds():
         OracleSession(spec)
 
 
-def test_table_cache_is_keyed_by_povm_content():
-    """Each POVM gets its own Born table, even when a freed POVM's id is reused."""
+def test_each_povm_gets_its_own_statistics():
+    """Nothing is kept between calls: a new POVM, even one that reuses a freed
+    POVM's id, gets its own pair distribution and its own sampled table."""
     rng = np.random.default_rng(17)
     spec = gen_unitary_comb(2, 2, 2, rng)
-    session = OracleSession(spec)
+    exact = OracleSession(spec)
+    sampled = OracleSession(spec, OracleConfig(mode="sampled", seed=3))
+    draws = np.random.default_rng(3)
     choi = build_choi(spec)
     sic = sic_qubit()
     for _ in range(4):
         u = haar_unitary(2, rng)
         povm = IcPovm(tuple(u @ e @ u.conj().T for e in sic.elements))
-        got = session.outcome_distribution(povm)
         want = reference_born_table(choi, {l: povm for l in choi.labels})
-        np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
+        want /= want.sum()
+        got = exact.pair_distribution("A2", "B1", povm)
+        np.testing.assert_allclose(got, want.sum(axis=(0, 3)), atol=1e-12)
+        counts = draws.multinomial(1000, want.reshape(-1)).reshape(want.shape)
+        np.testing.assert_array_equal(sampled.sample_batch(1000, povm), counts)
         del povm  # frees its id for the next POVM
 
 
@@ -284,8 +280,8 @@ def test_from_choi_matches_the_spec_session(monkeypatch):
     )
     assert session.wires == ("A1", "A2", "B1", "B2")
     np.testing.assert_allclose(
-        session.outcome_distribution(sic_qubit()),
-        OracleSession(spec).outcome_distribution(sic_qubit()),
+        session_born_table(session, sic_qubit()),
+        session_born_table(OracleSession(spec), sic_qubit()),
         atol=1e-12,
     )
     zero = np.diag([1.0, 0.0]).astype(complex)
@@ -311,7 +307,7 @@ def test_reduced_factor_matches_the_traced_choi(n, dm):
         assert session.wires == choi.labels
         assert session._v.shape[1] <= dm
         want = reference_born_table(choi, {l: sic for l in choi.labels})
-        np.testing.assert_allclose(session.outcome_distribution(sic), want, atol=1e-12)
+        np.testing.assert_allclose(session_born_table(session, sic), want, atol=1e-12)
 
 
 def test_from_choi_refuses_a_non_hermitian_operator():

@@ -54,6 +54,15 @@ def test_comb_dict_rejects_unknown_version():
         comb_from_dict(data)
 
 
+def test_comb_dict_names_its_missing_keys():
+    data = {"format_version": FORMAT_VERSION, "kind": "comb_spec", "n": 2}
+    with pytest.raises(ValueError, match="missing keys") as info:
+        comb_from_dict(data)
+    for key in ("d_A", "d_M", "psi0", "unitaries", "sigma_true", "pi_true"):
+        assert repr(key) in str(info.value)
+    assert "'n'" not in str(info.value)
+
+
 def test_jsonable_handles_numpy_and_complex():
     out = jsonable(
         {
