@@ -22,7 +22,10 @@ sampled table applies a product POVM to each column of ``V``.  The
 factor of a spec counts ``d^{2n} d_M`` entries and a sampled table one
 cell per joint outcome, and each must fit under
 :data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no
-table, so they run as far as the factor fits.
+table, so they run as far as the factor fits.  A sampled batch is one
+exact multinomial draw over its table: Poisson counts corrected to the
+shot budget, drawn in the table's own buffer, so the counts are the
+only other cell-sized array.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -64,6 +68,10 @@ __all__ = [
 #: A reduced factor keeps the eigenvalues above this fraction of the largest one.
 _RANK_RTOL = 1e-13
 
+#: Categorical shots are drawn this many at a time: a block's uniforms and
+#: cell indices take 0.5 MB, however many shots a table gets.
+_SHOT_BLOCK = 2**15
+
 
 def swap_test_sample_size(eps: float, kappa: float) -> int:
     """Circuit runs needed for overlap accuracy ``eps`` at confidence ``kappa``."""
@@ -87,6 +95,42 @@ def swap_test_estimate(
     p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
     accepts = rng.binomial(n, p)
     return 2.0 * accepts / n - 1.0
+
+
+def _multinomial(rng: np.random.Generator, n: int, weights: np.ndarray) -> np.ndarray:
+    """One exact ``Multinomial(n, p)`` draw for ``p = weights / weights.sum()``.
+
+    Poisson counts with means ``n p`` are, given their sum ``s``,
+    ``Multinomial(s, p)``.  Adding ``n - s`` categorical shots to them, or
+    removing ``s - n`` of their ``s`` shots chosen uniformly without
+    replacement, therefore leaves exactly ``Multinomial(n, p)``.  With
+    fewer shots than cells every shot is categorical.
+
+    ``weights`` must be a contiguous float64 array, and it is overwritten:
+    it is scaled in place to the means and then holds a cumulative sum, so
+    the returned counts are the only cell-sized array the draw allocates.
+    """
+    flat = weights.reshape(-1)
+    if n >= flat.size:
+        flat *= n / flat.sum()
+        counts = rng.poisson(flat)
+        s = int(counts.sum())
+    else:
+        counts, s = np.zeros(flat.size, np.int64), 0
+    if s > n:
+        # cumulative counts; exact in float64 below 2**53 shots
+        np.copyto(flat, counts)
+        np.cumsum(flat, out=flat)
+        drop = rng.choice(s, s - n, replace=False, shuffle=False)
+        np.subtract.at(counts, np.searchsorted(flat, drop, side="right"), 1)
+    elif s < n:
+        np.cumsum(flat, out=flat)
+        for done in range(s, n, _SHOT_BLOCK):
+            u = rng.random(min(_SHOT_BLOCK, n - done))
+            u.sort()  # sorted keys make the search walk the cdf once
+            u *= flat[-1]
+            np.add.at(counts, np.searchsorted(flat, u, side="right"), 1)
+    return counts.reshape(weights.shape)
 
 
 @dataclass(frozen=True)
@@ -269,17 +313,19 @@ class OracleSession:
         Returns an integer array with one axis per wire (inputs then
         outputs, sorted wire order), drawn from the factor's Born table
         (:func:`~causalcomb.povm.product_born_table`), which must fit under
-        :data:`~causalcomb.combs.MAX_ENTRIES`.  Drawing the whole
-        multinomial at once is statistically identical to looping single
-        shots and costs ``n_shots`` queries either way.
+        :data:`~causalcomb.combs.MAX_ENTRIES`.  The counts are one exact
+        multinomial draw over the whole table (:func:`_multinomial`), which
+        is statistically identical to looping single shots and costs
+        ``n_shots`` queries either way.  ``n_shots`` must be an integer:
+        a float raises ``TypeError`` before anything is drawn or billed.
         """
+        n_shots = operator.index(n_shots)
         if self.mode != "sampled":
             raise ValueError("sample_batch requires sampled mode")
         if n_shots < 1:
             raise ValueError("need at least one shot")
         tbl = product_born_table(self._space, self._v, povm_by_label(povms, self.wires))
-        tbl /= tbl.sum()
-        counts = self._rng.multinomial(n_shots, tbl.reshape(-1)).reshape(tbl.shape)
+        counts = _multinomial(self._rng, n_shots, tbl)
         self._meter.charge("sample_batch", n_shots)
         return counts
 

@@ -12,6 +12,7 @@ dense Choi operator.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
@@ -84,15 +85,25 @@ def _check_algorithm(alg: Mapping[str, Any]) -> str:
     return name
 
 
-def _require_shots(name: str, mode: str, policy: str, n_shots) -> None:
-    """A promise algorithm draws its shot budget in sampled mode and bills it
-    under the theoretical policy; either way the budget must be named."""
+def _shot_budget(name: str, mode: str, policy: str, n_shots) -> int:
+    """The algorithm's shot budget, 0 when none is named.
+
+    A budget is a whole number of shots; ``1000.5`` is refused, not cut to
+    ``1000``.  A promise algorithm draws its budget in sampled mode and
+    bills it under the theoretical policy; either way it must be named.
+    """
+    n_shots = n_shots or 0
+    _require(
+        isinstance(n_shots, numbers.Real) and float(n_shots).is_integer(),
+        f"n_shots must be a whole number of shots, got {n_shots!r}",
+    )
     if name in PROMISE_ALGORITHMS and (mode == "sampled" or policy == "theoretical"):
         _require(
-            int(n_shots or 0) > 0,
+            n_shots > 0,
             f"algorithm {name!r} needs n_shots in sampled mode or under the "
             "theoretical query policy",
         )
+    return int(n_shots)
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,7 @@ class ExperimentConfig:
             0.0 <= self.min_success_rate <= 1.0, "min_success_rate must be in [0, 1]"
         )
         _require(self.workers >= 0, "workers must be >= 0")
-        _require_shots(name, mode, policy, self.algorithm.get("n_shots"))
+        _shot_budget(name, mode, policy, self.algorithm.get("n_shots"))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -219,8 +230,7 @@ def dispatch(
         )
     d = spec.wire_dim
     povms = povm_preset(alg.get("povm", f"sic{d}"), d)
-    _require_shots(name, session.mode, session.query_policy, alg.get("n_shots"))
-    n_shots = int(alg.get("n_shots", 0))
+    n_shots = _shot_budget(name, session.mode, session.query_policy, alg.get("n_shots"))
     if name == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
         _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")

@@ -3,8 +3,8 @@
 ``conftest.reference_born_table`` contracts each wire's POVM elements with
 the dense operator.  ``povm.product_born_table`` applies each wire's POVM
 rows to the columns of a factor ``C = V V^H`` and never forms ``C``; the
-two must agree, and a session's samples must be the multinomial of the
-reference table.  A session's exact pair distributions must match the
+two must agree, and a session's samples must be the multinomial draw of
+the reference table.  A session's exact pair distributions must match the
 dense partial trace.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from conftest import reference_born_table, session_born_table
 
 from causalcomb.combs import build_choi, choi_factor, gen_unitary_comb, trace_out_tooth
-from causalcomb.oracle import OracleConfig, OracleSession
+from causalcomb.oracle import OracleConfig, OracleSession, _multinomial
 from causalcomb.povm import IcPovm, pair_probs, povm_preset, product_born_table, sic_qubit
 from causalcomb.tensors import Op, WireSpace, partial_trace
 
@@ -139,8 +139,7 @@ def test_sampled_counts_are_the_multinomial_of_the_reference(n):
     choi = build_choi(spec)
     want = np.clip(reference_born_table(choi, {l: sic for l in choi.labels}), 0.0, None)
     want /= want.sum()
-    expected = np.random.default_rng(46).multinomial(shots, want.reshape(-1))
-    np.testing.assert_array_equal(counts, expected.reshape(want.shape))
+    np.testing.assert_array_equal(counts, _multinomial(np.random.default_rng(46), shots, want))
 
 
 def test_one_table_at_n5_stays_small():

@@ -2,6 +2,9 @@
 
 import io
 import json
+import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from causalcomb.oracle import (
     OracleConfig,
     OracleSession,
     PrepRecipe,
+    _multinomial,
     swap_test_estimate,
     swap_test_sample_size,
 )
@@ -86,6 +90,83 @@ def test_sampling_agrees_with_exact_table():
     tv = 0.5 * np.abs(counts / shots - exact).sum()
     assert tv < 0.02
     assert session.query_count == shots
+
+
+class _CallCounter:
+    """A generator that counts which of its methods are called."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize(
+    "n, weights, branches, draws",
+    [
+        (40, [5.0, 3.0, 2.0, 0.0], {"poisson", "random", "choice"}, 200_000),  # top-up and thinning
+        (5, [1.0, 0.0, 2.0, 3.0, 1.0, 4.0, 2.0, 3.0], {"random"}, 20_000),  # fewer shots than cells
+        (1, [1.0, 3.0, 0.0, 2.0], {"random"}, 20_000),
+    ],
+)
+def test_multinomial_draws_the_multinomial_law(n, weights, branches, draws):
+    p = np.array(weights) / sum(weights)
+    rng = _CallCounter(np.random.default_rng([61, n]))
+    x = np.array([_multinomial(rng, n, np.array(weights)) for _ in range(draws)])
+    assert set(rng.calls) == branches
+    assert (x.sum(axis=1) == n).all() and x.min() >= 0
+    assert (x[:, p == 0] == 0).all()
+
+    def within_5_se(terms, want):
+        se = terms.std(axis=0) / math.sqrt(draws)
+        assert (np.abs(terms.mean(axis=0) - want) <= 5 * se).all()
+
+    dev = x - n * p
+    within_5_se(x, n * p)
+    within_5_se(dev**2, n * p * (1 - p))
+    within_5_se(dev[:, 0] * dev[:, 1], -n * p[0] * p[1])
+    # chi-square of cell 0 against its Binomial(n, p_0) pmf, tails lumped
+    # until every bin expects at least five draws
+    pmf = np.array([math.comb(n, k) * p[0] ** k * (1 - p[0]) ** (n - k) for k in range(n + 1)])
+    expected, observed = draws * pmf, np.bincount(x[:, 0], minlength=n + 1)
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+
+    def lump(a):
+        return np.r_[a[: lo + 1].sum(), a[lo + 1 : hi], a[hi:].sum()]
+
+    expected, observed = lump(expected), lump(observed)
+    chi2, dof = ((observed - expected) ** 2 / expected).sum(), len(expected) - 1
+    assert chi2 <= dof + 5 * math.sqrt(2 * dof), (chi2, dof)
+
+
+@pytest.mark.parametrize("n", [100_000, 350_000_000])
+def test_multinomial_allocates_only_the_counts(n):
+    """The table is overwritten in place: at 2^20 cells only the int64 counts
+    and at most 1 MB besides are allocated, for one shot in ten cells and
+    for the 3.5e8 shots of a criterion-7 budget alike."""
+    cells = 2**20
+    weights = np.random.default_rng(62).random(cells) ** 4
+    tracemalloc.start()
+    try:
+        counts = _multinomial(np.random.default_rng(63), n, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == n
+    assert peak <= counts.nbytes + 2**20, peak
+
+
+def test_sample_batch_refuses_a_fractional_shot_budget():
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(64))
+    config = OracleConfig(mode="sampled", seed=65, query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    with pytest.raises(TypeError):
+        session.sample_batch(1000.5, sic_qubit())
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    assert session.sample_batch(np.int64(1000), sic_qubit()).sum() == 1000
+    assert session.query_count == 1000
 
 
 def test_negative_probability_mass_raises_and_bills_nothing():
@@ -266,7 +347,7 @@ def test_each_povm_gets_its_own_statistics():
         want /= want.sum()
         got = exact.pair_distribution("A2", "B1", povm)
         np.testing.assert_allclose(got, want.sum(axis=(0, 3)), atol=1e-12)
-        counts = draws.multinomial(1000, want.reshape(-1)).reshape(want.shape)
+        counts = _multinomial(draws, 1000, want)
         np.testing.assert_array_equal(sampled.sample_batch(1000, povm), counts)
         del povm  # frees its id for the next POVM
 

@@ -1,6 +1,7 @@
 """Experiment configs, per-trial verification, and batch summaries."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -177,6 +178,23 @@ def test_dispatch_refuses_an_unnamed_budget_it_would_bill():
     with pytest.raises(ConfigError, match="n_shots"):
         dispatch(session, spec, {"name": "memoryless"})
     assert session.query_count == 0
+
+
+def test_fractional_shot_budget_is_a_config_error(tmp_path, capsys):
+    """1000.5 shots is refused, not silently cut to 1000; 1e5 is a whole number."""
+    base = dict(generator={"kind": "memoryless", "n": 2}, oracle={"mode": "sampled"})
+    with pytest.raises(ConfigError, match="whole number"):
+        ExperimentConfig(algorithm={"name": "memoryless", "n_shots": 1000.5}, **base)
+    ExperimentConfig(algorithm={"name": "memoryless", "n_shots": 1e5}, **base)
+    spec = generate_comb({"kind": "memoryless", "n": 2}, np.random.default_rng(0))
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=1))
+    with pytest.raises(ConfigError, match="whole number"):
+        dispatch(session, spec, {"name": "memoryless", "n_shots": 1000.5})
+    assert session.query_count == 0
+    cfg = tmp_path / "half_shot.json"
+    cfg.write_text(json.dumps({**base, "algorithm": {"name": "memoryless", "n_shots": 1000.5}}))
+    assert cli.main(["bench", str(cfg)]) == 2
+    assert "whole number" in capsys.readouterr().err
 
 
 def test_general_trial_verifies_past_the_dense_cap():
