@@ -36,7 +36,7 @@ import numpy as np
 from .tensors import (
     Op,
     WireSpace,
-    correlation_norm,
+    correlation_norms,
     fold,
     haar_unitary,
     kron_all,
@@ -541,17 +541,16 @@ def pairwise_correlation_floor(spec: CombSpec) -> float:
     Pairs with j < i in tooth order are causally forced to be exactly
     uncorrelated and are excluded from the floor.  Each pair marginal is
     read from the comb's purification by :func:`~causalcomb.tensors.marginal`,
-    so no Choi-sized array is formed.
+    so no Choi-sized array is formed, and the n(n+1)/2 of them go through
+    one stacked :func:`~causalcomb.tensors.correlation_norms` call.
     """
     space, v = choi_factor(spec)
-    floor = math.inf
-    for i in range(spec.n):
-        for j in range(i, spec.n):
-            a = input_label(spec.input_perm[i])
-            b = output_label(spec.output_perm[j])
-            pair = Op(WireSpace((a, b), (spec.wire_dim,) * 2), marginal(space, v, [a, b]))
-            floor = min(floor, correlation_norm(pair, [a]))
-    return floor
+    pairs = [
+        marginal(space, v, [input_label(spec.input_perm[i]), output_label(spec.output_perm[j])])
+        for i in range(spec.n)
+        for j in range(i, spec.n)
+    ]
+    return float(correlation_norms(np.stack(pairs), spec.wire_dim).min())
 
 
 def gen_totalorder_comb(

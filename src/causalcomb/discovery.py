@@ -30,7 +30,8 @@ Three strategies, in decreasing order of generality and cost:
     run reports it.
 
 Correlations are estimated by two-sided linear inversion of the pairwise
-outcome frequencies (:func:`correlation_from_freqs`); the frame
+outcome frequencies (:func:`correlation_from_freqs`, which takes a whole
+stack of pairs in one call); the frame
 eigenvalues of the POVMs give non-asymptotic accuracy bounds
 (:func:`correlation_error_bound`) used to size shot budgets
 (:func:`correlation_sample_size`).
@@ -59,7 +60,7 @@ from .povm import (
     reconstruct_pair,
     state_set_of,
 )
-from .tensors import Op, WireSpace, correlation_norm
+from .tensors import correlation_norms
 
 __all__ = [
     "IndMatrix",
@@ -85,18 +86,17 @@ NOT_MEMORYLESS = "assumption violated: a wire correlates with more than one part
 # correlation estimation
 
 
-def correlation_from_freqs(
-    freqs: np.ndarray, povm_a: IcPovm, povm_b: IcPovm
-) -> float:
-    """Correlation estimate from a joint outcome frequency matrix.
+def correlation_from_freqs(freqs: np.ndarray, povm_a: IcPovm, povm_b: IcPovm):
+    """Correlation estimates from joint outcome frequency matrices.
 
-    Reconstructs the bipartite state by two-sided linear inversion and
+    Reconstructs each bipartite state by two-sided linear inversion and
     returns its trace-norm distance from the product of its marginals.
-    Exact Born frequencies give the exact correlation.
+    Exact Born frequencies give the exact correlation.  ``freqs`` may
+    carry leading axes, a stack of pairs measured with the same two
+    POVMs; then the result is an array of that leading shape, and one
+    matrix gives a float.
     """
-    hat = reconstruct_pair(povm_a, povm_b, freqs)
-    op = Op(WireSpace(("L", "R"), (povm_a.dim, povm_b.dim)), hat)
-    return correlation_norm(op, ["L"])
+    return correlation_norms(reconstruct_pair(povm_a, povm_b, freqs), povm_a.dim)
 
 
 def xi_constant(povm_a: IcPovm, povm_b: IcPovm) -> float:
@@ -192,6 +192,9 @@ def independence_matrix(
     and reads every pair's marginal off them.  Exact mode reads each
     pair's exact distribution (the infinite-shot limit) and forms no joint
     table; it still bills the nominal budget under the theoretical policy.
+    The pairs measured with the same two POVMs are estimated together, in
+    one stacked :func:`correlation_from_freqs` call: one call in all when
+    every wire shares a POVM.
     """
     ins, outs = session.input_labels, session.output_labels
     pmap = povm_by_label(povms, session.wires)
@@ -201,11 +204,17 @@ def independence_matrix(
     else:
         marginals = [[session.pair_distribution(a, b, povms) for b in outs] for a in ins]
         session.note_virtual_queries(n_shots, op="independence")
-    est = np.zeros((len(ins), len(outs)))
+    # one stacked estimate per distinct pair of POVMs, keyed by identity
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, a in enumerate(ins):
         for j, b in enumerate(outs):
-            pair = marginals[i][j]
-            est[i, j] = correlation_from_freqs(pair / pair.sum(), pmap[a], pmap[b])
+            groups.setdefault((id(pmap[a]), id(pmap[b])), []).append((i, j))
+    est = np.zeros((len(ins), len(outs)))
+    for cells in groups.values():
+        pairs = np.stack([marginals[i][j] for i, j in cells])
+        rows, cols = zip(*cells)
+        freqs = pairs / pairs.sum(axis=(1, 2), keepdims=True)
+        est[rows, cols] = correlation_from_freqs(freqs, pmap[ins[rows[0]]], pmap[outs[cols[0]]])
     est.setflags(write=False)
     return IndMatrix(
         input_labels=ins,

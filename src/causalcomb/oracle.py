@@ -317,8 +317,11 @@ class OracleSession:
         multinomial draw over the whole table (:func:`_multinomial`), which
         is statistically identical to looping single shots and costs
         ``n_shots`` queries either way.  ``n_shots`` must be an integer:
-        a float raises ``TypeError`` before anything is drawn or billed.
+        a float or a boolean raises ``TypeError`` before anything is drawn
+        or billed.
         """
+        if isinstance(n_shots, bool):
+            raise TypeError("a boolean is not a number of shots")
         n_shots = operator.index(n_shots)
         if self.mode != "sampled":
             raise ValueError("sample_batch requires sampled mode")

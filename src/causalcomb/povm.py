@@ -345,22 +345,23 @@ def reconstruct(povm: IcPovm, probs: Sequence[float]) -> np.ndarray:
 
 
 def reconstruct_pair(povm_a: IcPovm, povm_b: IcPovm, joint: np.ndarray) -> np.ndarray:
-    """Two-sided linear inversion of a joint outcome matrix.
+    """Two-sided linear inversion of joint outcome matrices.
 
-    ``joint[a, b]`` are (empirical) probabilities of outcome pair (a, b)
-    under the product measurement; the result is the Hermitized
-    reconstruction on the bipartite space, exact when the matrix holds
-    exact Born values.
+    ``joint[..., a, b]`` are (empirical) probabilities of outcome pair
+    (a, b) under the product measurement, for any number of leading
+    axes; the result holds the Hermitized reconstruction on the
+    bipartite space for each, exact when the matrix holds exact Born
+    values.
     """
     joint = np.asarray(joint, dtype=float)
-    if joint.shape != (povm_a.size, povm_b.size):
+    if joint.shape[-2:] != (povm_a.size, povm_b.size):
         raise ValueError(
-            f"joint shape {joint.shape} != ({povm_a.size}, {povm_b.size})"
+            f"joint shape {joint.shape} does not end in ({povm_a.size}, {povm_b.size})"
         )
     v = povm_a.dual @ joint @ povm_b.dual.T  # indices ((i,i'), (j,j'))
-    da, db = povm_a.dim, povm_b.dim
-    mat = v.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
-    return (mat + mat.conj().T) / 2
+    da, db, lead = povm_a.dim, povm_b.dim, joint.shape[:-2]
+    mat = v.reshape(lead + (da, da, db, db)).swapaxes(-3, -2).reshape(lead + (da * db,) * 2)
+    return (mat + mat.conj().swapaxes(-2, -1)) / 2
 
 
 def frame_norm_bounds(povm: IcPovm, rho, sigma) -> dict:

@@ -88,14 +88,19 @@ def _check_algorithm(alg: Mapping[str, Any]) -> str:
 def _shot_budget(name: str, mode: str, policy: str, n_shots) -> int:
     """The algorithm's shot budget, 0 when none is named.
 
-    A budget is a whole number of shots; ``1000.5`` is refused, not cut to
-    ``1000``.  A promise algorithm draws its budget in sampled mode and
-    bills it under the theoretical policy; either way it must be named.
+    A budget is a whole number of shots, at least 0; ``1000.5`` is
+    refused, not cut to ``1000``, and so are ``-5`` and a boolean, which
+    names no number of shots.  A promise algorithm draws its budget in
+    sampled mode and bills it under the theoretical policy; either way it
+    must be named.
     """
-    n_shots = n_shots or 0
+    n_shots = 0 if n_shots is None else n_shots
     _require(
-        isinstance(n_shots, numbers.Real) and float(n_shots).is_integer(),
-        f"n_shots must be a whole number of shots, got {n_shots!r}",
+        isinstance(n_shots, numbers.Real)
+        and not isinstance(n_shots, bool)
+        and float(n_shots).is_integer()
+        and n_shots >= 0,
+        f"n_shots must be a non-negative whole number of shots, got {n_shots!r}",
     )
     if name in PROMISE_ALGORITHMS and (mode == "sampled" or policy == "theoretical"):
         _require(

@@ -38,6 +38,7 @@ __all__ = [
     "is_hermitian",
     "numerical_rank",
     "correlation_norm",
+    "correlation_norms",
     "haar_unitary",
     "random_density",
     "random_pure_state",
@@ -272,39 +273,49 @@ _HERMITIAN_ROWS = 64
 
 
 def _largest_part(a: np.ndarray):
-    """Largest absolute real or imaginary part; NaN if ``a`` holds one."""
-    return np.maximum(np.abs(a.real).max(), np.abs(a.imag).max())
+    """Largest absolute real or imaginary part of each matrix; NaN if it holds one."""
+    return np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
 
 
-def is_hermitian(m: np.ndarray) -> bool:
+def is_hermitian(m: np.ndarray):
     """Whether no part of ``m - m^H`` exceeds 1e-12 times the largest of ``m``.
 
-    Block row ``r`` is compared from its diagonal block rightwards, which
-    covers every pair of mirrored entries once.  A NaN entry makes it false.
+    ``m`` is one matrix or a stack ``(..., n, n)``; a stack gets one
+    verdict per matrix, as a boolean array.  Block row ``r`` is compared
+    from its diagonal block rightwards, which covers every pair of
+    mirrored entries once.  A NaN entry makes it false.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         return False
     asym = scale = 0.0
-    for r in range(0, m.shape[0], _HERMITIAN_ROWS):
-        rows, cols = m[r : r + _HERMITIAN_ROWS], m[r:, r : r + _HERMITIAN_ROWS]
+    for r in range(0, m.shape[-1], _HERMITIAN_ROWS):
+        rows = m[..., r : r + _HERMITIAN_ROWS, :]
+        cols = m[..., r:, r : r + _HERMITIAN_ROWS]
         # np.maximum, unlike max, carries a NaN through
-        asym = np.maximum(asym, _largest_part(rows[:, r:] - cols.conj().T))
+        asym = np.maximum(asym, _largest_part(rows[..., r:] - cols.conj().swapaxes(-2, -1)))
         scale = np.maximum(scale, _largest_part(rows))
-    return bool(asym <= _HERMITIAN_RTOL * scale)
+    ok = asym <= _HERMITIAN_RTOL * scale
+    return bool(ok) if m.ndim == 2 else ok
 
 
-def trace_norm(x) -> float:
-    """Sum of singular values (Schatten 1-norm).
+def trace_norm(x):
+    """Sum of singular values (Schatten 1-norm), per matrix of a stack.
 
     A Hermitian matrix, up to a relative asymmetry of 1e-12, takes the
     eigenvalue path: its singular values are the absolute values of its
     eigenvalues, and ``eigvalsh`` costs about half an SVD.  Any other
-    matrix goes through the SVD.
+    matrix goes through the SVD.  One matrix gives a float; a stack
+    ``(..., n, n)`` an array of its leading shape.
     """
     m = _mat(x)
-    if is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    herm = is_hermitian(m)
+    if m.ndim == 2:
+        s = np.abs(np.linalg.eigvalsh(m)) if herm else np.linalg.svd(m, compute_uv=False)
+        return float(s.sum())
+    out = np.empty(m.shape[:-2])
+    out[herm] = np.abs(np.linalg.eigvalsh(m[herm])).sum(axis=-1)
+    out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
+    return out
 
 
 def numerical_rank(x, tol: float = 1e-10) -> int:
@@ -325,10 +336,25 @@ def correlation_norm(x: Op, side_a: Sequence[str]) -> float:
     side_b = [l for l in x.labels if l not in set(side_a)]
     if not side_a or not side_b:
         raise ValueError("both sides of the cut must be non-empty")
-    rho_a = partial_trace(x, side_a)
-    rho_b = partial_trace(x, side_b)
-    prod = reorder(tensor(rho_a, rho_b), x.labels)
-    return trace_norm(x.matrix - prod.matrix)
+    d_a = math.prod(x.dim_of(l) for l in side_a)
+    return correlation_norms(reorder(x, side_a + side_b).matrix, d_a)
+
+
+def correlation_norms(m: np.ndarray, d_a: int):
+    """``||rho - rho_A (x) rho_B||_1`` for each matrix ``rho`` of a stack ``(..., d, d)``.
+
+    Each matrix is on ``A (x) B`` in that Kronecker order, with ``A`` of
+    dimension ``d_a``; ``rho_A`` and ``rho_B`` are its partial traces.
+    One matrix gives a float, a stack an array of its leading shape; the
+    whole stack takes one :func:`trace_norm` call.
+    """
+    m = np.asarray(m)
+    lead, d = m.shape[:-2], m.shape[-1]
+    t = m.reshape(lead + (d_a, d // d_a) * 2)
+    rho_a = np.einsum("...ijkj->...ik", t)
+    rho_b = np.einsum("...ijil->...jl", t)
+    prod = rho_a[..., :, None, :, None] * rho_b[..., None, :, None, :]
+    return trace_norm((t - prod).reshape(m.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,28 @@ one is compared against, :func:`reference_born_table` the dense Born
 table the factored one is compared against, :func:`session_born_table`
 the whole normalized table a session samples from, and
 :func:`global_unitary_choi` a process with no causal order.
+:func:`reference_correlation_norm` is the per-pair correlation formula the
+stacked kernel is compared against, and :func:`pauli6` a six-outcome
+qubit POVM to mix with the SIC.
 """
 
 import numpy as np
 
 from causalcomb.combs import CombCheck
-from causalcomb.povm import povm_by_label, product_born_table
+from causalcomb.povm import IcPovm, povm_by_label, product_born_table
 from causalcomb.tensors import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     Op,
     WireSpace,
     haar_unitary,
     max_entangled_ket,
     partial_trace,
+    reorder,
     sort_wires,
     tensor,
+    trace_norm,
 )
 
 ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
@@ -103,3 +111,16 @@ def global_unitary_choi(n, seed):
     v = np.kron(np.eye(dim), u) @ max_entangled_ket(dim)
     labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
     return Op(WireSpace(labels, (2,) * (2 * n)), np.outer(v, v.conj()))
+
+
+def reference_correlation_norm(x, side_a):
+    """``||x - x_A (x) x_B||_1`` one operator at a time: partial traces, Kronecker product, reorder."""
+    side_b = [l for l in x.labels if l not in side_a]
+    prod = reorder(tensor(partial_trace(x, side_a), partial_trace(x, side_b)), x.labels)
+    return trace_norm(x.matrix - prod.matrix)
+
+
+def pauli6():
+    """The six Pauli eigenprojectors, each weighted 1/3: an IC qubit POVM of six outcomes."""
+    els = [(np.eye(2) + s * p) / 6 for p in (PAULI_X, PAULI_Y, PAULI_Z) for s in (1, -1)]
+    return IcPovm(tuple(els), kind="povm", name="pauli6")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import reference_correlation_norm
 
+import causalcomb.combs as combs
 from causalcomb.combs import (
     CombSpec,
     RejectionBudgetError,
@@ -199,6 +201,38 @@ def test_totalorder_comb_meets_floor():
     assert floor == pytest.approx(dense, abs=1e-12)
     assert spec.metadata["achieved_chi_min"] == pytest.approx(floor)
     assert check_comb_condition(build_choi(spec), spec.true_order).ok
+
+
+def _reference_floor(spec):
+    """The correlation floor one dense pair at a time, with the per-pair formula."""
+    choi = build_choi(spec)
+    return min(
+        reference_correlation_norm(partial_trace(choi, [a, b]), [a])
+        for i, (a, _) in enumerate(spec.true_order)
+        for _, b in spec.true_order[i:]
+    )
+
+
+@pytest.mark.parametrize("n, d_m", [(1, 1), (2, 2), (3, 4), (4, 1), (4, 2)])
+def test_pairwise_correlation_floor_matches_the_per_pair_loop(n, d_m):
+    rng = np.random.default_rng([44, n, d_m])
+    for _ in range(3):
+        spec = gen_unitary_comb(n, 2, d_m, rng)
+        want = _reference_floor(spec)
+        assert pairwise_correlation_floor(spec) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_totalorder_generator_draws_what_the_per_pair_loop_draws(n, monkeypatch):
+    got = gen_totalorder_comb(n, 2, 2, np.random.default_rng([45, n]))
+    monkeypatch.setattr(combs, "pairwise_correlation_floor", _reference_floor)
+    want = gen_totalorder_comb(n, 2, 2, np.random.default_rng([45, n]))
+    assert (got.input_perm, got.output_perm) == (want.input_perm, want.output_perm)
+    np.testing.assert_array_equal(got.psi0, want.psi0)
+    for u, v in zip(got.unitaries, want.unitaries, strict=True):
+        np.testing.assert_array_equal(u, v)
+    chi, want_chi = got.metadata["achieved_chi_min"], want.metadata["achieved_chi_min"]
+    assert chi == pytest.approx(want_chi, rel=0, abs=1e-12)
 
 
 def test_totalorder_rejection_budget_error_carries_best():

@@ -169,6 +169,21 @@ def test_sample_batch_refuses_a_fractional_shot_budget():
     assert session.query_count == 1000
 
 
+def test_sample_batch_refuses_a_boolean_or_negative_shot_budget():
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(66))
+    config = OracleConfig(mode="sampled", seed=67, query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    for bad, error in ((True, TypeError), (np.True_, TypeError), (-5, ValueError)):
+        with pytest.raises(error):
+            session.sample_batch(bad, sic_qubit())
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    # nothing was drawn either: the first counts are those of a fresh session
+    fresh = OracleSession(spec, OracleConfig(mode="sampled", seed=67))
+    np.testing.assert_array_equal(
+        session.sample_batch(100, sic_qubit()), fresh.sample_batch(100, sic_qubit())
+    )
+
+
 def test_negative_probability_mass_raises_and_bills_nothing():
     # unit trace and Hermitian, but -7/8 on |0000>: the all-|0> SIC outcome,
     # whose elements all contain |0><0| / 2, gets probability (2/16 - 1) / 16

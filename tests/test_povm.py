@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import pauli6
 
 import causalcomb.povm as povm_module
 from causalcomb.povm import (
@@ -161,6 +162,19 @@ def test_dual_frame_is_computed_once_per_povm(monkeypatch):
         np.testing.assert_array_equal(got, (v + v.conj().T) / 2)
     assert len(calls) == 1
     assert sic.dual is sic.dual
+
+
+def test_reconstruct_pair_of_a_stack_is_the_call_on_each_slice():
+    rng = np.random.default_rng(9)
+    sic, pauli = sic_qubit(), pauli6()
+    joint = rng.dirichlet(np.ones(24), size=(3, 5)).reshape(3, 5, 4, 6)
+    got = reconstruct_pair(sic, pauli, joint)
+    assert got.shape == (3, 5, 4, 4)
+    for k in range(3):
+        for l in range(5):
+            np.testing.assert_array_equal(got[k, l], reconstruct_pair(sic, pauli, joint[k, l]))
+    with pytest.raises(ValueError, match="does not end in"):
+        reconstruct_pair(sic, pauli, joint.swapaxes(-2, -1))
 
 
 def test_frame_norm_bounds_bracket_hs_distance():

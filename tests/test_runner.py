@@ -197,6 +197,24 @@ def test_fractional_shot_budget_is_a_config_error(tmp_path, capsys):
     assert "whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_shots", [-5, True, False])
+def test_negative_or_boolean_shot_budget_is_a_config_error(n_shots, tmp_path, capsys):
+    """Even where no shot is drawn or billed: exact mode under the actual policy."""
+    base = dict(generator={"kind": "memoryless", "n": 2}, trials=1)
+    alg = {"name": "memoryless", "n_shots": n_shots}
+    with pytest.raises(ConfigError, match="non-negative whole number"):
+        ExperimentConfig(algorithm=alg, **base)
+    spec = generate_comb(base["generator"], np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="non-negative whole number"):
+        dispatch(OracleSession(spec), spec, alg)
+    cfg = tmp_path / "bad_budget.json"
+    cfg.write_text(json.dumps({**base, "algorithm": alg}))
+    assert cli.main(["bench", str(cfg)]) == 2
+    assert "non-negative whole number" in capsys.readouterr().err
+    # 0 still names no budget
+    assert run_trial(ExperimentConfig(algorithm={**alg, "n_shots": 0}, **base), 0).ok
+
+
 def test_general_trial_verifies_past_the_dense_cap():
     """n = 6 with a qubit memory: the dense Choi alone would be 256 MB."""
     config = ExperimentConfig(

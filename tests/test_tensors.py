@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from conftest import reference_correlation_norm
 
 from causalcomb.tensors import (
     Op,
     WireSpace,
     contract_wire,
     correlation_norm,
+    correlation_norms,
     fold,
     haar_unitary,
+    is_hermitian,
     kron_all,
     max_entangled_ket,
     numerical_rank,
@@ -193,6 +196,53 @@ def test_correlation_norm_bell_vs_product():
         Op(WireSpace(("B1",), (2,)), random_density(2, rng=rng)),
     )
     assert correlation_norm(prod, ["A1"]) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2)])
+def test_correlation_norms_match_the_per_pair_formula(d_a, d_b):
+    """Full-rank and rank-deficient states, one stacked call against one operator at a time."""
+    rng = np.random.default_rng([40, d_a, d_b])
+    d = d_a * d_b
+    states = [random_density(d, rank, rng) for rank in (d, d, 2, 1, 1)]
+    states.append(np.kron(random_density(d_a, rng=rng), random_density(d_b, rng=rng)))
+    stack = np.stack(states).reshape(2, 3, d, d)
+    got = correlation_norms(stack, d_a)
+    assert got.shape == (2, 3)
+    space = WireSpace(("A1", "B1"), (d_a, d_b))
+    for k, rho in enumerate(states):
+        want = reference_correlation_norm(Op(space, rho), ["A1"])
+        assert got.flat[k] == pytest.approx(want, rel=0, abs=1e-12)
+        assert correlation_norms(rho, d_a) == pytest.approx(want, rel=0, abs=1e-12)
+    assert got[1, 2] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_correlation_norm_reorders_a_cut_that_is_not_leading():
+    rng = np.random.default_rng(41)
+    x = Op(WireSpace(("A1", "A2", "B1"), (2, 3, 2)), random_density(12, 3, rng))
+    for side_a in (["A2"], ["B1"], ["A1", "B1"], ["B1", "A1"]):
+        want = reference_correlation_norm(x, side_a)
+        assert correlation_norm(x, side_a) == pytest.approx(want, rel=0, abs=1e-12)
+    with pytest.raises(ValueError, match="non-empty"):
+        correlation_norm(x, ["A1", "A2", "B1"])
+
+
+def test_trace_norm_of_a_stack_takes_each_matrix_rule():
+    """A stack's Hermitian matrices take ``eigvalsh``, the others the SVD, as one matrix does."""
+    rng = np.random.default_rng(42)
+    z = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    stack = np.stack([z[0] + z[0].conj().T, z[1], z[2] + z[2].conj().T])
+    stack[2, 5, 0] += 1e-6  # asymmetric far past the tolerance
+    assert list(is_hermitian(stack)) == [True, False, False]
+    assert is_hermitian(stack[0]) is True
+    got = trace_norm(stack)
+    for k in range(3):
+        svd_sum = np.linalg.svd(stack[k], compute_uv=False).sum()
+        assert got[k] == trace_norm(stack[k])
+        assert got[k] == pytest.approx(svd_sum, rel=1e-12)
+    # the eigenvalue sum of the lower triangle would be a different number
+    for k in (1, 2):
+        assert np.abs(np.linalg.eigvalsh(stack[k])).sum() != pytest.approx(got[k], rel=1e-9)
+    assert trace_norm(stack.reshape(1, 3, 6, 6)).shape == (1, 3)
 
 
 def test_haar_unitary_is_unitary_and_seeded():
