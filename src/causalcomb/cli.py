@@ -9,11 +9,14 @@ lemmas    run the numerical consistency battery
 bench     run a batch experiment from a JSON config
 
 Exit codes: 0 on success, 1 when a discovery or check fails, 2 for bad
-configuration or arguments (a malformed comb file included, and a
-correlation floor that no draw reaches within the rejection budget), 3
-when a numerical routine fails (for example an eigensolver that does not
-converge).  ``CAUSALCOMB_OUT_DIR`` sets the default output directory for
-generated files.
+configuration or arguments (an unknown key, a value of the wrong type, a
+malformed comb file, and a correlation floor that no draw reaches within
+the rejection budget), 3 when a numerical routine fails (for example an
+eigensolver that does not converge).  An unset generator, algorithm or
+oracle option takes the default of the runner's key tables or of the
+library call, as in ``bench``; only ``--n-shots`` has one of its own.
+``CAUSALCOMB_OUT_DIR`` sets the default output directory for generated
+files.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from .checks import lemma_suite
 from .combs import RejectionBudgetError, check_comb_condition, enumerate_orders
 from .oracle import OracleConfig, OracleSession
-from .runner import ALGORITHM_KEYS, ConfigError, ExperimentConfig, dispatch
-from .runner import generate_comb, run_experiment
+from .runner import ALGORITHM_KEYS, ALGORITHM_NAME, GENERATOR_KINDS, SECTION_KEYS, ConfigError
+from .runner import ExperimentConfig, dispatch, generate_comb, given, read_section, run_experiment
 from .serialize import load_comb, load_json, save_comb, save_json
 
 EXIT_OK = 0
@@ -59,23 +62,15 @@ def _out_dir(explicit: str | None) -> Path:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    gen = {
-        "kind": args.kind,
-        "n": args.n,
-        "d": args.d,
-        "d_M": args.d_m,
-        "constant_tooth": args.constant_tooth,
-        "corr_floor": args.corr_floor,
-        "dressed": not args.undressed,
-    }
+    gen = read_section("generator", given(vars(args), SECTION_KEYS["generator"]))
     spec = generate_comb(gen, np.random.default_rng(args.seed))
-    out = args.out
+    kind, out = gen["kind"], args.out
     if out is None:
-        out = _out_dir(None) / f"{args.kind}_n{spec.n}_d{spec.wire_dim}_s{args.seed}.json"
+        out = _out_dir(None) / f"{kind}_n{spec.n}_d{spec.wire_dim}_s{args.seed}.json"
     save_comb(spec, out)
     print(f"wrote {out}")
     print(
-        f"kind={args.kind} n={spec.n} d={spec.wire_dim} d_M={spec.memory_dim} "
+        f"kind={kind} n={spec.n} d={spec.wire_dim} d_M={spec.memory_dim} "
         f"true-order={format_order(spec.true_order)}"
     )
     return EXIT_OK
@@ -83,14 +78,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
-    # only the keys the named algorithm reads; an unset option keeps its default
-    given = {k: getattr(args, k) for k in ALGORITHM_KEYS[args.algorithm]}
-    alg = {"name": args.algorithm, **{k: v for k, v in given.items() if v is not None}}
+    # only the set options the named algorithm reads; an unset one keeps its default
+    alg = given(vars(args), ["name", *ALGORITHM_KEYS[args.name or ALGORITHM_NAME[1]]])
+    oracle = given(vars(args), SECTION_KEYS["oracle"])
     log = open(args.query_log, "w") if args.query_log else None
     try:
-        config = OracleConfig(
-            mode=args.mode, seed=args.seed, query_policy=args.query_policy, query_log=log
-        )
+        config = OracleConfig(seed=args.seed, query_log=log, **oracle)
         report = dispatch(OracleSession(spec, config), spec, alg)
     finally:
         if log is not None:
@@ -185,45 +178,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="causalcomb", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
+    # a config option defaults to None, unset: its default is the runner's or the library's
     g = sub.add_parser("gen", help="generate a comb and write it to JSON")
-    g.add_argument("--kind", default="unitary",
-                   choices=["unitary", "memoryless", "totalorder", "signaling", "fig3"])
-    g.add_argument("--n", type=int, default=2, help="number of teeth")
-    g.add_argument("--d", type=int, default=2, help="wire dimension")
-    g.add_argument("--d-M", dest="d_m", type=int, default=2, help="memory dimension")
+    g.add_argument("--kind", choices=GENERATOR_KINDS)
+    g.add_argument("--n", type=int, help="number of teeth")
+    g.add_argument("--d", type=int, help="wire dimension")
+    g.add_argument("--d-M", dest="d_M", type=int, help="memory dimension")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--constant-tooth", action="store_true",
+    g.add_argument("--constant-tooth", action="store_const", const=True,
                    help="memoryless: make the last tooth a constant channel")
-    g.add_argument("--corr-floor", type=float, default=0.05,
+    g.add_argument("--corr-floor", type=float,
                    help="totalorder: required pairwise correlation floor")
-    g.add_argument("--undressed", action="store_true",
+    g.add_argument("--undressed", dest="dressed", action="store_const", const=False,
                    help="signaling: skip the random local dressing")
     g.add_argument("-o", "--out", default=None, help="output path")
     g.set_defaults(func=cmd_gen)
 
     d = sub.add_parser("discover", help="run a discovery algorithm on a stored comb")
     d.add_argument("comb", help="comb JSON written by gen")
-    d.add_argument("--algorithm", default="general",
-                   choices=["general", "totalorder", "memoryless"])
-    d.add_argument("--mode", default="exact", choices=["exact", "sampled"])
+    d.add_argument("--algorithm", dest="name", choices=ALGORITHM_NAME[0])
+    d.add_argument("--mode", choices=["exact", "sampled"])
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--query-policy", default="actual",
-                   choices=["actual", "theoretical"])
+    d.add_argument("--query-policy", choices=["actual", "theoretical"])
     d.add_argument("--query-log", default=None,
                    help="write one JSON line per oracle charge to this file")
-    d.add_argument("--delta", type=float, default=1e-6,
+    d.add_argument("--delta", type=float,
                    help="general: distance threshold for rejecting a pair")
-    d.add_argument("--kappa", type=float, default=0.05,
+    d.add_argument("--kappa", type=float,
                    help="general: failure probability of each swap test, so a run "
                         "may fail with up to (number of tests) x kappa")
     d.add_argument("--n-shots", type=int, default=100_000,
                    help="promise algorithms: prepare-and-measure shots per independence "
                         "matrix, drawn in sampled mode and billed under the theoretical policy")
-    d.add_argument("--chi-min", type=float, default=None,
+    d.add_argument("--chi-min", type=float,
                    help="totalorder: promised minimum causal correlation")
-    d.add_argument("--threshold", type=float, default=0.1,
+    d.add_argument("--threshold", type=float,
                    help="memoryless: correlation level declaring a pair related")
-    d.add_argument("--povm", default=None, help="POVM preset (default sic<d>)")
+    d.add_argument("--povm", help="POVM preset (default sic<d>)")
     d.add_argument("--verify", action="store_true",
                    help="check the emitted order against the stored comb")
     d.add_argument("--tol", type=float, default=1e-9,

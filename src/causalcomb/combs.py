@@ -57,6 +57,7 @@ __all__ = [
     "check_entries",
     "input_label",
     "output_label",
+    "wire_roles",
     "build_choi",
     "choi_factor",
     "verified_factor",
@@ -92,6 +93,21 @@ def input_label(i: int) -> str:
 
 def output_label(j: int) -> str:
     return f"B{j}"
+
+
+def wire_roles(labels: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The input wires ``A…`` and the output wires ``B…`` of a comb, in ``labels`` order.
+
+    Every wire must be one or the other, with as many inputs as outputs
+    and at least one of each; any other wire set raises ``ValueError``.
+    """
+    ins = tuple(l for l in labels if l.startswith("A"))
+    outs = tuple(l for l in labels if l.startswith("B"))
+    if len(ins) + len(outs) != len(labels) or len(ins) != len(outs) or not ins:
+        raise ValueError(
+            f"wires {tuple(labels)} are not n >= 1 inputs A... and as many outputs B..."
+        )
+    return ins, outs
 
 
 class RejectionBudgetError(RuntimeError):
@@ -254,11 +270,8 @@ def build_choi(spec: CombSpec) -> Op:
 
 def _validate_order(order: Sequence[Sequence[str]], space: WireSpace) -> CausalOrder:
     order = tuple((str(a), str(b)) for a, b in order)
-    ins = [p[0] for p in order]
-    outs = [p[1] for p in order]
-    have_in = sorted(l for l in space.labels if l.startswith("A"))
-    have_out = sorted(l for l in space.labels if l.startswith("B"))
-    if sorted(ins) != have_in or sorted(outs) != have_out:
+    ins, outs = wire_roles(space.labels)
+    if sorted(a for a, _ in order) != sorted(ins) or sorted(b for _, b in order) != sorted(outs):
         raise ValueError(
             f"order {order} does not cover the Choi wires {space.labels} exactly once each"
         )

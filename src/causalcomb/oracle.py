@@ -47,12 +47,12 @@ from typing import IO
 
 import numpy as np
 
-from .combs import CombSpec, check_entries, choi_factor, verified_factor
+from .combs import CombSpec, check_entries, choi_factor, verified_factor, wire_roles
 from .povm import pair_probs, povm_by_label, product_born_table
 from .tensors import Op, WireSpace, contract_wire, fold, marginal, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
-# this import site (ROADMAP item 1a)
+# this import site (ROADMAP item 1)
 from .combs import build_choi  # noqa: F401
 from .tensors import partial_trace  # noqa: F401
 
@@ -198,9 +198,12 @@ class OracleSession:
         """The one place every session, root or reduced, gets its fields.
 
         The hidden Choi operator is ``C = V V^H`` on the sorted wires of
-        ``space``.  A root session draws a fresh random stream and
-        query meter from ``config``; a reduced child passes in its parent's.
+        ``space``, whose input and output wires
+        :func:`~causalcomb.combs.wire_roles` sorts out once, here.  A root
+        session draws a fresh random stream and query meter from
+        ``config``; a reduced child passes in its parent's.
         """
+        self._inputs, self._outputs = wire_roles(space.labels)
         self._config = config
         self._space = space
         self._v = v
@@ -216,7 +219,10 @@ class OracleSession:
         """Root session on a raw Choi operator over wires ``A1..An, B1..Bn``.
 
         Nothing checks that ``choi`` is a comb, so this also admits
-        processes with no causal order at all.  The operator must fit under
+        processes with no causal order at all.  Its wires must be ``n >= 1``
+        inputs ``A…`` and ``n`` outputs ``B…``, as
+        :func:`~causalcomb.combs.wire_roles` decides; no wire is taken for
+        an environment and traced out.  The operator must fit under
         :data:`~causalcomb.combs.MAX_ENTRIES`, and it must be Hermitian
         positive semidefinite with a positive trace: the session opens on
         its factor from :func:`~causalcomb.combs.verified_factor`, the one
@@ -238,7 +244,8 @@ class OracleSession:
 
         The named input is fed maximally mixed and the named output is
         discarded on every future invocation.  The child shares this
-        session's query meter and random stream.
+        session's query meter and random stream.  It must keep at least one
+        tooth: shutting the last one raises ``ValueError``.
 
         Both wires are folded into the factor's columns, which gives a
         factor ``K`` of the partial trace, and the Gram of ``K`` on its
@@ -280,18 +287,18 @@ class OracleSession:
 
     @property
     def input_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self.wires if l.startswith("A"))
+        return self._inputs
 
     @property
     def output_labels(self) -> tuple[str, ...]:
-        return tuple(l for l in self.wires if l.startswith("B"))
+        return self._outputs
 
     def dim_of(self, label: str) -> int:
         return self._space.dim_of(label)
 
     @property
     def n_teeth(self) -> int:
-        return len(self.input_labels)
+        return len(self._inputs)
 
     # -- prepare-and-measure sampling ---------------------------------------
 

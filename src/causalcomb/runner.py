@@ -15,7 +15,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 import numpy as np
 
@@ -36,12 +36,14 @@ from .discovery import (
 )
 from .oracle import OracleConfig, OracleSession
 from .povm import povm_preset
+from .serialize import is_whole
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "TrialResult",
     "RunSummary",
+    "read_section",
     "generate_comb",
     "dispatch",
     "run_trial",
@@ -49,18 +51,31 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("unitary", "memoryless", "totalorder", "signaling", "fig3")
-PROMISE_ALGORITHMS = ("totalorder", "memoryless")
-#: The keys each algorithm reads besides ``name``; any other key has no
-#: effect on it, so the algorithm section refuses it.
-ALGORITHM_KEYS = {
-    "general": ("delta", "kappa"),
-    "totalorder": ("povm", "n_shots", "chi_min"),
-    "memoryless": ("povm", "n_shots", "threshold"),
-}
-#: The keys the generator and oracle sections may hold; anything else is a typo.
+#: Each section's keys as ``key: (type, default)``; a tuple type lists the
+#: strings the key admits.  A default of ``None`` fills nothing in: the key
+#: reaches its library call only when given, so that call's default applies.
 SECTION_KEYS = {
-    "generator": ("kind", "n", "d", "d_M", "constant_tooth", "corr_floor", "dressed"),
-    "oracle": ("mode", "query_policy"),
+    "generator": {
+        "kind": (GENERATOR_KINDS, "unitary"), "n": (int, 2), "d": (int, 2), "d_M": (int, 2),
+        "constant_tooth": (bool, None), "corr_floor": (float, None), "dressed": (bool, True),
+    },
+    "oracle": {"mode": (str, None), "query_policy": (str, None)},
+}
+#: The keys each algorithm reads besides ``name``; any other would have no
+#: effect on it, so it is refused.  :func:`dispatch` fills in the two
+#: defaults that depend on the comb: ``povm`` and ``chi_min``.
+ALGORITHM_KEYS = {
+    "general": {"delta": (float, None), "kappa": (float, None)},
+    "totalorder": {"povm": (str, None), "n_shots": (int, 0), "chi_min": (float, None)},
+    "memoryless": {"povm": (str, None), "n_shots": (int, 0), "threshold": (float, 0.1)},
+}
+#: The algorithm section's ``name``, which picks the rest of its table.
+ALGORITHM_NAME = (tuple(ALGORITHM_KEYS), "general")
+#: What each type admits.  An int is a whole number, never negative: each
+#: counts something or seeds a generator.  A boolean is never a number.
+_TYPE_NAMES = {
+    int: "a non-negative whole number", float: "a real number",
+    bool: "true or false", str: "a string",
 }
 
 
@@ -73,52 +88,55 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _check_algorithm(alg: Mapping[str, Any]) -> str:
-    """The algorithm's name, once ``alg`` names a known one and only its keys."""
-    name, names = alg.get("name"), tuple(ALGORITHM_KEYS)
-    _require(name in names, f"algorithm.name must be one of {names}, got {name!r}")
-    extra = set(alg) - {"name", *ALGORITHM_KEYS[name]}
-    _require(
-        not extra,
-        f"unknown algorithm keys: {sorted(extra)} ({name!r} takes {ALGORITHM_KEYS[name]})",
-    )
-    return name
+def _typed(where: str, kind, value):
+    """``value`` as a ``kind`` of the key tables, or a ``ConfigError``."""
+    if isinstance(kind, tuple):
+        _require(value in kind, f"{where} must be one of {kind}, got {value!r}")
+        return value
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ok = is_whole(value) if kind is int else number if kind is float else isinstance(value, kind)
+    _require(ok, f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
-def _shot_budget(name: str, mode: str, policy: str, n_shots) -> int:
-    """The algorithm's shot budget, 0 when none is named.
+def read_section(section: str, values: Mapping[str, Any]) -> dict[str, Any]:
+    """The ``generator``, ``algorithm`` or ``oracle`` section, typed, with
+    its table's defaults filled in; an unknown key or a value of the wrong
+    type is a ``ConfigError``.  A section reads back unchanged."""
+    _require(isinstance(values, Mapping), f"{section} must be a mapping")
+    table = SECTION_KEYS.get(section)
+    if table is None:
+        choices, default = ALGORITHM_NAME
+        name = _typed("algorithm.name", choices, values.get("name", default))
+        table = {"name": ALGORITHM_NAME, **ALGORITHM_KEYS[name]}
+    extra = set(values) - set(table)
+    _require(not extra, f"unknown {section} keys: {sorted(extra)} (it takes {tuple(table)})")
+    return {
+        key: _typed(f"{section}.{key}", kind, values[key]) if key in values else default
+        for key, (kind, default) in table.items()
+        if key in values or default is not None
+    }
 
-    A budget is a whole number of shots, at least 0; ``1000.5`` is
-    refused, not cut to ``1000``, and so are ``-5`` and a boolean, which
-    names no number of shots.  A promise algorithm draws its budget in
-    sampled mode and bills it under the theoretical policy; either way it
-    must be named.
-    """
-    n_shots = 0 if n_shots is None else n_shots
-    _require(
-        isinstance(n_shots, numbers.Real)
-        and not isinstance(n_shots, bool)
-        and float(n_shots).is_integer()
-        and n_shots >= 0,
-        f"n_shots must be a non-negative whole number of shots, got {n_shots!r}",
-    )
-    if name in PROMISE_ALGORITHMS and (mode == "sampled" or policy == "theoretical"):
+
+def _require_budget(alg: Mapping[str, Any], mode: str, policy: str) -> None:
+    """A promise algorithm draws its ``n_shots`` in sampled mode and bills
+    them under the theoretical policy; either way it must name some."""
+    if "n_shots" in alg and (mode == "sampled" or policy == "theoretical"):
         _require(
-            n_shots > 0,
-            f"algorithm {name!r} needs n_shots in sampled mode or under the "
+            alg["n_shots"] > 0,
+            f"algorithm {alg['name']!r} needs n_shots in sampled mode or under the "
             "theoretical query policy",
         )
-    return int(n_shots)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one batch experiment.
 
-    ``generator`` and ``oracle`` hold only the keys ``SECTION_KEYS`` lists
-    for them, and ``algorithm`` its ``name`` and the keys
-    ``ALGORITHM_KEYS`` lists for that name; any other key is a
-    ``ConfigError``.
+    Each section is read by :func:`read_section`, and each other field by
+    the same rule for its annotated type; an unknown key or a value of the
+    wrong type is a ``ConfigError``.  The fields then hold the typed
+    values, the sections with their defaults filled in.
     """
 
     generator: Mapping[str, Any]
@@ -131,22 +149,16 @@ class ExperimentConfig:
     workers: int = 0
 
     def __post_init__(self):
-        _require(isinstance(self.generator, Mapping), "generator must be a mapping")
-        _require(isinstance(self.algorithm, Mapping), "algorithm must be a mapping")
-        _require(isinstance(self.oracle, Mapping), "oracle must be a mapping")
-        for section, keys in SECTION_KEYS.items():
-            extra = set(getattr(self, section)) - set(keys)
-            _require(not extra, f"unknown {section} keys: {sorted(extra)}")
-        kind = self.generator.get("kind")
-        _require(
-            kind in GENERATOR_KINDS,
-            f"generator.kind must be one of {GENERATOR_KINDS}, got {kind!r}",
-        )
-        name = _check_algorithm(self.algorithm)
-        mode = self.oracle.get("mode", "exact")
-        policy = self.oracle.get("query_policy", "actual")
+        types = get_type_hints(ExperimentConfig)
+        for f in fields(self):
+            value, kind = getattr(self, f.name), types[f.name]
+            if kind in _TYPE_NAMES:
+                value = _typed(f.name, kind, value)
+            else:
+                value = read_section(f.name, value)
+            object.__setattr__(self, f.name, value)
         try:
-            OracleConfig(mode=mode, seed=self.seed, query_policy=policy)
+            oracle = OracleConfig(seed=self.seed, **self.oracle)
         except ValueError as exc:
             raise ConfigError(f"bad oracle section: {exc}") from None
         _require(self.trials >= 1, "trials must be >= 1")
@@ -154,8 +166,7 @@ class ExperimentConfig:
         _require(
             0.0 <= self.min_success_rate <= 1.0, "min_success_rate must be in [0, 1]"
         )
-        _require(self.workers >= 0, "workers must be >= 0")
-        _shot_budget(name, mode, policy, self.algorithm.get("n_shots"))
+        _require_budget(self.algorithm, oracle.mode, oracle.query_policy)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -197,50 +208,52 @@ class RunSummary:
 
 
 def generate_comb(gen: Mapping[str, Any], rng: np.random.Generator) -> CombSpec:
-    """Instantiate the comb family described by a generator mapping."""
-    kind = gen["kind"]
-    n = int(gen.get("n", 2))
-    d = int(gen.get("d", 2))
+    """Instantiate the comb family a generator section describes.
+
+    The section is read by :func:`read_section`; ``constant_tooth`` and
+    ``corr_floor`` reach their generator only when given.
+    """
+    gen = read_section("generator", gen)
+    kind, n, d = gen["kind"], gen["n"], gen["d"]
     if kind == "unitary":
-        return gen_unitary_comb(n, d, int(gen.get("d_M", 2)), rng)
+        return gen_unitary_comb(n, d, gen["d_M"], rng)
     if kind == "memoryless":
-        return gen_memoryless_comb(n, d, rng, bool(gen.get("constant_tooth", False)))
+        return gen_memoryless_comb(n, d, rng, **given(gen, ["constant_tooth"]))
     if kind == "totalorder":
-        return gen_totalorder_comb(
-            n, d, int(gen.get("d_M", 2)), rng, float(gen.get("corr_floor", 0.05))
-        )
+        return gen_totalorder_comb(n, d, gen["d_M"], rng, **given(gen, ["corr_floor"]))
     if kind == "signaling":
-        return gen_signaling_comb(rng if gen.get("dressed", True) else None)
-    if kind == "fig3":
-        return gen_fig3_comb()
-    raise ConfigError(f"unknown generator kind {kind!r}")
+        return gen_signaling_comb(rng if gen["dressed"] else None)
+    return gen_fig3_comb()
+
+
+def given(values: Mapping[str, Any], keys) -> dict[str, Any]:
+    """The entries of ``values`` under ``keys`` that are set: not ``None``."""
+    return {k: v for k, v in values.items() if k in keys and v is not None}
 
 
 def dispatch(
     session: OracleSession, spec: CombSpec, alg: Mapping[str, Any]
 ) -> DiscoveryReport:
-    """Run the algorithm that ``alg`` names; missing keys take the defaults below.
+    """Run the algorithm that ``alg`` names, read by :func:`read_section`.
 
-    ``alg`` holds the name and only keys that algorithm reads
-    (``ALGORITHM_KEYS``); any other is a ``ConfigError``.  ``n_shots`` has
-    no default: a promise algorithm without one runs only in exact mode
-    under the actual policy, where no shot is drawn or billed.
+    An unset key takes its library call's default, except ``povm``
+    (``sic<d>``) and ``chi_min`` (the floor the generator stored).
+    ``n_shots`` defaults to 0, no budget: a promise algorithm without one
+    runs only in exact mode under the actual policy, where no shot is
+    drawn or billed.
     """
-    name = _check_algorithm(alg)
-    if name == "general":
-        return discover_general(
-            session,
-            delta=float(alg.get("delta", 1e-6)),
-            kappa=float(alg.get("kappa", 0.05)),
-        )
-    d = spec.wire_dim
-    povms = povm_preset(alg.get("povm", f"sic{d}"), d)
-    n_shots = _shot_budget(name, session.mode, session.query_policy, alg.get("n_shots"))
-    if name == "totalorder":
+    alg = read_section("algorithm", alg)
+    if alg["name"] == "general":
+        return discover_general(session, **given(alg, ["delta", "kappa"]))
+    povms = povm_preset(alg.get("povm", f"sic{spec.wire_dim}"), spec.wire_dim)
+    _require_budget(alg, session.mode, session.query_policy)
+    if alg["name"] == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
         _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")
-        return discover_totalorder(session, povms, n_shots, float(chi_min))
-    return discover_memoryless(session, povms, n_shots, float(alg.get("threshold", 0.1)))
+        # a given chi_min is read already, so only a stored floor can fail here
+        chi_min = _typed("the comb's achieved_chi_min", float, chi_min)
+        return discover_totalorder(session, povms, alg["n_shots"], chi_min)
+    return discover_memoryless(session, povms, alg["n_shots"], alg["threshold"])
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -252,12 +265,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng([config.seed, trial])
     spec = generate_comb(config.generator, rng)
-    ocfg = OracleConfig(
-        mode=config.oracle.get("mode", "exact"),
-        seed=_trial_seed(config.seed, trial),
-        query_policy=config.oracle.get("query_policy", "actual"),
-        trial=trial,
-    )
+    ocfg = OracleConfig(seed=_trial_seed(config.seed, trial), trial=trial, **config.oracle)
     report = dispatch(OracleSession(spec, ocfg), spec, config.algorithm)
     wall = (time.perf_counter() - t0) * 1e3
     if not report.ok:

@@ -7,6 +7,7 @@ innermost pairs; every file carries a ``format_version`` field.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 from typing import Any
 
@@ -31,7 +32,22 @@ __all__ = [
     "save_json",
     "load_json",
     "jsonable",
+    "is_whole",
 ]
+
+
+def is_whole(value) -> bool:
+    """Whether ``value`` is a whole number: ``0``, ``3`` or ``3.0``, never
+    ``2.6``, ``-1``, ``True`` or ``"3"``.  A boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return value >= 0 and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
+def _whole(key: str, value) -> int:
+    if not is_whole(value):
+        raise ValueError(f"comb file: {key} must be a non-negative whole number, got {value!r}")
+    return int(value)
 
 
 def encode_vector(v: np.ndarray) -> list:
@@ -74,13 +90,13 @@ def comb_from_dict(data: dict) -> CombSpec:
     if missing:
         raise ValueError(f"comb spec file is missing keys {missing}")
     return CombSpec(
-        n=int(data["n"]),
-        wire_dim=int(data["d_A"]),
-        memory_dim=int(data["d_M"]),
+        n=_whole("n", data["n"]),
+        wire_dim=_whole("d_A", data["d_A"]),
+        memory_dim=_whole("d_M", data["d_M"]),
         psi0=decode_vector(data["psi0"]),
         unitaries=tuple(decode_matrix(u) for u in data["unitaries"]),
-        input_perm=tuple(int(v) for v in data["sigma_true"]),
-        output_perm=tuple(int(v) for v in data["pi_true"]),
+        input_perm=tuple(_whole("sigma_true", v) for v in data["sigma_true"]),
+        output_perm=tuple(_whole("pi_true", v) for v in data["pi_true"]),
         metadata=dict(data.get("metadata", {})),
     )
 

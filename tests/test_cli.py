@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through main() in-process."""
 
+import argparse
 import json
 import re
 
@@ -7,7 +8,7 @@ import pytest
 
 from causalcomb import cli
 from causalcomb.cli import format_order, main, parse_order
-from causalcomb.runner import ALGORITHM_KEYS, dispatch
+from causalcomb.runner import ALGORITHM_KEYS, SECTION_KEYS, dispatch
 from causalcomb.serialize import load_comb
 
 
@@ -90,7 +91,10 @@ def test_discover_passes_only_the_named_algorithm_keys(
         return dispatch(session, spec, alg)
 
     monkeypatch.setattr(cli, "dispatch", recording)
-    options = ["--delta", "1e-6", "--chi-min", "0.05", "--threshold", "0.1", "--povm", "sic2"]
+    options = [
+        "--delta", "1e-6", "--kappa", "0.05", "--chi-min", "0.05", "--threshold", "0.1",
+        "--povm", "sic2",
+    ]
     code, _, err = run(capsys, "discover", str(path), "--algorithm", algorithm, *options)
     assert code == 0, err
     assert len(seen) == 1 and set(seen[0]) == {"name", *ALGORITHM_KEYS[algorithm]}
@@ -274,3 +278,52 @@ def test_totalorder_without_floor_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "discover", str(path), "--algorithm", "totalorder")
     assert code == 2
     assert "chi-min" in err
+
+
+def test_comb_file_with_a_fractional_tooth_count_exits_2(capsys, tmp_path):
+    """It used to load as a 2-tooth comb, and ``verify`` printed ``valid``."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n": 2.6}))
+    for argv in (("verify", str(path)), ("discover", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: comb file: n must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algorithm", ["general", "totalorder", "memoryless"])
+def test_discover_without_algorithm_options_passes_only_the_name(
+    capsys, tmp_path, monkeypatch, algorithm
+):
+    """Every other key takes its one default, in the runner or the library."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "totalorder", "--n", "2", "--seed", "8", "-o", str(path))
+    seen = []
+
+    def recording(session, spec, alg):
+        seen.append(dict(alg))
+        return dispatch(session, spec, alg)
+
+    monkeypatch.setattr(cli, "dispatch", recording)
+    code, _, err = run(capsys, "discover", str(path), "--algorithm", algorithm)
+    assert code in (0, 1), err
+    shots = {} if algorithm == "general" else {"n_shots": 100_000}
+    assert seen == [{"name": algorithm, **shots}]
+
+
+def test_no_generator_algorithm_or_oracle_option_has_a_default():
+    """Each such default lives once, in the runner's tables or the library call,
+    so none may drift back into the command line; ``--n-shots`` is the one
+    default ``discover`` keeps and ``bench`` lacks."""
+    keys = {"name", *SECTION_KEYS["generator"], *SECTION_KEYS["oracle"]}
+    keys.update(k for table in ALGORITHM_KEYS.values() for k in table)
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = set()
+    for command in subparsers.choices.values():
+        for action in command._actions:
+            if action.dest in keys:
+                checked.add(action.dest)
+                want = 100_000 if action.dest == "n_shots" else None
+                assert action.default == want, (action.option_strings, action.default)
+    assert checked == keys

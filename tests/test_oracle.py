@@ -423,3 +423,29 @@ def test_from_choi_keeps_one_column_for_a_rank_one_operator():
     session = OracleSession.from_choi(global_unitary_choi(2, 0))
     assert session._v.shape == (16, 1)
     assert np.linalg.norm(session._v) ** 2 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("wire", ["B2", "E1"])
+def test_from_choi_refuses_wires_that_are_not_n_inputs_and_n_outputs(wire):
+    """An identity tooth on (A1, B1) beside one more wire is no one-tooth comb.
+
+    Taking it for one would leave the extra wire out of the order, or trace
+    it out as an environment; the checker used to fail on it with an axes
+    error.
+    """
+    phi = np.eye(2).reshape(4) / np.sqrt(2)
+    choi = np.kron(np.outer(phi, phi), np.diag([1.0, 0.0]))
+    op = Op(WireSpace(("A1", "B1", wire), (2, 2, 2)), choi)
+    with pytest.raises(ValueError, match="inputs A"):
+        OracleSession.from_choi(op, OracleConfig(query_policy="theoretical"))
+    with pytest.raises(ValueError, match="inputs A"):
+        combs.check_comb_condition(op, (("A1", "B1"),))
+
+
+def test_a_session_reads_its_wire_roles_once():
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(0))
+    session = OracleSession(spec)
+    assert session.input_labels is session.input_labels
+    child = session.reduce(*spec.true_order[-1])
+    assert child.input_labels + child.output_labels == child.wires
+    assert child.n_teeth == 2

@@ -1,5 +1,7 @@
 """Property tests: invariants of the wire algebra and the comb checker."""
 
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 from conftest import reference_check
@@ -12,6 +14,13 @@ from causalcomb.combs import (  # noqa: E402
     check_comb_condition,
     enumerate_orders,
     gen_unitary_comb,
+)
+from causalcomb.runner import (  # noqa: E402
+    ALGORITHM_KEYS,
+    ALGORITHM_NAME,
+    SECTION_KEYS,
+    ConfigError,
+    ExperimentConfig,
 )
 from causalcomb.tensors import Op, WireSpace, partial_trace, reorder, sort_wires  # noqa: E402
 
@@ -93,3 +102,51 @@ def test_checker_matches_the_reference_on_low_rank_states(case):
     ref = reference_check(state, order)
     np.testing.assert_allclose(got.deviations, ref.deviations, rtol=0, atol=1e-12)
     assert got.ok == ref.ok
+
+
+#: (section, algorithm name, key, type) for every key a config can hold
+CONFIG_KEYS = [
+    *[(sec, None, k, kind) for sec, t in SECTION_KEYS.items() for k, (kind, _) in t.items()],
+    ("algorithm", None, "name", ALGORITHM_NAME[0]),
+    *[("algorithm", a, k, kind) for a, t in ALGORITHM_KEYS.items() for k, (kind, _) in t.items()],
+    *[
+        (None, None, k, kind)
+        for k, kind in get_type_hints(ExperimentConfig).items()
+        if kind in (int, float)
+    ],
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+
+def admits(kind, value) -> bool:
+    """The type rule, stated apart from the library: a tuple admits its
+    strings, ``bool`` and ``str`` only themselves, ``float`` any number,
+    ``int`` a whole number (``3`` or ``3.0``, not negative)."""
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind in (bool, str) or isinstance(value, bool):
+        return type(value) is kind
+    if kind is float:
+        return isinstance(value, (int, float))
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return whole and value >= 0
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(CONFIG_KEYS), st.data())
+def test_a_value_of_the_wrong_type_is_always_a_config_error(case, data):
+    """Never another exception, for any key of any section."""
+    section, name, key, kind = case
+    value = data.draw(JSON_VALUES.filter(lambda v: not admits(kind, v)))
+    config = {"generator": {"kind": "unitary"}, "algorithm": {"name": name or "general"}}
+    if section is None:
+        config[key] = value
+    else:
+        config[section] = {**config.get(section, {}), key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        ExperimentConfig.from_dict(config)

@@ -99,7 +99,7 @@ def test_config_and_dispatch_refuse_keys_the_named_algorithm_never_reads(name, k
 
 def test_config_accepts_every_key_the_named_algorithm_reads():
     for name, keys in runner.ALGORITHM_KEYS.items():
-        alg = {"name": name, **{k: 1 for k in keys}}
+        alg = {"name": name, **{k: kind(1) for k, (kind, _) in keys.items()}}
         assert ExperimentConfig(generator={"kind": "unitary"}, algorithm=alg).algorithm == alg
 
 
@@ -248,3 +248,62 @@ def test_importing_the_library_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "section, entries",
+    [
+        ("generator", {"n": 2.7}),
+        ("generator", {"constant_tooth": "no"}),
+        ("generator", {"d_M": True}),
+        ("generator", {"kind": 5}),
+        ("generator", {"corr_floor": "x"}),
+        ("generator", {"dressed": 1}),
+        ("algorithm", {"povm": 5}),
+        ("algorithm", {"threshold": [0.1]}),
+        ("algorithm", {"name": "general", "delta": "1e-6"}),
+        ("oracle", {"mode": True}),
+        (None, {"trials": True}),
+        (None, {"trials": 2.5}),
+        (None, {"seed": 1.5}),
+        (None, {"success_tol": "a"}),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_a_config_error(section, entries, tmp_path, capsys):
+    """Such a value used to run another config (``"n": 2.7`` ran two teeth,
+    ``bool("no")`` is true) or end in a traceback; now it exits 2."""
+    data = {
+        "generator": {"kind": "memoryless", "n": 2},
+        "algorithm": {"name": "memoryless"},
+        "trials": 1,
+    }
+    if section is None:
+        data.update(entries)
+    else:
+        data[section] = {**data.get(section, {}), **entries}
+    (key,) = set(entries) - {"name"}
+    with pytest.raises(ConfigError, match=rf"\b{key} must be"):
+        ExperimentConfig.from_dict(data)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["bench", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert f"{key} must be" in err
+
+
+def test_config_holds_typed_values_with_defaults_filled_in():
+    config = ExperimentConfig(
+        generator={"kind": "memoryless", "n": 3.0},
+        algorithm={"name": "memoryless", "n_shots": 1e5},
+        oracle={"mode": "sampled"},
+        trials=2.0,
+        success_tol=1,
+    )
+    assert config.generator == {"kind": "memoryless", "n": 3, "d": 2, "d_M": 2, "dressed": True}
+    assert config.algorithm == {"name": "memoryless", "n_shots": 100_000, "threshold": 0.1}
+    assert type(config.algorithm["n_shots"]) is int and type(config.trials) is int
+    assert type(config.success_tol) is float
+    assert ExperimentConfig(**vars(config)) == config
+    summary = run_experiment(config)
+    assert summary.line().startswith("2/2 trials succeeded")

@@ -85,3 +85,22 @@ def test_save_json_injects_version(tmp_path):
     data = load_json(path)
     assert data["format_version"] == FORMAT_VERSION
     assert data["hello"] == 5
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 2.6), ("n", True), ("d_A", 2.5), ("d_M", -1), ("sigma_true", [1.5, 2])],
+)
+def test_comb_dict_refuses_counts_that_are_not_whole_numbers(key, value):
+    """``"n": 2.6`` used to load as a 2-tooth comb and verify as valid."""
+    data = comb_to_dict(gen_unitary_comb(2, 2, 1, np.random.default_rng(3)))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be a non-negative whole number"):
+        comb_from_dict(data)
+
+
+def test_comb_dict_reads_a_whole_float_as_its_integer():
+    data = comb_to_dict(gen_unitary_comb(2, 2, 1, np.random.default_rng(3)))
+    data.update(n=2.0, d_A=2.0)
+    spec = comb_from_dict(data)
+    assert (spec.n, spec.wire_dim) == (2, 2) and isinstance(spec.n, int)
