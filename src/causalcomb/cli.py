@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="totalorder: promised minimum causal correlation")
     d.add_argument("--threshold", type=float,
                    help="memoryless: correlation level declaring a pair related")
-    d.add_argument("--povm", help="POVM preset (default sic<d>)")
+    d.add_argument("--povm", help="POVM preset, sic<d> or random-ic:<seed> (default random-ic:0, "
+                                  "which is sic<d> when d is a power of two)")
     d.add_argument("--verify", action="store_true",
                    help="check the emitted order against the stored comb")
     d.add_argument("--tol", type=float, default=1e-9,

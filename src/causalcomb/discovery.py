@@ -30,14 +30,15 @@ Three strategies, in decreasing order of generality and cost:
     run reports it.
 
 Correlations are estimated by two-sided linear inversion of the pairwise
-outcome frequencies (:func:`correlation_from_freqs`, which takes a whole
-stack of pairs in one call); the frame
+outcome frequencies of one batch (:func:`correlation_from_freqs`, which
+takes a whole stack of pairs in one call); the frame
 eigenvalues of the POVMs give non-asymptotic accuracy bounds
 (:func:`correlation_error_bound`) used to size shot budgets
 (:func:`correlation_sample_size`).
 
 This module sees sessions only through their public statistics API; it
-never touches the hidden spec or Choi operator, and a test pins that.
+never touches the hidden spec or Choi operator, nor draws or bills a
+shot itself, and a test pins that.
 """
 
 from __future__ import annotations
@@ -154,56 +155,22 @@ class IndMatrix:
         return self.estimates <= self.threshold
 
 
-def _indicators(shape: tuple[int, ...]) -> np.ndarray:
-    """One-hot outcome indicators of a row-major index over axes of ``shape``.
-
-    Row ``r`` holds a 1 in block ``a`` at the column of axis ``a``'s value
-    in flat index ``r``, so the blocks are ``len(shape)`` side by side.
-    """
-    cols = np.indices(shape).reshape(len(shape), -1).T + np.cumsum((0,) + shape[:-1])
-    ind = np.zeros((len(cols), sum(shape)))
-    ind[np.arange(len(cols))[:, None], cols] = 1.0
-    return ind
-
-
-def _pair_marginals(table: np.ndarray, n_in: int) -> list[list[np.ndarray]]:
-    """Every (input, output) pair marginal of a joint outcome table.
-
-    ``table`` has one axis per input, then one per output; entry ``[i][j]``
-    is the table summed over every axis but input ``i``'s and output
-    ``j``'s.  All of them come from one product ``X^T (T Y)``, with ``T``
-    the table as an (inputs x outputs) matrix and ``X``, ``Y`` the one-hot
-    indicators of its row and column indices.  It runs in float64, so
-    integer counts below ``2^53`` come out exact.
-    """
-    x, y = _indicators(table.shape[:n_in]), _indicators(table.shape[n_in:])
-    m = x.T @ (table.reshape(len(x), len(y)).astype(float, copy=False) @ y)
-    rows = np.cumsum(table.shape[:n_in])[:-1]
-    cols = np.cumsum(table.shape[n_in:])[:-1]
-    return [np.split(block, cols, axis=1) for block in np.split(m, rows, axis=0)]
-
-
 def independence_matrix(
     session: OracleSession, povms, n_shots: int, threshold: float
 ) -> IndMatrix:
     """Estimate every (input, output) correlation from pair statistics.
 
-    Sampled mode draws ``n_shots`` joint prepare-and-measure shots once
-    and reads every pair's marginal off them.  Exact mode reads each
-    pair's exact distribution (the infinite-shot limit) and forms no joint
-    table; it still bills the nominal budget under the theoretical policy.
-    The pairs measured with the same two POVMs are estimated together, in
-    one stacked :func:`correlation_from_freqs` call: one call in all when
-    every wire shares a POVM.
+    The session hands over every pair's frequencies from one batch of
+    ``n_shots`` prepare-and-measure shots
+    (:meth:`~causalcomb.oracle.OracleSession.pair_frequencies`): sampled
+    or exact, and billed as its mode and policy say.  The pairs measured
+    with the same two POVMs are estimated together, in one stacked
+    :func:`correlation_from_freqs` call: one call in all when every wire
+    shares a POVM.
     """
     ins, outs = session.input_labels, session.output_labels
     pmap = povm_by_label(povms, session.wires)
-    if session.mode == "sampled":
-        # sorted wires: the inputs' axes precede the outputs'
-        marginals = _pair_marginals(session.sample_batch(n_shots, povms), len(ins))
-    else:
-        marginals = [[session.pair_distribution(a, b, povms) for b in outs] for a in ins]
-        session.note_virtual_queries(n_shots, op="independence")
+    freqs = session.pair_frequencies(n_shots, povms)
     # one stacked estimate per distinct pair of POVMs, keyed by identity
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, a in enumerate(ins):
@@ -211,10 +178,9 @@ def independence_matrix(
             groups.setdefault((id(pmap[a]), id(pmap[b])), []).append((i, j))
     est = np.zeros((len(ins), len(outs)))
     for cells in groups.values():
-        pairs = np.stack([marginals[i][j] for i, j in cells])
+        pairs = np.stack([freqs[i][j] for i, j in cells])
         rows, cols = zip(*cells)
-        freqs = pairs / pairs.sum(axis=(1, 2), keepdims=True)
-        est[rows, cols] = correlation_from_freqs(freqs, pmap[ins[rows[0]]], pmap[outs[cols[0]]])
+        est[rows, cols] = correlation_from_freqs(pairs, pmap[ins[rows[0]]], pmap[outs[cols[0]]])
     est.setflags(write=False)
     return IndMatrix(
         input_labels=ins,

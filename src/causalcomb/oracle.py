@@ -2,12 +2,13 @@
 
 An :class:`OracleSession` wraps a hidden :class:`~causalcomb.combs.CombSpec`
 and exposes only what a lab could do with the physical process: run
-batches of prepare-and-measure shots (``sample_batch``), read the
-infinite-shot statistics of one (input, output) pair
-(``pair_distribution``), estimate state overlaps by destructive swap
-circuits (``overlap_estimate``), and wire a tooth shut (``reduce``).  The
-hidden spec and its Choi operator are private attributes with no
-accessor; discovery code sees statistics only.
+batches of prepare-and-measure shots (``sample_batch``), read every
+(input, output) pair's frequencies from one batch (``pair_frequencies``),
+estimate state overlaps by destructive swap circuits
+(``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
+spec and its Choi operator are private attributes with no accessor;
+discovery code sees statistics only, and the session alone decides how
+they are drawn in each mode and what they bill.
 
 A session holds its Choi operator as a factor, ``C = V V^H`` with ``V`` of
 shape ``d^{2n} x r``: the purification of the comb (``r = d_M``) for a
@@ -31,10 +32,11 @@ Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
 overlap estimate at accuracy ``eps`` and confidence ``kappa`` costs
 ``2 * ceil(2 * eps^-2 * log(2 / kappa))`` invocations (two state
-preparations per swap circuit run).  In exact mode the estimate is the
-true overlap and the charging policy decides whether those virtual runs
-are still billed (``"theoretical"``) or only real invocations count
-(``"actual"``, the default).
+preparations per swap circuit run).  In exact mode an estimate is the
+true overlap and a batch's pair frequencies are Born probabilities; the
+charging policy decides whether those virtual runs and shots are still
+billed (``"theoretical"``) or only real invocations count (``"actual"``,
+the default).
 """
 
 from __future__ import annotations
@@ -302,17 +304,32 @@ class OracleSession:
 
     # -- prepare-and-measure sampling ---------------------------------------
 
-    def pair_distribution(self, input_label: str, output_label: str, povms) -> np.ndarray:
-        """Exact outcome probabilities of one (input, output) pair.
+    def pair_frequencies(self, n_shots: int, povms) -> list[list[np.ndarray]]:
+        """Every (input, output) pair's outcome frequencies from one batch.
 
-        The infinite-shot limit of that pair's counts in :meth:`sample_batch`,
-        read off its state :func:`~causalcomb.tensors.marginal` with no joint
-        table.  Nothing is billed; see :meth:`note_virtual_queries`.
+        Entry ``[i][j]`` is input ``i``'s and output ``j``'s table.  Sampled
+        mode sums one :meth:`sample_batch` draw over the other inputs, once
+        per input, then over the other outputs, and divides by ``n_shots``.
+        Exact mode gives each pair's Born probabilities from its state
+        :func:`~causalcomb.tensors.marginal`, with no joint table, and
+        bills ``n_shots`` under the theoretical policy only.
         """
-        pmap = povm_by_label(povms, (input_label, output_label))
-        rho = marginal(self._space, self._v, [input_label, output_label])
-        probs = pair_probs(pmap[input_label], pmap[output_label], rho)
-        return probs / probs.sum()
+        ins, outs = self._inputs, self._outputs
+        if self.mode == "sampled":
+            counts = self.sample_batch(n_shots, povms)
+            # sorted wires: the inputs' axes precede the outputs'
+            others = [[k for k in range(len(ins)) if k != i] for i in range(len(ins))]
+            rows = [counts.sum(axis=tuple(o)) for o in others]
+            return [
+                [row.sum(axis=tuple(1 + k for k in o)) / n_shots for o in others] for row in rows
+            ]
+        pmap = povm_by_label(povms, self.wires)
+        probs = [
+            [pair_probs(pmap[a], pmap[b], marginal(self._space, self._v, [a, b])) for b in outs]
+            for a in ins
+        ]
+        self.note_virtual_queries(n_shots, op="independence")
+        return [[p / p.sum() for p in row] for row in probs]
 
     def sample_batch(self, n_shots: int, povms) -> np.ndarray:
         """Counts from ``n_shots`` independent prepare-and-measure shots.
@@ -358,6 +375,8 @@ class OracleSession:
         ``P_xy = K_x K_y^H``, or ``Tr(G_yu G_vx)`` from the column Gram
         ``G_yu = K_y^H K_u``, whichever has fewer entries.
         """
+        if input_label not in self.input_labels:
+            raise KeyError(f"input label {input_label!r} is not an input wire of {self.wires}")
         if discard not in self.output_labels:
             raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
         rest = [l for l in self.wires if l not in (input_label, discard)]

@@ -237,7 +237,8 @@ def dispatch(
     """Run the algorithm that ``alg`` names, read by :func:`read_section`.
 
     An unset key takes its library call's default, except ``povm``
-    (``sic<d>``) and ``chi_min`` (the floor the generator stored).
+    (``random-ic:0``, which every wire dimension has: ``sic<d>`` when ``d``
+    is a power of two) and ``chi_min`` (the floor the generator stored).
     ``n_shots`` defaults to 0, no budget: a promise algorithm without one
     runs only in exact mode under the actual policy, where no shot is
     drawn or billed.
@@ -245,7 +246,7 @@ def dispatch(
     alg = read_section("algorithm", alg)
     if alg["name"] == "general":
         return discover_general(session, **given(alg, ["delta", "kappa"]))
-    povms = povm_preset(alg.get("povm", f"sic{spec.wire_dim}"), spec.wire_dim)
+    povms = povm_preset(alg.get("povm", "random-ic:0"), spec.wire_dim)
     _require_budget(alg, session.mode, session.query_policy)
     if alg["name"] == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))

@@ -18,6 +18,10 @@ from .combs import CombSpec
 FORMAT_VERSION = 1
 #: The keys :func:`comb_from_dict` reads; ``metadata`` is optional.
 _COMB_KEYS = ("n", "d_A", "d_M", "psi0", "unitaries", "sigma_true", "pi_true")
+#: The JSON type of each key that is not a count.
+_COMB_TYPES = {
+    "psi0": list, "unitaries": list, "sigma_true": list, "pi_true": list, "metadata": dict,
+}
 
 __all__ = [
     "FORMAT_VERSION",
@@ -89,6 +93,9 @@ def comb_from_dict(data: dict) -> CombSpec:
     missing = [k for k in _COMB_KEYS if k not in data]
     if missing:
         raise ValueError(f"comb spec file is missing keys {missing}")
+    for key, kind in _COMB_TYPES.items():
+        if not isinstance(data.get(key, kind()), kind):
+            raise ValueError(f"comb file: {key} must be a {kind.__name__}, got {data[key]!r}")
     return CombSpec(
         n=_whole("n", data["n"]),
         wire_dim=_whole("d_A", data["d_A"]),

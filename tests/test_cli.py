@@ -64,6 +64,16 @@ def test_discover_totalorder_uses_stored_floor(capsys, tmp_path):
     assert "valid" in out
 
 
+@pytest.mark.parametrize("kind", ["memoryless", "totalorder"])
+def test_promise_discovery_runs_on_a_qutrit_comb_with_the_default_povm(capsys, tmp_path, kind):
+    """The default used to be the preset ``sic3``, which does not exist: exit 2."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", kind, "--n", "2", "--d", "3", "--seed", "4", "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), "--algorithm", kind, "--verify")
+    assert (code, err) == (0, "")
+    assert "order:" in out and "valid" in out
+
+
 def test_discover_memoryless_reports_a_broken_promise(capsys, tmp_path):
     """Output 2 of the signaling comb copies input 1, which also reaches output 1."""
     path = tmp_path / "sig.json"
@@ -289,6 +299,17 @@ def test_comb_file_with_a_fractional_tooth_count_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: comb file: n must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("sigma_true", 5), ("unitaries", 7), ("metadata", 3)])
+def test_comb_file_with_a_key_of_the_wrong_structure_exits_2(capsys, tmp_path, key, value):
+    """It used to end ``verify`` in a ``TypeError`` traceback with exit 1."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: comb file: {key} must be") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("algorithm", ["general", "totalorder", "memoryless"])

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import global_unitary_choi, reference_born_table, session_born_table
+from conftest import global_unitary_choi, pauli6, reference_born_table, session_born_table
 
 import causalcomb.combs as combs
 from causalcomb.combs import (
@@ -71,10 +71,47 @@ def test_pair_distribution_matches_direct_born():
     spec = gen_unitary_comb(1, 2, 2, rng)
     session = OracleSession(spec)
     sic = sic_qubit()
-    table = session.pair_distribution("A1", "B1", sic)
+    [[table]] = session.pair_frequencies(1000, sic)
     choi = reorder(build_choi(spec), ["A1", "B1"])
     np.testing.assert_allclose(table, pair_probs(sic, sic, choi.matrix), atol=1e-12)
     assert table.sum() == pytest.approx(1.0)
+
+
+def test_sampled_pair_frequencies_are_the_pair_sums_of_one_draw(monkeypatch):
+    """One ``sample_batch`` call, billed once; each pair is its counts' sum over
+    every other wire, divided by the shots, bit for bit."""
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(8))
+    log = io.StringIO()
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=9, query_log=log))
+    draws = []
+    sample_batch = OracleSession.sample_batch
+
+    def recording(self, n_shots, povms):
+        draws.append(sample_batch(self, n_shots, povms))
+        return draws[-1]
+
+    monkeypatch.setattr(OracleSession, "sample_batch", recording)
+    povms = {l: (sic_qubit(), pauli6())[k % 2] for k, l in enumerate(session.wires)}
+    freqs = session.pair_frequencies(50_000, povms)
+    [counts] = draws
+    for i in range(3):
+        for j in range(3):
+            pair = counts.sum(axis=tuple(k for k in range(6) if k not in (i, 3 + j)))
+            np.testing.assert_array_equal(freqs[i][j], pair / 50_000)
+    assert session.query_count == 50_000
+    assert [json.loads(line)["op"] for line in log.getvalue().splitlines()] == ["sample_batch"]
+
+
+def test_exact_pair_frequencies_bill_only_under_the_theoretical_policy():
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(10))
+    for policy, billed in (("actual", 0), ("theoretical", 1000)):
+        log = io.StringIO()
+        session = OracleSession(spec, OracleConfig(query_policy=policy, query_log=log))
+        freqs = session.pair_frequencies(1000, sic_qubit())
+        assert [f.sum() for row in freqs for f in row] == pytest.approx([1.0] * 4)
+        assert session.query_count == billed
+        ops = [json.loads(line)["op"] for line in log.getvalue().splitlines()]
+        assert ops == (["independence"] if billed else [])
 
 
 def test_sampling_agrees_with_exact_table():
@@ -256,6 +293,18 @@ def test_prepare_rejects_a_discard_label_that_is_no_output_wire():
     assert got == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, abs=1e-12)
 
 
+def test_prepare_rejects_an_input_label_that_is_no_input_wire():
+    """Feeding an output wire used to return an overlap and bill its swap test."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(13))
+    session = OracleSession(spec, OracleConfig(query_policy="theoretical"))
+    proj = np.diag([1.0, 0.0]).astype(complex)
+    for fed in ("B1", "B2"):
+        bad = PrepRecipe(fed, proj, discard_label="B2" if fed == "B1" else "B1")
+        with pytest.raises(KeyError, match="input label .* is not an input wire"):
+            session.overlap_estimate(bad, bad, eps=0.1, kappa=0.05)
+    assert session.query_count == 0
+
+
 def test_overlap_estimate_exact_equals_true_overlap():
     spec = gen_signaling_comb()
     session = OracleSession(spec)
@@ -360,7 +409,7 @@ def test_each_povm_gets_its_own_statistics():
         povm = IcPovm(tuple(u @ e @ u.conj().T for e in sic.elements))
         want = reference_born_table(choi, {l: povm for l in choi.labels})
         want /= want.sum()
-        got = exact.pair_distribution("A2", "B1", povm)
+        got = exact.pair_frequencies(1000, povm)[1][0]  # (A2, B1)
         np.testing.assert_allclose(got, want.sum(axis=(0, 3)), atol=1e-12)
         counts = _multinomial(draws, 1000, want)
         np.testing.assert_array_equal(sampled.sample_batch(1000, povm), counts)

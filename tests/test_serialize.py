@@ -99,6 +99,24 @@ def test_comb_dict_refuses_counts_that_are_not_whole_numbers(key, value):
         comb_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("sigma_true", 5, "a list"),
+        ("pi_true", "12", "a list"),
+        ("unitaries", 7, "a list"),
+        ("psi0", 1.0, "a list"),
+        ("metadata", 3, "a dict"),
+    ],
+)
+def test_comb_dict_refuses_a_key_of_the_wrong_structure(key, value, kind):
+    """A number where a list or mapping belongs used to raise ``TypeError``."""
+    data = comb_to_dict(gen_unitary_comb(2, 2, 1, np.random.default_rng(3)))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"comb file: {key} must be {kind}"):
+        comb_from_dict(data)
+
+
 def test_comb_dict_reads_a_whole_float_as_its_integer():
     data = comb_to_dict(gen_unitary_comb(2, 2, 1, np.random.default_rng(3)))
     data.update(n=2.0, d_A=2.0)
