@@ -17,6 +17,7 @@ from .combs import (
     RejectionBudgetError,
     build_choi,
     check_comb_condition,
+    compatible_orders,
     enumerate_orders,
     gen_fig3_comb,
     gen_memoryless_comb,
@@ -107,6 +108,7 @@ __all__ = [
     "born_probs",
     "build_choi",
     "check_comb_condition",
+    "compatible_orders",
     "correlation_error_bound",
     "correlation_norm",
     "correlation_sample_size",

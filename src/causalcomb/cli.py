@@ -22,6 +22,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import lemma_suite
-from .combs import RejectionBudgetError, check_comb_condition, enumerate_orders
+from .combs import RejectionBudgetError, check_comb_condition, compatible_orders
 from .oracle import OracleConfig, OracleSession
 from .runner import ALGORITHM_KEYS, ALGORITHM_NAME, GENERATOR_KINDS, SECTION_KEYS, ConfigError
 from .runner import ExperimentConfig, dispatch, generate_comb, given, read_section, run_experiment
@@ -111,15 +112,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
     if args.enumerate:
-        orders = enumerate_orders(spec.n)
-        valid = 0
-        for order in orders:
-            check = check_comb_condition(spec, order, tol=args.tol)
-            valid += check.ok
-            mark = "ok " if check.ok else "   "
-            print(f"{mark} {format_order(order):40s} worst={check.worst_deviation:.3g}")
-        print(f"{valid}/{len(orders)} orders valid at tol={args.tol}")
-        return EXIT_OK if valid else EXIT_FAIL
+        found, _ = compatible_orders(spec, tol=args.tol)
+        for order, check in found.items():
+            print(f"ok  {format_order(order):40s} worst={check.worst_deviation:.3g}")
+        print(f"{len(found)}/{math.factorial(spec.n) ** 2} orders valid at tol={args.tol}")
+        return EXIT_OK if found else EXIT_FAIL
     order = parse_order(args.order) if args.order else spec.true_order
     check = check_comb_condition(spec, order, tol=args.tol)
     print(f"order:  {format_order(order)}")
@@ -228,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='like "A1:B1,A2:B2" (default: the stored true order)')
     v.add_argument("--tol", type=float, default=1e-9)
     v.add_argument("--enumerate", action="store_true",
-                   help="score every candidate order instead")
+                   help="list every compatible order instead, found by walking the "
+                        "prefix nodes from the empty prefix")
     v.set_defaults(func=cmd_verify)
 
     l = sub.add_parser("lemmas", help="run the numerical consistency battery")

@@ -19,7 +19,11 @@ operator when, for every proper prefix, discarding the later outputs
 leaves the later inputs maximally mixed and uncorrelated.
 ``check_comb_condition`` measures the worst trace-norm deviation from
 that family of identities, which is exactly the certificate the
-acceptance harness uses.  It works on one factor ``G`` with
+acceptance harness uses.  The prefix-k identity depends only on the
+prefix node, the sets of the first k inputs and outputs, so the (n!)^2
+orders share C(2n, n) - 1 nodes; ``compatible_orders`` finds every
+compatible order by walking them from the empty prefix, and one node
+function serves both.  Both work on one factor ``G`` with
 ``C = G G^H``: a spec's purification, or the verified Cholesky factor of
 a dense operator, which also certifies that the operator is positive.
 """
@@ -62,6 +66,7 @@ __all__ = [
     "choi_factor",
     "verified_factor",
     "check_comb_condition",
+    "compatible_orders",
     "trace_out_tooth",
     "gen_unitary_comb",
     "gen_memoryless_comb",
@@ -337,32 +342,30 @@ def _deviation(lhs: np.ndarray, d_late: int) -> float:
     return trace_norm(lhs)
 
 
-def _factored_deviations(
-    space: WireSpace, g: np.ndarray, ins: list[str], outs: list[str]
-) -> list[float]:
-    """Every prefix deviation of ``G G^H``, each on a span that holds it.
+def _node_deviation(
+    space: WireSpace, g: np.ndarray, early: list[str], late_ins: list[str], late_outs: list[str]
+) -> float:
+    """The deviation of one prefix node of ``G G^H``, on a span that holds it.
 
-    For prefix ``k`` the columns ``G_k`` are ``G`` with the later outputs
-    folded in, so the marginal is ``G_k G_k^H``; folding the later inputs
-    in as well gives ``H_k`` with ``Tr_late`` of the marginal equal to
-    ``H_k H_k^H``.  Both terms of the deviation then map into the span of
-    ``Q (x) 1_late``, where ``Q`` is an orthonormal basis of the columns of
-    ``H_k``, and the deviation compressed there, ``K K^H`` minus its own
-    late marginal for ``K = (Q^H (x) 1) G_k``, has the same trace norm.
-    ``Q^H H_k`` is :func:`~causalcomb.tensors.span` of ``H_k``, and ``K``
-    is that with the later inputs split back out of its columns; where
-    ``H_k`` has no fewer columns than rows, ``K`` is ``G_k`` itself.
+    The node's ``early`` wires are its first k inputs and outputs, and its
+    late wires are the other inputs and outputs.  The columns ``G_k`` are
+    ``G`` with ``late_outs`` folded in, so the marginal is ``G_k G_k^H``;
+    folding ``late_ins`` in as well gives ``H_k`` with ``Tr_late`` of the
+    marginal equal to ``H_k H_k^H``.  Both terms of the deviation then map
+    into the span of ``Q (x) 1_late``, where ``Q`` is an orthonormal basis
+    of the columns of ``H_k``, and the deviation compressed there, ``K K^H``
+    minus its own late marginal for ``K = (Q^H (x) 1) G_k``, has the same
+    trace norm.  ``Q^H H_k`` is :func:`~causalcomb.tensors.span` of
+    ``H_k``, and ``K`` is that with the late inputs split back out of its
+    columns; where ``H_k`` has no fewer columns than rows, ``K`` is
+    ``G_k`` itself.  The wires are laid out in the order the lists give,
+    which moves the result only by roundoff.
     """
-    n = len(ins)
-    devs = [0.0] * n
-    for k in range(n):
-        early, late = ins[:k] + outs[:k], ins[k:]
-        d_late = math.prod(space.dim_of(l) for l in late)
-        h = fold(space, g, early, late + outs[k:])
-        gk = span(h).reshape(-1, h.shape[1] // d_late)
-        check_entries(gk.shape[0] ** 2, f"the prefix-{k} deviation")
-        devs[k] = _deviation(gk @ gk.conj().T, d_late)
-    return devs
+    d_late = math.prod(space.dim_of(l) for l in late_ins)
+    h = fold(space, g, early, late_ins + late_outs)
+    gk = span(h).reshape(-1, h.shape[1] // d_late)
+    check_entries(gk.shape[0] ** 2, f"the prefix-{len(early) // 2} deviation")
+    return _deviation(gk @ gk.conj().T, d_late)
 
 
 def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
@@ -417,32 +420,81 @@ def check_comb_condition(
     For each prefix length ``k`` (0..n-1) the marginal on (all inputs +
     first k outputs) is compared in trace norm against (marginal on first
     k teeth) x (maximally mixed on the later inputs).  ``ok`` means every
-    deviation is at most ``tol``.
+    deviation is at most ``tol``.  Each deviation is that of one prefix
+    node, the sets of the first k inputs and outputs, on the order's path
+    (``_node_deviation``, with the wires in the order's own sequence);
+    :func:`compatible_orders` walks the same nodes for every order at once.
 
-    Every prefix is checked on the factor ``G`` of :func:`verified_factor`
-    (see ``_factored_deviations``): a spec's purification, with no
-    Choi-sized array formed, or the verified Cholesky factor of a dense
-    ``Op``, whose bound on ``||C - G G^H||_1`` is reported as
-    ``residual_bound``.  Each deviation is a linear map of ``C`` that at
-    most doubles the trace norm, so the deviations of ``G G^H`` are those
-    of ``C`` to within twice ``residual_bound``.  An operator that is not
-    Hermitian positive semidefinite with a positive trace raises
-    ``ValueError``, as does a prefix matrix over :data:`MAX_ENTRIES`
-    (from n = 8 on qubit wires with d_M = 2).  The factor is computed
-    once per input and kept on it, so checking many orders of one
-    operator or spec factors it once.
+    Every node is checked on the factor ``G`` of :func:`verified_factor`:
+    a spec's purification, with no Choi-sized array formed, or the
+    verified Cholesky factor of a dense ``Op``, whose bound on
+    ``||C - G G^H||_1`` is reported as ``residual_bound``.  Each deviation
+    is a linear map of ``C`` that at most doubles the trace norm, so the
+    deviations of ``G G^H`` are those of ``C`` to within twice
+    ``residual_bound``.  An operator that is not Hermitian positive
+    semidefinite with a positive trace raises ``ValueError``, as does a
+    prefix matrix over :data:`MAX_ENTRIES` (from n = 8 on qubit wires with
+    d_M = 2).  The factor is computed once per input and kept on it, so
+    checking many orders of one operator or spec factors it once.
     """
     space, g, residual = verified_factor(choi)
     order = _validate_order(order, space)
-    devs = _factored_deviations(space, g, [p[0] for p in order], [p[1] for p in order])
+    ins, outs = [p[0] for p in order], [p[1] for p in order]
+    devs = tuple(
+        _node_deviation(space, g, ins[:k] + outs[:k], ins[k:], outs[k:]) for k in range(len(order))
+    )
     worst = max(devs)
     return CombCheck(
         ok=worst <= tol,
         worst_deviation=worst,
-        deviations=tuple(devs),
+        deviations=devs,
         tol=tol,
         residual_bound=residual,
     )
+
+
+def compatible_orders(
+    choi: Op | CombSpec, tol: float = 1e-9
+) -> tuple[dict[CausalOrder, CombCheck], int]:
+    """Every tooth order compatible with a Choi operator, and the prefix nodes evaluated.
+
+    An order is compatible exactly when every prefix node on its path
+    passes.  The walk starts from the empty prefix and expands only nodes
+    that pass, evaluating each node once per call on its wires in wire
+    order, so that its deviation does not depend on the path; it agrees
+    with :func:`check_comb_condition`'s to within roundoff.  A comb with
+    one compatible order takes ``1 + sum(m^2 for m in 2..n)`` nodes, where
+    an exhaustive check scores ``(n!)^2`` orders.
+
+    Returns each compatible order, in lexicographic wire order of its pairs,
+    mapped to its :class:`CombCheck`, and the number of nodes evaluated.
+    """
+    space, g, residual = verified_factor(choi)
+    ins, outs = wire_roles(space.labels)
+    nodes: dict[tuple[frozenset[str], frozenset[str]], float] = {}
+    found: dict[CausalOrder, CombCheck] = {}
+
+    def walk(order: CausalOrder, devs: tuple[float, ...]) -> None:
+        if len(order) == len(ins):
+            found[order] = CombCheck(
+                ok=True, worst_deviation=max(devs), deviations=devs, tol=tol, residual_bound=residual
+            )
+            return
+        key = frozenset(a for a, _ in order), frozenset(b for _, b in order)
+        if key not in nodes:
+            early = [a for a in ins if a in key[0]] + [b for b in outs if b in key[1]]
+            late_ins = [a for a in ins if a not in key[0]]
+            late_outs = [b for b in outs if b not in key[1]]
+            nodes[key] = _node_deviation(space, g, early, late_ins, late_outs)
+        if nodes[key] <= tol:
+            devs += (nodes[key],)
+            for a in ins:
+                for b in outs:
+                    if a not in key[0] and b not in key[1]:
+                        walk(order + ((a, b),), devs)
+
+    walk((), ())
+    return found, len(nodes)
 
 
 def trace_out_tooth(choi: Op, in_label: str, out_label: str) -> Op:

@@ -50,7 +50,7 @@ from typing import IO
 import numpy as np
 
 from .combs import CombSpec, check_entries, choi_factor, verified_factor, wire_roles
-from .povm import pair_probs, povm_by_label, product_born_table
+from .povm import IcPovm, pair_probs, povm_by_label, product_born_table
 from .tensors import Op, WireSpace, contract_wire, fold, marginal, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
@@ -97,6 +97,17 @@ def swap_test_estimate(
     p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
     accepts = rng.binomial(n, p)
     return 2.0 * accepts / n - 1.0
+
+
+def _shot_count(n_shots) -> int:
+    """``n_shots`` as a non-negative ``int``: a float or a boolean raises
+    ``TypeError``, a negative count ``ValueError``."""
+    if isinstance(n_shots, bool):
+        raise TypeError("a boolean is not a number of shots")
+    n_shots = operator.index(n_shots)
+    if n_shots < 0:
+        raise ValueError(f"a number of shots cannot be negative, got {n_shots}")
+    return n_shots
 
 
 def _multinomial(rng: np.random.Generator, n: int, weights: np.ndarray) -> np.ndarray:
@@ -312,7 +323,10 @@ class OracleSession:
         per input, then over the other outputs, and divides by ``n_shots``.
         Exact mode gives each pair's Born probabilities from its state
         :func:`~causalcomb.tensors.marginal`, with no joint table, and
-        bills ``n_shots`` under the theoretical policy only.
+        bills ``n_shots`` under the theoretical policy only.  Both modes
+        check ``n_shots`` and ``povms`` as :meth:`sample_batch` does, before
+        anything is drawn or billed, except that exact mode also takes 0
+        shots.
         """
         ins, outs = self._inputs, self._outputs
         if self.mode == "sampled":
@@ -323,7 +337,8 @@ class OracleSession:
             return [
                 [row.sum(axis=tuple(1 + k for k in o)) / n_shots for o in others] for row in rows
             ]
-        pmap = povm_by_label(povms, self.wires)
+        n_shots = _shot_count(n_shots)
+        pmap = self._povms(povms)
         probs = [
             [pair_probs(pmap[a], pmap[b], marginal(self._space, self._v, [a, b])) for b in outs]
             for a in ins
@@ -340,21 +355,35 @@ class OracleSession:
         :data:`~causalcomb.combs.MAX_ENTRIES`.  The counts are one exact
         multinomial draw over the whole table (:func:`_multinomial`), which
         is statistically identical to looping single shots and costs
-        ``n_shots`` queries either way.  ``n_shots`` must be an integer:
-        a float or a boolean raises ``TypeError`` before anything is drawn
-        or billed.
+        ``n_shots`` queries either way.  ``n_shots`` must be a positive
+        integer (:func:`_shot_count`) and ``povms`` a POVM for each wire
+        (:meth:`_povms`); anything else raises before anything is drawn or
+        billed.
         """
-        if isinstance(n_shots, bool):
-            raise TypeError("a boolean is not a number of shots")
-        n_shots = operator.index(n_shots)
+        n_shots = _shot_count(n_shots)
         if self.mode != "sampled":
             raise ValueError("sample_batch requires sampled mode")
         if n_shots < 1:
             raise ValueError("need at least one shot")
-        tbl = product_born_table(self._space, self._v, povm_by_label(povms, self.wires))
+        tbl = product_born_table(self._space, self._v, self._povms(povms))
         counts = _multinomial(self._rng, n_shots, tbl)
         self._meter.charge("sample_batch", n_shots)
         return counts
+
+    def _povms(self, povms) -> dict[str, IcPovm]:
+        """One POVM per wire, from one for every wire or a mapping by label.
+
+        Each must be a POVM, not a state set, on its wire's dimension;
+        anything else raises ``ValueError`` naming the wire.
+        """
+        pmap = povm_by_label(povms, self.wires)
+        for label, povm in pmap.items():
+            if povm.kind != "povm" or povm.dim != self.dim_of(label):
+                raise ValueError(
+                    f"wire {label} needs a POVM on dimension {self.dim_of(label)}, "
+                    f"got a {povm.kind} on dimension {povm.dim}"
+                )
+        return pmap
 
     def note_virtual_queries(self, n: int, op: str = "virtual") -> None:
         """Charge ``n`` planned-but-not-executed invocations under the

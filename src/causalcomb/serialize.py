@@ -58,8 +58,23 @@ def encode_vector(v: np.ndarray) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
 
 
+def _decode(data, ndim: int, what: str) -> np.ndarray:
+    """``data``, an array of ``[re, im]`` number pairs with ``ndim`` axes, as a complex array.
+
+    Anything else, such as a bare number, a string or a ragged list,
+    raises ``ValueError`` naming ``what``.
+    """
+    try:
+        parts = np.array(data)
+    except ValueError:  # a ragged list
+        parts = np.array(None)
+    if parts.dtype.kind not in "iuf" or parts.ndim != ndim + 1 or parts.shape[-1] != 2:
+        raise ValueError(f"{what} must be a {ndim}-axis array of [re, im] number pairs")
+    return parts.astype(float).view(complex)[..., 0]
+
+
 def decode_vector(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data])
+    return _decode(data, 1, "a vector")
 
 
 def encode_matrix(m: np.ndarray) -> list:
@@ -67,7 +82,7 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
-    return np.array([decode_vector(row) for row in data])
+    return _decode(data, 2, "a matrix")
 
 
 def comb_to_dict(spec: CombSpec) -> dict:
@@ -100,8 +115,8 @@ def comb_from_dict(data: dict) -> CombSpec:
         n=_whole("n", data["n"]),
         wire_dim=_whole("d_A", data["d_A"]),
         memory_dim=_whole("d_M", data["d_M"]),
-        psi0=decode_vector(data["psi0"]),
-        unitaries=tuple(decode_matrix(u) for u in data["unitaries"]),
+        psi0=_decode(data["psi0"], 1, "comb file: psi0"),
+        unitaries=tuple(_decode(data["unitaries"], 3, "comb file: unitaries")),
         input_perm=tuple(_whole("sigma_true", v) for v in data["sigma_true"]),
         output_perm=tuple(_whole("pi_true", v) for v in data["pi_true"]),
         metadata=dict(data.get("metadata", {})),

@@ -7,9 +7,12 @@ the SVD trace norm of the difference.  The checker instead takes each
 prefix's trace norm on the column span of a factor: a spec's
 purification, or the verified Cholesky factor of a dense operator, which
 it refuses when there is none; deviations and verdicts must agree.
+``compatible_orders`` walks the prefix nodes those deviations come from,
+and must find exactly the orders the checker passes.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +22,14 @@ import causalcomb.combs as combs
 from causalcomb.combs import (
     build_choi,
     check_comb_condition,
+    compatible_orders,
     enumerate_orders,
+    gen_fig3_comb,
+    gen_memoryless_comb,
+    gen_signaling_comb,
     gen_unitary_comb,
+    verified_factor,
+    wire_roles,
 )
 from causalcomb.oracle import OracleSession
 from causalcomb.tensors import Op, WireSpace, sort_wires
@@ -214,3 +223,87 @@ def test_a_refused_operator_is_refused_again():
     for _ in range(2):
         with pytest.raises(ValueError, match="positive semidefinite"):
             check_comb_condition(choi, order)
+
+
+def _random_state(n, seed):
+    """A full-rank state on ``A1..An, B1..Bn``: its inputs are not maximally mixed."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4**n, 4**n)) + 1j * rng.standard_normal((4**n, 4**n))
+    labels = tuple(f"A{k}" for k in range(1, n + 1)) + tuple(f"B{k}" for k in range(1, n + 1))
+    return Op(WireSpace(labels, (2,) * (2 * n)), x @ x.conj().T / np.vdot(x, x).real)
+
+
+def _combs_to_walk():
+    for n in (2, 3, 4):
+        rng = np.random.default_rng([n, 40])
+        yield f"unitary-1 n={n}", gen_unitary_comb(n, 2, 1, rng)
+        yield f"unitary-2 n={n}", gen_unitary_comb(n, 2, 2, rng)
+        yield f"memoryless n={n}", gen_memoryless_comb(n, 2, rng)
+        yield f"memoryless+constant n={n}", gen_memoryless_comb(n, 2, rng, constant_tooth=True)
+    yield "unitary-2 n=3 dense", build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(41)))
+    yield "signaling", gen_signaling_comb(np.random.default_rng(42))
+    yield "fig3", gen_fig3_comb()
+    yield "global unitary", global_unitary_choi(3, 4)
+    yield "random state", _random_state(2, 43)
+
+
+WALKED = dict(_combs_to_walk())
+
+
+@pytest.mark.parametrize("name", list(WALKED))
+def test_the_walk_finds_exactly_the_orders_the_checker_passes(name):
+    choi = WALKED[name]
+    space = verified_factor(choi)[0]
+    n = len(wire_roles(space.labels)[0])
+    checks = {o: check_comb_condition(choi, o) for o in enumerate_orders(n)}
+    found, nodes = compatible_orders(choi)
+    assert set(found) == {o for o, c in checks.items() if c.ok}
+    assert list(found) == sorted(found)  # in lexicographic order of the pairs
+    assert nodes <= math.comb(2 * n, n) - 1
+    for order, check in found.items():
+        assert check.ok and check.tol == 1e-9
+        assert check.residual_bound == checks[order].residual_bound
+        np.testing.assert_allclose(check.deviations, checks[order].deviations, rtol=0, atol=1e-14)
+        assert check.worst_deviation == max(check.deviations)
+    if name == "random state":  # the empty prefix already fails
+        assert (found, nodes) == ({}, 1)
+    if name == "global unitary":  # every first tooth fails
+        assert (found, nodes) == ({}, 1 + n**2)
+
+
+def test_every_node_deviation_matches_the_checker_on_every_path():
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(44))
+    space, g, _ = verified_factor(spec)
+    ins, outs = wire_roles(space.labels)
+    for order in enumerate_orders(3):
+        check = check_comb_condition(spec, order)
+        for k, dev in enumerate(check.deviations):
+            early = {a for a, _ in order[:k]} | {b for _, b in order[:k]}
+            node = combs._node_deviation(
+                space,
+                g,
+                [a for a in ins if a in early] + [b for b in outs if b in early],
+                [a for a in ins if a not in early],
+                [b for b in outs if b not in early],
+            )
+            assert abs(node - dev) <= 1e-14, (order, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_comb_with_one_order_takes_one_plus_the_sum_of_squares_nodes(n):
+    spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([n, 45]))
+    found, nodes = compatible_orders(spec)
+    assert list(found) == [spec.true_order]
+    assert nodes == 1 + sum(m * m for m in range(2, n + 1))
+
+
+def test_the_walk_simulates_a_spec_once(monkeypatch):
+    spec = gen_unitary_comb(4, 2, 2, np.random.default_rng(6))
+    calls = _counting(monkeypatch, "choi_factor")
+    found, _ = compatible_orders(spec)
+    assert len(calls) == 1
+    assert check_comb_condition(spec, spec.true_order).ok
+    assert compatible_orders(spec) == (found, 30)
+    assert len(calls) == 1
+    assert compatible_orders(dataclasses.replace(spec))[0].keys() == found.keys()
+    assert len(calls) == 2

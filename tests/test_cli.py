@@ -180,6 +180,17 @@ def test_verify_enumerate_scores_all_orders(capsys, tmp_path):
     assert "2/4 orders valid" in out
 
 
+def test_verify_enumerate_lists_only_the_compatible_orders_at_n5(capsys, tmp_path):
+    path = tmp_path / "h5.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "5", "--d-M", "2", "--seed", "3", "-o", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--enumerate")
+    lines = out.splitlines()
+    assert code == 0
+    assert len(lines) == 2
+    assert lines[0].split()[:2] == ["ok", format_order(load_comb(path).true_order)]
+    assert lines[1] == "1/14400 orders valid at tol=1e-09"
+
+
 def test_numerical_failure_exits_3_and_bad_config_still_exits_2(capsys, tmp_path, monkeypatch):
     import numpy as np
 
@@ -301,7 +312,18 @@ def test_comb_file_with_a_fractional_tooth_count_exits_2(capsys, tmp_path):
         assert err.startswith("error: comb file: n must be") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key, value", [("sigma_true", 5), ("unitaries", 7), ("metadata", 3)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sigma_true", 5),
+        ("unitaries", 7),
+        ("metadata", 3),
+        ("psi0", [1, 2]),
+        ("psi0", [["a", 0]]),
+        ("unitaries", [[[1]]]),
+        ("unitaries", [1, 2]),
+    ],
+)
 def test_comb_file_with_a_key_of_the_wrong_structure_exits_2(capsys, tmp_path, key, value):
     """It used to end ``verify`` in a ``TypeError`` traceback with exit 1."""
     path = tmp_path / "c.json"

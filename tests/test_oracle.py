@@ -14,10 +14,12 @@ import causalcomb.combs as combs
 from causalcomb.combs import (
     CombSpec,
     build_choi,
+    gen_memoryless_comb,
     gen_signaling_comb,
     gen_unitary_comb,
     trace_out_tooth,
 )
+from causalcomb.discovery import discover_memoryless
 from causalcomb.oracle import (
     OracleConfig,
     OracleSession,
@@ -26,7 +28,7 @@ from causalcomb.oracle import (
     swap_test_estimate,
     swap_test_sample_size,
 )
-from causalcomb.povm import IcPovm, pair_probs, sic_qubit
+from causalcomb.povm import IcPovm, pair_probs, povm_preset, sic_qubit, state_set_of
 from causalcomb.tensors import (
     Op,
     WireSpace,
@@ -219,6 +221,61 @@ def test_sample_batch_refuses_a_boolean_or_negative_shot_budget():
     np.testing.assert_array_equal(
         session.sample_batch(100, sic_qubit()), fresh.sample_batch(100, sic_qubit())
     )
+
+
+@pytest.mark.parametrize("bad, error", [(True, TypeError), (2.5, TypeError), (-5, ValueError)])
+def test_exact_pair_frequencies_refuse_a_bad_shot_budget(bad, error):
+    """Under the theoretical policy these used to bill 1, 2 and 0 queries, with ``ok=True``."""
+    spec = gen_memoryless_comb(3, 2, np.random.default_rng(68))
+    config = OracleConfig(query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    with pytest.raises(error):
+        discover_memoryless(session, sic_qubit(), bad, 0.1)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    # zero shots stay legal in exact mode: the runner's n_shots default is 0
+    report = discover_memoryless(session, sic_qubit(), 0, 0.1)
+    assert report.ok and report.queries == 0
+
+
+def _measure_both_ways(session, povms):
+    """Every session call that measures with ``povms``: sampled mode has two."""
+    calls = [lambda: session.pair_frequencies(1000, povms)]
+    if session.mode == "sampled":
+        calls.append(lambda: session.sample_batch(1000, povms))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_a_state_set_is_refused_as_a_measurement(mode):
+    """Sampled mode used to bill 1,000 queries and draw from unnormalized weights."""
+    spec = gen_memoryless_comb(2, 2, np.random.default_rng(69))
+    config = OracleConfig(mode=mode, seed=70, query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    states = state_set_of(sic_qubit())
+    mixed = {"A1": sic_qubit(), "A2": sic_qubit(), "B1": sic_qubit(), "B2": states}
+    for povms, wire in ((states, "A1"), (mixed, "B2")):
+        for call in _measure_both_ways(session, povms):
+            with pytest.raises(ValueError, match=f"wire {wire} needs a POVM on dimension 2"):
+                call()
+    with pytest.raises(ValueError, match="wire A1 needs a POVM"):
+        discover_memoryless(session, states, 1000, 0.1)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    if mode == "sampled":  # nothing was drawn either
+        fresh = OracleSession(spec, OracleConfig(mode="sampled", seed=70))
+        np.testing.assert_array_equal(
+            session.sample_batch(100, sic_qubit()), fresh.sample_batch(100, sic_qubit())
+        )
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_a_povm_of_the_wrong_dimension_is_refused(mode):
+    spec = gen_memoryless_comb(2, 2, np.random.default_rng(71))
+    config = OracleConfig(mode=mode, seed=72, query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    for call in _measure_both_ways(session, povm_preset("sic4", 4)):
+        with pytest.raises(ValueError, match="wire A1 needs a POVM on dimension 2, .* dimension 4"):
+            call()
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
 
 
 def test_negative_probability_mass_raises_and_bills_nothing():

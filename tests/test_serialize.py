@@ -107,10 +107,15 @@ def test_comb_dict_refuses_counts_that_are_not_whole_numbers(key, value):
         ("unitaries", 7, "a list"),
         ("psi0", 1.0, "a list"),
         ("metadata", 3, "a dict"),
+        ("psi0", [1, 2], "a 1-axis array"),
+        ("psi0", [["a", 0]], "a 1-axis array"),
+        ("unitaries", [[[1]]], "a 3-axis array"),
+        ("unitaries", [1, 2], "a 3-axis array"),
     ],
 )
 def test_comb_dict_refuses_a_key_of_the_wrong_structure(key, value, kind):
-    """A number where a list or mapping belongs used to raise ``TypeError``."""
+    """A number where a list or mapping belongs, or a list of malformed
+    entries, used to raise ``TypeError``."""
     data = comb_to_dict(gen_unitary_comb(2, 2, 1, np.random.default_rng(3)))
     data[key] = value
     with pytest.raises(ValueError, match=f"comb file: {key} must be {kind}"):
