@@ -15,6 +15,7 @@ the rejection budget), 3 when a numerical routine fails (for example an
 eigensolver that does not converge).  An unset generator, algorithm or
 oracle option takes the default of the runner's key tables or of the
 library call, as in ``bench``; only ``--n-shots`` has one of its own.
+A set option that the chosen kind or algorithm does not read is dropped.
 ``CAUSALCOMB_OUT_DIR`` sets the default output directory for generated
 files.
 """
@@ -32,8 +33,8 @@ import numpy as np
 from .checks import lemma_suite
 from .combs import RejectionBudgetError, check_comb_condition, compatible_orders
 from .oracle import OracleConfig, OracleSession
-from .runner import ALGORITHM_KEYS, ALGORITHM_NAME, GENERATOR_KINDS, SECTION_KEYS, ConfigError
-from .runner import ExperimentConfig, dispatch, generate_comb, given, read_section, run_experiment
+from .runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, ConfigError
+from .runner import ExperimentConfig, dispatch, generate_comb, given, run_experiment
 from .serialize import load_comb, load_json, save_comb, save_json
 
 EXIT_OK = 0
@@ -63,9 +64,9 @@ def _out_dir(explicit: str | None) -> Path:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    gen = read_section("generator", given(vars(args), SECTION_KEYS["generator"]))
+    kind, out = args.kind or next(iter(GENERATOR_KEYS)), args.out
+    gen = given(vars(args), ["kind", *GENERATOR_KEYS[kind]])
     spec = generate_comb(gen, np.random.default_rng(args.seed))
-    kind, out = gen["kind"], args.out
     if out is None:
         out = _out_dir(None) / f"{kind}_n{spec.n}_d{spec.wire_dim}_s{args.seed}.json"
     save_comb(spec, out)
@@ -79,9 +80,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_discover(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
-    # only the set options the named algorithm reads; an unset one keeps its default
-    alg = given(vars(args), ["name", *ALGORITHM_KEYS[args.name or ALGORITHM_NAME[1]]])
-    oracle = given(vars(args), SECTION_KEYS["oracle"])
+    alg = given(vars(args), ["name", *ALGORITHM_KEYS[args.name or next(iter(ALGORITHM_KEYS))]])
+    oracle = given(vars(args), ORACLE_KEYS)
     log = open(args.query_log, "w") if args.query_log else None
     try:
         config = OracleConfig(seed=args.seed, query_log=log, **oracle)
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # a config option defaults to None, unset: its default is the runner's or the library's
     g = sub.add_parser("gen", help="generate a comb and write it to JSON")
-    g.add_argument("--kind", choices=GENERATOR_KINDS)
+    g.add_argument("--kind", choices=tuple(GENERATOR_KEYS))
     g.add_argument("--n", type=int, help="number of teeth")
     g.add_argument("--d", type=int, help="wire dimension")
     g.add_argument("--d-M", dest="d_M", type=int, help="memory dimension")
@@ -193,17 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("discover", help="run a discovery algorithm on a stored comb")
     d.add_argument("comb", help="comb JSON written by gen")
-    d.add_argument("--algorithm", dest="name", choices=ALGORITHM_NAME[0])
+    d.add_argument("--algorithm", dest="name", choices=tuple(ALGORITHM_KEYS))
     d.add_argument("--mode", choices=["exact", "sampled"])
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--query-policy", choices=["actual", "theoretical"])
     d.add_argument("--query-log", default=None,
                    help="write one JSON line per oracle charge to this file")
     d.add_argument("--delta", type=float,
-                   help="general: distance threshold for rejecting a pair")
+                   help="general: distance threshold for rejecting a pair, in (0, 4]")
     d.add_argument("--kappa", type=float,
-                   help="general: failure probability of each swap test, so a run "
-                        "may fail with up to (number of tests) x kappa")
+                   help="general: failure probability of each swap test, in (0, 1), so "
+                        "a run may fail with up to (number of tests) x kappa")
     d.add_argument("--n-shots", type=int, default=100_000,
                    help="promise algorithms: prepare-and-measure shots per independence "
                         "matrix, drawn in sampled mode and billed under the theoretical policy")

@@ -166,6 +166,9 @@ class CombSpec:
     def _validate(self):
         if self.n < 1:
             raise ValueError("need at least one tooth")
+        for name in ("wire_dim", "memory_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if len(self.unitaries) != self.n:
             raise ValueError("one unitary per tooth required")
         if sorted(self.input_perm) != list(range(1, self.n + 1)):

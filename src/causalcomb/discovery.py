@@ -226,8 +226,14 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
     ``kappa`` is the failure probability of each swap test, not of the
     search: with ``m`` teeth and probe sets of ``d^2`` states the loop
     runs at most ``m^2 (2 d^2 - 1)`` tests, and a union bound over them
-    is the search's failure probability.
+    is the search's failure probability.  Needs ``0 < delta <= 4``, so
+    that each test's accuracy ``delta / 4`` is at most 1, and
+    ``0 < kappa < 1``; else ``ValueError``, before anything is billed.
     """
+    if not 0 < delta <= 4:
+        raise ValueError(f"delta must be in (0, 4], got {delta}")
+    if not 0 < kappa < 1:
+        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
     eps = delta / 4.0
     swap_tests = 0
     pairs_tested = 0

@@ -50,27 +50,26 @@ __all__ = [
     "run_experiment",
 ]
 
-GENERATOR_KINDS = ("unitary", "memoryless", "totalorder", "signaling", "fig3")
-#: Each section's keys as ``key: (type, default)``; a tuple type lists the
-#: strings the key admits.  A default of ``None`` fills nothing in: the key
-#: reaches its library call only when given, so that call's default applies.
-SECTION_KEYS = {
-    "generator": {
-        "kind": (GENERATOR_KINDS, "unitary"), "n": (int, 2), "d": (int, 2), "d_M": (int, 2),
-        "constant_tooth": (bool, None), "corr_floor": (float, None), "dressed": (bool, True),
-    },
-    "oracle": {"mode": (str, None), "query_policy": (str, None)},
+#: The keys each comb kind and algorithm reads, as ``key: (type, default)``;
+#: any other would have no effect, so it is refused.  The first kind and name
+#: are the defaults.  A default of ``None`` fills nothing in: the key reaches
+#: its library call only when given, so that call's default applies.
+#: :func:`dispatch` fills in ``povm`` and ``chi_min``, which depend on the comb.
+GENERATOR_KEYS = {
+    "unitary": {"n": (int, 2), "d": (int, 2), "d_M": (int, 2)},
+    "memoryless": {"n": (int, 2), "d": (int, 2), "constant_tooth": (bool, None)},
+    "totalorder": {"n": (int, 2), "d": (int, 2), "d_M": (int, 2), "corr_floor": (float, None)},
+    "signaling": {"dressed": (bool, True)},
+    "fig3": {},
 }
-#: The keys each algorithm reads besides ``name``; any other would have no
-#: effect on it, so it is refused.  :func:`dispatch` fills in the two
-#: defaults that depend on the comb: ``povm`` and ``chi_min``.
 ALGORITHM_KEYS = {
     "general": {"delta": (float, None), "kappa": (float, None)},
     "totalorder": {"povm": (str, None), "n_shots": (int, 0), "chi_min": (float, None)},
     "memoryless": {"povm": (str, None), "n_shots": (int, 0), "threshold": (float, 0.1)},
 }
-#: The algorithm section's ``name``, which picks the rest of its table.
-ALGORITHM_NAME = (tuple(ALGORITHM_KEYS), "general")
+#: The key that picks a section's table, and its tables; the oracle has one.
+SELECTORS = {"generator": ("kind", GENERATOR_KEYS), "algorithm": ("name", ALGORITHM_KEYS)}
+ORACLE_KEYS = {"mode": (str, None), "query_policy": (str, None)}
 #: What each type admits.  An int is a whole number, never negative: each
 #: counts something or seeds a generator.  A boolean is never a number.
 _TYPE_NAMES = {
@@ -100,17 +99,18 @@ def _typed(where: str, kind, value):
 
 
 def read_section(section: str, values: Mapping[str, Any]) -> dict[str, Any]:
-    """The ``generator``, ``algorithm`` or ``oracle`` section, typed, with
-    its table's defaults filled in; an unknown key or a value of the wrong
-    type is a ``ConfigError``.  A section reads back unchanged."""
+    """The ``generator`` (table picked by ``kind``), ``algorithm`` (by ``name``)
+    or ``oracle`` section, typed, with its table's defaults filled in; another
+    key or a wrong type is a ``ConfigError``.  A section reads back unchanged."""
     _require(isinstance(values, Mapping), f"{section} must be a mapping")
-    table = SECTION_KEYS.get(section)
-    if table is None:
-        choices, default = ALGORITHM_NAME
-        name = _typed("algorithm.name", choices, values.get("name", default))
-        table = {"name": ALGORITHM_NAME, **ALGORITHM_KEYS[name]}
+    table, owner = ORACLE_KEYS, section
+    if section in SELECTORS:
+        key, tables = SELECTORS[section]
+        choices = tuple(tables)
+        choice = _typed(f"{section}.{key}", choices, values.get(key, choices[0]))
+        table, owner = {key: (choices, choices[0]), **tables[choice]}, f"{section} {choice!r}"
     extra = set(values) - set(table)
-    _require(not extra, f"unknown {section} keys: {sorted(extra)} (it takes {tuple(table)})")
+    _require(not extra, f"unknown {section} keys: {sorted(extra)} ({owner} takes {tuple(table)})")
     return {
         key: _typed(f"{section}.{key}", kind, values[key]) if key in values else default
         for key, (kind, default) in table.items()
@@ -210,17 +210,17 @@ class RunSummary:
 def generate_comb(gen: Mapping[str, Any], rng: np.random.Generator) -> CombSpec:
     """Instantiate the comb family a generator section describes.
 
-    The section is read by :func:`read_section`; ``constant_tooth`` and
-    ``corr_floor`` reach their generator only when given.
+    The section is read by :func:`read_section`: only its kind's keys, with
+    ``constant_tooth`` and ``corr_floor`` passed on only when given.
     """
     gen = read_section("generator", gen)
-    kind, n, d = gen["kind"], gen["n"], gen["d"]
+    kind, n, d, d_M = map(gen.get, ("kind", "n", "d", "d_M"))
     if kind == "unitary":
-        return gen_unitary_comb(n, d, gen["d_M"], rng)
+        return gen_unitary_comb(n, d, d_M, rng)
     if kind == "memoryless":
         return gen_memoryless_comb(n, d, rng, **given(gen, ["constant_tooth"]))
     if kind == "totalorder":
-        return gen_totalorder_comb(n, d, gen["d_M"], rng, **given(gen, ["corr_floor"]))
+        return gen_totalorder_comb(n, d, d_M, rng, **given(gen, ["corr_floor"]))
     if kind == "signaling":
         return gen_signaling_comb(rng if gen["dressed"] else None)
     return gen_fig3_comb()

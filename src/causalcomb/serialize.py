@@ -26,9 +26,7 @@ _COMB_TYPES = {
 __all__ = [
     "FORMAT_VERSION",
     "encode_matrix",
-    "decode_matrix",
     "encode_vector",
-    "decode_vector",
     "comb_to_dict",
     "comb_from_dict",
     "save_comb",
@@ -73,16 +71,8 @@ def _decode(data, ndim: int, what: str) -> np.ndarray:
     return parts.astype(float).view(complex)[..., 0]
 
 
-def decode_vector(data) -> np.ndarray:
-    return _decode(data, 1, "a vector")
-
-
 def encode_matrix(m: np.ndarray) -> list:
     return [encode_vector(row) for row in np.asarray(m, dtype=complex)]
-
-
-def decode_matrix(data) -> np.ndarray:
-    return _decode(data, 2, "a matrix")
 
 
 def comb_to_dict(spec: CombSpec) -> dict:

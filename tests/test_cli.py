@@ -8,7 +8,7 @@ import pytest
 
 from causalcomb import cli
 from causalcomb.cli import format_order, main, parse_order
-from causalcomb.runner import ALGORITHM_KEYS, SECTION_KEYS, dispatch
+from causalcomb.runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, dispatch
 from causalcomb.serialize import load_comb
 
 
@@ -334,6 +334,76 @@ def test_comb_file_with_a_key_of_the_wrong_structure_exits_2(capsys, tmp_path, k
     assert err.startswith(f"error: comb file: {key} must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--d", "0"], "wire_dim"), (["--d-M", "0"], "memory_dim"),
+     (["--kind", "memoryless", "--d", "0"], "wire_dim")],
+)
+def test_gen_with_a_dimension_below_one_exits_2_naming_it(capsys, tmp_path, argv, name):
+    code, out, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "c.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be at least 1, got 0\n"
+
+
+def test_comb_file_with_a_zero_wire_dimension_exits_2(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "d_A": 0}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "error: wire_dim must be at least 1, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--delta", "8"), ("--delta", "-1"), ("--delta", "0"), ("--kappa", "1"),
+                      ("--kappa", "0")],
+)
+def test_discover_names_an_out_of_range_delta_or_kappa(capsys, tmp_path, option, value):
+    """It used to name an ``eps`` the user never set."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--n", "2", "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), option, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option[2:]} must be in") and err.count("\n") == 1
+
+
+def test_bench_names_an_out_of_range_delta(capsys, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(
+        json.dumps({"generator": {}, "algorithm": {"name": "general", "delta": 8}, "trials": 1})
+    )
+    code, out, err = run(capsys, "bench", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: delta must be in (0, 4], got 8.0\n"
+
+
+#: The kind line ``gen --seed 7`` prints with every option set; each kind
+#: reads its own options and drops the rest.
+GEN_LINES = {
+    "unitary": "kind=unitary n=3 d=2 d_M=2 true-order=A1:B2,A3:B3,A2:B1",
+    "memoryless": "kind=memoryless n=3 d=2 d_M=2 true-order=A1:B1,A2:B3,A3:B2",
+    "totalorder": "kind=totalorder n=3 d=2 d_M=2 true-order=A1:B2,A3:B3,A2:B1",
+    "signaling": "kind=signaling n=2 d=2 d_M=2 true-order=A1:B1,A2:B2",
+    "fig3": "kind=fig3 n=3 d=2 d_M=16 true-order=A1:B1,A2:B2,A3:B3",
+}
+
+
+@pytest.mark.parametrize("kind", GEN_LINES)
+def test_gen_drops_the_options_its_kind_does_not_read(capsys, tmp_path, kind):
+    """With every option set, the comb is the one the kind's own options build."""
+    options = {
+        "n": ["--n", "3"], "d": ["--d", "2"], "d_M": ["--d-M", "2"],
+        "constant_tooth": ["--constant-tooth"], "corr_floor": ["--corr-floor", "0.05"],
+        "dressed": ["--undressed"],
+    }
+    every = [a for argv in options.values() for a in argv]
+    mine = [a for key in GENERATOR_KEYS[kind] for a in options[key]]
+    files = [tmp_path / "every.json", tmp_path / "mine.json"]
+    for argv, path in zip((every, mine), files):
+        code, out, _ = run(capsys, "gen", "--kind", kind, "--seed", "7", *argv, "-o", str(path))
+        assert code == 0 and out.splitlines()[1] == GEN_LINES[kind]
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
 @pytest.mark.parametrize("algorithm", ["general", "totalorder", "memoryless"])
 def test_discover_without_algorithm_options_passes_only_the_name(
     capsys, tmp_path, monkeypatch, algorithm
@@ -358,8 +428,9 @@ def test_no_generator_algorithm_or_oracle_option_has_a_default():
     """Each such default lives once, in the runner's tables or the library call,
     so none may drift back into the command line; ``--n-shots`` is the one
     default ``discover`` keeps and ``bench`` lacks."""
-    keys = {"name", *SECTION_KEYS["generator"], *SECTION_KEYS["oracle"]}
-    keys.update(k for table in ALGORITHM_KEYS.values() for k in table)
+    keys = {"kind", "name", *ORACLE_KEYS}
+    for tables in (GENERATOR_KEYS, ALGORITHM_KEYS):
+        keys.update(k for table in tables.values() for k in table)
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     checked = set()

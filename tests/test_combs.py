@@ -173,6 +173,18 @@ def test_memoryless_comb_factorizes():
         assert purity == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("wire_dim, memory_dim, name", [(0, 2, "wire_dim"), (2, 0, "memory_dim")])
+def test_comb_spec_refuses_a_dimension_below_one(wire_dim, memory_dim, name):
+    """``d = 0`` used to fail in a NumPy reduction, and ``d_M = 0`` as an
+    unnormalized ``psi0``."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+        gen_unitary_comb(2, wire_dim, memory_dim, rng)
+    if name == "wire_dim":
+        with pytest.raises(ValueError, match="^wire_dim must be at least 1"):
+            gen_memoryless_comb(2, 0, rng)
+
+
 def test_memoryless_constant_tooth_hides_one_output():
     rng = np.random.default_rng(7)
     spec = gen_memoryless_comb(3, 2, rng, constant_tooth=True)

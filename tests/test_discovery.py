@@ -163,6 +163,27 @@ def test_theoretical_bound_covers_the_longest_search():
     assert report.theoretical_queries >= report.queries
 
 
+@pytest.mark.parametrize(
+    "delta, kappa, name",
+    [(8.0, 0.05, "delta"), (-1.0, 0.05, "delta"), (0.0, 0.05, "delta"),
+     (float("nan"), 0.05, "delta"), (1e-3, 1.0, "kappa"), (1e-3, 0.0, "kappa")],
+)
+def test_find_last_names_an_out_of_range_delta_or_kappa(delta, kappa, name):
+    """``delta = 8`` used to be refused as ``need 0 < eps <= 1``, an ``eps``
+    no caller sets; now the check names the argument, before any billing."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0))
+    session = OracleSession(spec, OracleConfig(query_policy="theoretical"))
+    for search in (find_last, discover_general):
+        with pytest.raises(ValueError, match=f"^{name} must be in"):
+            search(session, delta, kappa)
+    assert session.query_count == 0
+
+
+def test_find_last_accepts_the_largest_delta():
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0))
+    assert find_last(OracleSession(spec), 4.0, 0.05).pair is not None
+
+
 def test_find_last_on_xor_loop():
     res = find_last(_xor_loop_session(), delta=1e-6, kappa=0.05)
     assert res.pair is None

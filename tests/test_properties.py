@@ -17,8 +17,8 @@ from causalcomb.combs import (  # noqa: E402
 )
 from causalcomb.runner import (  # noqa: E402
     ALGORITHM_KEYS,
-    ALGORITHM_NAME,
-    SECTION_KEYS,
+    GENERATOR_KEYS,
+    ORACLE_KEYS,
     ConfigError,
     ExperimentConfig,
 )
@@ -104,13 +104,24 @@ def test_checker_matches_the_reference_on_low_rank_states(case):
     assert got.ok == ref.ok
 
 
-#: (section, algorithm name, key, type) for every key a config can hold
+def _picked(section, selector, tables):
+    """Each key of each table, under the entry that picks the table."""
+    return [
+        (section, {selector: c}, k, kind) for c, t in tables.items() for k, (kind, _) in t.items()
+    ]
+
+
+#: (section, the entry that picks its table, key, type) for every key a
+#: config can hold, each generator and algorithm key under a kind or name
+#: that reads it
 CONFIG_KEYS = [
-    *[(sec, None, k, kind) for sec, t in SECTION_KEYS.items() for k, (kind, _) in t.items()],
-    ("algorithm", None, "name", ALGORITHM_NAME[0]),
-    *[("algorithm", a, k, kind) for a, t in ALGORITHM_KEYS.items() for k, (kind, _) in t.items()],
+    ("generator", {}, "kind", tuple(GENERATOR_KEYS)),
+    *_picked("generator", "kind", GENERATOR_KEYS),
+    ("algorithm", {}, "name", tuple(ALGORITHM_KEYS)),
+    *_picked("algorithm", "name", ALGORITHM_KEYS),
+    *[("oracle", {}, k, kind) for k, (kind, _) in ORACLE_KEYS.items()],
     *[
-        (None, None, k, kind)
+        (None, {}, k, kind)
         for k, kind in get_type_hints(ExperimentConfig).items()
         if kind in (int, float)
     ],
@@ -141,12 +152,12 @@ def admits(kind, value) -> bool:
 @given(st.sampled_from(CONFIG_KEYS), st.data())
 def test_a_value_of_the_wrong_type_is_always_a_config_error(case, data):
     """Never another exception, for any key of any section."""
-    section, name, key, kind = case
+    section, picks, key, kind = case
     value = data.draw(JSON_VALUES.filter(lambda v: not admits(kind, v)))
-    config = {"generator": {"kind": "unitary"}, "algorithm": {"name": name or "general"}}
+    config = {"generator": {"kind": "unitary"}, "algorithm": {"name": "general"}}
     if section is None:
         config[key] = value
     else:
-        config[section] = {**config.get(section, {}), key: value}
+        config[section] = {**config.get(section, {}), **picks, key: value}
     with pytest.raises(ConfigError, match=f"{key} must be"):
         ExperimentConfig.from_dict(config)

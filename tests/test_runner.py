@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 
 import causalcomb
 from causalcomb import cli, runner
+from causalcomb.combs import gen_signaling_comb
 from causalcomb.oracle import OracleConfig, OracleSession
 from causalcomb.runner import (
     ConfigError,
@@ -101,6 +103,88 @@ def test_config_accepts_every_key_the_named_algorithm_reads():
     for name, keys in runner.ALGORITHM_KEYS.items():
         alg = {"name": name, **{k: kind(1) for k, (kind, _) in keys.items()}}
         assert ExperimentConfig(generator={"kind": "unitary"}, algorithm=alg).algorithm == alg
+
+
+#: A value of the right type for each key some generator kind reads.
+GENERATOR_VALUES = {
+    "n": 3, "d": 2, "d_M": 4, "constant_tooth": True, "corr_floor": 0.9, "dressed": False,
+}
+#: Every (kind, key) pair the kind's table lacks.
+REFUSED = [(k, key) for k, t in runner.GENERATOR_KEYS.items() for key in GENERATOR_VALUES
+           if key not in t]
+
+
+def test_the_generator_tables_hold_eleven_of_thirty_pairs():
+    assert {k for t in runner.GENERATOR_KEYS.values() for k in t} == set(GENERATOR_VALUES)
+    assert sum(map(len, runner.GENERATOR_KEYS.values())) == 11 and len(REFUSED) == 19
+
+
+@pytest.mark.parametrize("kind, key", REFUSED)
+def test_a_generator_key_its_kind_does_not_read_is_a_config_error(kind, key, tmp_path, capsys):
+    """Such a key used to be accepted and build a comb without it."""
+    data = {
+        "generator": {"kind": kind, key: GENERATOR_VALUES[key]},
+        "algorithm": {"name": "general"},
+        "trials": 1,
+    }
+    takes = ("kind", *runner.GENERATOR_KEYS[kind])
+    message = f"unknown generator keys: ['{key}'] (generator '{kind}' takes {takes})"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(data)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["bench", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "gen, keys",
+    [
+        ({"kind": "fig3", "n": 7, "d": 3, "d_M": 8}, ["d", "d_M", "n"]),
+        ({"kind": "memoryless", "d_M": 4}, ["d_M"]),
+        (
+            {"kind": "unitary", "constant_tooth": True, "corr_floor": 0.9, "dressed": False},
+            ["constant_tooth", "corr_floor", "dressed"],
+        ),
+        ({"kind": "signaling", "n": 5}, ["n"]),
+    ],
+)
+def test_generator_sections_that_built_another_comb_are_refused(gen, keys):
+    """``fig3`` with ``n: 7`` built the fixed 3-tooth comb, and so on."""
+    match = re.escape(f"unknown generator keys: {keys}")
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(generator=gen, algorithm={"name": "general"})
+    with pytest.raises(ConfigError, match=match):
+        generate_comb(gen, np.random.default_rng(0))
+
+
+def test_each_generator_key_reaches_its_comb():
+    def gen(**section):
+        return generate_comb(section, np.random.default_rng(3))
+
+    unitary = gen(kind="unitary", n=3, d=3, d_M=1)
+    assert (unitary.n, unitary.wire_dim, unitary.memory_dim) == (3, 3, 1)
+    assert gen(kind="totalorder", d_M=3).memory_dim == 3
+    plain, constant = gen(kind="memoryless", n=3), gen(kind="memoryless", n=3, constant_tooth=True)
+    assert (plain.memory_dim, constant.memory_dim) == (1, 2)
+    assert constant.metadata["generator"] == "memoryless+constant"
+    assert gen(kind="totalorder", corr_floor=0.3).metadata["achieved_chi_min"] >= 0.3
+    bare = gen_signaling_comb(None).unitaries
+    undressed = gen(kind="signaling", dressed=False).unitaries
+    assert all(np.array_equal(u, v) for u, v in zip(undressed, bare))
+    assert not np.allclose(gen(kind="signaling").unitaries[0], bare[0])
+
+
+def test_every_kind_states_only_the_defaults_it_reads():
+    """A memoryless section used to state ``"d_M": 2, "dressed": True``."""
+    filled = {
+        "unitary": {"n": 2, "d": 2, "d_M": 2}, "memoryless": {"n": 2, "d": 2},
+        "totalorder": {"n": 2, "d": 2, "d_M": 2}, "signaling": {"dressed": True}, "fig3": {},
+    }
+    for kind, defaults in filled.items():
+        config = ExperimentConfig(generator={"kind": kind}, algorithm={"name": "general"})
+        assert config.generator == {"kind": kind, **defaults}
 
 
 def test_generate_comb_dispatch():
@@ -255,10 +339,10 @@ def test_importing_the_library_loads_no_process_pool():
     [
         ("generator", {"n": 2.7}),
         ("generator", {"constant_tooth": "no"}),
-        ("generator", {"d_M": True}),
+        ("generator", {"kind": "unitary", "d_M": True}),
         ("generator", {"kind": 5}),
-        ("generator", {"corr_floor": "x"}),
-        ("generator", {"dressed": 1}),
+        ("generator", {"kind": "totalorder", "corr_floor": "x"}),
+        ("generator", {"kind": "signaling", "dressed": 1}),
         ("algorithm", {"povm": 5}),
         ("algorithm", {"threshold": [0.1]}),
         ("algorithm", {"name": "general", "delta": "1e-6"}),
@@ -272,16 +356,12 @@ def test_importing_the_library_loads_no_process_pool():
 def test_a_value_of_the_wrong_type_is_a_config_error(section, entries, tmp_path, capsys):
     """Such a value used to run another config (``"n": 2.7`` ran two teeth,
     ``bool("no")`` is true) or end in a traceback; now it exits 2."""
-    data = {
-        "generator": {"kind": "memoryless", "n": 2},
-        "algorithm": {"name": "memoryless"},
-        "trials": 1,
-    }
+    data = {"generator": {"kind": "memoryless"}, "algorithm": {"name": "memoryless"}, "trials": 1}
     if section is None:
         data.update(entries)
     else:
         data[section] = {**data.get(section, {}), **entries}
-    (key,) = set(entries) - {"name"}
+    key = list(entries)[-1]  # any entry before it picks the table that holds it
     with pytest.raises(ConfigError, match=rf"\b{key} must be"):
         ExperimentConfig.from_dict(data)
     cfg = tmp_path / "bad.json"
@@ -300,7 +380,7 @@ def test_config_holds_typed_values_with_defaults_filled_in():
         trials=2.0,
         success_tol=1,
     )
-    assert config.generator == {"kind": "memoryless", "n": 3, "d": 2, "d_M": 2, "dressed": True}
+    assert config.generator == {"kind": "memoryless", "n": 3, "d": 2}
     assert config.algorithm == {"name": "memoryless", "n_shots": 100_000, "threshold": 0.1}
     assert type(config.algorithm["n_shots"]) is int and type(config.trials) is int
     assert type(config.success_tol) is float
