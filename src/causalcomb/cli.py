@@ -141,7 +141,6 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     data = load_json(args.config)
-    data.pop("format_version", None)
     config = ExperimentConfig.from_dict(data)
     summary = run_experiment(config)
     print(summary.line())
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, so it must come first
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, RejectionBudgetError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, RejectionBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

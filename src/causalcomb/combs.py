@@ -375,8 +375,9 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     """A factor ``G`` with ``C = G G^H``, its wire space and a bound on its residual.
 
     A :class:`CombSpec` gives its purification from :func:`choi_factor`,
-    which is exact, so the residual is 0.0.  A dense ``Op`` is factored by
-    pivoted Cholesky, stopped once no residual diagonal entry exceeds
+    which is exact, so the residual is 0.0.  A dense ``Op`` over
+    :data:`MAX_ENTRIES` entries raises ``ValueError``; any other is factored
+    by pivoted Cholesky, stopped once no residual diagonal entry exceeds
     ``1e-13 * Tr C / dim``.  The factor is used only if
     ``sqrt(dim) * ||C - G G^H||_F``, a bound on ``||C - G G^H||_1`` and the
     residual returned, is at most ``1e-13 * Tr C``; as ``G G^H`` is
@@ -389,7 +390,7 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     where ``functools.cached_property`` would put it, with ``G``
     read-only.  ``Op`` and ``CombSpec`` are frozen and hold read-only
     arrays, so the memo is keyed by content and is freed with its input.
-    A refused operator is not memoized.
+    A refused operator is not memoized.  Sessions open on this memo too.
     """
     memo = vars(x)
     if "verified_factor" in memo:
@@ -399,6 +400,7 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
         residual = 0.0
     else:
         space, c = x.space, x.matrix
+        check_entries(space.dim**2, "the Choi operator")
         trace = np.trace(c).real
         if not trace > 0:  # also refuses NaN
             raise ValueError(f"the operator has trace {trace:.3g}, not a positive one")
@@ -435,10 +437,11 @@ def check_comb_condition(
     is a linear map of ``C`` that at most doubles the trace norm, so the
     deviations of ``G G^H`` are those of ``C`` to within twice
     ``residual_bound``.  An operator that is not Hermitian positive
-    semidefinite with a positive trace raises ``ValueError``, as does a
-    prefix matrix over :data:`MAX_ENTRIES` (from n = 8 on qubit wires with
-    d_M = 2).  The factor is computed once per input and kept on it, so
-    checking many orders of one operator or spec factors it once.
+    semidefinite with a positive trace raises ``ValueError``, as does an
+    operator or a prefix matrix over :data:`MAX_ENTRIES` (a prefix from
+    n = 8 on qubit wires with d_M = 2).  The factor is computed once per
+    input and kept on it, so checking many orders of one operator or spec
+    factors it once.
     """
     space, g, residual = verified_factor(choi)
     order = _validate_order(order, space)
@@ -635,8 +638,18 @@ def gen_totalorder_comb(
     tooth positions j >= i has pairwise correlation at least
     ``corr_floor``.  The achieved floor is recorded in the metadata under
     ``achieved_chi_min``.  Raises :class:`RejectionBudgetError` after
-    ``budget`` failed draws, carrying the best candidate seen.
+    ``budget`` failed draws, carrying the best candidate seen.  A positive
+    ``corr_floor`` that no draw can reach, because every pair it covers is
+    exactly uncorrelated (``wire_dim`` 1, or ``memory_dim`` 1 with n >= 2),
+    raises ``ValueError`` before the first draw.
     """
+    if corr_floor > 0 and (wire_dim == 1 or (memory_dim == 1 and n >= 2)):
+        why = (
+            "on wires of dimension 1 every pair is uncorrelated"
+            if wire_dim == 1
+            else "without memory no input reaches a later tooth's output"
+        )
+        raise ValueError(f"no draw can reach pairwise correlation {corr_floor}: {why}")
     best, best_floor = None, -math.inf
     for _ in range(budget):
         spec = gen_unitary_comb(n, wire_dim, memory_dim, rng)

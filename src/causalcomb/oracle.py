@@ -1,8 +1,9 @@
 """Query-metered black-box access to a hidden comb.
 
-An :class:`OracleSession` wraps a hidden :class:`~causalcomb.combs.CombSpec`
-and exposes only what a lab could do with the physical process: run
-batches of prepare-and-measure shots (``sample_batch``), read every
+An :class:`OracleSession` wraps a hidden comb, a
+:class:`~causalcomb.combs.CombSpec` or a dense Choi operator, and
+exposes only what a lab could do with the physical process: run batches
+of prepare-and-measure shots (``sample_batch``), read every
 (input, output) pair's frequencies from one batch (``pair_frequencies``),
 estimate state overlaps by destructive swap circuits
 (``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
@@ -11,12 +12,11 @@ discovery code sees statistics only, and the session alone decides how
 they are drawn in each mode and what they bill.
 
 A session holds its Choi operator as a factor, ``C = V V^H`` with ``V`` of
-shape ``d^{2n} x r``: the purification of the comb (``r = d_M``) for a
-spec, the verified Cholesky factor of
-:func:`~causalcomb.combs.verified_factor` for
-:meth:`OracleSession.from_choi`.  ``C`` is therefore positive
-semidefinite by construction.  Every method works on the factor, and no
-session forms ``C`` itself: reductions and overlaps take the Gram of the
+shape ``d^{2n} x r`` from :func:`~causalcomb.combs.verified_factor`:
+the purification of the comb (``r = d_M``) for a spec, the verified
+Cholesky factor for a dense operator, and in both cases the checker's.
+``C`` is therefore positive semidefinite by construction.  Every method
+works on the factor, and no session forms ``C`` itself: reductions and overlaps take the Gram of the
 folded factor on its smaller side, a pair's statistics its state
 ``K K^H`` with every other wire folded into ``K``'s columns, and a
 sampled table applies a product POVM to each column of ``V``.  The
@@ -36,7 +36,8 @@ preparations per swap circuit run).  In exact mode an estimate is the
 true overlap and a batch's pair frequencies are Born probabilities; the
 charging policy decides whether those virtual runs and shots are still
 billed (``"theoretical"``) or only real invocations count (``"actual"``,
-the default).
+the default).  One rule, ``OracleSession._bill``, applies it to every
+charge.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import IO
 
 import numpy as np
 
-from .combs import CombSpec, check_entries, choi_factor, verified_factor, wire_roles
+from .combs import CombSpec, check_entries, verified_factor, wire_roles
 from .povm import IcPovm, pair_probs, povm_by_label, product_born_table
 from .tensors import Op, WireSpace, contract_wire, fold, marginal, wire_key
 
@@ -69,6 +70,9 @@ __all__ = [
 
 #: A reduced factor keeps the eigenvalues above this fraction of the largest one.
 _RANK_RTOL = 1e-13
+
+#: How far a root session's ``Tr C = ||V||_F^2`` may be from 1.
+_TRACE_ATOL = 1e-6
 
 #: Categorical shots are drawn this many at a time: a block's uniforms and
 #: cell indices take 0.5 MB, however many shots a table gets.
@@ -197,8 +201,27 @@ class _QueryMeter:
 class OracleSession:
     """Black-box handle on a comb; see the module docstring for the contract."""
 
-    def __init__(self, spec: CombSpec, config: OracleConfig | None = None):
-        self._setup(*choi_factor(spec), config or OracleConfig())
+    def __init__(self, comb: CombSpec | Op, config: OracleConfig | None = None):
+        """Root session on a comb spec or a dense Choi operator.
+
+        It opens on the factor :func:`~causalcomb.combs.verified_factor`
+        keeps on the comb, so it shares the checker's.  Nothing checks that
+        an operator is a comb.  Whatever that factor refuses, a trace other
+        than 1 (overlaps scale with its square) and wires that are not
+        ``n >= 1`` inputs ``A…`` and ``n`` outputs ``B…``
+        (:func:`~causalcomb.combs.wire_roles`) raise ``ValueError`` before
+        anything is billed.  The read-only factor's rows are put into sorted
+        wire order, a view for a spec.
+        """
+        space, g, _ = verified_factor(comb)
+        trace = np.vdot(g, g).real
+        if not abs(trace - 1.0) <= _TRACE_ATOL:
+            raise ValueError(f"the Choi operator has trace {trace:.6g}, not 1")
+        labels = tuple(sorted(space.labels, key=wire_key))
+        v = fold(space, g, labels, [])
+        v.setflags(write=False)
+        sorted_space = WireSpace(labels, tuple(space.dim_of(l) for l in labels))
+        self._setup(sorted_space, v, config or OracleConfig())
 
     def _setup(
         self,
@@ -224,33 +247,6 @@ class OracleSession:
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
         # ((input, discard), swap operator, {state bytes: the state fed into it})
         self._swap_slot: tuple | None = None
-
-    # -- construction from a Choi operator ----------------------------------
-
-    @classmethod
-    def from_choi(cls, choi: Op, config: OracleConfig | None = None) -> "OracleSession":
-        """Root session on a raw Choi operator over wires ``A1..An, B1..Bn``.
-
-        Nothing checks that ``choi`` is a comb, so this also admits
-        processes with no causal order at all.  Its wires must be ``n >= 1``
-        inputs ``A…`` and ``n`` outputs ``B…``, as
-        :func:`~causalcomb.combs.wire_roles` decides; no wire is taken for
-        an environment and traced out.  The operator must fit under
-        :data:`~causalcomb.combs.MAX_ENTRIES`, and it must be Hermitian
-        positive semidefinite with a positive trace: the session opens on
-        its factor from :func:`~causalcomb.combs.verified_factor`, the one
-        :func:`~causalcomb.combs.check_comb_condition` checks on, and any
-        other operator raises ``ValueError`` here, before a query is
-        billed.  The factor's rows are put into sorted wire order.
-        """
-        config = config or OracleConfig()
-        check_entries(choi.space.dim**2, "the Choi operator")
-        space, g, _ = verified_factor(choi)
-        labels = tuple(sorted(space.labels, key=wire_key))
-        sorted_space = WireSpace(labels, tuple(space.dim_of(l) for l in labels))
-        session = cls.__new__(cls)
-        session._setup(sorted_space, fold(space, g, labels, []), config)
-        return session
 
     def reduce(self, input_label: str, output_label: str) -> "OracleSession":
         """Session for the comb with one tooth wired shut.
@@ -343,7 +339,7 @@ class OracleSession:
             [pair_probs(pmap[a], pmap[b], marginal(self._space, self._v, [a, b])) for b in outs]
             for a in ins
         ]
-        self.note_virtual_queries(n_shots, op="independence")
+        self._bill("independence", n_shots)
         return [[p / p.sum() for p in row] for row in probs]
 
     def sample_batch(self, n_shots: int, povms) -> np.ndarray:
@@ -367,7 +363,7 @@ class OracleSession:
             raise ValueError("need at least one shot")
         tbl = product_born_table(self._space, self._v, self._povms(povms))
         counts = _multinomial(self._rng, n_shots, tbl)
-        self._meter.charge("sample_batch", n_shots)
+        self._bill("sample_batch", n_shots)
         return counts
 
     def _povms(self, povms) -> dict[str, IcPovm]:
@@ -385,10 +381,10 @@ class OracleSession:
                 )
         return pmap
 
-    def note_virtual_queries(self, n: int, op: str = "virtual") -> None:
-        """Charge ``n`` planned-but-not-executed invocations under the
-        theoretical policy; a no-op under the actual policy."""
-        if self._config.query_policy == "theoretical":
+    def _bill(self, op: str, n: int) -> None:
+        """Charge ``n`` invocations as ``op``: always in sampled mode, where
+        they run, and in exact mode only under the theoretical policy."""
+        if self.mode == "sampled" or self.query_policy == "theoretical":
             self._meter.charge(op, n)
 
     # -- overlap estimation -------------------------------------------------
@@ -460,8 +456,7 @@ class OracleSession:
             fed[key] = contract_wire(swap_op, pair[0], d * s_a.T).matrix
         # sum(M_a * s_b), not np.vdot: M_a must not be conjugated
         overlap = float(d * (fed[key].ravel() @ s_b.ravel()).real)
+        self._bill("swap_test", 2 * n)
         if self.mode == "sampled":
-            self._meter.charge("swap_test", 2 * n)
             return swap_test_estimate(overlap, eps, kappa, self._rng)
-        self.note_virtual_queries(2 * n, op="swap_test")
         return overlap

@@ -170,11 +170,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
+        """The config a JSON object holds; its ``format_version``, which
+        every file :func:`~causalcomb.serialize.save_json` writes carries,
+        is not a key and is skipped."""
+        _require(isinstance(data, Mapping), f"a config is a mapping, not a {type(data).__name__}")
+        data = {k: v for k, v in data.items() if k != "format_version"}
         extra = set(data) - {f.name for f in fields(cls)}
         _require(not extra, f"unknown config keys: {sorted(extra)}")
         _require("generator" in data, "config needs a 'generator' section")
         _require("algorithm" in data, "config needs an 'algorithm' section")
-        return cls(**dict(data))
+        return cls(**data)
 
 
 @dataclass(frozen=True)

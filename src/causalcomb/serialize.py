@@ -91,6 +91,8 @@ def comb_to_dict(spec: CombSpec) -> dict:
 
 
 def comb_from_dict(data: dict) -> CombSpec:
+    if not isinstance(data, dict):
+        raise ValueError(f"comb file: the top level is an object, not a {type(data).__name__}")
     if data.get("kind") != "comb_spec":
         raise ValueError(f"not a comb spec file (kind={data.get('kind')!r})")
     if data.get("format_version") != FORMAT_VERSION:

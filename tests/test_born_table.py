@@ -84,7 +84,7 @@ def test_from_choi_on_a_full_rank_operator_matches_the_reference():
     """An n = 3 comb mixed with 10 % white noise: the factor has all 64 columns."""
     choi = build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(48)))
     noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64) / 64)
-    session = OracleSession.from_choi(noisy)
+    session = OracleSession(noisy)
     assert session._v.shape == (64, 64)
     for povm in (sic_qubit(), _rank_two_povm()):
         want = reference_born_table(noisy, {l: povm for l in noisy.labels})
@@ -126,7 +126,7 @@ def test_from_choi_refuses_an_indefinite_operator_even_with_a_positive_table():
         for config in (OracleConfig(query_policy="theoretical"), OracleConfig(mode="sampled", seed=1)):
             config.query_log = io.StringIO()
             with pytest.raises(ValueError, match="positive semidefinite"):
-                OracleSession.from_choi(op, config)
+                OracleSession(op, config)
             assert config.query_log.getvalue() == ""
 
 
@@ -163,18 +163,18 @@ def _dense_pair_probs(choi, pair, povm):
 
 @pytest.mark.parametrize("povm", [sic_qubit(), _rank_two_povm()], ids=["sic", "rank-two"])
 def test_pair_distribution_matches_the_dense_partial_trace(povm):
-    """Spec, reduced and full-rank ``from_choi`` sessions, every (input, output) pair.
+    """Spec, reduced and full-rank dense-operator sessions, every (input, output) pair.
 
-    The full-rank operator is a comb plus white noise, left unnormalized.
+    The full-rank operator is a comb mixed with white noise, at unit trace.
     """
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(49))
     choi = build_choi(spec)
     last = spec.true_order[-1]
-    noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64))
+    noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64) / 64)
     cases = [
         (OracleSession(spec), choi),
         (OracleSession(spec).reduce(*last), trace_out_tooth(choi, *last)),
-        (OracleSession.from_choi(noisy), noisy),
+        (OracleSession(noisy), noisy),
     ]
     for session, dense in cases:
         freqs = session.pair_frequencies(1000, povm)

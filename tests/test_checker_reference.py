@@ -194,7 +194,7 @@ def test_an_operator_is_factored_once_for_many_orders(monkeypatch):
     orders = _orders_with_the_true_one(spec, rng, 20)
     calls = _counting(monkeypatch, "_pivoted_cholesky")
     # a session opened on the operator shares the checker's factor
-    session = OracleSession.from_choi(choi)
+    session = OracleSession(choi)
     checks = [check_comb_condition(choi, order) for order in orders]
     assert len(calls) == 1
     assert session.wires == choi.labels
@@ -210,8 +210,16 @@ def test_a_spec_is_simulated_once_for_many_orders(monkeypatch):
     spec = gen_unitary_comb(4, 2, 2, rng)
     orders = _orders_with_the_true_one(spec, rng, 20)
     calls = _counting(monkeypatch, "choi_factor")
+    # sessions open on the checker's factor
+    sessions = [OracleSession(spec) for _ in range(2)]
     checks = [check_comb_condition(spec, order) for order in orders]
+    found, _ = compatible_orders(spec)
     assert len(calls) == 1
+    assert spec.true_order in found
+    for session in sessions:
+        assert np.shares_memory(session._v, verified_factor(spec)[1])
+        with pytest.raises(ValueError, match="read-only"):
+            session._v[0, 0] = 0.0
     for order, check in zip(orders, checks):
         assert check == check_comb_condition(dataclasses.replace(spec), order)
     assert len(calls) == 1 + len(orders)

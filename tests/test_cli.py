@@ -345,6 +345,41 @@ def test_gen_with_a_dimension_below_one_exits_2_naming_it(capsys, tmp_path, argv
     assert err == f"error: {name} must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "discover", "bench"])
+@pytest.mark.parametrize("top", [[1, 2], "comb"], ids=["list", "string"])
+def test_a_file_whose_top_level_is_not_an_object_exits_2(capsys, tmp_path, command, top):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(top))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"not a {type(top).__name__}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "{dir}"), ("discover", "{dir}"), ("bench", "{dir}"),
+     ("discover", "{comb}", "--query-log", "{dir}")],
+    ids=["verify", "discover", "bench", "query-log"],
+)
+def test_a_directory_given_for_a_file_exits_2(capsys, tmp_path, argv):
+    comb = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
+    code, out, err = run(capsys, *(a.format(dir=tmp_path, comb=comb) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--d-M", "1"], ["--d", "1"]], ids=["d_M=1", "d=1"])
+def test_gen_refuses_a_totalorder_floor_no_draw_can_reach(capsys, tmp_path, argv):
+    code, out, err = run(
+        capsys, "gen", "--kind", "totalorder", *argv, "-o", str(tmp_path / "c.json")
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no draw can reach pairwise correlation 0.05:")
+    assert err.count("\n") == 1
+
+
 def test_comb_file_with_a_zero_wire_dimension_exits_2(capsys, tmp_path):
     path = tmp_path / "c.json"
     run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(path))

@@ -278,3 +278,23 @@ def test_unitary_comb_hidden_perms_are_recorded():
     rng = np.random.default_rng(10)
     spec = gen_unitary_comb(3, 2, 2, rng, input_perm=(2, 3, 1), output_perm=(3, 1, 2))
     assert spec.true_order == (("A2", "B3"), ("A3", "B1"), ("A1", "B2"))
+
+
+@pytest.mark.parametrize(
+    "n, d, d_m",
+    [(2, 2, 1), (4, 2, 1), (2, 1, 2), (1, 1, 2)],
+    ids=["d_M=1", "n=4 d_M=1", "d=1", "n=1 d=1"],
+)
+def test_a_totalorder_floor_no_draw_can_reach_is_refused_before_the_first_draw(n, d, d_m):
+    """Without memory an input never reaches a later tooth's output, and on
+    one-dimensional wires no pair is correlated: the floor is exactly 0."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="no draw can reach pairwise correlation 1e-20"):
+        gen_totalorder_comb(n, d, d_m, rng, corr_floor=1e-20)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+    assert gen_totalorder_comb(n, d, d_m, rng, corr_floor=0.0).metadata["achieved_chi_min"] < 1e-12
+
+
+def test_one_tooth_without_memory_still_reaches_a_floor():
+    spec = gen_totalorder_comb(1, 2, 1, np.random.default_rng(0), corr_floor=0.05)
+    assert spec.metadata["achieved_chi_min"] >= 0.05

@@ -120,7 +120,7 @@ def _xor_loop_session():
             idx = ((a1 * 2 + a2) * 2 + x) * 2 + x  # wires (A1, A2, B1, B2)
             mat[idx, idx] = 0.25
     choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
-    return OracleSession.from_choi(choi, OracleConfig(seed=0))
+    return OracleSession(choi, OracleConfig(seed=0))
 
 
 def _last_probe_comb():
@@ -147,7 +147,7 @@ def _last_probe_comb():
         for a2 in range(2)
     ) / 4
     choi = Op(WireSpace(("A1", "A2", "B1", "B2"), (2, 2, 2, 2)), mat)
-    return choi, OracleSession.from_choi(choi, OracleConfig(query_policy="theoretical"))
+    return choi, OracleSession(choi, OracleConfig(query_policy="theoretical"))
 
 
 def test_theoretical_bound_covers_the_longest_search():
@@ -216,7 +216,7 @@ def test_discover_general_not_a_comb_failure():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_discover_general_global_unitary_is_not_a_comb(n, seed):
-    session = OracleSession.from_choi(global_unitary_choi(n, seed))
+    session = OracleSession(global_unitary_choi(n, seed))
     report = discover_general(session)
     assert report.failure == NOT_A_COMB
     assert report.order is None

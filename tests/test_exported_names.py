@@ -1,7 +1,9 @@
 """Source hygiene: every exported name in the package has a user outside the tests.
 
-A name in a module's ``__all__`` that nothing but tests calls is code the
-library no longer needs.  A user is one of:
+A name in a module's ``__all__``, or a public method or property of a
+public class, that nothing but tests calls is code the library no longer
+needs.  Names are matched as names, whichever class or module they belong
+to.  A user is one of:
 
 - a name, attribute or imported name anywhere under ``src/causalcomb``
   outside the name's own definition; the package ``__init__`` only
@@ -47,21 +49,47 @@ def _definitions(tree: ast.Module) -> dict[str, tuple[int, int]]:
     return spans
 
 
-def test_every_exported_name_is_used_outside_the_tests():
+def _exported(tree: ast.Module):
+    """``(label, name, line span)`` of each name in the module's ``__all__``."""
+    spans = _definitions(tree)
+    for name in _exports(tree):
+        yield name, name, spans.get(name, (0, -1))
+
+
+def _members(tree: ast.Module):
+    """``(label, name, line span)`` of each public method and property of a
+    public top-level class, labelled ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn.name, (fn.lineno, fn.end_lineno)
+
+
+def _unused(names) -> list[str]:
+    """``"module label"`` for each name that ``names(tree)`` yields with no user."""
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     trees = {path: ast.parse(path.read_text()) for path in modules}
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
     unused = []
     for path, tree in trees.items():
-        spans = _definitions(tree)
-        for name in _exports(tree):
-            first, last = spans.get(name, (0, -1))
+        for label, name, (first, last) in names(tree):
             used = name in PINNED or re.search(rf"\b{name}\b", bench) or any(
                 ref == name and not (other == path and first <= line <= last)
                 for other, pairs in refs.items()
                 for ref, line in pairs
             )
             if not used:
-                unused.append(f"{path.name} {name}")
+                unused.append(f"{path.name} {label}")
+    return unused
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    unused = _unused(_exported)
     assert not unused, f"exported names with no user outside the tests: {unused}"
+
+
+def test_every_public_method_and_property_is_used_outside_the_tests():
+    unused = _unused(_members)
+    assert not unused, f"public methods and properties with no user outside the tests: {unused}"

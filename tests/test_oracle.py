@@ -290,7 +290,7 @@ def test_negative_probability_mass_raises_and_bills_nothing():
         OracleConfig(mode="sampled", seed=1, query_log=io.StringIO()),
     ):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            OracleSession.from_choi(choi, config)
+            OracleSession(choi, config)
         assert config.query_log.getvalue() == ""
 
 
@@ -433,7 +433,7 @@ def test_reduce_shares_meter_and_matches_traced_choi():
     want = trace_out_tooth(build_choi(spec), last_in, last_out)
     got = session_born_table(child, sic_qubit())
     np.testing.assert_allclose(
-        got, session_born_table(OracleSession.from_choi(want), sic_qubit()), atol=1e-12
+        got, session_born_table(OracleSession(want), sic_qubit()), atol=1e-12
     )
 
 
@@ -477,7 +477,7 @@ def test_from_choi_matches_the_spec_session(monkeypatch):
     rng = np.random.default_rng(18)
     spec = gen_unitary_comb(2, 2, 2, rng)
     choi = build_choi(spec)
-    session = OracleSession.from_choi(
+    session = OracleSession(
         reorder(choi, ["B2", "A1", "B1", "A2"]), OracleConfig(query_policy="theoretical")
     )
     assert session.wires == ("A1", "A2", "B1", "B2")
@@ -492,7 +492,7 @@ def test_from_choi_matches_the_spec_session(monkeypatch):
     assert session.query_count == 2 * 738
     monkeypatch.setattr(combs, "MAX_ENTRIES", choi.space.dim**2 - 1)
     with pytest.raises(ValueError, match="cap"):
-        OracleSession.from_choi(choi)
+        OracleSession(choi)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -516,19 +516,40 @@ def test_from_choi_refuses_a_non_hermitian_operator():
     mat = np.eye(4, dtype=complex) / 4
     mat[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
-        OracleSession.from_choi(Op(WireSpace(("A1", "B1"), (2, 2)), mat))
+        OracleSession(Op(WireSpace(("A1", "B1"), (2, 2)), mat))
 
 
 def test_from_choi_refuses_an_operator_without_positive_trace():
     """The zero operator would leave an all-NaN outcome table."""
     with pytest.raises(ValueError, match="trace"):
-        OracleSession.from_choi(Op(WireSpace(("A1", "B1"), (2, 2)), np.zeros((4, 4))))
+        OracleSession(Op(WireSpace(("A1", "B1"), (2, 2)), np.zeros((4, 4))))
 
 
 def test_from_choi_keeps_one_column_for_a_rank_one_operator():
-    session = OracleSession.from_choi(global_unitary_choi(2, 0))
+    session = OracleSession(global_unitary_choi(2, 0))
     assert session._v.shape == (16, 1)
     assert np.linalg.norm(session._v) ** 2 == pytest.approx(1.0)
+
+
+def test_a_spec_session_opens_on_the_purification():
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(4))
+    np.testing.assert_array_equal(OracleSession(spec)._v, combs.choi_factor(spec)[1])
+
+
+@pytest.mark.parametrize("trace", [8.0, 0.5])
+def test_a_session_refuses_a_choi_operator_whose_trace_is_not_one(trace):
+    """Exact overlaps scale with (Tr C)^2, so ``delta`` loses its meaning.
+
+    At trace 8 (d^n, the other common convention) a sampled
+    ``discover_general`` run on this comb emitted an order the checker
+    rejects.
+    """
+    choi = build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(5)))
+    config = OracleConfig(mode="sampled", seed=3, query_log=io.StringIO())
+    with pytest.raises(ValueError, match=f"trace {trace:g}, not 1"):
+        OracleSession(Op(choi.space, trace * choi.matrix), config)
+    assert config.query_log.getvalue() == ""
+    assert OracleSession(choi, config).wires == choi.labels
 
 
 @pytest.mark.parametrize("wire", ["B2", "E1"])
@@ -543,7 +564,7 @@ def test_from_choi_refuses_wires_that_are_not_n_inputs_and_n_outputs(wire):
     choi = np.kron(np.outer(phi, phi), np.diag([1.0, 0.0]))
     op = Op(WireSpace(("A1", "B1", wire), (2, 2, 2)), choi)
     with pytest.raises(ValueError, match="inputs A"):
-        OracleSession.from_choi(op, OracleConfig(query_policy="theoretical"))
+        OracleSession(op, OracleConfig(query_policy="theoretical"))
     with pytest.raises(ValueError, match="inputs A"):
         combs.check_comb_condition(op, (("A1", "B1"),))
 

@@ -134,14 +134,14 @@ def test_qutrit_overlaps_match_the_reference(n, dm):
 
 
 def test_wide_factor_overlaps_match_and_stay_within_the_pair_operator(monkeypatch):
-    """A full-rank ``from_choi`` factor has more columns than rows.
+    """A full-rank dense-operator factor has more columns than rows.
 
     Its swap operator comes from the row Gram, which holds no more entries
     than the dense pair operator ``Tr_discard C`` on the input and the span
     of the rest: ``(d_in * min(rest, d_in * d_out * rank))^2``.
     """
     noisy = _with_white_noise(build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(34))))
-    session = OracleSession.from_choi(noisy)
+    session = OracleSession(noisy)
     rank = session._v.shape[1]
     assert rank == noisy.space.dim
     sizes = []
@@ -172,7 +172,7 @@ def test_a_pair_feeds_each_probe_into_the_swap_operator_once(monkeypatch):
 def test_overlaps_and_reduction_need_no_qr(monkeypatch):
     specs = list(_haar_combs())
     noisy = _with_white_noise(build_choi(specs[0]))
-    sessions = [OracleSession(spec) for spec in specs] + [OracleSession.from_choi(noisy)]
+    sessions = [OracleSession(spec) for spec in specs] + [OracleSession(noisy)]
 
     def no_qr(*args, **kwargs):
         raise AssertionError("np.linalg.qr called")
