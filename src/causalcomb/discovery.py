@@ -120,7 +120,14 @@ def _outcome_classes(povm_a: IcPovm, povm_b: IcPovm) -> int:
 def correlation_error_bound(
     n_shots: int, kappa: float, povm_a: IcPovm, povm_b: IcPovm
 ) -> float:
-    """Accuracy ``eps`` achieved with failure probability ``kappa`` at ``n_shots``."""
+    """Accuracy ``eps`` achieved with failure probability ``kappa`` at ``n_shots``.
+
+    Needs ``n_shots >= 1`` and ``0 < kappa < 1``, else ``ValueError``.
+    """
+    if not n_shots >= 1:
+        raise ValueError(f"n_shots must be at least 1, got {n_shots}")
+    if not 0 < kappa < 1:
+        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
     xi = xi_constant(povm_a, povm_b)
     arg = 2.0 * _outcome_classes(povm_a, povm_b) / kappa
     return math.sqrt(math.log(arg) / (2.0 * xi**2 * n_shots))
@@ -129,7 +136,14 @@ def correlation_error_bound(
 def correlation_sample_size(
     eps: float, kappa: float, povm_a: IcPovm, povm_b: IcPovm
 ) -> int:
-    """Shots needed for accuracy ``eps`` at failure probability ``kappa``."""
+    """Shots needed for accuracy ``eps`` at failure probability ``kappa``.
+
+    Needs ``eps > 0`` and ``0 < kappa < 1``, else ``ValueError``.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
+    if not 0 < kappa < 1:
+        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
     xi = xi_constant(povm_a, povm_b)
     arg = 2.0 * _outcome_classes(povm_a, povm_b) / kappa
     return math.ceil(math.log(arg) / (2.0 * xi**2 * eps**2))
@@ -363,7 +377,12 @@ def discover_general(
 
 
 def _promise_discovery(
-    algorithm: str, session: OracleSession, povms, threshold: float, rule: Callable
+    algorithm: str,
+    session: OracleSession,
+    povms,
+    promise: tuple[str, float],
+    threshold: float,
+    rule: Callable,
 ) -> DiscoveryReport:
     """Time, bill and report one promise algorithm's ordering ``rule``.
 
@@ -373,7 +392,14 @@ def _promise_discovery(
     draws, in sampled mode or under the theoretical policy, and nothing
     otherwise; so the report's ``theoretical_queries`` is ``None``.  The
     shots the theory asks for come from :func:`correlation_sample_size`.
+
+    ``promise`` is the caller's parameter that sets the correlation
+    ``threshold``, by name and value.  Unless the value is a positive finite
+    number, ``ValueError`` names it before anything is billed.
     """
+    name, value = promise
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
     t0 = time.perf_counter()
     start_queries = session.query_count
     ind, order, failure, diagnostics = rule(
@@ -421,7 +447,8 @@ def discover_totalorder(
     profile triggers one retry with a doubled shot budget (sampled mode);
     persisting ties mean the promise does not hold for this process.
     In sampled mode, or under the theoretical policy, the run bills
-    ``n_shots`` queries, or ``3 * n_shots`` after a retry.
+    ``n_shots`` queries, or ``3 * n_shots`` after a retry.  A ``chi_min``
+    that is not a positive finite number raises ``ValueError`` first.
     """
 
     def rank(measure):
@@ -444,7 +471,9 @@ def discover_totalorder(
             "retried": retried,
         }
 
-    return _promise_discovery("totalorder", session, povms, chi_min / 2.0, rank)
+    return _promise_discovery(
+        "totalorder", session, povms, ("chi_min", chi_min), chi_min / 2.0, rank
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +492,8 @@ def discover_memoryless(
     than one partner breaks that promise: the report fails with
     ``NOT_MEMORYLESS`` and still carries the matched order.  In sampled
     mode, or under the theoretical policy, the run bills ``n_shots`` queries.
+    A ``threshold`` that is not a positive finite number raises
+    ``ValueError`` first.
     """
 
     def match(measure):
@@ -483,4 +514,6 @@ def discover_memoryless(
         failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
         return ind, order, failure, {}
 
-    return _promise_discovery("memoryless", session, povms, threshold, match)
+    return _promise_discovery(
+        "memoryless", session, povms, ("threshold", threshold), threshold, match
+    )

@@ -24,9 +24,10 @@ factor of a spec counts ``d^{2n} d_M`` entries and a sampled table one
 cell per joint outcome, and each must fit under
 :data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no
 table, so they run as far as the factor fits.  A sampled batch is one
-exact multinomial draw over its table: Poisson counts corrected to the
-shot budget, drawn in the table's own buffer, so the counts are the
-only other cell-sized array.
+exact multinomial draw over its table, made in stages by the chain rule:
+block totals from the leading wires' marginal, then each block's counts
+from its own slice of the table, at most :data:`_BLOCK_CELLS` cells.  So
+the counts are the batch's only cell-sized array.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -77,6 +78,11 @@ _TRACE_ATOL = 1e-6
 #: Categorical shots are drawn this many at a time: a block's uniforms and
 #: cell indices take 0.5 MB, however many shots a table gets.
 _SHOT_BLOCK = 2**15
+
+#: A sampled table is drawn in blocks of at most this many cells, whose
+#: weights take 0.5 MB and one column's amplitudes 1 MB: cache-sized, and
+#: far below the whole table's cap.
+_BLOCK_CELLS = 2**16
 
 
 def swap_test_sample_size(eps: float, kappa: float) -> int:
@@ -346,25 +352,63 @@ class OracleSession:
         """Counts from ``n_shots`` independent prepare-and-measure shots.
 
         Returns an integer array with one axis per wire (inputs then
-        outputs, sorted wire order), drawn from the factor's Born table
-        (:func:`~causalcomb.povm.product_born_table`), which must fit under
-        :data:`~causalcomb.combs.MAX_ENTRIES`.  The counts are one exact
-        multinomial draw over the whole table (:func:`_multinomial`), which
+        outputs, sorted wire order), drawn from the factor's Born table,
+        which must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.  The
+        counts are one exact multinomial draw over the whole table, which
         is statistically identical to looping single shots and costs
         ``n_shots`` queries either way.  ``n_shots`` must be a positive
         integer (:func:`_shot_count`) and ``povms`` a POVM for each wire
         (:meth:`_povms`); anything else raises before anything is drawn or
         billed.
+
+        The draw is staged, and exact in law by the chain rule.  The lead
+        wires are the fewest leading wires that leave at most
+        :data:`_BLOCK_CELLS` cells per block, one block per lead outcome
+        ``B``.  Its factor ``V_B`` holds ``(r (x) 1) V`` side by side for
+        every row ``r`` of ``B``'s elements (:attr:`IcPovm.rows`), and
+        since the other wires' POVMs sum to the identity, the block's
+        probability is ``||V_B||_F^2``.  One :func:`_multinomial` draw
+        gives the block totals, and one more per nonzero block its counts
+        from its slice, :func:`~causalcomb.povm.product_born_table` of
+        ``V_B``.  A table of at most :data:`_BLOCK_CELLS` cells is one
+        block, which takes every shot without a draw.
         """
         n_shots = _shot_count(n_shots)
         if self.mode != "sampled":
             raise ValueError("sample_batch requires sampled mode")
         if n_shots < 1:
             raise ValueError("need at least one shot")
-        tbl = product_born_table(self._space, self._v, self._povms(povms))
-        counts = _multinomial(self._rng, n_shots, tbl)
+        pmap = self._povms(povms)
+        labels, sizes = self.wires, [pmap[l].size for l in self.wires]
+        check_entries(math.prod(sizes), "the outcome table")
+        k = 0
+        while k < len(sizes) - 1 and math.prod(sizes[k:]) > _BLOCK_CELLS:
+            k += 1
+        # the lead wires' rows, Kronecker-combined, and the outcome owning each
+        rows, owner = np.ones((1, 1)), np.zeros(1, dtype=int)
+        for l in labels[:k]:
+            r, o = pmap[l].rows
+            rows, owner = np.kron(rows, r), (owner[:, None] * pmap[l].size + o).ravel()
+        rest = self._space.restrict(labels[k:])
+        # [column, lead index, rest index]: a view of V, row- or column-major
+        lead = self._v.T.reshape(-1, len(rows[0]), rest.dim)
+        # each lead outcome B's rows r; V_B holds every (r (x) 1) V side by side
+        order = np.argsort(owner, kind="stable")
+        cuts = np.searchsorted(owner[order], np.arange(1, math.prod(sizes[:k])))
+        block_rows = np.split(rows[order], cuts)
+        q = np.array([np.linalg.norm(r @ lead) ** 2 for r in block_rows])
+        totals = _multinomial(self._rng, n_shots, q) if q.size > 1 else [n_shots]
+        counts = np.empty(math.prod(sizes), dtype=np.int64)
+        blocks = counts.reshape(q.size, -1)
+        for b, (r, total) in enumerate(zip(block_rows, totals)):
+            if total:
+                v_b = (r @ lead).reshape(-1, rest.dim).T
+                tbl = product_born_table(rest, v_b, pmap)
+                blocks[b] = _multinomial(self._rng, total, tbl).reshape(-1)
+            else:
+                blocks[b] = 0
         self._bill("sample_batch", n_shots)
-        return counts
+        return counts.reshape(sizes)
 
     def _povms(self, povms) -> dict[str, IcPovm]:
         """One POVM per wire, from one for every wire or a mapping by label.

@@ -9,14 +9,15 @@ table the factored one is compared against, :func:`session_born_table`
 the whole normalized table a session samples from, and
 :func:`global_unitary_choi` a process with no causal order.
 :func:`reference_correlation_norm` is the per-pair correlation formula the
-stacked kernel is compared against, and :func:`pauli6` a six-outcome
-qubit POVM to mix with the SIC.
+stacked kernel is compared against, :func:`pauli6` a six-outcome
+qubit POVM to mix with the SIC, and :func:`rank_two_povm` a qubit POVM
+with a rank-two element.
 """
 
 import numpy as np
 
 from causalcomb.combs import CombCheck
-from causalcomb.povm import IcPovm, povm_by_label, product_born_table
+from causalcomb.povm import IcPovm, povm_by_label, product_born_table, sic_qubit
 from causalcomb.tensors import (
     PAULI_X,
     PAULI_Y,
@@ -91,9 +92,9 @@ def reference_born_table(x, povms):
 def session_born_table(session, povms):
     """The normalized Born table a sampled session draws from, read off its factor.
 
-    No session method returns a whole table: ``sample_batch`` forms one,
-    draws from it and drops it.  One real axis per wire, in sorted wire
-    order.
+    No session method returns a whole table: ``sample_batch`` forms it one
+    block at a time, draws from each block and drops it.  One real axis
+    per wire, in sorted wire order.
     """
     pmap = povm_by_label(povms, session.wires)
     table = product_born_table(session._space, session._v, pmap)
@@ -124,3 +125,14 @@ def pauli6():
     """The six Pauli eigenprojectors, each weighted 1/3: an IC qubit POVM of six outcomes."""
     els = [(np.eye(2) + s * p) / 6 for p in (PAULI_X, PAULI_Y, PAULI_Z) for s in (1, -1)]
     return IcPovm(tuple(els), kind="povm", name="pauli6")
+
+
+def rank_two_povm():
+    """``E = diag(0.3, 0.2)`` (rank two) and the qubit SIC squeezed into ``1 - E``.
+
+    Five outcomes, six rows: the SIC elements stay rank one under
+    ``S^(1/2) . S^(1/2)`` for ``S = 1 - E = diag(0.7, 0.8)``.
+    """
+    e = np.diag([0.3, 0.2])
+    root = np.sqrt(np.eye(2) - e)
+    return IcPovm((e,) + tuple(root @ x @ root for x in sic_qubit().elements))

@@ -13,23 +13,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_born_table, session_born_table
+from conftest import pauli6, rank_two_povm, reference_born_table, session_born_table
 
+import causalcomb.oracle as oracle
 from causalcomb.combs import build_choi, choi_factor, gen_unitary_comb, trace_out_tooth
 from causalcomb.oracle import OracleConfig, OracleSession, _multinomial
-from causalcomb.povm import IcPovm, pair_probs, povm_preset, product_born_table, sic_qubit
+from causalcomb.povm import pair_probs, povm_preset, product_born_table, sic_qubit
 from causalcomb.tensors import Op, WireSpace, partial_trace
-
-
-def _rank_two_povm() -> IcPovm:
-    """``E = diag(0.3, 0.2)`` (rank two) and the qubit SIC squeezed into ``1 - E``.
-
-    Five outcomes, six rows: the SIC elements stay rank one under
-    ``S^(1/2) . S^(1/2)`` for ``S = 1 - E = diag(0.7, 0.8)``.
-    """
-    e = np.diag([0.3, 0.2])
-    root = np.sqrt(np.eye(2) - e)
-    return IcPovm((e,) + tuple(root @ x @ root for x in sic_qubit().elements))
 
 
 def _spec_tables(spec, povms):
@@ -58,7 +48,7 @@ def test_qutrit_random_ic_table_matches_the_reference():
 
 def test_rank_two_element_rows_sum_into_its_outcome():
     spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(42))
-    rank_two, sic = _rank_two_povm(), sic_qubit()
+    rank_two, sic = rank_two_povm(), sic_qubit()
     rows, owner = rank_two.rows
     assert rows.shape == (6, 2)
     assert owner.tolist() == [0, 0, 1, 2, 3, 4]
@@ -73,7 +63,7 @@ def test_factor_on_an_odd_number_of_mixed_wires():
     rng = np.random.default_rng(43)
     space = WireSpace(("A1", "A2", "B1"), (2, 3, 2))
     v = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    povms = {"A1": _rank_two_povm(), "A2": povm_preset("random-ic:6", 3), "B1": sic_qubit()}
+    povms = {"A1": rank_two_povm(), "A2": povm_preset("random-ic:6", 3), "B1": sic_qubit()}
     got = product_born_table(space, v, povms)
     want = reference_born_table(Op(space, v @ v.conj().T), povms)
     assert got.shape == (5, 9, 4)
@@ -86,7 +76,7 @@ def test_from_choi_on_a_full_rank_operator_matches_the_reference():
     noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64) / 64)
     session = OracleSession(noisy)
     assert session._v.shape == (64, 64)
-    for povm in (sic_qubit(), _rank_two_povm()):
+    for povm in (sic_qubit(), rank_two_povm()):
         want = reference_born_table(noisy, {l: povm for l in noisy.labels})
         np.testing.assert_allclose(
             session_born_table(session, povm), want / want.sum(), rtol=0, atol=1e-12
@@ -142,8 +132,57 @@ def test_sampled_counts_are_the_multinomial_of_the_reference(n):
     np.testing.assert_array_equal(counts, _multinomial(np.random.default_rng(46), shots, want))
 
 
+def _staged_weights(monkeypatch, session, n_shots, povms):
+    """The weights every ``_multinomial`` call of one batch receives, copied
+    before the draw overwrites them: the block totals', then each block's."""
+    seen = []
+
+    def recording(rng, n, weights):
+        seen.append(weights.copy())
+        return _multinomial(rng, n, weights)
+
+    monkeypatch.setattr(oracle, "_multinomial", recording)
+    session.sample_batch(n_shots, povms)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n, block_cells, lead, mapping",
+    [
+        (5, None, 2, "sic"),
+        (2, 16, 2, "rank-two lead"),  # A1's rank-two element adds its second row
+        (3, 16, 4, "sic/pauli6"),
+    ],
+)
+def test_staged_weights_are_the_chain_rule_of_the_reference(
+    monkeypatch, n, block_cells, lead, mapping
+):
+    """Block totals from the lead wires' marginal ``q_B``, then each block from
+    its own slice: ``q_B`` times the normalized slice is the reference table."""
+    spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([50, n]))
+    choi = build_choi(spec)
+    sic, labels = sic_qubit(), choi.labels
+    povms = {l: sic for l in labels}
+    if mapping == "rank-two lead":
+        povms["A1"] = rank_two_povm()
+    elif mapping == "sic/pauli6":
+        povms.update({l: pauli6() for l in labels[:n]})
+    if block_cells is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=51))
+    q, *blocks = _staged_weights(monkeypatch, session, 10**6, povms)
+    sizes = [povms[l].size for l in labels]
+    assert q.shape == (np.prod(sizes[:lead]),) and len(blocks) == q.size  # every block drawn
+    assert {b.shape for b in blocks} == {tuple(sizes[lead:])}
+    staged = np.stack([w * b / b.sum() for w, b in zip(q / q.sum(), blocks)])
+    want = reference_born_table(choi, povms)
+    np.testing.assert_allclose(staged.reshape(sizes), want / want.sum(), rtol=0, atol=1e-12)
+
+
 def test_one_table_at_n5_stays_small():
-    """n = 5, d_M = 2: the dense Choi operator and its contraction peaked at 64 MB."""
+    """n = 5, d_M = 2: the dense Choi operator and its contraction peaked at 64
+    MB, and the whole table and one column's amplitudes at 28 MB.  Drawn in
+    blocks, the 8 MB of int64 counts are the only cell-sized array."""
     spec = gen_unitary_comb(5, 2, 2, np.random.default_rng(47))
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=1))
     tracemalloc.start()
@@ -153,7 +192,7 @@ def test_one_table_at_n5_stays_small():
     finally:
         tracemalloc.stop()
     assert counts.shape == (4,) * 10
-    assert peak < 48 * 2**20, peak
+    assert peak < 12 * 2**20, peak
 
 
 def _dense_pair_probs(choi, pair, povm):
@@ -161,7 +200,7 @@ def _dense_pair_probs(choi, pair, povm):
     return pair_probs(povm, povm, rho) / np.trace(rho.matrix).real
 
 
-@pytest.mark.parametrize("povm", [sic_qubit(), _rank_two_povm()], ids=["sic", "rank-two"])
+@pytest.mark.parametrize("povm", [sic_qubit(), rank_two_povm()], ids=["sic", "rank-two"])
 def test_pair_distribution_matches_the_dense_partial_trace(povm):
     """Spec, reduced and full-rank dense-operator sessions, every (input, output) pair.
 

@@ -411,6 +411,44 @@ def test_bench_names_an_out_of_range_delta(capsys, tmp_path):
     assert err == "error: delta must be in (0, 4], got 8.0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--algorithm", "totalorder", "--chi-min", "-1"], "chi_min"),
+        (["--algorithm", "totalorder", "--chi-min", "0"], "chi_min"),
+        (["--algorithm", "totalorder", "--chi-min", "nan"], "chi_min"),
+        (["--algorithm", "memoryless", "--mode", "sampled", "--n-shots", "1000",
+          "--threshold", "-1"], "threshold"),
+        (["--algorithm", "memoryless", "--mode", "sampled", "--n-shots", "1000",
+          "--threshold", "nan"], "threshold"),
+    ],
+)
+def test_discover_names_a_promise_threshold_that_is_not_positive(capsys, tmp_path, argv, name):
+    """It used to exit 1, reporting a broken promise."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "memoryless", "--n", "3", "--seed", "1", "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} must be a positive finite number, got ")
+
+
+def test_bench_names_a_promise_threshold_that_is_not_positive(capsys, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "generator": {"kind": "memoryless", "n": 3},
+                "algorithm": {"name": "memoryless", "n_shots": 1000, "threshold": -1},
+                "oracle": {"mode": "sampled"},
+                "trials": 1,
+            }
+        )
+    )
+    code, out, err = run(capsys, "bench", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: threshold must be a positive finite number, got -1.0\n"
+
+
 #: The kind line ``gen --seed 7`` prints with every option set; each kind
 #: reads its own options and drops the rest.
 GEN_LINES = {

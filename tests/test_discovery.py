@@ -92,6 +92,43 @@ def test_correlation_bound_roundtrip():
     assert correlation_error_bound(n - 1, 0.05, sic, sic) > 0.5 * (1 - 1e-6)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda sic: correlation_sample_size(-1.0, 0.05, sic, sic), "eps"),
+        (lambda sic: correlation_sample_size(0.0, 0.05, sic, sic), "eps"),
+        (lambda sic: correlation_sample_size(float("nan"), 0.05, sic, sic), "eps"),
+        (lambda sic: correlation_sample_size(0.5, 1.5, sic, sic), "kappa"),
+        (lambda sic: correlation_sample_size(0.5, 0.0, sic, sic), "kappa"),
+        (lambda sic: correlation_error_bound(-5, 0.05, sic, sic), "n_shots"),
+        (lambda sic: correlation_error_bound(0, 0.05, sic, sic), "n_shots"),
+        (lambda sic: correlation_error_bound(1000, 0.0, sic, sic), "kappa"),
+        (lambda sic: correlation_error_bound(1000, 1.0, sic, sic), "kappa"),
+    ],
+)
+def test_budget_helpers_name_an_argument_out_of_their_domain(call, name):
+    """``eps = -1`` used to size a budget as ``eps = 1`` did, ``kappa = 1.5``
+    returned a budget, and zeros or negative counts broke inside the formula."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(sic_qubit())
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("algorithm", ["totalorder", "memoryless"])
+def test_promise_algorithms_refuse_a_threshold_that_is_not_positive(algorithm, value):
+    """Such a value once ran and reported a broken promise; it is refused,
+    named, before anything is billed."""
+    spec = gen_memoryless_comb(3, 2, np.random.default_rng(1))
+    session = _session(spec, mode="sampled", seed=2)
+    run, name = {
+        "totalorder": (discover_totalorder, "chi_min"),
+        "memoryless": (discover_memoryless, "threshold"),
+    }[algorithm]
+    with pytest.raises(ValueError, match=f"^{name} must be a positive finite number"):
+        run(session, sic_qubit(), 1000, value)
+    assert session.query_count == 0
+
+
 def test_find_last_rejects_wrong_pair_on_signaling_comb():
     spec = gen_signaling_comb()
     res = find_last(_session(spec), delta=1e-6, kappa=0.05)

@@ -8,9 +8,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import global_unitary_choi, pauli6, reference_born_table, session_born_table
+from conftest import (
+    global_unitary_choi,
+    pauli6,
+    rank_two_povm,
+    reference_born_table,
+    session_born_table,
+)
 
 import causalcomb.combs as combs
+import causalcomb.oracle as oracle
 from causalcomb.combs import (
     CombSpec,
     build_choi,
@@ -155,6 +162,14 @@ def test_multinomial_draws_the_multinomial_law(n, weights, branches, draws):
     rng = _CallCounter(np.random.default_rng([61, n]))
     x = np.array([_multinomial(rng, n, np.array(weights)) for _ in range(draws)])
     assert set(rng.calls) == branches
+    _assert_multinomial_law(x, n, p)
+
+
+def _assert_multinomial_law(x, n, p):
+    """Rows of ``x`` are independent ``Multinomial(n, p)`` draws: each cell's
+    mean and variance and cells 0 and 1's covariance within 5 standard errors,
+    and a chi-square test of cell 0's counts."""
+    draws = len(x)
     assert (x.sum(axis=1) == n).all() and x.min() >= 0
     assert (x[:, p == 0] == 0).all()
 
@@ -178,6 +193,33 @@ def test_multinomial_draws_the_multinomial_law(n, weights, branches, draws):
     expected, observed = lump(expected), lump(observed)
     chi2, dof = ((observed - expected) ** 2 / expected).sum(), len(expected) - 1
     assert chi2 <= dof + 5 * math.sqrt(2 * dof), (chi2, dof)
+
+
+@pytest.mark.parametrize(
+    "n, shots, draws, kept",
+    [
+        (2, 40, 800, ("A1", "A2", "B1", "B2")),  # 320 cells in 20 blocks of 16
+        (3, 20, 1000, ("A1", "B2")),  # 5120 cells in 320 blocks; one pair's sums
+    ],
+)
+def test_staged_batches_draw_the_multinomial_law(monkeypatch, n, shots, draws, kept):
+    """Blocks of 16 cells: the lead wires' totals, then each block's counts.
+
+    A1 measures with a rank-two element, so one outcome's block factor holds
+    two rows' columns.  At n = 3 the table has too many cells to test each,
+    and the batches' sums over all but (A1, B2), a lead and a rest wire, are
+    tested instead: a multinomial's sums over cells are multinomial too.
+    """
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 16)
+    spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([64, n]))
+    choi = build_choi(spec)
+    povms = {l: sic_qubit() for l in choi.labels}
+    povms["A1"] = rank_two_povm()
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=65))
+    others = tuple(k for k, l in enumerate(choi.labels) if l not in kept)
+    x = np.array([session.sample_batch(shots, povms).sum(axis=others) for _ in range(draws)])
+    p = reference_born_table(choi, povms).sum(axis=others)
+    _assert_multinomial_law(x.reshape(draws, -1), shots, (p / p.sum()).ravel())
 
 
 @pytest.mark.parametrize("n", [100_000, 350_000_000])
