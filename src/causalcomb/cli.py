@@ -96,10 +96,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
     print(f"wall:      {report.wall_ms:.1f} ms")
     if not report.ok:
         print(f"failure:   {report.failure}")
-        if report.order is not None:
-            print(f"partial:   {format_order(report.order)}")
+    if report.order is not None:
+        print(f"{'order:' if report.ok else 'partial:':10s} {format_order(report.order)}")
+    guessed = report.diagnostics.get("paired_by_index")
+    if guessed:
+        print(f"guessed:   {format_order(guessed)} (paired by index, no correlation seen)")
+    if not report.ok:
         return EXIT_FAIL
-    print(f"order:     {format_order(report.order)}")
     if args.verify:
         check = check_comb_condition(spec, report.order, tol=args.tol)
         verdict = "valid" if check.ok else "INVALID"

@@ -417,6 +417,13 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     return space, g, residual
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a ``tol`` that is not a positive finite number: at 0 or below,
+    or NaN, roundoff fails the true order; at infinity every order passes."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def check_comb_condition(
     choi: Op | CombSpec, order: Sequence[Sequence[str]], tol: float = 1e-9
 ) -> CombCheck:
@@ -441,8 +448,10 @@ def check_comb_condition(
     operator or a prefix matrix over :data:`MAX_ENTRIES` (a prefix from
     n = 8 on qubit wires with d_M = 2).  The factor is computed once per
     input and kept on it, so checking many orders of one operator or spec
-    factors it once.
+    factors it once.  A ``tol`` that is not a positive finite number
+    raises ``ValueError`` before anything is factored.
     """
+    _check_tol(tol)
     space, g, residual = verified_factor(choi)
     order = _validate_order(order, space)
     ins, outs = [p[0] for p in order], [p[1] for p in order]
@@ -474,7 +483,10 @@ def compatible_orders(
 
     Returns each compatible order, in lexicographic wire order of its pairs,
     mapped to its :class:`CombCheck`, and the number of nodes evaluated.
+    ``tol`` must be a positive finite number, as for
+    :func:`check_comb_condition`.
     """
+    _check_tol(tol)
     space, g, residual = verified_factor(choi)
     ins, outs = wire_roles(space.labels)
     nodes: dict[tuple[frozenset[str], frozenset[str]], float] = {}

@@ -25,7 +25,8 @@ Three strategies, in decreasing order of generality and cost:
     Assumes the process is a product of single-wire teeth.  Each input is
     matched to the first output it is visibly correlated with; inputs
     with no visible partner (constant teeth) are paired up with the
-    leftover outputs in index order, any choice being equally valid.  A
+    leftover outputs in index order, any choice being equally valid, and
+    the report lists those pairs as guesses.  A
     wire visibly correlated with two partners breaks the promise, and the
     run reports it.
 
@@ -488,7 +489,11 @@ def discover_memoryless(
     Each input takes the first output it is visibly correlated with;
     since a product comb correlates each input with at most one output,
     the leftover (constant-tooth) inputs can be paired with the leftover
-    outputs in any way, and index order is used.  A wire related to more
+    outputs in any way, and index order is used.  Those pairs rest on no
+    evidence, and ``diagnostics["paired_by_index"]`` lists them: on a
+    comb that only looks pairwise uncorrelated, such as
+    :func:`~causalcomb.combs.gen_fig3_comb`, they are guesses that the
+    checker may reject, though the report is ok.  A wire related to more
     than one partner breaks that promise: the report fails with
     ``NOT_MEMORYLESS`` and still carries the matched order.  In sampled
     mode, or under the theoretical policy, the run bills ``n_shots`` queries.
@@ -506,13 +511,15 @@ def discover_memoryless(
                     pairing[i] = j
                     break
         leftovers = [j for j in range(len(outs)) if j not in pairing.values()]
-        for i in range(len(ins)):
-            if i not in pairing:
-                pairing[i] = leftovers.pop(0)
+        guessed = [i for i in range(len(ins)) if i not in pairing]
+        for i in guessed:
+            pairing[i] = leftovers.pop(0)
         order = tuple((ins[i], outs[pairing[i]]) for i in range(len(ins)))
         c_in, c_out = _relation_counts(ind)
         failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
-        return ind, order, failure, {}
+        return ind, order, failure, {
+            "paired_by_index": [(ins[i], outs[pairing[i]]) for i in guessed]
+        }
 
     return _promise_discovery(
         "memoryless", session, povms, ("threshold", threshold), threshold, match

@@ -27,7 +27,8 @@ table, so they run as far as the factor fits.  A sampled batch is one
 exact multinomial draw over its table, made in stages by the chain rule:
 block totals from the leading wires' marginal, then each block's counts
 from its own slice of the table, at most :data:`_BLOCK_CELLS` cells.  So
-the counts are the batch's only cell-sized array.
+the counts, four bytes a cell below ``2**31`` shots, are the batch's only
+cell-sized array.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -145,6 +146,7 @@ def _multinomial(rng: np.random.Generator, n: int, weights: np.ndarray) -> np.nd
         np.copyto(flat, counts)
         np.cumsum(flat, out=flat)
         drop = rng.choice(s, s - n, replace=False, shuffle=False)
+        drop.sort()  # the same cells, and the search walks the cdf once
         np.subtract.at(counts, np.searchsorted(flat, drop, side="right"), 1)
     elif s < n:
         np.cumsum(flat, out=flat)
@@ -335,7 +337,8 @@ class OracleSession:
             counts = self.sample_batch(n_shots, povms)
             # sorted wires: the inputs' axes precede the outputs'
             others = [[k for k in range(len(ins)) if k != i] for i in range(len(ins))]
-            rows = [counts.sum(axis=tuple(o)) for o in others]
+            # summed in the counts' own type: no sum of cells exceeds n_shots
+            rows = [counts.sum(axis=tuple(o), dtype=counts.dtype) for o in others]
             return [
                 [row.sum(axis=tuple(1 + k for k in o)) / n_shots for o in others] for row in rows
             ]
@@ -353,7 +356,10 @@ class OracleSession:
 
         Returns an integer array with one axis per wire (inputs then
         outputs, sorted wire order), drawn from the factor's Born table,
-        which must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.  The
+        which must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.  No
+        cell exceeds ``n_shots``, so the counts are ``int32`` below
+        ``2**31`` shots and ``int64`` from there; signed, so that the
+        difference of two batches never wraps.  The
         counts are one exact multinomial draw over the whole table, which
         is statistically identical to looping single shots and costs
         ``n_shots`` queries either way.  ``n_shots`` must be a positive
@@ -398,7 +404,7 @@ class OracleSession:
         block_rows = np.split(rows[order], cuts)
         q = np.array([np.linalg.norm(r @ lead) ** 2 for r in block_rows])
         totals = _multinomial(self._rng, n_shots, q) if q.size > 1 else [n_shots]
-        counts = np.empty(math.prod(sizes), dtype=np.int64)
+        counts = np.empty(math.prod(sizes), np.int32 if n_shots < 2**31 else np.int64)
         blocks = counts.reshape(q.size, -1)
         for b, (r, total) in enumerate(zip(block_rows, totals)):
             if total:

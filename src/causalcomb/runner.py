@@ -12,6 +12,7 @@ dense Choi operator.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -162,7 +163,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad oracle section: {exc}") from None
         _require(self.trials >= 1, "trials must be >= 1")
-        _require(self.success_tol > 0, "success_tol must be positive")
+        _require(
+            0 < self.success_tol < math.inf,
+            f"success_tol must be a positive finite number, got {self.success_tol}",
+        )
         _require(
             0.0 <= self.min_success_rate <= 1.0, "min_success_rate must be in [0, 1]"
         )

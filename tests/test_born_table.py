@@ -134,7 +134,8 @@ def test_sampled_counts_are_the_multinomial_of_the_reference(n):
 
 def _staged_weights(monkeypatch, session, n_shots, povms):
     """The weights every ``_multinomial`` call of one batch receives, copied
-    before the draw overwrites them: the block totals', then each block's."""
+    before the draw overwrites them: the block totals', then each block's;
+    and the batch's counts."""
     seen = []
 
     def recording(rng, n, weights):
@@ -142,8 +143,8 @@ def _staged_weights(monkeypatch, session, n_shots, povms):
         return _multinomial(rng, n, weights)
 
     monkeypatch.setattr(oracle, "_multinomial", recording)
-    session.sample_batch(n_shots, povms)
-    return seen
+    counts = session.sample_batch(n_shots, povms)
+    return seen, counts
 
 
 @pytest.mark.parametrize(
@@ -170,7 +171,7 @@ def test_staged_weights_are_the_chain_rule_of_the_reference(
     if block_cells is not None:
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=51))
-    q, *blocks = _staged_weights(monkeypatch, session, 10**6, povms)
+    (q, *blocks), _ = _staged_weights(monkeypatch, session, 10**6, povms)
     sizes = [povms[l].size for l in labels]
     assert q.shape == (np.prod(sizes[:lead]),) and len(blocks) == q.size  # every block drawn
     assert {b.shape for b in blocks} == {tuple(sizes[lead:])}
@@ -179,10 +180,43 @@ def test_staged_weights_are_the_chain_rule_of_the_reference(
     np.testing.assert_allclose(staged.reshape(sizes), want / want.sum(), rtol=0, atol=1e-12)
 
 
+def test_staged_counts_are_the_replayed_draws_at_n5(monkeypatch):
+    """Each block's draw lands in its own slice unchanged: replaying the
+    batch's ``_multinomial`` calls on one stream gives its counts."""
+    spec = gen_unitary_comb(5, 2, 2, np.random.default_rng([50, 5]))
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=52))
+    (q, *blocks), counts = _staged_weights(monkeypatch, session, 10**5, sic_qubit())
+    rng = np.random.default_rng(52)
+    totals = _multinomial(rng, 10**5, q)
+    assert np.count_nonzero(totals) == len(blocks)
+    want = np.zeros((q.size, blocks[0].size), np.int64)
+    for b, w in zip(np.flatnonzero(totals), blocks):
+        want[b] = _multinomial(rng, totals[b], w).reshape(-1)
+    np.testing.assert_array_equal(counts.reshape(q.size, -1), want)
+
+
+def test_counts_take_four_bytes_below_two_to_the_31_shots():
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(53))
+    session = OracleSession(spec, OracleConfig(mode="sampled", seed=54))
+    for shots in (1, 10**5, 2**31 - 1):
+        counts = session.sample_batch(shots, sic_qubit())
+        assert counts.dtype == np.int32 and counts.sum(dtype=np.int64) == shots
+
+
+def test_counts_take_eight_bytes_from_two_to_the_31_shots():
+    """No cell of an int32 array could hold them: one tooth, 16 cells."""
+    spec = gen_unitary_comb(1, 2, 2, np.random.default_rng(55))
+    counts = OracleSession(spec, OracleConfig(mode="sampled", seed=56)).sample_batch(
+        3 * 10**9, sic_qubit()
+    )
+    assert counts.dtype == np.int64 and counts.sum() == 3 * 10**9
+
+
 def test_one_table_at_n5_stays_small():
     """n = 5, d_M = 2: the dense Choi operator and its contraction peaked at 64
     MB, and the whole table and one column's amplitudes at 28 MB.  Drawn in
-    blocks, the 8 MB of int64 counts are the only cell-sized array."""
+    blocks, the 4 MB of int32 counts are the only cell-sized array; the
+    batch peaks near 6.3 MB."""
     spec = gen_unitary_comb(5, 2, 2, np.random.default_rng(47))
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=1))
     tracemalloc.start()
@@ -192,7 +226,7 @@ def test_one_table_at_n5_stays_small():
     finally:
         tracemalloc.stop()
     assert counts.shape == (4,) * 10
-    assert peak < 12 * 2**20, peak
+    assert peak < 8 * 2**20, peak
 
 
 def _dense_pair_probs(choi, pair, povm):

@@ -225,6 +225,20 @@ def test_a_spec_is_simulated_once_for_many_orders(monkeypatch):
     assert len(calls) == 1 + len(orders)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_a_tol_that_is_not_positive_and_finite_is_refused_before_factoring(monkeypatch, tol):
+    """At or below 0 or NaN every order failed, at infinity every order passed."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(1))
+    operators = spec, build_choi(spec)
+    factorings = _counting(monkeypatch, "_pivoted_cholesky"), _counting(monkeypatch, "choi_factor")
+    for choi in operators:
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            check_comb_condition(choi, spec.true_order, tol=tol)
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            compatible_orders(choi, tol=tol)
+    assert factorings == ([], [])
+
+
 def test_a_refused_operator_is_refused_again():
     choi = _indefinite_with_zero_diagonal_block(2, 3)
     order = enumerate_orders(2)[0]

@@ -172,6 +172,42 @@ def test_verify_states_the_factor_residual_bound(capsys, tmp_path):
     assert "factor residual bound 0)" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--tol", "-1"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "0"),
+        ("verify", "--order", "A1:B2,A2:B1", "--tol", "inf"),
+        ("verify", "--enumerate", "--tol", "inf"),
+        ("discover", "--verify", "--tol", "inf"),
+    ],
+)
+def test_a_tol_that_is_not_positive_and_finite_exits_2(capsys, tmp_path, argv):
+    """Each of these printed a verdict: INVALID for the true order at -1,
+    nan and 0; valid for an order 1.16 from a comb, and 4/4 orders, at inf."""
+    path = tmp_path / "u.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "1", "-o", str(path))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert "tol must be a positive finite number" in err
+    assert "valid" not in out.lower()
+
+
+def test_discover_names_the_pairs_it_guessed(capsys, tmp_path):
+    """fig3 looks uncorrelated pair by pair, so memoryless guesses all three."""
+    path = tmp_path / "f.json"
+    run(capsys, "gen", "--kind", "fig3", "-o", str(path))
+    code, out, _ = run(capsys, "discover", str(path), "--algorithm", "memoryless")
+    assert code == 0
+    guessed = [l for l in out.splitlines() if l.startswith("guessed:")]
+    assert len(guessed) == 1 and "A1:B1,A2:B2,A3:B3" in guessed[0]
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--kind", "memoryless", "--n", "3", "--seed", "2", "-o", str(path))
+    code, out, _ = run(capsys, "discover", str(path), "--algorithm", "memoryless")
+    assert code == 0 and "guessed:" not in out
+
+
 def test_verify_enumerate_scores_all_orders(capsys, tmp_path):
     path = tmp_path / "sig.json"
     run(capsys, "gen", "--kind", "signaling", "--seed", "0", "-o", str(path))

@@ -1,7 +1,9 @@
 """Order-discovery algorithms driven through the black-box session only."""
 
 import ast
+import dataclasses
 import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -352,6 +354,38 @@ def test_discover_memoryless_constant_tooth():
     report = discover_memoryless(_session(spec), sic_qubit(), 1000, threshold=0.1)
     assert report.ok
     assert check_comb_condition(build_choi(spec), report.order, tol=1e-6).ok
+
+
+def test_discover_memoryless_lists_the_pairs_it_guessed():
+    """Inputs with no visible partner are paired by index, and the report
+    says which: none on Haar product combs, the constant tooth's input,
+    and all three inputs of the pairwise-blind fig3 comb."""
+    for n in (2, 3, 4):
+        spec = gen_memoryless_comb(n, 2, np.random.default_rng([8, n]))
+        report = discover_memoryless(_session(spec), sic_qubit(), 0, threshold=0.1)
+        assert report.ok and report.diagnostics["paired_by_index"] == []
+    spec = gen_memoryless_comb(3, 2, np.random.default_rng(7), constant_tooth=True)
+    report = discover_memoryless(_session(spec), sic_qubit(), 0, threshold=0.1)
+    assert len(report.diagnostics["paired_by_index"]) == 1
+    assert report.diagnostics["paired_by_index"][0] in report.order
+    report = discover_memoryless(_session(gen_fig3_comb()), sic_qubit(), 0, threshold=0.05)
+    assert report.ok and report.diagnostics["paired_by_index"] == list(report.order)
+
+
+def test_every_invalid_memoryless_order_on_fig3_is_a_reported_guess():
+    """Under all 36 relabelings of fig3 the report is ok, and the checker
+    rejects 24 of the orders; each of those rests on index pairs."""
+    base = gen_fig3_comb()
+    rejected = 0
+    for inputs in itertools.permutations((1, 2, 3)):
+        for outputs in itertools.permutations((1, 2, 3)):
+            spec = dataclasses.replace(base, input_perm=inputs, output_perm=outputs)
+            report = discover_memoryless(_session(spec), sic_qubit(), 0, threshold=0.05)
+            assert report.ok
+            if not check_comb_condition(spec, report.order).ok:
+                rejected += 1
+                assert len(report.diagnostics["paired_by_index"]) == 3
+    assert rejected == 24
 
 
 def test_discover_memoryless_reports_a_broken_promise():

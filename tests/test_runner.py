@@ -372,6 +372,20 @@ def test_a_value_of_the_wrong_type_is_a_config_error(section, entries, tmp_path,
     assert f"{key} must be" in err
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf")])
+def test_a_success_tol_that_is_not_positive_and_finite_is_a_config_error(tol, tmp_path, capsys):
+    """At infinity every emitted order counted as verified."""
+    data = {"generator": {"kind": "unitary"}, "algorithm": {"name": "general"},
+            "trials": 1, "success_tol": tol}
+    with pytest.raises(ConfigError, match="success_tol must be a positive finite number"):
+        ExperimentConfig.from_dict(data)
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps(data))  # inf is written as Infinity
+    assert cli.main(["bench", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "success_tol must be a positive finite number" in err
+
+
 def test_config_holds_typed_values_with_defaults_filled_in():
     config = ExperimentConfig(
         generator={"kind": "memoryless", "n": 3.0},
