@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import lemma_suite
-from .combs import RejectionBudgetError, check_comb_condition, compatible_orders
+from .combs import RejectionBudgetError, _check_tol, check_comb_condition, compatible_orders
 from .oracle import OracleConfig, OracleSession
 from .runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, ConfigError
 from .runner import ExperimentConfig, dispatch, generate_comb, given, run_experiment
@@ -79,6 +79,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
+    if args.verify:
+        _check_tol(args.tol)  # before the discovery it would judge
     spec = load_comb(args.comb)
     alg = given(vars(args), ["name", *ALGORITHM_KEYS[args.name or next(iter(ALGORITHM_KEYS))]])
     oracle = given(vars(args), ORACLE_KEYS)

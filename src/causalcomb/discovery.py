@@ -216,6 +216,7 @@ class FindLastResult:
     swap_tests: int
     pairs_tested: int
     rejection_gaps: dict  # (input, output) -> first gap estimate that exceeded delta
+    accepted_gap: float | None = None  # the accepted pair's largest gap estimate
 
 
 @functools.cache
@@ -234,9 +235,9 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
     discarding output j and estimate the squared distances
     ``||rho_1 - rho_k||_2^2`` via three overlap tests each; the pair is
     rejected as soon as one estimate exceeds ``delta`` and accepted if
-    none does.  Returns the first accepted pair, or ``None`` when every
-    pair is rejected — in which case no ordering whatsoever is
-    compatible with the process.
+    none does.  Returns the first accepted pair and its largest gap
+    estimate, or ``None`` when every pair is rejected — in which case no
+    ordering whatsoever is compatible with the process.
 
     ``kappa`` is the failure probability of each swap test, not of the
     search: with ``m`` teeth and probe sets of ``d^2`` states the loop
@@ -260,12 +261,13 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
             recipes = [PrepRecipe(i, s, j) for s in states]
             p1 = session.overlap_estimate(recipes[0], recipes[0], eps, kappa)
             swap_tests += 1
-            accept = True
+            accept, worst = True, -math.inf
             for k in range(1, len(recipes)):
                 pk = session.overlap_estimate(recipes[k], recipes[k], eps, kappa)
                 p1k = session.overlap_estimate(recipes[0], recipes[k], eps, kappa)
                 swap_tests += 2
                 gap = p1 + pk - 2.0 * p1k
+                worst = max(worst, gap)
                 if gap > delta:
                     gaps[(i, j)] = gap
                     accept = False
@@ -276,6 +278,7 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
                     swap_tests=swap_tests,
                     pairs_tested=pairs_tested,
                     rejection_gaps=gaps,
+                    accepted_gap=worst,
                 )
     return FindLastResult(
         pair=None, swap_tests=swap_tests, pairs_tested=pairs_tested, rejection_gaps=gaps
@@ -329,6 +332,11 @@ def discover_general(
     tests it runs times ``kappa``.  ``theoretical_queries`` bounds the
     billed queries by the loop bounds: stage ``m`` runs at most
     ``m^2 (2 d^2 - 1)`` tests of ``2 * runs`` queries each.
+
+    Each stage's margins sit next to ``delta`` in its diagnostics:
+    ``accepted_gap``, the accepted pair's largest gap (``None`` if none
+    was accepted), and ``min_rejection_gap``, the smallest gap that
+    rejected a pair (``None`` if none was rejected).
     """
     t0 = time.perf_counter()
     n = session.n_teeth
@@ -346,6 +354,8 @@ def discover_general(
                 "pair": res.pair,
                 "swap_tests": res.swap_tests,
                 "pairs_tested": res.pairs_tested,
+                "accepted_gap": res.accepted_gap,
+                "min_rejection_gap": min(res.rejection_gaps.values(), default=None),
             }
         )
         if res.pair is None:

@@ -9,26 +9,8 @@ estimate state overlaps by destructive swap circuits
 (``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
 spec and its Choi operator are private attributes with no accessor;
 discovery code sees statistics only, and the session alone decides how
-they are drawn in each mode and what they bill.
-
-A session holds its Choi operator as a factor, ``C = V V^H`` with ``V`` of
-shape ``d^{2n} x r`` from :func:`~causalcomb.combs.verified_factor`:
-the purification of the comb (``r = d_M``) for a spec, the verified
-Cholesky factor for a dense operator, and in both cases the checker's.
-``C`` is therefore positive semidefinite by construction.  Every method
-works on the factor, and no session forms ``C`` itself: reductions and overlaps take the Gram of the
-folded factor on its smaller side, a pair's statistics its state
-``K K^H`` with every other wire folded into ``K``'s columns, and a
-sampled table applies a product POVM to each column of ``V``.  The
-factor of a spec counts ``d^{2n} d_M`` entries and a sampled table one
-cell per joint outcome, and each must fit under
-:data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no
-table, so they run as far as the factor fits.  A sampled batch is one
-exact multinomial draw over its table, made in stages by the chain rule:
-block totals from the leading wires' marginal, then each block's counts
-from its own slice of the table, at most :data:`_BLOCK_CELLS` cells.  So
-the counts, four bytes a cell below ``2**31`` shots, are the batch's only
-cell-sized array.
+they are drawn in each mode and what they bill.  It reads the operator
+only through its factor, :class:`_Factor`.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -206,21 +188,29 @@ class _QueryMeter:
             self._log.write(json.dumps(rec) + "\n")
 
 
-class OracleSession:
-    """Black-box handle on a comb; see the module docstring for the contract."""
+class _Factor:
+    """The hidden Choi operator ``C = V V^H``, held as ``V`` on sorted wires.
 
-    def __init__(self, comb: CombSpec | Op, config: OracleConfig | None = None):
-        """Root session on a comb spec or a dense Choi operator.
+    ``V`` is :func:`~causalcomb.combs.verified_factor`'s, ``d^{2n} x r``:
+    the comb's purification (``r = d_M``) for a spec, the verified Cholesky
+    factor for a dense operator.  So ``C`` is positive semidefinite, and
+    nothing forms it.  Only this class knows ``V``'s layout.  Each of its
+    four reads folds some wires into ``V``'s columns: :meth:`shut` and
+    :meth:`swap_matrix` take the folded factor's Gram on its smaller side,
+    :meth:`pair_state` is ``K K^H`` with the other wires in ``K``'s
+    columns, and :meth:`block` a sampled table's block factor, of at most
+    :data:`_BLOCK_CELLS` cells, so a batch's counts are its only
+    cell-sized array.  A spec's factor and a sampled table must fit under
+    :data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no table.
+    """
 
-        It opens on the factor :func:`~causalcomb.combs.verified_factor`
-        keeps on the comb, so it shares the checker's.  Nothing checks that
-        an operator is a comb.  Whatever that factor refuses, a trace other
-        than 1 (overlaps scale with its square) and wires that are not
-        ``n >= 1`` inputs ``A…`` and ``n`` outputs ``B…``
-        (:func:`~causalcomb.combs.wire_roles`) raise ``ValueError`` before
-        anything is billed.  The read-only factor's rows are put into sorted
-        wire order, a view for a spec.
-        """
+    def __init__(self, space: WireSpace, v: np.ndarray):
+        self.space, self.v = space, v
+
+    @classmethod
+    def of(cls, comb: CombSpec | Op) -> "_Factor":
+        """The comb's read-only factor in sorted wire order, a view for a spec;
+        a trace other than 1 raises ``ValueError``."""
         space, g, _ = verified_factor(comb)
         trace = np.vdot(g, g).real
         if not abs(trace - 1.0) <= _TRACE_ATOL:
@@ -228,29 +218,93 @@ class OracleSession:
         labels = tuple(sorted(space.labels, key=wire_key))
         v = fold(space, g, labels, [])
         v.setflags(write=False)
-        sorted_space = WireSpace(labels, tuple(space.dim_of(l) for l in labels))
-        self._setup(sorted_space, v, config or OracleConfig())
+        return cls(WireSpace(labels, tuple(space.dim_of(l) for l in labels)), v)
+
+    def shut(self, i: str, j: str) -> "_Factor":
+        """The factor of ``Tr_{i,j} C``: ``K``, with both wires folded into
+        its columns, recompressed by its Gram on the smaller side to the
+        eigenvalues above :data:`_RANK_RTOL` of the largest.  A tall ``K``
+        gives columns ``K u`` for eigenvectors ``u`` of ``K^H K``; a wide one
+        the eigenvectors of ``K K^H``, each times the root of its eigenvalue.
+        """
+        keep = [l for l in self.space.labels if l not in (i, j)]
+        k = fold(self.space, self.v, keep, (i, j))
+        tall = k.shape[1] < k.shape[0]
+        lam, u = np.linalg.eigh(k.conj().T @ k if tall else k @ k.conj().T)
+        rank = lam > _RANK_RTOL * lam.max()
+        v = k @ u[:, rank] if tall else u[:, rank] * np.sqrt(lam[rank])
+        return _Factor(self.space.restrict(keep), v)
+
+    def swap_matrix(self, i: str, j: str) -> np.ndarray:
+        """The swap test's acceptance operator on input ``i`` and a primed copy.
+
+        ``Tr[rho_a rho_b] = Tr[(d s_a^T (x) d s_b^T) W]`` for the states
+        left by feeding ``s_a`` and ``s_b`` into ``i`` and discarding output
+        ``j``.  With ``K_x`` the factor's rows at input value ``x``, ``j``
+        folded into its columns, ``W[(x,u),(y,v)]`` is
+        ``Tr(K_x K_y^H K_u K_v^H)``: ``Tr(P_xy P_uv)`` from the row Gram
+        ``P_xy = K_x K_y^H``, or ``Tr(G_yu G_vx)`` from the column Gram
+        ``G_yu = K_y^H K_u``, whichever has fewer entries.
+        """
+        rest = [l for l in self.space.labels if l not in (i, j)]
+        d, d_out = self.space.dim_of(i), self.space.dim_of(j)
+        rows, cols = len(self.v) // (d * d_out), d_out * self.v.shape[1]
+        check_entries((d * min(rows, cols)) ** 2, "the swap operator's Gram")
+        if rows <= cols:
+            k = fold(self.space, self.v, [i, *rest], [j])
+            gram, axes = k @ k.conj().T, (0, 2, 1, 3)  # [x, r, y, s] = P_xy[r, s]
+        else:
+            k = fold(self.space, self.v, rest, [i, j])
+            gram, axes = k.conj().T @ k, (3, 1, 0, 2)  # [y, a, u, b] = G_yu[a, b]
+        t = gram.reshape(d, len(gram) // d, d, -1)
+        # Tr(T_ij T_kl) for the blocks T_ij = t[i, :, j, :], then (x, u, y, v) first
+        blocks = t.transpose(0, 2, 1, 3).reshape(d * d, -1)
+        swapped = t.transpose(0, 2, 3, 1).reshape(d * d, -1)  # each T_kl transposed
+        w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
+        return w.reshape(d * d, d * d)
+
+    def pair_state(self, a: str, b: str) -> np.ndarray:
+        """``Tr_rest C`` on wires ``a`` and ``b``, in that order."""
+        return marginal(self.space, self.v, [a, b])
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """``V_B``: ``(r (x) 1) V`` side by side for every row ``r`` of
+        ``rows``, which act on the leading wires; a factor on the rest."""
+        # [column, lead index, rest index]: a view of V, row- or column-major
+        lead = self.v.T.reshape(-1, rows.shape[1], len(self.v) // rows.shape[1])
+        return (rows @ lead).reshape(-1, lead.shape[2]).T
+
+
+class OracleSession:
+    """Black-box handle on a comb; see the module docstring for the contract."""
+
+    def __init__(self, comb: CombSpec | Op, config: OracleConfig | None = None):
+        """Root session on a comb spec or a dense Choi operator, opened on
+        the factor :func:`~causalcomb.combs.verified_factor` keeps on the
+        comb, the checker's.  Nothing checks that an operator is a comb.
+        Whatever that factor refuses, a trace other than 1 and wires that are
+        not ``n >= 1`` inputs ``A…`` and ``n`` outputs ``B…``
+        (:func:`~causalcomb.combs.wire_roles`) raise ``ValueError`` before
+        anything is billed."""
+        self._setup(_Factor.of(comb), config or OracleConfig())
 
     def _setup(
         self,
-        space: WireSpace,
-        v: np.ndarray,
+        factor: _Factor,
         config: OracleConfig,
         rng: np.random.Generator | None = None,
         meter: _QueryMeter | None = None,
     ) -> None:
         """The one place every session, root or reduced, gets its fields.
 
-        The hidden Choi operator is ``C = V V^H`` on the sorted wires of
-        ``space``, whose input and output wires
-        :func:`~causalcomb.combs.wire_roles` sorts out once, here.  A root
-        session draws a fresh random stream and query meter from
+        The hidden Choi operator is ``factor``'s, whose input and output
+        wires :func:`~causalcomb.combs.wire_roles` sorts out once, here.  A
+        root session draws a fresh random stream and query meter from
         ``config``; a reduced child passes in its parent's.
         """
-        self._inputs, self._outputs = wire_roles(space.labels)
+        self._inputs, self._outputs = wire_roles(factor.space.labels)
         self._config = config
-        self._space = space
-        self._v = v
+        self._factor = factor
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
         # ((input, discard), swap operator, {state bytes: the state fed into it})
@@ -261,27 +315,15 @@ class OracleSession:
 
         The named input is fed maximally mixed and the named output is
         discarded on every future invocation.  The child shares this
-        session's query meter and random stream.  It must keep at least one
-        tooth: shutting the last one raises ``ValueError``.
-
-        Both wires are folded into the factor's columns, which gives a
-        factor ``K`` of the partial trace, and the Gram of ``K`` on its
-        smaller side recompresses it to its numerical rank.  For a tall
-        ``K`` an eigenvector ``u`` of ``K^H K`` gives the new column
-        ``K u``; for a wide one an eigenvector of ``K K^H`` with
-        eigenvalue ``lam`` is itself the column, scaled by ``sqrt(lam)``.
+        session's query meter and random stream, and its factor is
+        :meth:`_Factor.shut`'s.  The labels must name an input and an
+        output (:meth:`_check_pair`), and it must keep at least one tooth:
+        shutting the last one raises ``ValueError``.
         """
         pair = (input_label, output_label)
-        keep = [l for l in self.wires if l not in pair]
-        if len(keep) != len(self.wires) - 2:
-            raise KeyError(f"wires {pair} not both present in {self.wires}")
-        k = fold(self._space, self._v, keep, pair)
-        tall = k.shape[1] < k.shape[0]
-        lam, u = np.linalg.eigh(k.conj().T @ k if tall else k @ k.conj().T)
-        rank = lam > _RANK_RTOL * lam.max()
-        v = k @ u[:, rank] if tall else u[:, rank] * np.sqrt(lam[rank])
+        self._check_pair(*pair)
         child = OracleSession.__new__(OracleSession)
-        child._setup(self._space.restrict(keep), v, self._config, self._rng, self._meter)
+        child._setup(self._factor.shut(*pair), self._config, self._rng, self._meter)
         return child
 
     # -- public geometry ----------------------------------------------------
@@ -300,7 +342,7 @@ class OracleSession:
 
     @property
     def wires(self) -> tuple[str, ...]:
-        return self._space.labels
+        return self._factor.space.labels
 
     @property
     def input_labels(self) -> tuple[str, ...]:
@@ -311,7 +353,7 @@ class OracleSession:
         return self._outputs
 
     def dim_of(self, label: str) -> int:
-        return self._space.dim_of(label)
+        return self._factor.space.dim_of(label)
 
     @property
     def n_teeth(self) -> int:
@@ -326,7 +368,7 @@ class OracleSession:
         mode sums one :meth:`sample_batch` draw over the other inputs, once
         per input, then over the other outputs, and divides by ``n_shots``.
         Exact mode gives each pair's Born probabilities from its state
-        :func:`~causalcomb.tensors.marginal`, with no joint table, and
+        (:meth:`_Factor.pair_state`), with no joint table, and
         bills ``n_shots`` under the theoretical policy only.  Both modes
         check ``n_shots`` and ``povms`` as :meth:`sample_batch` does, before
         anything is drawn or billed, except that exact mode also takes 0
@@ -345,7 +387,7 @@ class OracleSession:
         n_shots = _shot_count(n_shots)
         pmap = self._povms(povms)
         probs = [
-            [pair_probs(pmap[a], pmap[b], marginal(self._space, self._v, [a, b])) for b in outs]
+            [pair_probs(pmap[a], pmap[b], self._factor.pair_state(a, b)) for b in outs]
             for a in ins
         ]
         self._bill("independence", n_shots)
@@ -370,14 +412,14 @@ class OracleSession:
         The draw is staged, and exact in law by the chain rule.  The lead
         wires are the fewest leading wires that leave at most
         :data:`_BLOCK_CELLS` cells per block, one block per lead outcome
-        ``B``.  Its factor ``V_B`` holds ``(r (x) 1) V`` side by side for
-        every row ``r`` of ``B``'s elements (:attr:`IcPovm.rows`), and
-        since the other wires' POVMs sum to the identity, the block's
-        probability is ``||V_B||_F^2``.  One :func:`_multinomial` draw
-        gives the block totals, and one more per nonzero block its counts
-        from its slice, :func:`~causalcomb.povm.product_born_table` of
-        ``V_B``.  A table of at most :data:`_BLOCK_CELLS` cells is one
-        block, which takes every shot without a draw.
+        ``B``.  Its factor ``V_B`` (:meth:`_Factor.block`) holds
+        ``(r (x) 1) V`` side by side for every row ``r`` of ``B``'s
+        elements (:attr:`IcPovm.rows`), and since the other wires' POVMs
+        sum to the identity, the block's probability is ``||V_B||_F^2``.
+        One :func:`_multinomial` draw gives the block totals, and one per
+        nonzero block its counts from :func:`~causalcomb.povm.product_born_table`
+        of ``V_B``, its slice.  A table of at most :data:`_BLOCK_CELLS` cells is
+        one block, which takes every shot without a draw.
         """
         n_shots = _shot_count(n_shots)
         if self.mode != "sampled":
@@ -395,21 +437,18 @@ class OracleSession:
         for l in labels[:k]:
             r, o = pmap[l].rows
             rows, owner = np.kron(rows, r), (owner[:, None] * pmap[l].size + o).ravel()
-        rest = self._space.restrict(labels[k:])
-        # [column, lead index, rest index]: a view of V, row- or column-major
-        lead = self._v.T.reshape(-1, len(rows[0]), rest.dim)
-        # each lead outcome B's rows r; V_B holds every (r (x) 1) V side by side
+        rest = self._factor.space.restrict(labels[k:])
+        # each lead outcome B's rows r
         order = np.argsort(owner, kind="stable")
         cuts = np.searchsorted(owner[order], np.arange(1, math.prod(sizes[:k])))
         block_rows = np.split(rows[order], cuts)
-        q = np.array([np.linalg.norm(r @ lead) ** 2 for r in block_rows])
+        q = np.array([np.linalg.norm(self._factor.block(r)) ** 2 for r in block_rows])
         totals = _multinomial(self._rng, n_shots, q) if q.size > 1 else [n_shots]
         counts = np.empty(math.prod(sizes), np.int32 if n_shots < 2**31 else np.int64)
         blocks = counts.reshape(q.size, -1)
         for b, (r, total) in enumerate(zip(block_rows, totals)):
             if total:
-                v_b = (r @ lead).reshape(-1, rest.dim).T
-                tbl = product_born_table(rest, v_b, pmap)
+                tbl = product_born_table(rest, self._factor.block(r), pmap)
                 blocks[b] = _multinomial(self._rng, total, tbl).reshape(-1)
             else:
                 blocks[b] = 0
@@ -431,6 +470,13 @@ class OracleSession:
                 )
         return pmap
 
+    def _check_pair(self, input_label: str, discard: str) -> None:
+        """``KeyError`` unless the labels name an input and an output wire."""
+        if input_label not in self._inputs:
+            raise KeyError(f"input label {input_label!r} is not an input wire of {self.wires}")
+        if discard not in self._outputs:
+            raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
+
     def _bill(self, op: str, n: int) -> None:
         """Charge ``n`` invocations as ``op``: always in sampled mode, where
         they run, and in exact mode only under the theoretical policy."""
@@ -438,39 +484,6 @@ class OracleSession:
             self._meter.charge(op, n)
 
     # -- overlap estimation -------------------------------------------------
-
-    def _swap_operator(self, input_label: str, discard: str) -> Op:
-        """The swap test's acceptance operator on the input wire and a primed copy.
-
-        ``Tr[rho_a rho_b] = Tr[(d s_a^T (x) d s_b^T) W]`` for the states
-        left by feeding ``s_a`` and ``s_b`` into the input and discarding
-        the output.  With ``K_x`` the factor's rows at input value ``x``,
-        the discard folded into its columns, ``W[(x,u),(y,v)]`` is
-        ``Tr(K_x K_y^H K_u K_v^H)``: ``Tr(P_xy P_uv)`` from the row Gram
-        ``P_xy = K_x K_y^H``, or ``Tr(G_yu G_vx)`` from the column Gram
-        ``G_yu = K_y^H K_u``, whichever has fewer entries.
-        """
-        if input_label not in self.input_labels:
-            raise KeyError(f"input label {input_label!r} is not an input wire of {self.wires}")
-        if discard not in self.output_labels:
-            raise KeyError(f"discard label {discard!r} is not an output wire of {self.wires}")
-        rest = [l for l in self.wires if l not in (input_label, discard)]
-        d, d_out = self.dim_of(input_label), self.dim_of(discard)
-        rows, cols = len(self._v) // (d * d_out), d_out * self._v.shape[1]
-        check_entries((d * min(rows, cols)) ** 2, "the swap operator's Gram")
-        if rows <= cols:
-            k = fold(self._space, self._v, [input_label, *rest], [discard])
-            gram, axes = k @ k.conj().T, (0, 2, 1, 3)  # [x, r, y, s] = P_xy[r, s]
-        else:
-            k = fold(self._space, self._v, rest, [input_label, discard])
-            gram, axes = k.conj().T @ k, (3, 1, 0, 2)  # [y, a, u, b] = G_yu[a, b]
-        t = gram.reshape(d, len(gram) // d, d, -1)
-        # Tr(T_ij T_kl) for the blocks T_ij = t[i, :, j, :], then (x, u, y, v) first
-        blocks = t.transpose(0, 2, 1, 3).reshape(d * d, -1)
-        swapped = t.transpose(0, 2, 3, 1).reshape(d * d, -1)  # each T_kl transposed
-        w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
-        space = WireSpace((input_label, f"{input_label}'"), (d, d))
-        return Op(space, w.reshape(d * d, d * d))
 
     def overlap_estimate(
         self, recipe_a: PrepRecipe, recipe_b: PrepRecipe, eps: float, kappa: float
@@ -499,7 +512,9 @@ class OracleSession:
             if state.shape != (d, d):
                 raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
         if self._swap_slot is None or self._swap_slot[0] != pair:
-            self._swap_slot = (pair, self._swap_operator(*pair), {})
+            self._check_pair(*pair)
+            space = WireSpace((pair[0], f"{pair[0]}'"), (d, d))
+            self._swap_slot = (pair, Op(space, self._factor.swap_matrix(*pair)), {})
         _, swap_op, fed = self._swap_slot
         key = s_a.tobytes()
         if key not in fed:

@@ -294,7 +294,8 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
         # imported here: the pool machinery costs every process that loads it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # on fork every worker starts at the first submit: no more than there are trials
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials)) as pool:
             results = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
     else:
         results = [run_trial(config, t) for t in range(config.trials)]

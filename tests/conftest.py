@@ -97,7 +97,7 @@ def session_born_table(session, povms):
     per wire, in sorted wire order.
     """
     pmap = povm_by_label(povms, session.wires)
-    table = product_born_table(session._space, session._v, pmap)
+    table = product_born_table(session._factor.space, session._factor.v, pmap)
     return table / table.sum()
 
 

@@ -75,7 +75,7 @@ def test_from_choi_on_a_full_rank_operator_matches_the_reference():
     choi = build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(48)))
     noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64) / 64)
     session = OracleSession(noisy)
-    assert session._v.shape == (64, 64)
+    assert session._factor.v.shape == (64, 64)
     for povm in (sic_qubit(), rank_two_povm()):
         want = reference_born_table(noisy, {l: povm for l in noisy.labels})
         np.testing.assert_allclose(

@@ -217,9 +217,9 @@ def test_a_spec_is_simulated_once_for_many_orders(monkeypatch):
     assert len(calls) == 1
     assert spec.true_order in found
     for session in sessions:
-        assert np.shares_memory(session._v, verified_factor(spec)[1])
+        assert np.shares_memory(session._factor.v, verified_factor(spec)[1])
         with pytest.raises(ValueError, match="read-only"):
-            session._v[0, 0] = 0.0
+            session._factor.v[0, 0] = 0.0
     for order, check in zip(orders, checks):
         assert check == check_comb_condition(dataclasses.replace(spec), order)
     assert len(calls) == 1 + len(orders)

@@ -202,6 +202,25 @@ def test_theoretical_bound_covers_the_longest_search():
     assert report.theoretical_queries >= report.queries
 
 
+def test_each_stage_records_its_margins_around_delta():
+    """The accepted gap is at most delta, and every rejection gap above it."""
+    spec = gen_unitary_comb(4, 2, 2, np.random.default_rng(21))
+    delta = 1e-6
+    report = discover_general(_session(spec), delta=delta)
+    assert report.ok
+    stages = report.diagnostics["stages"]
+    for stage in stages:
+        assert stage["accepted_gap"] <= delta
+        assert stage["min_rejection_gap"] is None or delta < stage["min_rejection_gap"]
+    assert stages[0]["min_rejection_gap"] == min(
+        find_last(_session(spec), delta, 0.05).rejection_gaps.values()
+    )
+    assert stages[-1]["min_rejection_gap"] is None  # one tooth left: nothing to reject
+    unitary = discover_general(OracleSession(global_unitary_choi(2, 0)), delta=delta)
+    assert unitary.diagnostics["stages"][0]["accepted_gap"] is None
+    assert unitary.diagnostics["stages"][0]["min_rejection_gap"] > delta
+
+
 @pytest.mark.parametrize(
     "delta, kappa, name",
     [(8.0, 0.05, "delta"), (-1.0, 0.05, "delta"), (0.0, 0.05, "delta"),

@@ -1,5 +1,7 @@
 """Black-box session semantics: state preparation, sampling, query billing."""
 
+import ast
+import inspect
 import io
 import json
 import math
@@ -26,7 +28,7 @@ from causalcomb.combs import (
     gen_unitary_comb,
     trace_out_tooth,
 )
-from causalcomb.discovery import discover_memoryless
+from causalcomb.discovery import discover_general, discover_memoryless
 from causalcomb.oracle import (
     OracleConfig,
     OracleSession,
@@ -460,6 +462,96 @@ def test_query_log_records_jsonl():
     assert records[-1]["op"] == "sample_batch"
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("A1", "A2"), "discard label 'A2' is not an output wire"),
+        (("B1", "A1"), "input label 'B1' is not an input wire"),
+        (("A1", "B9"), "discard label 'B9' is not an output wire"),
+    ],
+)
+def test_reduce_refuses_wires_in_the_wrong_role_before_folding(monkeypatch, pair, message):
+    """``("A1", "A2")`` used to run the eigensolve and fail in ``wire_roles``,
+    and ``("B1", "A1")`` to return a child."""
+    session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(14)))
+    monkeypatch.setattr(oracle, "fold", lambda *args: pytest.fail("folded"))
+    with pytest.raises(KeyError, match=message):
+        session.reduce(*pair)
+
+
+class _RotatedFactor(oracle._Factor):
+    """``V U`` for a fresh Haar unitary ``U`` on the columns, again after every shut."""
+
+    def __init__(self, factor, rng):
+        super().__init__(factor.space, factor.v @ haar_unitary(factor.v.shape[1], rng))
+        self.rng = rng
+
+    def shut(self, i, j):
+        return _RotatedFactor(super().shut(i, j), self.rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dm", [1, 2, 4])
+def test_no_session_read_depends_on_the_factors_column_basis(n, dm):
+    """``V`` and ``V U`` factor the same operator: discovery emits the same
+    order and bills, and every stage the same overlaps and pair tables."""
+    spec = gen_unitary_comb(n, 2, dm, np.random.default_rng([41, n, dm]))
+    rng = np.random.default_rng([42, n, dm])
+
+    def sessions():
+        config = OracleConfig(query_policy="theoretical")
+        plain, rotated = OracleSession(spec, config), OracleSession(spec, config)
+        rotated._factor = _RotatedFactor(rotated._factor, rng)
+        return plain, rotated
+
+    reports = [discover_general(s) for s in sessions()]
+    assert reports[0].ok
+    assert reports[0].order == reports[1].order
+    assert reports[0].queries == reports[1].queries
+    gaps = ("accepted_gap", "min_rejection_gap")
+    for want, got in zip(*(r.diagnostics["stages"] for r in reports)):
+        assert [got.pop(k) for k in gaps] == pytest.approx([want.pop(k) for k in gaps], abs=1e-12)
+        assert got == want
+    probes = [*state_set_of(sic_qubit()).elements, np.diag([0.7, 0.3]).astype(complex)]
+    sic = sic_qubit()
+    plain, rotated = sessions()
+    for stage, pair in enumerate(reversed(reports[0].order)):
+        for i in plain.input_labels:
+            for j in plain.output_labels:
+                for s_a in probes:
+                    for s_b in probes:
+                        recipes = PrepRecipe(i, s_a, j), PrepRecipe(i, s_b, j)
+                        want = plain.overlap_estimate(*recipes, eps=0.1, kappa=0.05)
+                        got = rotated.overlap_estimate(*recipes, eps=0.1, kappa=0.05)
+                        assert got == pytest.approx(want, abs=1e-12)
+        tables = plain.pair_frequencies(1000, sic), rotated.pair_frequencies(1000, sic)
+        for want, got in zip(*tables):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert plain.query_count == rotated.query_count
+        if stage < n - 1:
+            plain, rotated = plain.reduce(*pair), rotated.reduce(*pair)
+            assert isinstance(rotated._factor, _RotatedFactor)
+
+
+def test_only_the_factor_knows_its_layout():
+    """No session method names the wire algebra or reads the factor's array."""
+    tree = ast.parse(inspect.getsource(oracle))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    named = {
+        getattr(node, field, None) for node in ast.walk(classes["OracleSession"])
+        for field in ("id", "attr", "name")
+    }
+    assert not named & {"fold", "marginal", "_v", "_space", "_swap_operator"}
+    reads = [
+        node.lineno
+        for top in tree.body
+        if top is not classes["_Factor"]
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "v"
+    ]
+    assert reads == []
+
+
 def test_reduce_shares_meter_and_matches_traced_choi():
     rng = np.random.default_rng(14)
     spec = gen_unitary_comb(2, 2, 2, rng)
@@ -549,7 +641,7 @@ def test_reduced_factor_matches_the_traced_choi(n, dm):
         session = session.reduce(*pair)
         choi = trace_out_tooth(choi, *pair)
         assert session.wires == choi.labels
-        assert session._v.shape[1] <= dm
+        assert session._factor.v.shape[1] <= dm
         want = reference_born_table(choi, {l: sic for l in choi.labels})
         np.testing.assert_allclose(session_born_table(session, sic), want, atol=1e-12)
 
@@ -569,13 +661,13 @@ def test_from_choi_refuses_an_operator_without_positive_trace():
 
 def test_from_choi_keeps_one_column_for_a_rank_one_operator():
     session = OracleSession(global_unitary_choi(2, 0))
-    assert session._v.shape == (16, 1)
-    assert np.linalg.norm(session._v) ** 2 == pytest.approx(1.0)
+    assert session._factor.v.shape == (16, 1)
+    assert np.linalg.norm(session._factor.v) ** 2 == pytest.approx(1.0)
 
 
 def test_a_spec_session_opens_on_the_purification():
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(4))
-    np.testing.assert_array_equal(OracleSession(spec)._v, combs.choi_factor(spec)[1])
+    np.testing.assert_array_equal(OracleSession(spec)._factor.v, combs.choi_factor(spec)[1])
 
 
 @pytest.mark.parametrize("trace", [8.0, 0.5])

@@ -142,7 +142,7 @@ def test_wide_factor_overlaps_match_and_stay_within_the_pair_operator(monkeypatc
     """
     noisy = _with_white_noise(build_choi(gen_unitary_comb(3, 2, 2, np.random.default_rng(34))))
     session = OracleSession(noisy)
-    rank = session._v.shape[1]
+    rank = session._factor.v.shape[1]
     assert rank == noisy.space.dim
     sizes = []
     monkeypatch.setattr(oracle, "check_entries", lambda entries, what: sizes.append(entries))

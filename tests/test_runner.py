@@ -240,6 +240,37 @@ def test_run_experiment_with_workers_matches_serial():
     assert [r.order for r in serial.results] == [r.order for r in parallel.results]
 
 
+@pytest.mark.parametrize("workers, trials, started", [(64, 2, 2), (1, 3, 1), (3, 3, 3)])
+def test_the_pool_starts_no_more_workers_than_trials(monkeypatch, workers, trials, started):
+    """On fork, a pool launches all its workers at the first submit."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = ExperimentConfig(
+        generator={"kind": "unitary", "n": 2, "d_M": 1},
+        algorithm={"name": "general"},
+        trials=trials,
+        workers=workers,
+    )
+    assert len(run_experiment(cfg).results) == trials
+    assert sizes == [started]
+
+
 def test_theoretical_exact_run_bills_the_named_budget():
     base = dict(generator={"kind": "memoryless", "n": 3}, trials=1, seed=3)
     theoretical = {"query_policy": "theoretical"}
