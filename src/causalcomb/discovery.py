@@ -54,14 +54,7 @@ import numpy as np
 
 from .combs import CausalOrder
 from .oracle import OracleSession, PrepRecipe, swap_test_sample_size
-from .povm import (
-    IcPovm,
-    frame_of,
-    ic_povm_for_dim,
-    povm_by_label,
-    reconstruct_pair,
-    state_set_of,
-)
+from .povm import IcPovm, frame_of, ic_povm_for_dim, reconstruct_pair, state_set_of
 from .tensors import correlation_norms
 
 __all__ = [
@@ -171,31 +164,20 @@ class IndMatrix:
 
 
 def independence_matrix(
-    session: OracleSession, povms, n_shots: int, threshold: float
+    session: OracleSession, povm: IcPovm, n_shots: int, threshold: float
 ) -> IndMatrix:
     """Estimate every (input, output) correlation from pair statistics.
 
     The session hands over every pair's frequencies from one batch of
-    ``n_shots`` prepare-and-measure shots
+    ``n_shots`` prepare-and-measure shots, each wire measured with ``povm``
     (:meth:`~causalcomb.oracle.OracleSession.pair_frequencies`): sampled
-    or exact, and billed as its mode and policy say.  The pairs measured
-    with the same two POVMs are estimated together, in one stacked
-    :func:`correlation_from_freqs` call: one call in all when every wire
-    shares a POVM.
+    or exact, and billed as its mode and policy say.  All the pairs are
+    estimated together, in one stacked :func:`correlation_from_freqs` call.
     """
     ins, outs = session.input_labels, session.output_labels
-    pmap = povm_by_label(povms, session.wires)
-    freqs = session.pair_frequencies(n_shots, povms)
-    # one stacked estimate per distinct pair of POVMs, keyed by identity
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, a in enumerate(ins):
-        for j, b in enumerate(outs):
-            groups.setdefault((id(pmap[a]), id(pmap[b])), []).append((i, j))
-    est = np.zeros((len(ins), len(outs)))
-    for cells in groups.values():
-        pairs = np.stack([freqs[i][j] for i, j in cells])
-        rows, cols = zip(*cells)
-        est[rows, cols] = correlation_from_freqs(pairs, pmap[ins[rows[0]]], pmap[outs[cols[0]]])
+    freqs = session.pair_frequencies(n_shots, povm)
+    pairs = np.stack([f for row in freqs for f in row])
+    est = correlation_from_freqs(pairs, povm, povm).reshape(len(ins), len(outs))
     est.setflags(write=False)
     return IndMatrix(
         input_labels=ins,
@@ -390,7 +372,7 @@ def discover_general(
 def _promise_discovery(
     algorithm: str,
     session: OracleSession,
-    povms,
+    povm: IcPovm,
     promise: tuple[str, float],
     threshold: float,
     rule: Callable,
@@ -414,7 +396,7 @@ def _promise_discovery(
     t0 = time.perf_counter()
     start_queries = session.query_count
     ind, order, failure, diagnostics = rule(
-        lambda n_shots: independence_matrix(session, povms, n_shots, threshold)
+        lambda n_shots: independence_matrix(session, povm, n_shots, threshold)
     )
     return DiscoveryReport(
         algorithm=algorithm,
@@ -447,9 +429,10 @@ def _has_ties(values: np.ndarray) -> bool:
 
 
 def discover_totalorder(
-    session: OracleSession, povms, n_shots: int, chi_min: float
+    session: OracleSession, povm: IcPovm, n_shots: int, chi_min: float
 ) -> DiscoveryReport:
-    """Recover both hidden permutations of a fully correlated comb.
+    """Recover both hidden permutations of a fully correlated comb, from
+    batches that measure every wire with ``povm``.
 
     ``chi_min`` is the promised smallest correlation over causally
     related pairs; pairs estimated above ``chi_min / 2`` are declared
@@ -459,7 +442,8 @@ def discover_totalorder(
     persisting ties mean the promise does not hold for this process.
     In sampled mode, or under the theoretical policy, the run bills
     ``n_shots`` queries, or ``3 * n_shots`` after a retry.  A ``chi_min``
-    that is not a positive finite number raises ``ValueError`` first.
+    that is not a positive finite number, or a ``povm`` that is not a POVM
+    on every wire's dimension, raises ``ValueError`` first.
     """
 
     def rank(measure):
@@ -483,7 +467,7 @@ def discover_totalorder(
         }
 
     return _promise_discovery(
-        "totalorder", session, povms, ("chi_min", chi_min), chi_min / 2.0, rank
+        "totalorder", session, povm, ("chi_min", chi_min), chi_min / 2.0, rank
     )
 
 
@@ -492,9 +476,10 @@ def discover_totalorder(
 
 
 def discover_memoryless(
-    session: OracleSession, povms, n_shots: int, threshold: float
+    session: OracleSession, povm: IcPovm, n_shots: int, threshold: float
 ) -> DiscoveryReport:
-    """Recover the input-output pairing of a product-of-teeth comb.
+    """Recover the input-output pairing of a product-of-teeth comb, from
+    one batch that measures every wire with ``povm``.
 
     Each input takes the first output it is visibly correlated with;
     since a product comb correlates each input with at most one output,
@@ -507,8 +492,9 @@ def discover_memoryless(
     than one partner breaks that promise: the report fails with
     ``NOT_MEMORYLESS`` and still carries the matched order.  In sampled
     mode, or under the theoretical policy, the run bills ``n_shots`` queries.
-    A ``threshold`` that is not a positive finite number raises
-    ``ValueError`` first.
+    A ``threshold`` that is not a positive finite number, or a ``povm``
+    that is not a POVM on every wire's dimension, raises ``ValueError``
+    first.
     """
 
     def match(measure):
@@ -532,5 +518,5 @@ def discover_memoryless(
         }
 
     return _promise_discovery(
-        "memoryless", session, povms, ("threshold", threshold), threshold, match
+        "memoryless", session, povm, ("threshold", threshold), threshold, match
     )

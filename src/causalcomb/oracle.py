@@ -3,10 +3,10 @@
 An :class:`OracleSession` wraps a hidden comb, a
 :class:`~causalcomb.combs.CombSpec` or a dense Choi operator, and
 exposes only what a lab could do with the physical process: run batches
-of prepare-and-measure shots (``sample_batch``), read every
-(input, output) pair's frequencies from one batch (``pair_frequencies``),
-estimate state overlaps by destructive swap circuits
-(``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
+of prepare-and-measure shots, each measuring every wire with one POVM
+(``sample_batch``), read every (input, output) pair's frequencies from
+one batch (``pair_frequencies``), estimate state overlaps by destructive
+swap circuits (``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
 spec and its Choi operator are private attributes with no accessor;
 discovery code sees statistics only, and the session alone decides how
 they are drawn in each mode and what they bill.  It reads the operator
@@ -26,6 +26,8 @@ charge.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -35,7 +37,7 @@ from typing import IO
 import numpy as np
 
 from .combs import CombSpec, check_entries, verified_factor, wire_roles
-from .povm import IcPovm, pair_probs, povm_by_label, product_born_table
+from .povm import IcPovm, pair_probs, product_born_table
 from .tensors import Op, WireSpace, contract_wire, fold, marginal, wire_key
 
 # unused here; kept importable because the benchmark's tracer wraps them at
@@ -318,10 +320,13 @@ class OracleSession:
         session's query meter and random stream, and its factor is
         :meth:`_Factor.shut`'s.  The labels must name an input and an
         output (:meth:`_check_pair`), and it must keep at least one tooth:
-        shutting the last one raises ``ValueError``.
+        shutting the last one raises ``ValueError``.  Both are checked before
+        anything is folded.
         """
         pair = (input_label, output_label)
         self._check_pair(*pair)
+        if self.n_teeth == 1:
+            raise ValueError("the last tooth cannot be shut: a session keeps at least one")
         child = OracleSession.__new__(OracleSession)
         child._setup(self._factor.shut(*pair), self._config, self._rng, self._meter)
         return child
@@ -361,8 +366,9 @@ class OracleSession:
 
     # -- prepare-and-measure sampling ---------------------------------------
 
-    def pair_frequencies(self, n_shots: int, povms) -> list[list[np.ndarray]]:
-        """Every (input, output) pair's outcome frequencies from one batch.
+    def pair_frequencies(self, n_shots: int, povm: IcPovm) -> list[list[np.ndarray]]:
+        """Every (input, output) pair's outcome frequencies from one batch,
+        each wire measured with ``povm``.
 
         Entry ``[i][j]`` is input ``i``'s and output ``j``'s table.  Sampled
         mode sums one :meth:`sample_batch` draw over the other inputs, once
@@ -370,13 +376,13 @@ class OracleSession:
         Exact mode gives each pair's Born probabilities from its state
         (:meth:`_Factor.pair_state`), with no joint table, and
         bills ``n_shots`` under the theoretical policy only.  Both modes
-        check ``n_shots`` and ``povms`` as :meth:`sample_batch` does, before
+        check ``n_shots`` and ``povm`` as :meth:`sample_batch` does, before
         anything is drawn or billed, except that exact mode also takes 0
         shots.
         """
         ins, outs = self._inputs, self._outputs
         if self.mode == "sampled":
-            counts = self.sample_batch(n_shots, povms)
+            counts = self.sample_batch(n_shots, povm)
             # sorted wires: the inputs' axes precede the outputs'
             others = [[k for k in range(len(ins)) if k != i] for i in range(len(ins))]
             # summed in the counts' own type: no sum of cells exceeds n_shots
@@ -385,16 +391,14 @@ class OracleSession:
                 [row.sum(axis=tuple(1 + k for k in o)) / n_shots for o in others] for row in rows
             ]
         n_shots = _shot_count(n_shots)
-        pmap = self._povms(povms)
-        probs = [
-            [pair_probs(pmap[a], pmap[b], self._factor.pair_state(a, b)) for b in outs]
-            for a in ins
-        ]
+        self._check_povm(povm)
+        probs = [[pair_probs(povm, povm, self._factor.pair_state(a, b)) for b in outs] for a in ins]
         self._bill("independence", n_shots)
         return [[p / p.sum() for p in row] for row in probs]
 
-    def sample_batch(self, n_shots: int, povms) -> np.ndarray:
-        """Counts from ``n_shots`` independent prepare-and-measure shots.
+    def sample_batch(self, n_shots: int, povm: IcPovm) -> np.ndarray:
+        """Counts from ``n_shots`` independent prepare-and-measure shots,
+        each wire measured with ``povm``.
 
         Returns an integer array with one axis per wire (inputs then
         outputs, sorted wire order), drawn from the factor's Born table,
@@ -405,20 +409,22 @@ class OracleSession:
         counts are one exact multinomial draw over the whole table, which
         is statistically identical to looping single shots and costs
         ``n_shots`` queries either way.  ``n_shots`` must be a positive
-        integer (:func:`_shot_count`) and ``povms`` a POVM for each wire
-        (:meth:`_povms`); anything else raises before anything is drawn or
-        billed.
+        integer (:func:`_shot_count`) and ``povm`` a POVM on every wire's
+        dimension (:meth:`_check_povm`); anything else raises before
+        anything is drawn or billed.
 
         The draw is staged, and exact in law by the chain rule.  The lead
         wires are the fewest leading wires that leave at most
         :data:`_BLOCK_CELLS` cells per block, one block per lead outcome
-        ``B``.  Its factor ``V_B`` (:meth:`_Factor.block`) holds
-        ``(r (x) 1) V`` side by side for every row ``r`` of ``B``'s
-        elements (:attr:`IcPovm.rows`), and since the other wires' POVMs
-        sum to the identity, the block's probability is ``||V_B||_F^2``.
-        One :func:`_multinomial` draw gives the block totals, and one per
-        nonzero block its counts from :func:`~causalcomb.povm.product_born_table`
-        of ``V_B``, its slice.  A table of at most :data:`_BLOCK_CELLS` cells is
+        ``B``.  ``B``'s rows are the Kronecker product of its elements'
+        rows (:attr:`IcPovm.rows`), and its factor ``V_B``
+        (:meth:`_Factor.block`) holds ``(r (x) 1) V`` side by side for every
+        such row ``r``.  Since the other wires' POVMs sum to the identity,
+        the block's probability is ``||V_B||_F^2``.  One :func:`_multinomial`
+        draw gives the block totals, and one per nonzero block its counts
+        from :func:`~causalcomb.povm.product_born_table` of ``V_B``, its
+        slice.  ``V_B`` is formed for each read, so no two blocks' factors
+        are held at once.  A table of at most :data:`_BLOCK_CELLS` cells is
         one block, which takes every shot without a draw.
         """
         n_shots = _shot_count(n_shots)
@@ -426,49 +432,45 @@ class OracleSession:
             raise ValueError("sample_batch requires sampled mode")
         if n_shots < 1:
             raise ValueError("need at least one shot")
-        pmap = self._povms(povms)
-        labels, sizes = self.wires, [pmap[l].size for l in self.wires]
-        check_entries(math.prod(sizes), "the outcome table")
+        self._check_povm(povm)
+        m, n = povm.size, len(self.wires)
+        check_entries(m**n, "the outcome table")
         k = 0
-        while k < len(sizes) - 1 and math.prod(sizes[k:]) > _BLOCK_CELLS:
+        while k < n - 1 and m ** (n - k) > _BLOCK_CELLS:
             k += 1
-        # the lead wires' rows, Kronecker-combined, and the outcome owning each
-        rows, owner = np.ones((1, 1)), np.zeros(1, dtype=int)
-        for l in labels[:k]:
-            r, o = pmap[l].rows
-            rows, owner = np.kron(rows, r), (owner[:, None] * pmap[l].size + o).ravel()
-        rest = self._factor.space.restrict(labels[k:])
-        # each lead outcome B's rows r
-        order = np.argsort(owner, kind="stable")
-        cuts = np.searchsorted(owner[order], np.arange(1, math.prod(sizes[:k])))
-        block_rows = np.split(rows[order], cuts)
+        rows, owner = povm.rows
+        groups = [rows[owner == x] for x in range(m)]
+        block_rows = [
+            functools.reduce(np.kron, b, np.ones((1, 1)))
+            for b in itertools.product(groups, repeat=k)
+        ]
         q = np.array([np.linalg.norm(self._factor.block(r)) ** 2 for r in block_rows])
         totals = _multinomial(self._rng, n_shots, q) if q.size > 1 else [n_shots]
-        counts = np.empty(math.prod(sizes), np.int32 if n_shots < 2**31 else np.int64)
+        counts = np.empty(m**n, np.int32 if n_shots < 2**31 else np.int64)
         blocks = counts.reshape(q.size, -1)
+        rest = self._factor.space.restrict(self.wires[k:])
         for b, (r, total) in enumerate(zip(block_rows, totals)):
             if total:
-                tbl = product_born_table(rest, self._factor.block(r), pmap)
+                tbl = product_born_table(rest, self._factor.block(r), povm)
                 blocks[b] = _multinomial(self._rng, total, tbl).reshape(-1)
             else:
                 blocks[b] = 0
         self._bill("sample_batch", n_shots)
-        return counts.reshape(sizes)
+        return counts.reshape((m,) * n)
 
-    def _povms(self, povms) -> dict[str, IcPovm]:
-        """One POVM per wire, from one for every wire or a mapping by label.
-
-        Each must be a POVM, not a state set, on its wire's dimension;
-        anything else raises ``ValueError`` naming the wire.
-        """
-        pmap = povm_by_label(povms, self.wires)
-        for label, povm in pmap.items():
-            if povm.kind != "povm" or povm.dim != self.dim_of(label):
-                raise ValueError(
-                    f"wire {label} needs a POVM on dimension {self.dim_of(label)}, "
-                    f"got a {povm.kind} on dimension {povm.dim}"
+    def _check_povm(self, povm: IcPovm) -> None:
+        """``ValueError`` naming the first wire that ``povm`` does not fit: it
+        must be one POVM, not a mapping or a state set, on the wire's dimension."""
+        is_povm = isinstance(povm, IcPovm) and povm.kind == "povm"
+        for label in self.wires:
+            d = self.dim_of(label)
+            if not (is_povm and povm.dim == d):
+                got = (
+                    f"a {povm.kind} on dimension {povm.dim}"
+                    if isinstance(povm, IcPovm)
+                    else f"a {type(povm).__name__}"
                 )
-        return pmap
+                raise ValueError(f"wire {label} needs a POVM on dimension {d}, got {got}")
 
     def _check_pair(self, input_label: str, discard: str) -> None:
         """``KeyError`` unless the labels name an input and an output wire."""

@@ -16,9 +16,8 @@ estimator leans on.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "state_set_of",
     "ic_povm_for_dim",
     "povm_preset",
-    "povm_by_label",
     "frame_of",
     "born_probs",
     "pair_probs",
@@ -250,13 +248,6 @@ def povm_preset(name: str, dim: int) -> IcPovm:
     raise ValueError(f"unknown POVM preset {name!r}")
 
 
-def povm_by_label(povms, labels) -> dict[str, IcPovm]:
-    """One POVM per wire label: a single POVM for every wire, or a mapping."""
-    if isinstance(povms, IcPovm):
-        return {l: povms for l in labels}
-    return {l: povms[l] for l in labels}
-
-
 # ---------------------------------------------------------------------------
 # statistics
 
@@ -293,40 +284,29 @@ def _add_power(table: np.ndarray, amp: np.ndarray) -> None:
     table += parts[1::2]
 
 
-def product_born_table(
-    space: WireSpace, v: np.ndarray, povms: Mapping[str, IcPovm]
-) -> np.ndarray:
-    """Outcome probabilities of measuring every wire of ``C = V V^H`` with its POVM.
+def product_born_table(space: WireSpace, v: np.ndarray, povm: IcPovm) -> np.ndarray:
+    """Outcome probabilities of measuring every wire of ``C = V V^H`` with ``povm``.
 
-    Returns a real array with one axis per wire, in ``space``'s label
-    order.  ``C`` is never formed.  With ``r`` the :attr:`IcPovm.rows` of
-    an element, ``Tr[(x) E C] = sum_c |((x) r) v_c|^2`` summed over the
-    element's rows, so the rows of every wire are applied to one column
-    of ``V`` at a time, two wires' Kronecker product per step, and the
-    squares are added up; no entry can be negative.  The table and the
-    amplitudes of one column must fit under
-    :data:`~causalcomb.combs.MAX_ENTRIES`.
+    Returns a real array with one axis per wire of ``space``.  ``C`` is
+    never formed.  With ``r`` the :attr:`IcPovm.rows` of an element,
+    ``Tr[(x) E C] = sum_c |((x) r) v_c|^2`` summed over the element's
+    rows, so the rows are applied to one column of ``V`` at a time, two
+    wires' Kronecker product per step, and the squares are added up; no
+    entry can be negative.  The table and the amplitudes of one column
+    must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.
     """
-    missing = set(space.labels) - set(povms)
-    if missing:
-        raise KeyError(f"no POVM given for wires {sorted(missing)}")
-    wire_povms = [povms[l] for l in space.labels]
-    shape = tuple(p.size for p in wire_povms)
-    check_entries(math.prod(shape), "the outcome table")
-    mats, owners = zip(*(p.rows for p in wire_povms))
-    check_entries(math.prod(len(m) for m in mats), "the outcome amplitudes")
+    n, (rows, owner) = len(space.labels), povm.rows
+    check_entries(povm.size**n, "the outcome table")
+    check_entries(len(rows) ** n, "the outcome amplitudes")
     # two wires per step: 2.5 times as fast as one at n = 5, d_M = 2
-    steps = [np.kron(a, b) for a, b in zip(mats[0::2], mats[1::2])]
-    if len(mats) % 2:
-        steps.append(mats[-1])
-    table = np.zeros(math.prod(len(m) for m in mats))
+    steps = [np.kron(rows, rows)] * (n // 2) + [rows] * (n % 2)
+    table = np.zeros(len(rows) ** n)
     for vc in np.ascontiguousarray(v.T):
         _add_power(table, _per_wire(vc, steps))
-    if any(not np.array_equal(o, np.arange(m)) for m, o in zip(shape, owners)):
+    if not np.array_equal(owner, np.arange(povm.size)):
         # sum the rows of each element into its outcome
-        sums = [(np.arange(m)[:, None] == o).astype(float) for m, o in zip(shape, owners)]
-        table = _per_wire(table, sums)
-    return table.reshape(shape)
+        table = _per_wire(table, [(np.arange(povm.size)[:, None] == owner).astype(float)] * n)
+    return table.reshape((povm.size,) * n)
 
 
 # ---------------------------------------------------------------------------

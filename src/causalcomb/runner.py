@@ -255,15 +255,15 @@ def dispatch(
     alg = read_section("algorithm", alg)
     if alg["name"] == "general":
         return discover_general(session, **given(alg, ["delta", "kappa"]))
-    povms = povm_preset(alg.get("povm", "random-ic:0"), spec.wire_dim)
+    povm = povm_preset(alg.get("povm", "random-ic:0"), spec.wire_dim)
     _require_budget(alg, session.mode, session.query_policy)
     if alg["name"] == "totalorder":
         chi_min = alg.get("chi_min", spec.metadata.get("achieved_chi_min"))
         _require(chi_min is not None, "totalorder needs chi_min (--chi-min) or generator metadata")
         # a given chi_min is read already, so only a stored floor can fail here
         chi_min = _typed("the comb's achieved_chi_min", float, chi_min)
-        return discover_totalorder(session, povms, alg["n_shots"], chi_min)
-    return discover_memoryless(session, povms, alg["n_shots"], alg["threshold"])
+        return discover_totalorder(session, povm, alg["n_shots"], chi_min)
+    return discover_memoryless(session, povm, alg["n_shots"], alg["threshold"])
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -17,7 +17,7 @@ with a rank-two element.
 import numpy as np
 
 from causalcomb.combs import CombCheck
-from causalcomb.povm import IcPovm, povm_by_label, product_born_table, sic_qubit
+from causalcomb.povm import IcPovm, product_born_table, sic_qubit
 from causalcomb.tensors import (
     PAULI_X,
     PAULI_Y,
@@ -89,15 +89,14 @@ def reference_born_table(x, povms):
     return np.ascontiguousarray(t.transpose(tuple(reversed(range(n)))).real)
 
 
-def session_born_table(session, povms):
+def session_born_table(session, povm):
     """The normalized Born table a sampled session draws from, read off its factor.
 
     No session method returns a whole table: ``sample_batch`` forms it one
     block at a time, draws from each block and drops it.  One real axis
-    per wire, in sorted wire order.
+    per wire, in sorted wire order, each measured with ``povm``.
     """
-    pmap = povm_by_label(povms, session.wires)
-    table = product_born_table(session._factor.space, session._factor.v, pmap)
+    table = product_born_table(session._factor.space, session._factor.v, povm)
     return table / table.sum()
 
 

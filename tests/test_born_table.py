@@ -22,18 +22,17 @@ from causalcomb.povm import pair_probs, povm_preset, product_born_table, sic_qub
 from causalcomb.tensors import Op, WireSpace, partial_trace
 
 
-def _spec_tables(spec, povms):
+def _spec_tables(spec, povm):
     space, v = choi_factor(spec)
-    got = product_born_table(space, v, povms)
-    return got, reference_born_table(build_choi(spec), povms)
+    got = product_born_table(space, v, povm)
+    return got, reference_born_table(build_choi(spec), {l: povm for l in space.labels})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("dm", [1, 2, 4])
 def test_factored_table_matches_the_reference(n, dm):
     spec = gen_unitary_comb(n, 2, dm, np.random.default_rng([40, n, dm]))
-    sic = sic_qubit()
-    got, want = _spec_tables(spec, {l: sic for l in choi_factor(spec)[0].labels})
+    got, want = _spec_tables(spec, sic_qubit())
     assert got.shape == want.shape == (4,) * (2 * n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -41,32 +40,34 @@ def test_factored_table_matches_the_reference(n, dm):
 def test_qutrit_random_ic_table_matches_the_reference():
     spec = gen_unitary_comb(2, 3, 2, np.random.default_rng(41))
     povm = povm_preset("random-ic:5", 3)
-    got, want = _spec_tables(spec, {l: povm for l in ("A1", "A2", "B1", "B2")})
+    got, want = _spec_tables(spec, povm)
     assert got.shape == (9,) * 4
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_rank_two_element_rows_sum_into_its_outcome():
     spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(42))
-    rank_two, sic = rank_two_povm(), sic_qubit()
+    rank_two = rank_two_povm()
     rows, owner = rank_two.rows
     assert rows.shape == (6, 2)
     assert owner.tolist() == [0, 0, 1, 2, 3, 4]
-    povms = {"A1": rank_two, "A2": sic, "B1": sic, "B2": rank_two}
-    got, want = _spec_tables(spec, povms)
-    assert got.shape == (5, 4, 4, 5)
+    got, want = _spec_tables(spec, rank_two)
+    assert got.shape == (5, 5, 5, 5)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_factor_on_an_odd_number_of_mixed_wires():
-    """Three wires of dimensions 2, 3, 2 leave one wire for the last step alone."""
+@pytest.mark.parametrize(
+    "povm", [rank_two_povm(), povm_preset("random-ic:6", 3)], ids=["rank-two", "qutrit"]
+)
+def test_factor_on_an_odd_number_of_wires(povm):
+    """Three wires leave one wire for the last step alone."""
     rng = np.random.default_rng(43)
-    space = WireSpace(("A1", "A2", "B1"), (2, 3, 2))
-    v = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    povms = {"A1": rank_two_povm(), "A2": povm_preset("random-ic:6", 3), "B1": sic_qubit()}
-    got = product_born_table(space, v, povms)
-    want = reference_born_table(Op(space, v @ v.conj().T), povms)
-    assert got.shape == (5, 9, 4)
+    d = povm.dim
+    space = WireSpace(("A1", "A2", "B1"), (d,) * 3)
+    v = rng.normal(size=(d**3, 12)) + 1j * rng.normal(size=(d**3, 12))
+    got = product_born_table(space, v, povm)
+    want = reference_born_table(Op(space, v @ v.conj().T), {l: povm for l in space.labels})
+    assert got.shape == (povm.size,) * 3
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -132,7 +133,7 @@ def test_sampled_counts_are_the_multinomial_of_the_reference(n):
     np.testing.assert_array_equal(counts, _multinomial(np.random.default_rng(46), shots, want))
 
 
-def _staged_weights(monkeypatch, session, n_shots, povms):
+def _staged_weights(monkeypatch, session, n_shots, povm):
     """The weights every ``_multinomial`` call of one batch receives, copied
     before the draw overwrites them: the block totals', then each block's;
     and the batch's counts."""
@@ -143,40 +144,37 @@ def _staged_weights(monkeypatch, session, n_shots, povms):
         return _multinomial(rng, n, weights)
 
     monkeypatch.setattr(oracle, "_multinomial", recording)
-    counts = session.sample_batch(n_shots, povms)
+    counts = session.sample_batch(n_shots, povm)
     return seen, counts
 
 
 @pytest.mark.parametrize(
-    "n, block_cells, lead, mapping",
+    "n, block_cells, lead, povm",
     [
-        (5, None, 2, "sic"),
-        (2, 16, 2, "rank-two lead"),  # A1's rank-two element adds its second row
-        (3, 16, 4, "sic/pauli6"),
+        (5, None, 2, sic_qubit()),
+        # a lead outcome's rows are the Kronecker product of its elements' rows,
+        # so the rank-two element gives blocks of one, two, four and eight rows
+        (2, 16, 3, rank_two_povm()),
+        (3, 6**3, 3, pauli6()),
     ],
+    ids=["sic", "rank-two", "pauli6"],
 )
 def test_staged_weights_are_the_chain_rule_of_the_reference(
-    monkeypatch, n, block_cells, lead, mapping
+    monkeypatch, n, block_cells, lead, povm
 ):
     """Block totals from the lead wires' marginal ``q_B``, then each block from
     its own slice: ``q_B`` times the normalized slice is the reference table."""
     spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([50, n]))
     choi = build_choi(spec)
-    sic, labels = sic_qubit(), choi.labels
-    povms = {l: sic for l in labels}
-    if mapping == "rank-two lead":
-        povms["A1"] = rank_two_povm()
-    elif mapping == "sic/pauli6":
-        povms.update({l: pauli6() for l in labels[:n]})
     if block_cells is not None:
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=51))
-    (q, *blocks), _ = _staged_weights(monkeypatch, session, 10**6, povms)
-    sizes = [povms[l].size for l in labels]
-    assert q.shape == (np.prod(sizes[:lead]),) and len(blocks) == q.size  # every block drawn
-    assert {b.shape for b in blocks} == {tuple(sizes[lead:])}
+    (q, *blocks), _ = _staged_weights(monkeypatch, session, 10**6, povm)
+    sizes = (povm.size,) * (2 * n)
+    assert q.shape == (povm.size**lead,) and len(blocks) == q.size  # every block drawn
+    assert {b.shape for b in blocks} == {sizes[lead:]}
     staged = np.stack([w * b / b.sum() for w, b in zip(q / q.sum(), blocks)])
-    want = reference_born_table(choi, povms)
+    want = reference_born_table(choi, {l: povm for l in choi.labels})
     np.testing.assert_allclose(staged.reshape(sizes), want / want.sum(), rtol=0, atol=1e-12)
 
 

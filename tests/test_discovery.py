@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     global_unitary_choi,
     pauli6,
+    rank_two_povm,
     reference_correlation_norm,
     session_born_table,
 )
@@ -512,18 +513,12 @@ def test_exact_independence_matrix_forms_no_joint_table(monkeypatch):
     assert session.query_count == 1000
 
 
-def _mixed_povms(labels):
-    """The qubit SIC on every other wire, the six-outcome Pauli POVM on the rest."""
-    sic, pauli = sic_qubit(), pauli6()
-    return {l: (sic, pauli)[k % 2] for k, l in enumerate(labels)}
-
-
+@pytest.mark.parametrize("povm", [pauli6(), rank_two_povm()], ids=["pauli6", "rank-two"])
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_independence_matrix_with_mixed_povms_matches_the_per_pair_loop(mode):
+def test_independence_matrix_matches_the_per_pair_loop(mode, povm):
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(28))
-    povms = _mixed_povms(_session(spec).wires)
     ins, outs = spec.input_labels, spec.output_labels
-    est = independence_matrix(_session(spec, mode, 29), povms, 20_000, 0.1).estimates
+    est = independence_matrix(_session(spec, mode, 29), povm, 20_000, 0.1).estimates
     if mode == "exact":
         # exact Born values invert to the state: the correlation of each true pair state
         choi = build_choi(spec)
@@ -533,13 +528,13 @@ def test_independence_matrix_with_mixed_povms_matches_the_per_pair_loop(mode):
         ]
     else:
         # the same draw, from a session with the same seed, one pair at a time
-        counts = _session(spec, mode, 29).sample_batch(20_000, povms)
+        counts = _session(spec, mode, 29).sample_batch(20_000, povm)
         want = []
         for i, a in enumerate(ins):
             want.append([])
             for j, b in enumerate(outs):
                 pair = counts.sum(axis=tuple(k for k in range(6) if k not in (i, 3 + j)))
-                rho = reconstruct_pair(povms[a], povms[b], pair / pair.sum())
+                rho = reconstruct_pair(povm, povm, pair / pair.sum())
                 op = Op(WireSpace((a, b), (2, 2)), rho)
                 want[-1].append(reference_correlation_norm(op, [a]))
     np.testing.assert_allclose(est, want, rtol=0, atol=1e-12)
@@ -555,11 +550,6 @@ def test_independence_matrix_inverts_once_per_pair_of_povms(mode, monkeypatch):
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(30))
     independence_matrix(_session(spec, mode, 31), sic_qubit(), 10_000, 0.1)
     assert calls == [(9, 4, 4)]
-    calls.clear()
-    # inputs A1, A3 and output B2 take the SIC; A2, B1 and B3 the Pauli POVM
-    session = _session(spec, mode, 31)
-    independence_matrix(session, _mixed_povms(session.wires), 10_000, 0.1)
-    assert sorted(calls) == [(1, 6, 4), (2, 4, 4), (2, 6, 6), (4, 4, 6)]
 
 
 @pytest.mark.parametrize("n", [6, 7])

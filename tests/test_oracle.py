@@ -97,13 +97,12 @@ def test_sampled_pair_frequencies_are_the_pair_sums_of_one_draw(monkeypatch):
     draws = []
     sample_batch = OracleSession.sample_batch
 
-    def recording(self, n_shots, povms):
-        draws.append(sample_batch(self, n_shots, povms))
+    def recording(self, n_shots, povm):
+        draws.append(sample_batch(self, n_shots, povm))
         return draws[-1]
 
     monkeypatch.setattr(OracleSession, "sample_batch", recording)
-    povms = {l: (sic_qubit(), pauli6())[k % 2] for k, l in enumerate(session.wires)}
-    freqs = session.pair_frequencies(50_000, povms)
+    freqs = session.pair_frequencies(50_000, pauli6())
     [counts] = draws
     for i in range(3):
         for j in range(3):
@@ -198,29 +197,32 @@ def _assert_multinomial_law(x, n, p):
 
 
 @pytest.mark.parametrize(
-    "n, shots, draws, kept",
+    "n, block_cells, shots, draws, kept",
     [
-        (2, 40, 800, ("A1", "A2", "B1", "B2")),  # 320 cells in 20 blocks of 16
-        (3, 20, 1000, ("A1", "B2")),  # 5120 cells in 320 blocks; one pair's sums
+        (2, 25, 40, 800, ("A1", "A2", "B1")),  # 625 cells in 25 blocks; sums over B2
+        (3, 625, 20, 1000, ("A1", "B2")),  # 15625 cells in 25 blocks; one pair's sums
     ],
 )
-def test_staged_batches_draw_the_multinomial_law(monkeypatch, n, shots, draws, kept):
-    """Blocks of 16 cells: the lead wires' totals, then each block's counts.
+def test_staged_batches_draw_the_multinomial_law(
+    monkeypatch, n, block_cells, shots, draws, kept
+):
+    """Small blocks: the lead wires' totals, then each block's counts.
 
-    A1 measures with a rank-two element, so one outcome's block factor holds
-    two rows' columns.  At n = 3 the table has too many cells to test each,
-    and the batches' sums over all but (A1, B2), a lead and a rest wire, are
-    tested instead: a multinomial's sums over cells are multinomial too.
+    Every wire measures with the rank-two POVM, so the block factor of a
+    lead outcome with k rank-two elements holds ``2^k`` rows' columns.  The
+    tables have too many cells for these shots to test each, so the batches'
+    sums over the other wires are tested: all but B2 at n = 2 (both lead
+    wires and a rest wire), all but (A1, B2) at n = 3 (a lead and a rest
+    wire).  A multinomial's sums over cells are multinomial too.
     """
-    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
     spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([64, n]))
     choi = build_choi(spec)
-    povms = {l: sic_qubit() for l in choi.labels}
-    povms["A1"] = rank_two_povm()
+    povm = rank_two_povm()
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=65))
     others = tuple(k for k, l in enumerate(choi.labels) if l not in kept)
-    x = np.array([session.sample_batch(shots, povms).sum(axis=others) for _ in range(draws)])
-    p = reference_born_table(choi, povms).sum(axis=others)
+    x = np.array([session.sample_batch(shots, povm).sum(axis=others) for _ in range(draws)])
+    p = reference_born_table(choi, {l: povm for l in choi.labels}).sum(axis=others)
     _assert_multinomial_law(x.reshape(draws, -1), shots, (p / p.sum()).ravel())
 
 
@@ -281,11 +283,11 @@ def test_exact_pair_frequencies_refuse_a_bad_shot_budget(bad, error):
     assert report.ok and report.queries == 0
 
 
-def _measure_both_ways(session, povms):
-    """Every session call that measures with ``povms``: sampled mode has two."""
-    calls = [lambda: session.pair_frequencies(1000, povms)]
+def _measure_both_ways(session, povm):
+    """Every session call that measures with ``povm``: sampled mode has two."""
+    calls = [lambda: session.pair_frequencies(1000, povm)]
     if session.mode == "sampled":
-        calls.append(lambda: session.sample_batch(1000, povms))
+        calls.append(lambda: session.sample_batch(1000, povm))
     return calls
 
 
@@ -296,11 +298,9 @@ def test_a_state_set_is_refused_as_a_measurement(mode):
     config = OracleConfig(mode=mode, seed=70, query_policy="theoretical", query_log=io.StringIO())
     session = OracleSession(spec, config)
     states = state_set_of(sic_qubit())
-    mixed = {"A1": sic_qubit(), "A2": sic_qubit(), "B1": sic_qubit(), "B2": states}
-    for povms, wire in ((states, "A1"), (mixed, "B2")):
-        for call in _measure_both_ways(session, povms):
-            with pytest.raises(ValueError, match=f"wire {wire} needs a POVM on dimension 2"):
-                call()
+    for call in _measure_both_ways(session, states):
+        with pytest.raises(ValueError, match="wire A1 needs a POVM on dimension 2, got a state"):
+            call()
     with pytest.raises(ValueError, match="wire A1 needs a POVM"):
         discover_memoryless(session, states, 1000, 0.1)
     assert session.query_count == 0 and config.query_log.getvalue() == ""
@@ -320,6 +320,50 @@ def test_a_povm_of_the_wrong_dimension_is_refused(mode):
         with pytest.raises(ValueError, match="wire A1 needs a POVM on dimension 2, .* dimension 4"):
             call()
     assert session.query_count == 0 and config.query_log.getvalue() == ""
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_a_mapping_of_povms_is_refused(mode):
+    """One POVM measures every wire: a mapping by wire label is refused,
+    even one that gives every wire that POVM, before anything is billed."""
+    spec = gen_memoryless_comb(2, 2, np.random.default_rng(73))
+    config = OracleConfig(mode=mode, seed=74, query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    mapping = {l: sic_qubit() for l in session.wires}
+    for call in _measure_both_ways(session, mapping):
+        with pytest.raises(ValueError, match="wire A1 needs a POVM on dimension 2, got a dict"):
+            call()
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+
+
+def _qubit_qutrit_choi(rng):
+    """Two teeth, qubit A1 into qutrit B1 and qutrit A2 into qubit B2, each a
+    random channel: a unit-trace Choi operator on wires of two dimensions."""
+
+    def choi(d_in, d_out):
+        # Kraus operators K of a random Stinespring isometry; sum_j |j> (x) K|j> each
+        w = haar_unitary(d_out * d_out, rng)[:, :d_in].reshape(d_out, d_out, d_in)
+        kets = [k.T.reshape(-1) for k in w]
+        return sum(np.outer(k, k.conj()) for k in kets) / d_in
+
+    matrix = np.kron(choi(2, 3), choi(3, 2))
+    return Op(WireSpace(("A1", "B1", "A2", "B2"), (2, 3, 3, 2)), matrix)
+
+
+def test_promise_algorithms_refuse_wires_of_two_dimensions():
+    """No one POVM fits a qubit and a qutrit wire, so a promise algorithm is
+    refused before anything is billed; the general algorithm probes one wire
+    at a time and still recovers an order."""
+    op = _qubit_qutrit_choi(np.random.default_rng(75))
+    config = OracleConfig(query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(op, config)
+    for povm, wire, d in ((sic_qubit(), "A2", 3), (povm_preset("random-ic:0", 3), "A1", 2)):
+        with pytest.raises(ValueError, match=f"wire {wire} needs a POVM on dimension {d}"):
+            discover_memoryless(session, povm, 1000, 0.1)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    report = discover_general(session)
+    assert report.ok
+    assert combs.check_comb_condition(op, report.order).ok
 
 
 def test_negative_probability_mass_raises_and_bills_nothing():
@@ -463,19 +507,26 @@ def test_query_log_records_jsonl():
 
 
 @pytest.mark.parametrize(
-    "pair, message",
+    "n, pair, error, message",
     [
-        (("A1", "A2"), "discard label 'A2' is not an output wire"),
-        (("B1", "A1"), "input label 'B1' is not an input wire"),
-        (("A1", "B9"), "discard label 'B9' is not an output wire"),
+        (2, ("A1", "A2"), KeyError, "discard label 'A2' is not an output wire"),
+        (2, ("B1", "A1"), KeyError, "input label 'B1' is not an input wire"),
+        (2, ("A1", "B9"), KeyError, "discard label 'B9' is not an output wire"),
+        (1, ("A1", "B1"), ValueError, "the last tooth cannot be shut"),
     ],
 )
-def test_reduce_refuses_wires_in_the_wrong_role_before_folding(monkeypatch, pair, message):
+def test_reduce_refuses_wires_in_the_wrong_role_before_folding(
+    monkeypatch, n, pair, error, message
+):
     """``("A1", "A2")`` used to run the eigensolve and fail in ``wire_roles``,
-    and ``("B1", "A1")`` to return a child."""
+    and ``("B1", "A1")`` to return a child.  The last tooth of a session
+    reduced to one used to be folded and eigensolved, and then refused by
+    ``wire_roles`` with a message about the empty wire set."""
     session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(14)))
+    if n == 1:
+        session = session.reduce("A2", "B2")
     monkeypatch.setattr(oracle, "fold", lambda *args: pytest.fail("folded"))
-    with pytest.raises(KeyError, match=message):
+    with pytest.raises(error, match=message):
         session.reduce(*pair)
 
 

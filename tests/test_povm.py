@@ -142,7 +142,7 @@ def test_product_born_table_matches_pair_probs():
     rho = random_density(4, rng=rng)
     lam, u = np.linalg.eigh(rho)
     space = WireSpace(("A1", "B1"), (2, 2))
-    table = product_born_table(space, u * np.sqrt(lam), {"A1": sic, "B1": sic})
+    table = product_born_table(space, u * np.sqrt(lam), sic)
     np.testing.assert_allclose(table, pair_probs(sic, sic, rho), atol=1e-12)
 
 
