@@ -31,6 +31,7 @@ a dense operator, which also certifies that the operator is positive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Sequence
@@ -529,16 +530,28 @@ def trace_out_tooth(choi: Op, in_label: str, out_label: str) -> Op:
 
 
 def enumerate_orders(n: int) -> list[CausalOrder]:
-    """All (n!)^2 candidate orderings for an n-tooth comb."""
+    """All (n!)^2 candidate orderings for an n-tooth comb, ``n >= 1``.
+
+    Inputs vary slowest: the orders run through the input permutations in
+    lexicographic order and, for each, through every output permutation.
+    The n^2 teeth ``(input_label(i), output_label(j))`` are built once per
+    call and every order is a tuple of references to them, so the list
+    costs about one n-tuple per order: 1.2 MB at n = 5 (14,400 orders)
+    and under 50 MB at n = 6.  A bool or non-integer ``n`` raises
+    ``TypeError`` and ``n < 1`` raises ``ValueError``, before anything is
+    built.
+    """
     from itertools import permutations
 
-    orders = []
-    for ins in permutations(range(1, n + 1)):
-        for outs in permutations(range(1, n + 1)):
-            orders.append(
-                tuple((input_label(i), output_label(j)) for i, j in zip(ins, outs))
-            )
-    return orders
+    if isinstance(n, bool):
+        raise TypeError("n must be an integer, not bool")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"an order needs n >= 1 inputs, got n = {n}")
+    wires = range(1, n + 1)
+    teeth = [[(input_label(i), output_label(j)) for j in wires] for i in wires]
+    perms = list(permutations(range(n)))
+    return [tuple(teeth[i][j] for i, j in zip(ins, outs)) for ins in perms for outs in perms]
 
 
 # ---------------------------------------------------------------------------

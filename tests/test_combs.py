@@ -1,5 +1,8 @@
 """Comb construction, the comb-condition checker, and the generator families."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import reference_correlation_norm
@@ -159,6 +162,46 @@ def test_enumerate_orders_counts():
     orders = enumerate_orders(2)
     assert (("A1", "B1"), ("A2", "B2")) in orders
     assert (("A2", "B1"), ("A1", "B2")) in orders
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_orders_matches_per_order_construction(n):
+    # the reference builds fresh pairs and labels for every order
+    reference = [
+        tuple((f"A{i}", f"B{j}") for i, j in zip(ins, outs))
+        for ins in itertools.permutations(range(1, n + 1))
+        for outs in itertools.permutations(range(1, n + 1))
+    ]
+    assert enumerate_orders(n) == reference
+
+
+def test_enumerate_orders_share_their_teeth():
+    orders = enumerate_orders(5)
+    assert len({id(tooth) for order in orders for tooth in order}) == 25
+
+
+def test_enumerate_orders_memory():
+    # building fresh pairs for every order takes about 12 MB at n = 5
+    tracemalloc.start()
+    try:
+        orders = enumerate_orders(5)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(orders) == 14400
+    assert size < 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_enumerate_orders_rejects_non_integers(n):
+    with pytest.raises(TypeError):
+        enumerate_orders(n)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_enumerate_orders_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        enumerate_orders(n)
 
 
 def test_memoryless_comb_factorizes():

@@ -166,22 +166,65 @@ def test_multinomial_draws_the_multinomial_law(n, weights, branches, draws):
     _assert_multinomial_law(x, n, p)
 
 
+def _log_binomial_tails(k, trials, p):
+    """``log P(X <= k)`` and ``log P(X >= k)`` for ``X ~ Binomial(trials, p)``, ``0 < p < 1``.
+
+    The pmf is summed in log space over ``k`` and every value within
+    40 standard deviations (plus 40) of ``k`` and of the mean; the terms
+    left out add less than ``1e-20`` to either tail.
+    """
+    mean, sd = trials * p, math.sqrt(trials * p * (1 - p))
+    reach = 40 * sd + 40
+    lo = max(0, math.floor(min(k, mean) - reach))
+    hi = min(trials, math.ceil(max(k, mean) + reach))
+    j = np.arange(lo, hi + 1)
+    log_pmf = math.lgamma(trials + 1) - math.lgamma(lo + 1) - math.lgamma(trials - lo + 1)
+    log_pmf += lo * math.log(p) + (trials - lo) * math.log1p(-p)
+    # log pmf(j + 1) - log pmf(j) = log((trials - j) / (j + 1)) + log(p / (1 - p))
+    steps = np.log((trials - j[:-1]) / (j[:-1] + 1)) + math.log(p) - math.log1p(-p)
+    log_pmf = log_pmf + np.r_[0.0, np.cumsum(steps)]
+    top = log_pmf.max()
+    weights = np.exp(log_pmf - top)
+    below, above = weights[j <= k].sum(), weights[j >= k].sum()
+    return top + math.log(below), top + math.log(above)
+
+
 def _assert_multinomial_law(x, n, p):
-    """Rows of ``x`` are independent ``Multinomial(n, p)`` draws: each cell's
-    mean and variance and cells 0 and 1's covariance within 5 standard errors,
-    and a chi-square test of cell 0's counts."""
+    """Rows of ``x`` are independent ``Multinomial(n, p)`` draws.
+
+    Each cell's total over the ``draws`` rows is ``Binomial(draws n, p)``,
+    and both its tails must exceed ``1e-6`` over the number of cells.  Each
+    cell's variance and cells 0 and 1's covariance lie within 5 standard
+    errors taken from the exact ``Multinomial(n, p)`` moments, so a cell
+    that no draw hits is judged by its law, not by the draws.  Cell 0's
+    counts pass a chi-square test.
+    """
     draws = len(x)
     assert (x.sum(axis=1) == n).all() and x.min() >= 0
     assert (x[:, p == 0] == 0).all()
 
-    def within_5_se(terms, want):
-        se = terms.std(axis=0) / math.sqrt(draws)
-        assert (np.abs(terms.mean(axis=0) - want) <= 5 * se).all()
+    floor = math.log(1e-6 / len(p))
+    for total, pc in zip(x.sum(axis=0), p):
+        if 0 < pc < 1:
+            tails = _log_binomial_tails(int(total), draws * n, pc)
+            assert min(tails) > floor, (int(total), draws * n, pc, tails)
 
+    def within_5_se(terms, want, var):
+        assert (np.abs(terms.mean(axis=0) - want) <= 5 * np.sqrt(var / draws)).all()
+
+    # central moments of Binomial(n, p): second s2, fourth s2 (1 + 3 (n - 2) p q)
+    s2 = n * p * (1 - p)
+    s4 = s2 * (1 + 3 * (n - 2) * p * (1 - p))
     dev = x - n * p
-    within_5_se(x, n * p)
-    within_5_se(dev**2, n * p * (1 - p))
-    within_5_se(dev[:, 0] * dev[:, 1], -n * p[0] * p[1])
+    within_5_se(dev**2, s2, s4 - s2**2)
+    # dev_c sums n independent one-shot deviations z_c, whose variances are
+    # v_c = p_c (1 - p_c) and whose covariance is c = -p_0 p_1, so
+    # E[dev_0^2 dev_1^2] = n E[z_0^2 z_1^2] + n (n - 1) (v_0 v_1 + 2 c^2)
+    p0, p1 = p[0], p[1]
+    c = -p0 * p1
+    z22 = p0 * (1 - p0) ** 2 * p1**2 + p1 * p0**2 * (1 - p1) ** 2 + (1 - p0 - p1) * c**2
+    m22 = n * z22 + n * (n - 1) * (p0 * (1 - p0) * p1 * (1 - p1) + 2 * c**2)
+    within_5_se(dev[:, 0] * dev[:, 1], n * c, m22 - (n * c) ** 2)
     # chi-square of cell 0 against its Binomial(n, p_0) pmf, tails lumped
     # until every bin expects at least five draws
     pmf = np.array([math.comb(n, k) * p[0] ** k * (1 - p[0]) ** (n - k) for k in range(n + 1)])
@@ -199,7 +242,7 @@ def _assert_multinomial_law(x, n, p):
 @pytest.mark.parametrize(
     "n, block_cells, shots, draws, kept",
     [
-        (2, 25, 40, 800, ("A1", "A2", "B1")),  # 625 cells in 25 blocks; sums over B2
+        (2, 25, 40, 800, ("A1", "A2", "B1", "B2")),  # 625 cells in 25 blocks; every cell
         (3, 625, 20, 1000, ("A1", "B2")),  # 15625 cells in 25 blocks; one pair's sums
     ],
 )
@@ -209,11 +252,11 @@ def test_staged_batches_draw_the_multinomial_law(
     """Small blocks: the lead wires' totals, then each block's counts.
 
     Every wire measures with the rank-two POVM, so the block factor of a
-    lead outcome with k rank-two elements holds ``2^k`` rows' columns.  The
-    tables have too many cells for these shots to test each, so the batches'
-    sums over the other wires are tested: all but B2 at n = 2 (both lead
-    wires and a rest wire), all but (A1, B2) at n = 3 (a lead and a rest
-    wire).  A multinomial's sums over cells are multinomial too.
+    lead outcome with k rank-two elements holds ``2^k`` rows' columns.  At
+    n = 2 every one of the 625 cells is tested; the exact per-cell law
+    holds for cells that few or no draws hit.  At n = 3 the batches' sums
+    over all wires but (A1, B2), a lead and a rest wire, are tested.  A
+    multinomial's sums over cells are multinomial too.
     """
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
     spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([64, n]))
