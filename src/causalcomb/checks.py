@@ -31,7 +31,6 @@ from .tensors import (
     numerical_rank,
     random_density,
     random_pure_state,
-    reorder,
     trace_norm,
 )
 
@@ -214,8 +213,7 @@ def check_channel_statistics(seed: int = 0, shots: int = 1_000_000) -> CheckResu
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=seed + 1))
     counts = session.sample_batch(shots, sic)
     # independent ground truth: direct Born table of the explicitly built Choi
-    choi = reorder(build_choi(spec), ["A1", "B1"])
-    truth = pair_probs(sic, sic, choi.matrix)
+    truth = pair_probs(sic, sic, build_choi(spec).matrix)
     tv = 0.5 * np.abs(counts / shots - truth).sum()
     return CheckResult(
         name=f"channel-statistics(shots={shots})",

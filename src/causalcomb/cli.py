@@ -225,12 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check a tooth order against a stored comb")
     v.add_argument("comb")
-    v.add_argument("--order", default=None,
-                   help='like "A1:B1,A2:B2" (default: the stored true order)')
+    which = v.add_mutually_exclusive_group()
+    which.add_argument("--order", default=None,
+                       help='like "A1:B1,A2:B2" (default: the stored true order)')
+    which.add_argument("--enumerate", action="store_true",
+                       help="list every compatible order instead, in lexicographic wire "
+                            "order, found by walking the prefix nodes from the empty prefix")
     v.add_argument("--tol", type=float, default=1e-9)
-    v.add_argument("--enumerate", action="store_true",
-                   help="list every compatible order instead, found by walking the "
-                        "prefix nodes from the empty prefix")
     v.set_defaults(func=cmd_verify)
 
     l = sub.add_parser("lemmas", help="run the numerical consistency battery")

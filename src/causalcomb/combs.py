@@ -23,9 +23,10 @@ acceptance harness uses.  The prefix-k identity depends only on the
 prefix node, the sets of the first k inputs and outputs, so the (n!)^2
 orders share C(2n, n) - 1 nodes; ``compatible_orders`` finds every
 compatible order by walking them from the empty prefix, and one node
-function serves both.  Both work on one factor ``G`` with
-``C = G G^H``: a spec's purification, or the verified Cholesky factor of
-a dense operator, which also certifies that the operator is positive.
+function serves both, so they report the same deviations.  Both work on
+one factor ``G`` with ``C = G G^H``, on sorted wires: a spec's
+purification, or the verified Cholesky factor of a dense operator, which
+also certifies that the operator is positive.
 """
 
 from __future__ import annotations
@@ -331,45 +332,37 @@ def _residual_bound(c: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt(c.shape[0] * total)
 
 
-def _deviation(lhs: np.ndarray, d_late: int) -> float:
-    """``||lhs - Tr_late(lhs) / d_late (x) 1_late||_1``, overwriting ``lhs``.
-
-    ``lhs`` is a writable square matrix with the late wires last, so the
-    product term is block diagonal and is subtracted from the diagonal of
-    each (early, early) block in place.
-    """
-    dim = lhs.shape[0]
-    blocks = lhs.reshape(dim // d_late, d_late, dim // d_late, d_late)
-    small = np.trace(blocks, axis1=1, axis2=3) / d_late
-    diag = np.einsum("iaja->iaj", blocks)  # writable view of the late diagonals
-    diag -= small[:, None, :]
-    return trace_norm(lhs)
-
-
-def _node_deviation(
-    space: WireSpace, g: np.ndarray, early: list[str], late_ins: list[str], late_outs: list[str]
-) -> float:
+def _node_deviation(space: WireSpace, g: np.ndarray, done: frozenset[str]) -> float:
     """The deviation of one prefix node of ``G G^H``, on a span that holds it.
 
-    The node's ``early`` wires are its first k inputs and outputs, and its
-    late wires are the other inputs and outputs.  The columns ``G_k`` are
-    ``G`` with ``late_outs`` folded in, so the marginal is ``G_k G_k^H``;
-    folding ``late_ins`` in as well gives ``H_k`` with ``Tr_late`` of the
-    marginal equal to ``H_k H_k^H``.  Both terms of the deviation then map
+    The node is the set ``done`` of its first k inputs and outputs.  Its
+    wires keep ``space``'s sorted order, which puts the late inputs before
+    the late outputs, so the result depends on the node alone.  The
+    columns ``G_k`` are ``G`` with the late outputs folded in, so the
+    marginal is ``G_k G_k^H``; folding the late inputs in as well gives
+    ``H_k`` with ``Tr_late`` of the marginal equal to ``H_k H_k^H``.  Both terms of the deviation then map
     into the span of ``Q (x) 1_late``, where ``Q`` is an orthonormal basis
     of the columns of ``H_k``, and the deviation compressed there, ``K K^H``
     minus its own late marginal for ``K = (Q^H (x) 1) G_k``, has the same
     trace norm.  ``Q^H H_k`` is :func:`~causalcomb.tensors.span` of
     ``H_k``, and ``K`` is that with the late inputs split back out of its
     columns; where ``H_k`` has no fewer columns than rows, ``K`` is
-    ``G_k`` itself.  The wires are laid out in the order the lists give,
-    which moves the result only by roundoff.
+    ``G_k`` itself.
     """
-    d_late = math.prod(space.dim_of(l) for l in late_ins)
-    h = fold(space, g, early, late_ins + late_outs)
+    early = [l for l in space.labels if l in done]
+    late = [l for l in space.labels if l not in done]
+    d_late = math.prod(space.dim_of(l) for l in late if l.startswith("A"))
+    h = fold(space, g, early, late)
     gk = span(h).reshape(-1, h.shape[1] // d_late)
-    check_entries(gk.shape[0] ** 2, f"the prefix-{len(early) // 2} deviation")
-    return _deviation(gk @ gk.conj().T, d_late)
+    check_entries(gk.shape[0] ** 2, f"the prefix-{len(done) // 2} deviation")
+    # with the late wires last the product term is block diagonal, and it is
+    # subtracted from the diagonal of each (early, early) block in place
+    lhs = gk @ gk.conj().T
+    blocks = lhs.reshape(len(lhs) // d_late, d_late, len(lhs) // d_late, d_late)
+    small = np.trace(blocks, axis1=1, axis2=3) / d_late
+    diag = np.einsum("iaja->iaj", blocks)  # writable view of the late diagonals
+    diag -= small[:, None, :]
+    return trace_norm(lhs)
 
 
 def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
@@ -384,8 +377,9 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     residual returned, is at most ``1e-13 * Tr C``; as ``G G^H`` is
     positive semidefinite, so is ``C`` to within it.  An operator without
     positive trace, or one the factor cannot reproduce (indefinite or not
-    Hermitian), raises ``ValueError``.  The rows of ``G`` follow the
-    input's wire order.
+    Hermitian), raises ``ValueError``.  The rows of ``G`` follow sorted
+    wire order (:func:`~causalcomb.tensors.wire_key`): a purification's
+    already do, and an operator's factor is folded into it once.
 
     The result is computed once per input and kept in its ``__dict__``,
     where ``functools.cached_property`` would put it, with ``G``
@@ -413,6 +407,9 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
                 f"the operator is not Hermitian positive semidefinite: G G^H misses it "
                 f"by up to {residual:.3g} in trace norm, over {bound:.3g}"
             )
+        labels = sorted(space.labels, key=wire_key)
+        g = fold(space, g, labels, [])
+        space = WireSpace(tuple(labels), tuple(space.dim_of(l) for l in labels))
     g.setflags(write=False)
     memo["verified_factor"] = space, g, residual
     return space, g, residual
@@ -425,6 +422,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
+def _comb_check(devs: tuple[float, ...], tol: float, residual: float) -> CombCheck:
+    """One order's check from its prefix deviations, ``devs[k]`` for prefix k."""
+    return CombCheck(max(devs) <= tol, max(devs), devs, tol, residual)
+
+
 def check_comb_condition(
     choi: Op | CombSpec, order: Sequence[Sequence[str]], tol: float = 1e-9
 ) -> CombCheck:
@@ -434,9 +436,9 @@ def check_comb_condition(
     first k outputs) is compared in trace norm against (marginal on first
     k teeth) x (maximally mixed on the later inputs).  ``ok`` means every
     deviation is at most ``tol``.  Each deviation is that of one prefix
-    node, the sets of the first k inputs and outputs, on the order's path
-    (``_node_deviation``, with the wires in the order's own sequence);
-    :func:`compatible_orders` walks the same nodes for every order at once.
+    node, the set of the first k inputs and outputs (``_node_deviation``),
+    and depends on the node alone; :func:`compatible_orders` walks the
+    same nodes for every order at once and reports the same deviations.
 
     Every node is checked on the factor ``G`` of :func:`verified_factor`:
     a spec's purification, with no Choi-sized array formed, or the
@@ -455,18 +457,8 @@ def check_comb_condition(
     _check_tol(tol)
     space, g, residual = verified_factor(choi)
     order = _validate_order(order, space)
-    ins, outs = [p[0] for p in order], [p[1] for p in order]
-    devs = tuple(
-        _node_deviation(space, g, ins[:k] + outs[:k], ins[k:], outs[k:]) for k in range(len(order))
-    )
-    worst = max(devs)
-    return CombCheck(
-        ok=worst <= tol,
-        worst_deviation=worst,
-        deviations=devs,
-        tol=tol,
-        residual_bound=residual,
-    )
+    nodes = (frozenset().union(*order[:k]) for k in range(len(order)))
+    return _comb_check(tuple(_node_deviation(space, g, done) for done in nodes), tol, residual)
 
 
 def compatible_orders(
@@ -476,11 +468,10 @@ def compatible_orders(
 
     An order is compatible exactly when every prefix node on its path
     passes.  The walk starts from the empty prefix and expands only nodes
-    that pass, evaluating each node once per call on its wires in wire
-    order, so that its deviation does not depend on the path; it agrees
-    with :func:`check_comb_condition`'s to within roundoff.  A comb with
-    one compatible order takes ``1 + sum(m^2 for m in 2..n)`` nodes, where
-    an exhaustive check scores ``(n!)^2`` orders.
+    that pass, evaluating each node once per call; every
+    :class:`CombCheck` equals :func:`check_comb_condition`'s for its order.
+    A comb with one compatible order takes ``1 + sum(m^2 for m in 2..n)``
+    nodes, where an exhaustive check scores ``(n!)^2`` orders.
 
     Returns each compatible order, in lexicographic wire order of its pairs,
     mapped to its :class:`CombCheck`, and the number of nodes evaluated.
@@ -490,26 +481,21 @@ def compatible_orders(
     _check_tol(tol)
     space, g, residual = verified_factor(choi)
     ins, outs = wire_roles(space.labels)
-    nodes: dict[tuple[frozenset[str], frozenset[str]], float] = {}
+    nodes: dict[frozenset[str], float] = {}
     found: dict[CausalOrder, CombCheck] = {}
 
     def walk(order: CausalOrder, devs: tuple[float, ...]) -> None:
         if len(order) == len(ins):
-            found[order] = CombCheck(
-                ok=True, worst_deviation=max(devs), deviations=devs, tol=tol, residual_bound=residual
-            )
+            found[order] = _comb_check(devs, tol, residual)
             return
-        key = frozenset(a for a, _ in order), frozenset(b for _, b in order)
-        if key not in nodes:
-            early = [a for a in ins if a in key[0]] + [b for b in outs if b in key[1]]
-            late_ins = [a for a in ins if a not in key[0]]
-            late_outs = [b for b in outs if b not in key[1]]
-            nodes[key] = _node_deviation(space, g, early, late_ins, late_outs)
-        if nodes[key] <= tol:
-            devs += (nodes[key],)
+        done = frozenset().union(*order)
+        if done not in nodes:
+            nodes[done] = _node_deviation(space, g, done)
+        if nodes[done] <= tol:
+            devs += (nodes[done],)
             for a in ins:
                 for b in outs:
-                    if a not in key[0] and b not in key[1]:
+                    if a not in done and b not in done:
                         walk(order + ((a, b),), devs)
 
     walk((), ())

@@ -38,7 +38,7 @@ import numpy as np
 
 from .combs import CombSpec, check_entries, verified_factor, wire_roles
 from .povm import IcPovm, pair_probs, product_born_table
-from .tensors import Op, WireSpace, contract_wire, fold, marginal, wire_key
+from .tensors import Op, WireSpace, contract_wire, fold, marginal
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1)
@@ -211,16 +211,13 @@ class _Factor:
 
     @classmethod
     def of(cls, comb: CombSpec | Op) -> "_Factor":
-        """The comb's read-only factor in sorted wire order, a view for a spec;
-        a trace other than 1 raises ``ValueError``."""
+        """The comb's read-only factor from :func:`~causalcomb.combs.verified_factor`,
+        already in sorted wire order; a trace other than 1 raises ``ValueError``."""
         space, g, _ = verified_factor(comb)
         trace = np.vdot(g, g).real
         if not abs(trace - 1.0) <= _TRACE_ATOL:
             raise ValueError(f"the Choi operator has trace {trace:.6g}, not 1")
-        labels = tuple(sorted(space.labels, key=wire_key))
-        v = fold(space, g, labels, [])
-        v.setflags(write=False)
-        return cls(WireSpace(labels, tuple(space.dim_of(l) for l in labels)), v)
+        return cls(space, g)
 
     def shut(self, i: str, j: str) -> "_Factor":
         """The factor of ``Tr_{i,j} C``: ``K``, with both wires folded into

@@ -16,6 +16,7 @@ estimator leans on.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -234,18 +235,28 @@ def ic_povm_for_dim(d: int, rng: np.random.Generator | None = None) -> IcPovm:
 
 
 def povm_preset(name: str, dim: int) -> IcPovm:
-    """Resolve a preset name (``sic2``, ``sic4``, ..., ``random-ic:<seed>``)."""
-    if name.startswith("sic"):
-        want = int(name[3:])
-        if want != dim:
-            raise ValueError(f"preset {name} does not match wire dimension {dim}")
-        if want & (want - 1) != 0:
-            raise ValueError(f"preset {name}: SIC tensor powers need a power of two")
-        return ic_povm_for_dim(want)
-    if name.startswith("random-ic:"):
-        seed = int(name.split(":", 1)[1])
-        return ic_povm_for_dim(dim, np.random.default_rng(seed))
-    raise ValueError(f"unknown POVM preset {name!r}")
+    """Resolve ``sic<d>``, the qubit SIC's tensor power for ``d`` a power of
+    two equal to ``dim``, or ``random-ic:<seed>``, :func:`ic_povm_for_dim`
+    on a whole seed of 0 or more.  Any other name raises ``ValueError``,
+    starting ``POVM preset '<name>':``, that says what is wrong."""
+    sic = re.fullmatch(r"sic([0-9]+)", name)
+    seed = re.fullmatch(r"random-ic:([0-9]+)", name)
+    if seed:
+        return ic_povm_for_dim(dim, np.random.default_rng(int(seed[1])))
+    if sic and int(sic[1]) == dim and dim & (dim - 1) == 0:
+        return ic_povm_for_dim(dim)
+    if sic:
+        why = f"d = {int(sic[1])} is not a power of two equal to the wire dimension {dim}"
+    elif name.startswith("random-ic:"):
+        why = f"the seed {name[len('random-ic:'):]!r} is not a whole number of 0 or more"
+    elif name.startswith("sic"):
+        why = f"{name[len('sic'):]!r} is not a dimension"
+    else:
+        why = "there is no such preset"
+    raise ValueError(
+        f"POVM preset {name!r}: {why}; the presets are sic<d>, with d a power of two equal "
+        "to the wire dimension, and random-ic:<seed>, with a whole seed of 0 or more"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from causalcomb.combs import (
     wire_roles,
 )
 from causalcomb.oracle import OracleSession
-from causalcomb.tensors import Op, WireSpace, sort_wires
+from causalcomb.tensors import Op, WireSpace, reorder, sort_wires
 
 
 def _assert_same(choi, order, spec=None):
@@ -285,7 +285,7 @@ def test_the_walk_finds_exactly_the_orders_the_checker_passes(name):
     for order, check in found.items():
         assert check.ok and check.tol == 1e-9
         assert check.residual_bound == checks[order].residual_bound
-        np.testing.assert_allclose(check.deviations, checks[order].deviations, rtol=0, atol=1e-14)
+        assert check.deviations == checks[order].deviations
         assert check.worst_deviation == max(check.deviations)
     if name == "random state":  # the empty prefix already fails
         assert (found, nodes) == ({}, 1)
@@ -294,21 +294,33 @@ def test_the_walk_finds_exactly_the_orders_the_checker_passes(name):
 
 
 def test_every_node_deviation_matches_the_checker_on_every_path():
+    """A node's deviation depends on its set of early wires alone, so every
+    order that reaches it reports the same value, bit for bit."""
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(44))
     space, g, _ = verified_factor(spec)
-    ins, outs = wire_roles(space.labels)
     for order in enumerate_orders(3):
         check = check_comb_condition(spec, order)
         for k, dev in enumerate(check.deviations):
-            early = {a for a, _ in order[:k]} | {b for _, b in order[:k]}
-            node = combs._node_deviation(
-                space,
-                g,
-                [a for a in ins if a in early] + [b for b in outs if b in early],
-                [a for a in ins if a not in early],
-                [b for b in outs if b not in early],
-            )
-            assert abs(node - dev) <= 1e-14, (order, k)
+            early = frozenset(w for pair in order[:k] for w in pair)
+            assert combs._node_deviation(space, g, early) == dev, (order, k)
+
+
+def test_an_operator_on_reversed_wires_has_the_same_compatible_orders():
+    """The walk lists its orders in lexicographic wire order whatever order
+    the operator's wires come in; it used to follow the operator's.  Pivoted
+    Cholesky meets ties on fig3's diagonal and breaks them by wire order, so
+    the two operators get different factors."""
+    choi = build_choi(gen_fig3_comb())
+    flipped = reorder(choi, list(reversed(choi.labels)))
+    assert not np.array_equal(verified_factor(choi)[1], verified_factor(flipped)[1])
+    assert verified_factor(flipped)[0] == verified_factor(choi)[0]
+    want, _ = compatible_orders(choi)
+    got, _ = compatible_orders(flipped)
+    assert len(want) == 12
+    assert list(got) == list(want) == sorted(want)
+    for order, check in got.items():
+        np.testing.assert_allclose(check.deviations, want[order].deviations, rtol=0, atol=1e-14)
+        assert check.deviations == check_comb_condition(flipped, order).deviations
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -228,6 +228,32 @@ def test_verify_enumerate_lists_only_the_compatible_orders_at_n5(capsys, tmp_pat
     assert lines[1] == "1/14400 orders valid at tol=1e-09"
 
 
+def test_verify_refuses_an_order_together_with_enumerate(capsys, tmp_path):
+    """The order was never read: even this invalid one listed the compatible
+    orders and exited 0."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "1", "-o", str(path))
+    with pytest.raises(SystemExit) as exit:
+        main(["verify", str(path), "--order", "A2:B9,A1:B1", "--enumerate"])
+    out = capsys.readouterr()
+    assert exit.value.code == 2
+    assert "--enumerate: not allowed with argument --order" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("preset", ["sicX", "sic", "random-ic:", "random-ic:abc", "random-ic:-1"])
+def test_a_malformed_povm_preset_exits_2_naming_it(capsys, tmp_path, preset):
+    """These printed Python's int() or numpy's message, without the preset."""
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--kind", "memoryless", "--n", "2", "--seed", "4", "-o", str(path))
+    code, _, err = run(
+        capsys, "discover", str(path), "--algorithm", "memoryless", "--povm", preset
+    )
+    assert code == 2
+    assert err.startswith(f"error: POVM preset '{preset}':")
+    assert "sic<d>" in err and "random-ic:<seed>" in err
+
+
 def test_numerical_failure_exits_3_and_bad_config_still_exits_2(capsys, tmp_path, monkeypatch):
     import numpy as np
 

@@ -23,6 +23,7 @@ import causalcomb.oracle as oracle
 from causalcomb.combs import (
     CombSpec,
     build_choi,
+    gen_fig3_comb,
     gen_memoryless_comb,
     gen_signaling_comb,
     gen_unitary_comb,
@@ -663,6 +664,26 @@ def test_reduce_shares_meter_and_matches_traced_choi():
     np.testing.assert_allclose(
         got, session_born_table(OracleSession(want), sic_qubit()), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("kind", ["fig3", "unitary"])
+def test_a_session_on_reversed_wires_discovers_as_on_sorted_ones(kind):
+    """The factor comes in sorted wire order whatever the operator's, so a
+    session on reversed wires has sorted wires and the same order, swap
+    tests and bill; fig3's operators get different Cholesky factors."""
+    if kind == "fig3":
+        spec = gen_fig3_comb()
+    else:
+        spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(19))
+    choi = build_choi(spec)
+    flipped = reorder(choi, list(reversed(choi.labels)))
+    config = OracleConfig(query_policy="theoretical")
+    sessions = OracleSession(choi, config), OracleSession(flipped, config)
+    assert sessions[1].wires == sessions[0].wires == choi.labels
+    want, got = (discover_general(s) for s in sessions)
+    assert want.ok and got.order == want.order
+    assert got.diagnostics["swap_tests"] == want.diagnostics["swap_tests"]
+    assert got.queries == want.queries
 
 
 def test_sampled_mode_requires_seed():

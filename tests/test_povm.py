@@ -134,6 +134,38 @@ def test_povm_preset_names():
         povm_preset("mystery", 2)
     r = povm_preset("random-ic:7", 3)
     assert frame_of(r).is_ic
+    np.testing.assert_array_equal(povm_preset("sic4", 4).stack(), ic_povm_for_dim(4).stack())
+    for seed in (0, 7, 10**20):
+        for dim in (2, 3):
+            want = ic_povm_for_dim(dim, np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                povm_preset(f"random-ic:{seed}", dim).stack(), want.stack()
+            )
+
+
+@pytest.mark.parametrize(
+    "name, dim, why",
+    [
+        ("sicX", 2, "'X' is not a dimension"),
+        ("sic", 2, "'' is not a dimension"),
+        ("sic4", 2, "d = 4 is not a power of two equal to the wire dimension 2"),
+        ("sic3", 3, "d = 3 is not a power of two equal to the wire dimension 3"),
+        ("random-ic:", 2, "the seed '' is not a whole number of 0 or more"),
+        ("random-ic:abc", 2, "the seed 'abc' is not a whole number of 0 or more"),
+        ("random-ic:-1", 2, "the seed '-1' is not a whole number of 0 or more"),
+        ("random-ic:1.5", 2, "the seed '1.5' is not a whole number of 0 or more"),
+        ("mystery", 2, "there is no such preset"),
+    ],
+)
+def test_a_refused_preset_says_what_was_wrong_and_names_both_forms(name, dim, why):
+    """``sicX`` and ``random-ic:abc`` used to raise int()'s message, and
+    ``random-ic:-1`` numpy's, none of them naming the preset."""
+    with pytest.raises(ValueError) as refused:
+        povm_preset(name, dim)
+    message = str(refused.value)
+    assert message.startswith(f"POVM preset '{name}': {why}; ")
+    assert "sic<d>, with d a power of two equal to the wire dimension" in message
+    assert "random-ic:<seed>, with a whole seed of 0 or more" in message
 
 
 def test_product_born_table_matches_pair_probs():
