@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +80,8 @@ __all__ = [
 
 #: Most complex entries of any array formed from a comb: ``d^{2n} d_M`` for
 #: its purification, ``dim^2`` for a dense Choi operator, Born table or
-#: one prefix of the comb checker.
+#: one prefix of the comb checker.  It also caps the (n!)^2 orders that
+#: :func:`enumerate_orders` lists.
 #: ``2^20`` is a dense Choi operator at n = 5 on qubit wires.
 MAX_ENTRIES = 2**20
 
@@ -142,6 +143,11 @@ class CombSpec:
         by tooth ``t`` (0-based).
     output_perm : same for output wire numbers.
     metadata : free-form provenance (generator name, seed, achieved floors).
+
+    ``true_order``, ``input_labels`` and ``output_labels`` are each derived
+    once, by ``functools.cached_property``, and kept in the instance
+    ``__dict__`` beside :func:`verified_factor`'s memo.  They are not
+    fields, so ``==``, ``repr`` and ``dataclasses.replace`` ignore them.
     """
 
     n: int
@@ -188,20 +194,17 @@ class CombSpec:
             if np.abs(u @ u.conj().T - np.eye(dt)).max() > 1e-9:
                 raise ValueError(f"tooth {t} matrix is not unitary")
 
-    @property
+    @cached_property
     def true_order(self) -> CausalOrder:
-        return tuple(
-            (input_label(self.input_perm[t]), output_label(self.output_perm[t]))
-            for t in range(self.n)
-        )
+        return tuple(zip(map(input_label, self.input_perm), map(output_label, self.output_perm)))
 
-    @property
+    @cached_property
     def input_labels(self) -> tuple[str, ...]:
-        return tuple(input_label(i) for i in range(1, self.n + 1))
+        return tuple(map(input_label, range(1, self.n + 1)))
 
-    @property
+    @cached_property
     def output_labels(self) -> tuple[str, ...]:
-        return tuple(output_label(j) for j in range(1, self.n + 1))
+        return tuple(map(output_label, range(1, self.n + 1)))
 
 
 @dataclass(frozen=True)
@@ -382,8 +385,8 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     already do, and an operator's factor is folded into it once.
 
     The result is computed once per input and kept in its ``__dict__``,
-    where ``functools.cached_property`` would put it, with ``G``
-    read-only.  ``Op`` and ``CombSpec`` are frozen and hold read-only
+    where ``functools.cached_property`` keeps a spec's ``true_order``, with
+    ``G`` read-only.  ``Op`` and ``CombSpec`` are frozen and hold read-only
     arrays, so the memo is keyed by content and is freed with its input.
     A refused operator is not memoized.  Sessions open on this memo too.
     """
@@ -523,9 +526,11 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
     The n^2 teeth ``(input_label(i), output_label(j))`` are built once per
     call and every order is a tuple of references to them, so the list
     costs about one n-tuple per order: 1.2 MB at n = 5 (14,400 orders)
-    and under 50 MB at n = 6.  A bool or non-integer ``n`` raises
-    ``TypeError`` and ``n < 1`` raises ``ValueError``, before anything is
-    built.
+    and under 50 MB at n = 6.  Each input permutation picks its rows of
+    teeth once, and each order maps the output permutation over them.
+    A bool or non-integer ``n`` raises ``TypeError``; ``n < 1``, and an
+    ``n`` whose (n!)^2 orders exceed :data:`MAX_ENTRIES` (n >= 7), raise
+    ``ValueError``, before anything is built.
     """
     from itertools import permutations
 
@@ -534,10 +539,15 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"an order needs n >= 1 inputs, got n = {n}")
+    check_entries(math.factorial(n) ** 2, f"the list of n = {n} orders")
     wires = range(1, n + 1)
     teeth = [[(input_label(i), output_label(j)) for j in wires] for i in wires]
     perms = list(permutations(range(n)))
-    return [tuple(teeth[i][j] for i, j in zip(ins, outs)) for ins in perms for outs in perms]
+    orders = []
+    for ins in perms:
+        rows = [teeth[i] for i in ins]
+        orders += [tuple(map(operator.getitem, rows, outs)) for outs in perms]
+    return orders
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Acceptance tests register one verdict each via :func:`record`; the
 terminal-summary hook prints the whole table after the run so the
-per-criterion outcome is visible even when every test passes.
+per-criterion outcome is visible even when every test passes, after a
+line of :func:`library_versions` that ``pytest -q`` would otherwise hide.
 :func:`reference_check` is the direct comb-condition checker the fast
 one is compared against, :func:`reference_born_table` the dense Born
 table the factored one is compared against, :func:`session_born_table`
@@ -13,6 +14,8 @@ stacked kernel is compared against, :func:`pauli6` a six-outcome
 qubit POVM to mix with the SIC, and :func:`rank_two_povm` a qubit POVM
 with a rank-two element.
 """
+
+import platform
 
 import numpy as np
 
@@ -40,7 +43,24 @@ def record(num: int, name: str, passed: bool, details: str = "") -> None:
     ACCEPTANCE[num] = (name, bool(passed), details)
 
 
+def library_versions() -> str:
+    """Python, NumPy and BLAS versions, one line.
+
+    The sampled pins read NumPy ``Generator`` streams and the exact ones
+    BLAS roundoff, so a pin that fails on another NumPy or BLAS shows it.
+    NumPy before 1.26 cannot report its BLAS, which then reads "unknown".
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return f"python {platform.python_version()}, numpy {np.__version__}, blas {blas}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    terminalreporter.section("versions")
+    terminalreporter.write_line(library_versions())
     if not ACCEPTANCE:
         return
     terminalreporter.section("acceptance criteria")

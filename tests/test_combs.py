@@ -1,7 +1,10 @@
 """Comb construction, the comb-condition checker, and the generator families."""
 
 import itertools
+import math
+import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from causalcomb.combs import (
     pairwise_correlation_floor,
     trace_out_tooth,
 )
+from causalcomb.serialize import comb_to_dict, load_comb, save_comb
 from causalcomb.tensors import (
     Op,
     WireSpace,
@@ -202,6 +206,82 @@ def test_enumerate_orders_rejects_non_integers(n):
 def test_enumerate_orders_rejects_n_below_one(n):
     with pytest.raises(ValueError, match="n >= 1"):
         enumerate_orders(n)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_enumerate_orders_refuses_more_orders_than_the_cap_before_building(n):
+    # n = 7 would build 25,401,600 orders, about 3 GB; listing its 5,040
+    # input permutations alone would take far more than the bound below
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"would have {math.factorial(n) ** 2} entries"):
+            enumerate_orders(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+def test_enumerate_orders_allows_exactly_the_cap(monkeypatch):
+    monkeypatch.setattr(combs, "MAX_ENTRIES", 36)
+    assert len(enumerate_orders(3)) == 36
+    with pytest.raises(ValueError, match="over the cap of 36"):
+        enumerate_orders(4)
+
+
+def test_true_order_and_labels_are_derived_once_per_spec():
+    spec = gen_unitary_comb(4, 2, 2, np.random.default_rng(5))
+    per_tooth = tuple(
+        (f"A{spec.input_perm[t]}", f"B{spec.output_perm[t]}") for t in range(spec.n)
+    )
+    assert spec.true_order == per_tooth
+    assert spec.input_labels == ("A1", "A2", "A3", "A4")
+    assert spec.output_labels == ("B1", "B2", "B3", "B4")
+    for name in ("true_order", "input_labels", "output_labels"):
+        assert getattr(spec, name) is getattr(spec, name)
+
+
+def test_replaced_spec_derives_its_own_true_order():
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(6))
+    first = spec.true_order
+    other = replace(spec, input_perm=(3, 1, 2), output_perm=(2, 3, 1))
+    assert other.true_order == (("A3", "B2"), ("A1", "B3"), ("A2", "B1"))
+    assert spec.true_order is first
+
+
+def test_cached_derivations_leave_equality_repr_files_and_pickles_alone(tmp_path):
+    # one tooth on one-dimensional wires and memory: its arrays have a
+    # single entry, so two distinct specs compare with ``==``
+    tiny = gen_unitary_comb(1, 1, 1, np.random.default_rng(7))
+    fresh = replace(tiny)
+    before = repr(tiny)
+    assert tiny.true_order == (("A1", "B1"),)
+    assert repr(tiny) == before
+    assert tiny == fresh and fresh == tiny
+
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(8))
+    written = comb_to_dict(spec)
+    for name in ("true_order", "input_labels", "output_labels"):
+        getattr(spec, name)
+    assert comb_to_dict(spec).keys() == written.keys()
+    save_comb(spec, tmp_path / "comb.json")
+    loaded = load_comb(tmp_path / "comb.json")
+    assert repr(loaded) == repr(spec)
+    assert loaded.true_order == spec.true_order
+    copied = pickle.loads(pickle.dumps(spec))
+    assert repr(copied) == repr(spec)
+    assert copied.true_order == spec.true_order
+    assert copied.input_labels == spec.input_labels
+
+
+def test_true_order_reads_build_each_label_once(monkeypatch):
+    spec = gen_unitary_comb(5, 2, 1, np.random.default_rng(9))
+    calls = []
+    label = combs.input_label
+    monkeypatch.setattr(combs, "input_label", lambda i: calls.append(i) or label(i))
+    orders = {id(spec.true_order) for _ in range(10_000)}
+    assert len(orders) == 1
+    assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
 def test_memoryless_comb_factorizes():
