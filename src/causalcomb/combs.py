@@ -530,7 +530,8 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
     teeth once, and each order maps the output permutation over them.
     A bool or non-integer ``n`` raises ``TypeError``; ``n < 1``, and an
     ``n`` whose (n!)^2 orders exceed :data:`MAX_ENTRIES` (n >= 7), raise
-    ``ValueError``, before anything is built.
+    ``ValueError``, before anything is built; past n = 20 the message
+    bounds the count rather than forming or printing it.
     """
     from itertools import permutations
 
@@ -539,6 +540,11 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"an order needs n >= 1 inputs, got n = {n}")
+    if n > 20:  # (n!)^2 > 10^39; from n = 1000 on, str() refuses its 4,300 digits
+        raise ValueError(
+            "the list of orders for n > 20 would have over 10^39 entries, "
+            f"over the cap of {MAX_ENTRIES}"
+        )
     check_entries(math.factorial(n) ** 2, f"the list of n = {n} orders")
     wires = range(1, n + 1)
     teeth = [[(input_label(i), output_label(j)) for j in wires] for i in wires]

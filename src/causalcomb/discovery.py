@@ -26,9 +26,11 @@ Three strategies, in decreasing order of generality and cost:
     matched to the first output it is visibly correlated with; inputs
     with no visible partner (constant teeth) are paired up with the
     leftover outputs in index order, any choice being equally valid, and
-    the report lists those pairs as guesses.  A
-    wire visibly correlated with two partners breaks the promise, and the
-    run reports it.
+    the report lists those pairs as guesses.  A wire visibly correlated
+    with two partners breaks the promise, and the run reports it.
+
+All three time and bill a run the same way, and return a
+:class:`DiscoveryReport` of the queries it added to the session meter.
 
 Correlations are estimated by two-sided linear inversion of the pairwise
 outcome frequencies of one batch (:func:`correlation_from_freqs`, which
@@ -48,7 +50,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -106,9 +107,18 @@ def xi_constant(povm_a: IcPovm, povm_b: IcPovm) -> float:
     return math.sqrt(lam) / (math.sqrt(da**2 * db**2 + 4 * db**2 + 4 * da**2) * da * db)
 
 
-def _outcome_classes(povm_a: IcPovm, povm_b: IcPovm) -> int:
+def _budget_terms(kappa: float, povm_a: IcPovm, povm_b: IcPovm) -> tuple[float, float]:
+    """``log(2 K / kappa)`` and ``2 xi^2``, the two terms both shot budgets share.
+
+    ``K = da^2 db^2 + da^2 + db^2`` counts a pair's outcome classes: the
+    joint outcomes and each side's own.  Needs ``0 < kappa < 1``, else
+    ``ValueError``.
+    """
+    if not 0 < kappa < 1:
+        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
     da, db = povm_a.dim, povm_b.dim
-    return da**2 * db**2 + da**2 + db**2
+    classes = da**2 * db**2 + da**2 + db**2
+    return math.log(2.0 * classes / kappa), 2.0 * xi_constant(povm_a, povm_b) ** 2
 
 
 def correlation_error_bound(
@@ -120,11 +130,8 @@ def correlation_error_bound(
     """
     if not n_shots >= 1:
         raise ValueError(f"n_shots must be at least 1, got {n_shots}")
-    if not 0 < kappa < 1:
-        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    xi = xi_constant(povm_a, povm_b)
-    arg = 2.0 * _outcome_classes(povm_a, povm_b) / kappa
-    return math.sqrt(math.log(arg) / (2.0 * xi**2 * n_shots))
+    log_term, two_xi_sq = _budget_terms(kappa, povm_a, povm_b)
+    return math.sqrt(log_term / (two_xi_sq * n_shots))
 
 
 def correlation_sample_size(
@@ -136,11 +143,8 @@ def correlation_sample_size(
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be a positive finite number, got {eps}")
-    if not 0 < kappa < 1:
-        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    xi = xi_constant(povm_a, povm_b)
-    arg = 2.0 * _outcome_classes(povm_a, povm_b) / kappa
-    return math.ceil(math.log(arg) / (2.0 * xi**2 * eps**2))
+    log_term, two_xi_sq = _budget_terms(kappa, povm_a, povm_b)
+    return math.ceil(log_term / (two_xi_sq * eps**2))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,10 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
     rejected as soon as one estimate exceeds ``delta`` and accepted if
     none does.  Returns the first accepted pair and its largest gap
     estimate, or ``None`` when every pair is rejected — in which case no
-    ordering whatsoever is compatible with the process.
+    ordering whatsoever is compatible with the process.  On a
+    one-dimensional input the probe set has one state, so there are no
+    two probe states to compare: the pair is accepted with no gap, and
+    ``accepted_gap`` is ``None``.
 
     ``kappa`` is the failure probability of each swap test, not of the
     search: with ``m`` teeth and probe sets of ``d^2`` states the loop
@@ -260,7 +267,7 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
                     swap_tests=swap_tests,
                     pairs_tested=pairs_tested,
                     rejection_gaps=gaps,
-                    accepted_gap=worst,
+                    accepted_gap=worst if len(states) > 1 else None,
                 )
     return FindLastResult(
         pair=None, swap_tests=swap_tests, pairs_tested=pairs_tested, rejection_gaps=gaps
@@ -276,7 +283,8 @@ class DiscoveryReport:
     """Outcome of one discovery run.
 
     ``order`` lists teeth first-to-last as (input, output) label pairs.
-    ``queries`` is the session meter after the run.  ``theoretical_queries``
+    ``queries`` is what the run added to the session meter, which a
+    session shares with its children from ``reduce``.  ``theoretical_queries``
     is an a-priori bound on those billed queries, set from the loop bounds
     of the general algorithm; it is ``None`` for the promise algorithms,
     which bill exactly the shots they are given.
@@ -294,6 +302,19 @@ class DiscoveryReport:
     @property
     def ok(self) -> bool:
         return self.failure is None and self.order is not None
+
+
+def _report(algorithm, session, start_queries, t0, order, failure, theoretical, diagnostics):
+    """The report of a run that read the meter at ``start_queries`` and the clock at ``t0``."""
+    return DiscoveryReport(
+        algorithm=algorithm,
+        order=order,
+        queries=session.query_count - start_queries,
+        theoretical_queries=theoretical,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        diagnostics=diagnostics,
+        failure=failure,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +338,9 @@ def discover_general(
 
     Each stage's margins sit next to ``delta`` in its diagnostics:
     ``accepted_gap``, the accepted pair's largest gap (``None`` if none
-    was accepted), and ``min_rejection_gap``, the smallest gap that
-    rejected a pair (``None`` if none was rejected).
+    was accepted, or if its input is one-dimensional, so that there are
+    no two probe states to compare), and ``min_rejection_gap``, the
+    smallest gap that rejected a pair (``None`` if none was rejected).
     """
     t0 = time.perf_counter()
     n = session.n_teeth
@@ -330,16 +352,12 @@ def discover_general(
     failure = None
     for remaining in range(n, 0, -1):
         res = find_last(current, delta, kappa)
-        stages.append(
-            {
-                "teeth_remaining": remaining,
-                "pair": res.pair,
-                "swap_tests": res.swap_tests,
-                "pairs_tested": res.pairs_tested,
-                "accepted_gap": res.accepted_gap,
-                "min_rejection_gap": min(res.rejection_gaps.values(), default=None),
-            }
+        stage = dict(
+            teeth_remaining=remaining, pair=res.pair, swap_tests=res.swap_tests,
+            pairs_tested=res.pairs_tested, accepted_gap=res.accepted_gap,
+            min_rejection_gap=min(res.rejection_gaps.values(), default=None),
         )
+        stages.append(stage)
         if res.pair is None:
             failure = NOT_A_COMB
             break
@@ -348,70 +366,16 @@ def discover_general(
             current = current.reduce(*res.pair)
     runs = swap_test_sample_size(delta / 4.0, kappa)
     theoretical = 2 * runs * (2 * d_max**2 - 1) * sum(m * m for m in range(1, n + 1))
-    return DiscoveryReport(
-        algorithm="general",
-        order=tuple(order) if failure is None else None,
-        queries=session.query_count - start_queries,
-        theoretical_queries=theoretical,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        diagnostics={
-            "delta": delta,
-            "kappa": kappa,
-            "swap_runs_per_test": runs,
-            "swap_tests": sum(s["swap_tests"] for s in stages),
-            "stages": stages,
-        },
-        failure=failure,
+    diagnostics = dict(
+        delta=delta, kappa=kappa, swap_runs_per_test=runs,
+        swap_tests=sum(s["swap_tests"] for s in stages), stages=stages,
     )
+    found = tuple(order) if failure is None else None
+    return _report("general", session, start_queries, t0, found, failure, theoretical, diagnostics)
 
 
 # ---------------------------------------------------------------------------
-# promise algorithms: one shared shot table, then an ordering rule
-
-
-def _promise_discovery(
-    algorithm: str,
-    session: OracleSession,
-    povm: IcPovm,
-    promise: tuple[str, float],
-    threshold: float,
-    rule: Callable,
-) -> DiscoveryReport:
-    """Time, bill and report one promise algorithm's ordering ``rule``.
-
-    ``rule(measure)`` draws independence matrices with ``measure(n_shots)``
-    and returns the last one, the order, the failure (``None`` on success)
-    and its own diagnostics.  The run bills exactly the shots the rule
-    draws, in sampled mode or under the theoretical policy, and nothing
-    otherwise; so the report's ``theoretical_queries`` is ``None``.  The
-    shots the theory asks for come from :func:`correlation_sample_size`.
-
-    ``promise`` is the caller's parameter that sets the correlation
-    ``threshold``, by name and value.  Unless the value is a positive finite
-    number, ``ValueError`` names it before anything is billed.
-    """
-    name, value = promise
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {value}")
-    t0 = time.perf_counter()
-    start_queries = session.query_count
-    ind, order, failure, diagnostics = rule(
-        lambda n_shots: independence_matrix(session, povm, n_shots, threshold)
-    )
-    return DiscoveryReport(
-        algorithm=algorithm,
-        order=order,
-        queries=session.query_count - start_queries,
-        theoretical_queries=None,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        diagnostics={
-            "threshold": threshold,
-            "n_shots": ind.n_shots,
-            "estimates": np.asarray(ind.estimates),
-            **diagnostics,
-        },
-        failure=failure,
-    )
+# promise algorithms: relation counts from independence matrices
 
 
 def _relation_counts(ind: IndMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -445,30 +409,30 @@ def discover_totalorder(
     that is not a positive finite number, or a ``povm`` that is not a POVM
     on every wire's dimension, raises ``ValueError`` first.
     """
-
-    def rank(measure):
-        ind = measure(n_shots)
+    if not 0 < chi_min < math.inf:
+        raise ValueError(f"chi_min must be a positive finite number, got {chi_min}")
+    t0 = time.perf_counter()
+    start_queries = session.query_count
+    threshold = chi_min / 2.0
+    ind = independence_matrix(session, povm, n_shots, threshold)
+    c_in, c_out = _relation_counts(ind)
+    tied = _has_ties(c_in) or _has_ties(c_out)
+    retried = tied and session.mode == "sampled"
+    if retried:
+        ind = independence_matrix(session, povm, 2 * n_shots, threshold)
         c_in, c_out = _relation_counts(ind)
-        retried = session.mode == "sampled" and (_has_ties(c_in) or _has_ties(c_out))
-        if retried:
-            ind = measure(2 * n_shots)
-            c_in, c_out = _relation_counts(ind)
-        failure = ASSUMPTION_VIOLATED if (_has_ties(c_in) or _has_ties(c_out)) else None
-        in_rank = np.argsort(-c_in, kind="stable")
-        out_rank = np.argsort(c_out, kind="stable")
-        order = tuple(
-            (ind.input_labels[i], ind.output_labels[j]) for i, j in zip(in_rank, out_rank)
-        )
-        return ind, order, failure, {
-            "chi_min": chi_min,
-            "input_counts": c_in,
-            "output_counts": c_out,
-            "retried": retried,
-        }
-
-    return _promise_discovery(
-        "totalorder", session, povm, ("chi_min", chi_min), chi_min / 2.0, rank
+        tied = _has_ties(c_in) or _has_ties(c_out)
+    in_rank = np.argsort(-c_in, kind="stable")
+    out_rank = np.argsort(c_out, kind="stable")
+    order = tuple(
+        (ind.input_labels[i], ind.output_labels[j]) for i, j in zip(in_rank, out_rank)
     )
+    diagnostics = dict(
+        threshold=threshold, n_shots=ind.n_shots, estimates=ind.estimates, chi_min=chi_min,
+        input_counts=c_in, output_counts=c_out, retried=retried,
+    )
+    failure = ASSUMPTION_VIOLATED if tied else None
+    return _report("totalorder", session, start_queries, t0, order, failure, None, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -496,27 +460,27 @@ def discover_memoryless(
     that is not a POVM on every wire's dimension, raises ``ValueError``
     first.
     """
-
-    def match(measure):
-        ind = measure(n_shots)
-        ins, outs = ind.input_labels, ind.output_labels
-        pairing: dict[int, int] = {}
-        for i in range(len(ins)):
-            for j in range(len(outs)):
-                if not ind.ind[i, j] and j not in pairing.values():
-                    pairing[i] = j
-                    break
-        leftovers = [j for j in range(len(outs)) if j not in pairing.values()]
-        guessed = [i for i in range(len(ins)) if i not in pairing]
-        for i in guessed:
-            pairing[i] = leftovers.pop(0)
-        order = tuple((ins[i], outs[pairing[i]]) for i in range(len(ins)))
-        c_in, c_out = _relation_counts(ind)
-        failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
-        return ind, order, failure, {
-            "paired_by_index": [(ins[i], outs[pairing[i]]) for i in guessed]
-        }
-
-    return _promise_discovery(
-        "memoryless", session, povm, ("threshold", threshold), threshold, match
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be a positive finite number, got {threshold}")
+    t0 = time.perf_counter()
+    start_queries = session.query_count
+    ind = independence_matrix(session, povm, n_shots, threshold)
+    ins, outs = ind.input_labels, ind.output_labels
+    pairing: dict[int, int] = {}
+    for i in range(len(ins)):
+        for j in range(len(outs)):
+            if not ind.ind[i, j] and j not in pairing.values():
+                pairing[i] = j
+                break
+    leftovers = [j for j in range(len(outs)) if j not in pairing.values()]
+    guessed = [i for i in range(len(ins)) if i not in pairing]
+    for i in guessed:
+        pairing[i] = leftovers.pop(0)
+    order = tuple((ins[i], outs[pairing[i]]) for i in range(len(ins)))
+    c_in, c_out = _relation_counts(ind)
+    diagnostics = dict(
+        threshold=threshold, n_shots=ind.n_shots, estimates=ind.estimates,
+        paired_by_index=[(ins[i], outs[pairing[i]]) for i in guessed],
     )
+    failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
+    return _report("memoryless", session, start_queries, t0, order, failure, None, diagnostics)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -220,6 +221,16 @@ def test_enumerate_orders_refuses_more_orders_than_the_cap_before_building(n):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+@pytest.mark.parametrize("n", [1000, 10**5])
+def test_enumerate_orders_refuses_a_huge_n_without_counting_its_orders(n):
+    # (1000!)^2 has over 4,300 digits, which str() refuses, and (10^5!)^2
+    # takes 0.37 s to form
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="would have over 10\\^39 entries, over the cap of"):
+        enumerate_orders(n)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_enumerate_orders_allows_exactly_the_cap(monkeypatch):

@@ -41,7 +41,13 @@ from causalcomb.discovery import (
     xi_constant,
 )
 from causalcomb.oracle import OracleConfig, OracleSession, swap_test_sample_size
-from causalcomb.povm import ic_povm_for_dim, reconstruct_pair, sic_qubit, state_set_of
+from causalcomb.povm import (
+    ic_povm_for_dim,
+    povm_preset,
+    reconstruct_pair,
+    sic_qubit,
+    state_set_of,
+)
 from causalcomb.tensors import (
     PAULI_X,
     PAULI_Y,
@@ -438,6 +444,83 @@ def test_report_query_accounting_fields():
     report = discover_memoryless(ml_session, sic_qubit(), 1000, threshold=0.1)
     assert report.queries == 1000
     assert report.theoretical_queries is None
+
+
+def _runs():
+    """Each algorithm on a comb that keeps its promise, billed in sampled mode."""
+    rng = np.random.default_rng(12)
+    to_spec = gen_totalorder_comb(3, 2, 2, rng, corr_floor=0.05)
+    chi = to_spec.metadata["achieved_chi_min"]
+    return {
+        "general": (gen_unitary_comb(3, 2, 2, rng), discover_general),
+        "totalorder": (to_spec, lambda s: discover_totalorder(s, sic_qubit(), 1000, chi)),
+        "memoryless": (
+            gen_memoryless_comb(3, 2, rng),
+            lambda s: discover_memoryless(s, sic_qubit(), 1000, 0.1),
+        ),
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["general", "totalorder", "memoryless"])
+def test_a_report_counts_only_its_own_run_on_a_shared_meter(algorithm):
+    """Two runs on one session, and a third on a child from ``reduce``,
+    whose meter is the parent's: each report bills its own queries."""
+    spec, run = _runs()[algorithm]
+    session = _session(spec, mode="sampled", seed=4)
+    first = run(session)
+    second = run(session)
+    assert first.queries > 0 and second.queries > 0
+    assert first.queries + second.queries == session.query_count
+    child = session.reduce(*first.order[-1])
+    before = session.query_count
+    third = run(child)
+    assert third.queries > 0
+    assert third.queries == session.query_count - before == child.query_count - before
+    assert third.algorithm == first.algorithm == algorithm
+
+
+DIAGNOSTIC_KEYS = {
+    "general": ["delta", "kappa", "swap_runs_per_test", "swap_tests", "stages"],
+    "totalorder": [
+        "threshold", "n_shots", "estimates", "chi_min", "input_counts", "output_counts", "retried",
+    ],
+    "memoryless": ["threshold", "n_shots", "estimates", "paired_by_index"],
+}
+
+
+@pytest.mark.parametrize("algorithm", ["general", "totalorder", "memoryless"])
+def test_each_algorithm_reports_its_diagnostics_keys_in_order(algorithm):
+    spec, run = _runs()[algorithm]
+    report = run(_session(spec))
+    assert list(report.diagnostics) == DIAGNOSTIC_KEYS[algorithm]
+    assert report.ok
+
+
+@pytest.mark.parametrize("n, shots", [(2, 410733429), (3, 451090506), (4, 479724308), (5, 501934411)])
+def test_correlation_sample_size_is_pinned(n, shots):
+    """Criterion 7's budget rule at n teeth; bills depend on these counts."""
+    sic = sic_qubit()
+    assert correlation_sample_size(0.05 / 3, 0.05 / n**2, sic, sic) == shots
+
+
+def test_budgets_are_pinned_for_the_sic_and_a_qutrit_povm():
+    sic = sic_qubit()
+    assert correlation_error_bound(100000, 0.05, sic, sic) == 0.9743125049202696
+    qutrit = povm_preset("random-ic:0", 3)
+    assert correlation_sample_size(1 / 3, 0.05 / 9, qutrit, qutrit) == 19026016919
+
+
+def test_one_dimensional_wires_accept_with_no_gap():
+    """One probe state leaves no two states to compare, so there is no gap,
+    and each stage runs one swap test."""
+    spec = gen_unitary_comb(2, 1, 2, np.random.default_rng(0))
+    assert find_last(_session(spec), 1e-6, 0.05).accepted_gap is None
+    report = discover_general(_session(spec, policy="theoretical"))
+    assert report.order == (("A2", "B2"), ("A1", "B1"))
+    assert [s["accepted_gap"] for s in report.diagnostics["stages"]] == [None, None]
+    assert [s["swap_tests"] for s in report.diagnostics["stages"]] == [1, 1]
+    assert report.queries == 472176570126584
+    assert report.theoretical_queries == 1180441425316460
 
 
 def _pair_sums(table, n_in):
