@@ -46,7 +46,7 @@ from .tensors import (
     fold,
     haar_unitary,
     kron_all,
-    marginal,
+    pair_marginals,
     partial_trace,
     random_pure_state,
     span,
@@ -637,18 +637,18 @@ def pairwise_correlation_floor(spec: CombSpec) -> float:
     """Smallest pairwise correlation over tooth pairs (i, j) with j >= i.
 
     Pairs with j < i in tooth order are causally forced to be exactly
-    uncorrelated and are excluded from the floor.  Each pair marginal is
-    read from the comb's purification by :func:`~causalcomb.tensors.marginal`,
-    so no Choi-sized array is formed, and the n(n+1)/2 of them go through
-    one stacked :func:`~causalcomb.tensors.correlation_norms` call.
+    uncorrelated and are excluded from the floor.  The n(n+1)/2 pair
+    marginals are read from the comb's purification as one stack by
+    :func:`~causalcomb.tensors.pair_marginals`, so no Choi-sized array is
+    formed, and go through one :func:`~causalcomb.tensors.correlation_norms` call.
     """
     space, v = choi_factor(spec)
     pairs = [
-        marginal(space, v, [input_label(spec.input_perm[i]), output_label(spec.output_perm[j])])
+        (input_label(spec.input_perm[i]), output_label(spec.output_perm[j]))
         for i in range(spec.n)
         for j in range(i, spec.n)
     ]
-    return float(correlation_norms(np.stack(pairs), spec.wire_dim).min())
+    return float(correlation_norms(pair_marginals(space, v, pairs), spec.wire_dim).min())
 
 
 def gen_totalorder_comb(

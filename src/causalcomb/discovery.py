@@ -178,14 +178,11 @@ def independence_matrix(
     or exact, and billed as its mode and policy say.  All the pairs are
     estimated together, in one stacked :func:`correlation_from_freqs` call.
     """
-    ins, outs = session.input_labels, session.output_labels
-    freqs = session.pair_frequencies(n_shots, povm)
-    pairs = np.stack([f for row in freqs for f in row])
-    est = correlation_from_freqs(pairs, povm, povm).reshape(len(ins), len(outs))
+    est = correlation_from_freqs(session.pair_frequencies(n_shots, povm), povm, povm)
     est.setflags(write=False)
     return IndMatrix(
-        input_labels=ins,
-        output_labels=outs,
+        input_labels=session.input_labels,
+        output_labels=session.output_labels,
         estimates=est,
         threshold=float(threshold),
         n_shots=int(n_shots),

@@ -5,12 +5,12 @@ An :class:`OracleSession` wraps a hidden comb, a
 exposes only what a lab could do with the physical process: run batches
 of prepare-and-measure shots, each measuring every wire with one POVM
 (``sample_batch``), read every (input, output) pair's frequencies from
-one batch (``pair_frequencies``), estimate state overlaps by destructive
-swap circuits (``overlap_estimate``), and wire a tooth shut (``reduce``).  The hidden
-spec and its Choi operator are private attributes with no accessor;
-discovery code sees statistics only, and the session alone decides how
-they are drawn in each mode and what they bill.  It reads the operator
-only through its factor, :class:`_Factor`.
+one batch as one stack (``pair_frequencies``), estimate state overlaps
+by destructive swap circuits (``overlap_estimate``), and wire a tooth
+shut (``reduce``).  The hidden spec and its Choi operator are private
+attributes with no accessor; discovery code sees statistics only, and
+the session alone decides how they are drawn in each mode and what they
+bill.  It reads the operator only through its factor, :class:`_Factor`.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -32,13 +32,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
 from .combs import CombSpec, check_entries, verified_factor, wire_roles
 from .povm import IcPovm, pair_probs, product_born_table
-from .tensors import Op, WireSpace, contract_wire, fold, marginal
+from .tensors import Op, WireSpace, contract_wire, fold, pair_marginals
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1)
@@ -64,6 +64,11 @@ _TRACE_ATOL = 1e-6
 #: cell indices take 0.5 MB, however many shots a table gets.
 _SHOT_BLOCK = 2**15
 
+#: The most shots a batch takes.  :func:`_multinomial` keeps cumulative
+#: counts in float64, exact up to ``2**53``, and a draw's Poisson total
+#: exceeds its shots by a few of their square roots, far less than ``2**52``.
+_MAX_SHOTS = 2**52
+
 #: A sampled table is drawn in blocks of at most this many cells, whose
 #: weights take 0.5 MB and one column's amplitudes 1 MB: cache-sized, and
 #: far below the whole table's cap.
@@ -71,10 +76,14 @@ _BLOCK_CELLS = 2**16
 
 
 def swap_test_sample_size(eps: float, kappa: float) -> int:
-    """Circuit runs needed for overlap accuracy ``eps`` at confidence ``kappa``."""
+    """Circuit runs needed for overlap accuracy ``eps`` at confidence ``kappa``; an
+    ``eps`` so small that the count overflows a float (below about 2e-154) raises ``ValueError``."""
     if not 0 < eps <= 1 or not 0 < kappa < 1:
         raise ValueError(f"need 0 < eps <= 1 and 0 < kappa < 1, got {eps}, {kappa}")
-    return math.ceil(2.0 * eps**-2 * math.log(2.0 / kappa))
+    try:
+        return math.ceil(2.0 * eps**-2 * math.log(2.0 / kappa))
+    except OverflowError:
+        raise ValueError(f"eps = {eps} is too small: its circuit runs overflow a float") from None
 
 
 def swap_test_estimate(
@@ -86,9 +95,12 @@ def swap_test_estimate(
     the returned estimate is ``2 * accepts / N - 1``.  The per-run circuit
     is never simulated gate by gate — the acceptance probability is the
     entire distribution of the measurement, so drawing the accept count
-    directly is statistically identical.
+    directly is statistically identical.  An ``N`` beyond a 64-bit count,
+    the draw's limit, raises ``ValueError`` before anything is drawn.
     """
     n = swap_test_sample_size(eps, kappa)
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"eps = {eps} needs {n} circuit runs, more than a 64-bit count holds")
     p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
     accepts = rng.binomial(n, p)
     return 2.0 * accepts / n - 1.0
@@ -96,12 +108,15 @@ def swap_test_estimate(
 
 def _shot_count(n_shots) -> int:
     """``n_shots`` as a non-negative ``int``: a float or a boolean raises
-    ``TypeError``, a negative count ``ValueError``."""
+    ``TypeError``, a negative count or one over :data:`_MAX_SHOTS`
+    ``ValueError``."""
     if isinstance(n_shots, bool):
         raise TypeError("a boolean is not a number of shots")
     n_shots = operator.index(n_shots)
     if n_shots < 0:
         raise ValueError(f"a number of shots cannot be negative, got {n_shots}")
+    if n_shots > _MAX_SHOTS:
+        raise ValueError(f"a batch takes at most {_MAX_SHOTS} shots, got {n_shots}")
     return n_shots
 
 
@@ -199,8 +214,8 @@ class _Factor:
     nothing forms it.  Only this class knows ``V``'s layout.  Each of its
     four reads folds some wires into ``V``'s columns: :meth:`shut` and
     :meth:`swap_matrix` take the folded factor's Gram on its smaller side,
-    :meth:`pair_state` is ``K K^H`` with the other wires in ``K``'s
-    columns, and :meth:`block` a sampled table's block factor, of at most
+    :meth:`pair_states` stacks ``K K^H``, the other wires in ``K``'s columns,
+    for each pair, and :meth:`block` a sampled table's block factor, of at most
     :data:`_BLOCK_CELLS` cells, so a batch's counts are its only
     cell-sized array.  A spec's factor and a sampled table must fit under
     :data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no table.
@@ -262,9 +277,10 @@ class _Factor:
         w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
         return w.reshape(d * d, d * d)
 
-    def pair_state(self, a: str, b: str) -> np.ndarray:
-        """``Tr_rest C`` on wires ``a`` and ``b``, in that order."""
-        return marginal(self.space, self.v, [a, b])
+    def pair_states(self, ins: Sequence[str], outs: Sequence[str]) -> np.ndarray:
+        """``Tr_rest C`` on input ``a`` then output ``b``, at ``[a, b]`` for ``ins x outs``."""
+        states = pair_marginals(self.space, self.v, [(a, b) for a in ins for b in outs])
+        return states.reshape(len(ins), len(outs), *states.shape[1:])
 
     def block(self, rows: np.ndarray) -> np.ndarray:
         """``V_B``: ``(r (x) 1) V`` side by side for every row ``r`` of
@@ -363,15 +379,15 @@ class OracleSession:
 
     # -- prepare-and-measure sampling ---------------------------------------
 
-    def pair_frequencies(self, n_shots: int, povm: IcPovm) -> list[list[np.ndarray]]:
-        """Every (input, output) pair's outcome frequencies from one batch,
-        each wire measured with ``povm``.
+    def pair_frequencies(self, n_shots: int, povm: IcPovm) -> np.ndarray:
+        """Every (input, output) pair's outcome frequencies from one batch, each
+        wire measured with ``povm`` of ``m`` outcomes: a float array ``(n_in, n_out, m, m)``.
 
-        Entry ``[i][j]`` is input ``i``'s and output ``j``'s table.  Sampled
+        Entry ``[i, j]`` is input ``i``'s and output ``j``'s table.  Sampled
         mode sums one :meth:`sample_batch` draw over the other inputs, once
         per input, then over the other outputs, and divides by ``n_shots``.
-        Exact mode gives each pair's Born probabilities from its state
-        (:meth:`_Factor.pair_state`), with no joint table, and
+        Exact mode gives every pair's Born probabilities from the stack of
+        pair states (:meth:`_Factor.pair_states`), with no joint table, and
         bills ``n_shots`` under the theoretical policy only.  Both modes
         check ``n_shots`` and ``povm`` as :meth:`sample_batch` does, before
         anything is drawn or billed, except that exact mode also takes 0
@@ -381,17 +397,16 @@ class OracleSession:
         if self.mode == "sampled":
             counts = self.sample_batch(n_shots, povm)
             # sorted wires: the inputs' axes precede the outputs'
-            others = [[k for k in range(len(ins)) if k != i] for i in range(len(ins))]
+            others = [tuple(k for k in range(len(ins)) if k != i) for i in range(len(ins))]
             # summed in the counts' own type: no sum of cells exceeds n_shots
-            rows = [counts.sum(axis=tuple(o), dtype=counts.dtype) for o in others]
-            return [
-                [row.sum(axis=tuple(1 + k for k in o)) / n_shots for o in others] for row in rows
-            ]
+            rows = np.stack([counts.sum(axis=o, dtype=counts.dtype) for o in others])
+            tables = np.stack([rows.sum(axis=tuple(2 + k for k in o)) for o in others], axis=1)
+            return tables / n_shots
         n_shots = _shot_count(n_shots)
         self._check_povm(povm)
-        probs = [[pair_probs(povm, povm, self._factor.pair_state(a, b)) for b in outs] for a in ins]
+        probs = pair_probs(povm, povm, self._factor.pair_states(ins, outs))
         self._bill("independence", n_shots)
-        return [[p / p.sum() for p in row] for row in probs]
+        return probs / probs.sum(axis=(-2, -1), keepdims=True)
 
     def sample_batch(self, n_shots: int, povm: IcPovm) -> np.ndarray:
         """Counts from ``n_shots`` independent prepare-and-measure shots,
@@ -490,8 +505,10 @@ class OracleSession:
         """Estimate ``Tr[rho_a rho_b]`` for two preparation recipes.
 
         Sampled mode runs ``N = ceil(2 eps^-2 log(2/kappa))`` simulated
-        swap circuits (2N queries).  Exact mode returns the true overlap;
-        the theoretical policy still bills the 2N virtual invocations.
+        swap circuits (2N queries), and refuses an ``N`` past a 64-bit count
+        (:func:`swap_test_estimate`) before it bills.  Exact mode returns the
+        true overlap; the theoretical policy still bills the 2N virtual
+        invocations.
         ``kappa`` is the failure probability of this one estimate.
 
         Both recipes feed one input and discard one output.  One slot holds
@@ -520,7 +537,8 @@ class OracleSession:
             fed[key] = contract_wire(swap_op, pair[0], d * s_a.T).matrix
         # sum(M_a * s_b), not np.vdot: M_a must not be conjugated
         overlap = float(d * (fed[key].ravel() @ s_b.ravel()).real)
-        self._bill("swap_test", 2 * n)
         if self.mode == "sampled":
-            return swap_test_estimate(overlap, eps, kappa, self._rng)
+            # drawn before the bill, so a refused draw bills nothing
+            overlap = swap_test_estimate(overlap, eps, kappa, self._rng)
+        self._bill("swap_test", 2 * n)
         return overlap

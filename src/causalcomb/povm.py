@@ -269,11 +269,12 @@ def born_probs(povm: IcPovm, rho: np.ndarray | Op) -> np.ndarray:
 
 
 def pair_probs(povm_a: IcPovm, povm_b: IcPovm, rho_ab: np.ndarray | Op) -> np.ndarray:
-    """Joint outcome matrix for a product measurement on a bipartite state."""
+    """Joint outcome matrix ``[..., a, b]`` of a product measurement on a bipartite state,
+    or on each state of a stack ``(..., d_a d_b, d_a d_b)``."""
     mat = rho_ab.matrix if isinstance(rho_ab, Op) else np.asarray(rho_ab)
     da, db = povm_a.dim, povm_b.dim
-    t = mat.reshape(da, db, da, db)
-    return np.einsum("aij,bkl,jlik->ab", povm_a.stack(), povm_b.stack(), t).real
+    t = mat.reshape(mat.shape[:-2] + (da, db, da, db))
+    return np.einsum("aij,bkl,...jlik->...ab", povm_a.stack(), povm_b.stack(), t).real
 
 
 def _per_wire(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -32,7 +32,7 @@ __all__ = [
     "sort_wires",
     "contract_wire",
     "fold",
-    "marginal",
+    "pair_marginals",
     "span",
     "trace_norm",
     "is_hermitian",
@@ -242,10 +242,11 @@ def fold(space: WireSpace, v: np.ndarray, rows: Sequence[str], folded: Sequence[
     return t.transpose(axes).reshape(d_rows, -1)
 
 
-def marginal(space: WireSpace, v: np.ndarray, keep: Sequence[str]) -> np.ndarray:
-    """``Tr_rest(V V^H)`` on the ``keep`` wires, in that order, for a factor ``V`` on ``space``."""
-    k = fold(space, v, keep, [l for l in space.labels if l not in keep])
-    return k @ k.conj().T
+def pair_marginals(space: WireSpace, v: np.ndarray, pairs: Sequence[Sequence[str]]) -> np.ndarray:
+    """``Tr_rest(V V^H)`` on wires ``a`` then ``b`` for each ``(a, b)`` of ``pairs``, stacked:
+    the Gram of ``V`` with the other wires folded into its columns, one fold at a time."""
+    folded = (fold(space, v, pair, [l for l in space.labels if l not in pair]) for pair in pairs)
+    return np.stack([k @ k.conj().T for k in folded])
 
 
 def span(k: np.ndarray) -> np.ndarray:

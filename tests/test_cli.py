@@ -464,6 +464,24 @@ def test_discover_names_an_out_of_range_delta_or_kappa(capsys, tmp_path, option,
     assert err.startswith(f"error: {option[2:]} must be in") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["--mode", "sampled", "--delta", "1e-9"], "more than a 64-bit count holds"),
+        (["--delta", "1e-300"], "is too small"),
+        (["--algorithm", "memoryless", "--mode", "sampled", "--n-shots", "10000000000000000000"],
+         "a batch takes at most 4503599627370496 shots"),
+    ],
+)
+def test_a_budget_the_draw_cannot_count_exits_2(capsys, tmp_path, argv, says):
+    """The first two used to print a traceback and exit 1, the last to run for minutes."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--n", "2", "--seed", "0", "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
+
 def test_bench_names_an_out_of_range_delta(capsys, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(

@@ -79,7 +79,7 @@ def test_oracle_opacity_of_discovery_source():
         *("sample_batch", "note_virtual_queries", "np.split"),
     ):
         assert forbidden not in src, forbidden
-    factor_helpers = {"fold", "marginal", "choi_factor", "verified_factor"}
+    factor_helpers = {"fold", "marginal", "pair_marginals", "choi_factor", "verified_factor"}
     for node in ast.walk(ast.parse(src)):
         if isinstance(node, ast.Attribute):
             assert not node.attr.startswith("_"), f"reads .{node.attr}"
@@ -632,7 +632,7 @@ def test_independence_matrix_inverts_once_per_pair_of_povms(mode, monkeypatch):
     )
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(30))
     independence_matrix(_session(spec, mode, 31), sic_qubit(), 10_000, 0.1)
-    assert calls == [(9, 4, 4)]
+    assert calls == [(3, 3, 4, 4)]
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -43,6 +44,7 @@ from causalcomb.tensors import (
     Op,
     WireSpace,
     contract_wire,
+    fold,
     haar_unitary,
     partial_trace,
     random_density,
@@ -56,6 +58,40 @@ def test_sample_size_formula():
     assert swap_test_sample_size(1.0, 0.5) == 3
     with pytest.raises(ValueError):
         swap_test_sample_size(0.0, 0.5)
+
+
+@pytest.mark.parametrize("eps, kappa", [(1e-160, 0.05), (1.3e-154, 0.05), (8e-155, 0.999)])
+def test_a_swap_budget_that_overflows_a_float_is_refused(eps, kappa):
+    """It used to raise ``OverflowError`` from ``eps**-2`` or from ``ceil(inf)``."""
+    with pytest.raises(ValueError, match=f"eps = {eps} is too small"):
+        swap_test_sample_size(eps, kappa)
+    # just above, the count is a Python int, which exact mode bills
+    assert swap_test_sample_size(1e-150, 0.05) == math.ceil(2.0 * 1e300 * math.log(40.0))
+
+
+def test_a_swap_test_past_a_64_bit_count_is_refused_before_it_bills():
+    """delta = 1e-9 needs about 1.2e20 runs per test: sampled mode used to bill
+    them and then crash in the binomial draw.  Exact mode still runs it."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0))
+    config = OracleConfig(mode="sampled", seed=0, query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    with pytest.raises(ValueError, match="more than a 64-bit count holds"):
+        discover_general(session, delta=1e-9)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    # nothing was drawn: the next estimate is a fresh session's
+    fresh = OracleSession(spec, OracleConfig(mode="sampled", seed=0))
+    recipe = PrepRecipe("A1", np.diag([1.0, 0.0]).astype(complex), "B1")
+    assert session.overlap_estimate(recipe, recipe, 0.1, 0.05) == fresh.overlap_estimate(
+        recipe, recipe, 0.1, 0.05
+    )
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="64-bit"):
+        swap_test_estimate(0.5, 2.5e-10, 0.05, rng)
+    assert rng.random() == np.random.default_rng(1).random()
+    report = discover_general(OracleSession(spec, OracleConfig(query_policy="theoretical")), 1e-9)
+    runs = swap_test_sample_size(2.5e-10, 0.05)
+    assert runs > 2**63 and report.ok
+    assert report.queries == 2 * runs * report.diagnostics["swap_tests"]
 
 
 def test_swap_test_estimate_concentrates():
@@ -123,6 +159,33 @@ def test_exact_pair_frequencies_bill_only_under_the_theoretical_policy():
         assert session.query_count == billed
         ops = [json.loads(line)["op"] for line in log.getvalue().splitlines()]
         assert ops == (["independence"] if billed else [])
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("d, preset", [(2, "sic2"), (3, "random-ic:0")])
+def test_pair_frequencies_are_one_float_stack_of_the_per_pair_tables(mode, d, preset):
+    """Shape ``(n_in, n_out, m, m)``, bit for bit the tables of one pair at a
+    time: in exact mode each pair's state folded from the factor, measured and
+    normalized on its own; in sampled mode each pair's sum of the one draw."""
+    n = 3 if d == 2 else 2
+    spec = gen_unitary_comb(n, d, 2, np.random.default_rng([71, d]))
+    povm = povm_preset(preset, d)
+    config = OracleConfig(mode=mode, seed=72)
+    got = OracleSession(spec, config).pair_frequencies(5000, povm)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == (n, n, povm.size, povm.size)
+    pairs = itertools.product(enumerate(spec.input_labels), enumerate(spec.output_labels))
+    if mode == "exact":
+        space, v, _ = combs.verified_factor(spec)
+        for (i, a), (j, b) in pairs:
+            k = fold(space, v, [a, b], [l for l in space.labels if l not in (a, b)])
+            p = pair_probs(povm, povm, k @ k.conj().T)
+            np.testing.assert_array_equal(got[i, j], p / p.sum())
+    else:
+        counts = OracleSession(spec, config).sample_batch(5000, povm)
+        for (i, _), (j, _) in pairs:
+            pair = counts.sum(axis=tuple(k for k in range(2 * n) if k not in (i, n + j)))
+            np.testing.assert_array_equal(got[i, j], pair / 5000)
 
 
 def test_sampling_agrees_with_exact_table():
@@ -311,6 +374,25 @@ def test_sample_batch_refuses_a_boolean_or_negative_shot_budget():
     np.testing.assert_array_equal(
         session.sample_batch(100, sic_qubit()), fresh.sample_batch(100, sic_qubit())
     )
+
+
+def test_a_batch_past_the_exact_shot_limit_is_refused_before_anything_is_drawn():
+    """Float64 cumulative counts are exact up to 2**53 shots; a sampled run of
+    1e19 shots used to draw for minutes.  Exact mode shares the bound."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(73))
+    config = OracleConfig(mode="sampled", seed=74, query_log=io.StringIO())
+    session, sic = OracleSession(spec, config), sic_qubit()
+    for call in (session.sample_batch, session.pair_frequencies):
+        with pytest.raises(ValueError, match=f"at most {2**52} shots, got {2**52 + 1}"):
+            call(2**52 + 1, sic)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    fresh = OracleSession(spec, OracleConfig(mode="sampled", seed=74))
+    np.testing.assert_array_equal(session.sample_batch(100, sic), fresh.sample_batch(100, sic))
+    exact = OracleSession(spec, OracleConfig(query_policy="theoretical"))
+    with pytest.raises(ValueError, match="at most"):
+        exact.pair_frequencies(10**19, sic)
+    exact.pair_frequencies(2**52, sic)
+    assert exact.query_count == 2**52
 
 
 @pytest.mark.parametrize("bad, error", [(True, TypeError), (2.5, TypeError), (-5, ValueError)])
@@ -636,7 +718,7 @@ def test_only_the_factor_knows_its_layout():
         getattr(node, field, None) for node in ast.walk(classes["OracleSession"])
         for field in ("id", "attr", "name")
     }
-    assert not named & {"fold", "marginal", "_v", "_space", "_swap_operator"}
+    assert not named & {"fold", "marginal", "pair_marginals", "_v", "_space", "_swap_operator"}
     reads = [
         node.lineno
         for top in tree.body

@@ -209,6 +209,17 @@ def test_reconstruct_pair_of_a_stack_is_the_call_on_each_slice():
         reconstruct_pair(sic, pauli, joint.swapaxes(-2, -1))
 
 
+def test_pair_probs_of_a_stack_is_the_call_on_each_state():
+    rng = np.random.default_rng(10)
+    sic, qutrit = sic_qubit(), ic_povm_for_dim(3, np.random.default_rng(0))
+    states = np.array([random_density(6, rng=rng) for _ in range(6)]).reshape(2, 3, 6, 6)
+    got = pair_probs(sic, qutrit, states)
+    assert got.shape == (2, 3, 4, 9)
+    for k in range(2):
+        for l in range(3):
+            np.testing.assert_array_equal(got[k, l], pair_probs(sic, qutrit, states[k, l]))
+
+
 def test_frame_norm_bounds_bracket_hs_distance():
     rng = np.random.default_rng(7)
     sic = sic_qubit()
