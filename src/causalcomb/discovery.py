@@ -5,13 +5,14 @@ Three strategies, in decreasing order of generality and cost:
 ``discover_general``
     Peels teeth off the back.  A pair (input i, output j) can be the last
     tooth exactly when, after discarding output j, the process output no
-    longer depends on what was fed into input i.  That is tested by
-    probing input i with an informationally complete state set and
-    comparing the resulting states via destructive swap-circuit overlap
-    estimates; the first pair (row-major over sorted wires) whose
-    pairwise squared distances all stay below ``delta`` is accepted,
-    the tooth is wired shut, and the search recurses.  Exhausting all
-    pairs at any stage means no compatible ordering exists at all.
+    longer depends on what was fed into input i.  One pair test checks
+    that by probing input i with an informationally complete state set
+    and comparing the resulting states via destructive swap-circuit
+    overlap estimates, at one budget set by ``delta`` and ``kappa``; the
+    first pair (row-major over sorted wires) whose pairwise squared
+    distances all stay below ``delta`` is accepted, the tooth is wired
+    shut, and the search recurses.  Exhausting all pairs at any stage
+    means no compatible ordering exists at all.
 
 ``discover_totalorder``
     Assumes every causally-possible (input, output) pair is visibly
@@ -47,6 +48,7 @@ shot itself, and a test pins that.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combs import CausalOrder
-from .oracle import OracleSession, PrepRecipe, swap_test_sample_size
+from .oracle import MAX_SHOTS, OracleSession, PrepRecipe, swap_test_sample_size
 from .povm import IcPovm, frame_of, ic_povm_for_dim, reconstruct_pair, state_set_of
 from .tensors import correlation_norms
 
@@ -210,65 +212,69 @@ def _probe_states(dim: int) -> tuple[np.ndarray, ...]:
     return state_set_of(povm).elements
 
 
-def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastResult:
-    """Search for a pair that can be the process's final tooth.
-
-    For each candidate (input i, output j), row-major over sorted wires,
-    probe input i with an informationally complete state set while
-    discarding output j and estimate the squared distances
-    ``||rho_1 - rho_k||_2^2`` via three overlap tests each; the pair is
-    rejected as soon as one estimate exceeds ``delta`` and accepted if
-    none does.  Returns the first accepted pair and its largest gap
-    estimate, or ``None`` when every pair is rejected — in which case no
-    ordering whatsoever is compatible with the process.  On a
-    one-dimensional input the probe set has one state, so there are no
-    two probe states to compare: the pair is accepted with no gap, and
-    ``accepted_gap`` is ``None``.
-
-    ``kappa`` is the failure probability of each swap test, not of the
-    search: with ``m`` teeth and probe sets of ``d^2`` states the loop
-    runs at most ``m^2 (2 d^2 - 1)`` tests, and a union bound over them
-    is the search's failure probability.  Needs ``0 < delta <= 4``, so
-    that each test's accuracy ``delta / 4`` is at most 1, and
-    ``0 < kappa < 1``; else ``ValueError``, before anything is billed.
-    """
+def _swap_budget(session: OracleSession, delta: float, kappa: float) -> tuple[float, int]:
+    """Each overlap's accuracy ``eps`` and circuit runs in a pair test at gap ``delta``;
+    ``ValueError`` names a ``delta`` or ``kappa`` out of range, or a ``delta`` whose runs
+    overflow a float or, in sampled mode, a 64-bit count."""
     if not 0 < delta <= 4:
         raise ValueError(f"delta must be in (0, 4], got {delta}")
     if not 0 < kappa < 1:
         raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    eps = delta / 4.0
-    swap_tests = 0
-    pairs_tested = 0
-    gaps: dict = {}
-    for i in session.input_labels:
-        states = _probe_states(session.dim_of(i))
-        for j in session.output_labels:
-            pairs_tested += 1
-            recipes = [PrepRecipe(i, s, j) for s in states]
-            p1 = session.overlap_estimate(recipes[0], recipes[0], eps, kappa)
-            swap_tests += 1
-            accept, worst = True, -math.inf
-            for k in range(1, len(recipes)):
-                pk = session.overlap_estimate(recipes[k], recipes[k], eps, kappa)
-                p1k = session.overlap_estimate(recipes[0], recipes[k], eps, kappa)
-                swap_tests += 2
-                gap = p1 + pk - 2.0 * p1k
-                worst = max(worst, gap)
-                if gap > delta:
-                    gaps[(i, j)] = gap
-                    accept = False
-                    break
-            if accept:
-                return FindLastResult(
-                    pair=(i, j),
-                    swap_tests=swap_tests,
-                    pairs_tested=pairs_tested,
-                    rejection_gaps=gaps,
-                    accepted_gap=worst if len(states) > 1 else None,
-                )
-    return FindLastResult(
-        pair=None, swap_tests=swap_tests, pairs_tested=pairs_tested, rejection_gaps=gaps
-    )
+    eps = delta / 4.0  # a gap p1 + pk - 2 p1k is then within 4 eps = delta
+    try:
+        runs = swap_test_sample_size(eps, kappa)
+    except ValueError:
+        too_small = f"delta = {delta} is too small at kappa = {kappa}"
+        raise ValueError(f"{too_small}: its circuit runs overflow a float") from None
+    if session.mode == "sampled" and runs > np.iinfo(np.int64).max:
+        raise ValueError(f"delta = {delta} at kappa = {kappa} needs {runs} circuit runs, "
+                         "more than a 64-bit count holds")
+    return eps, runs
+
+
+def _pair_gaps(session: OracleSession, i: str, j: str, delta: float, kappa: float) -> list[float]:
+    """The last-tooth test of (input ``i``, output ``j``): its gaps, in probe order.
+
+    Gap ``k`` is ``||rho_1 - rho_k||_2^2 = p1 + pk - 2 p1k`` from swap tests on the states left
+    by probe states 1 and ``k`` fed into ``i``, ``j`` discarded.  The gaps end at the first over
+    ``delta``, if any; the pair is accepted when none exceeds it, after ``2 len(gaps) + 1`` tests.
+    """
+    eps, _ = _swap_budget(session, delta, kappa)
+    first, *rest = [PrepRecipe(i, s, j) for s in _probe_states(session.dim_of(i))]
+    p1 = session.overlap_estimate(first, first, eps, kappa)
+    gaps: list[float] = []
+    for recipe in rest:
+        pk = session.overlap_estimate(recipe, recipe, eps, kappa)
+        p1k = session.overlap_estimate(first, recipe, eps, kappa)
+        gaps.append(p1 + pk - 2.0 * p1k)
+        if gaps[-1] > delta:
+            break
+    return gaps
+
+
+def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastResult:
+    """Search for a pair that can be the process's final tooth.
+
+    Runs the last-tooth test :func:`_pair_gaps` on each candidate (input i, output j),
+    row-major over sorted wires.  Returns the first pair no gap rejects, with its largest
+    gap (``None`` on a one-dimensional input, which has no two probe states to compare),
+    or ``None`` when every pair is rejected: then no order is compatible with the process.
+
+    ``kappa`` is the failure probability of each swap test, not of the search: with ``m``
+    teeth and probe sets of ``d^2`` states the loop runs at most ``m^2 (2 d^2 - 1)`` tests,
+    and a union bound over them is the search's failure probability.  A ``delta`` or
+    ``kappa`` that :func:`_swap_budget` refuses raises ``ValueError`` before any billing.
+    """
+    swap_tests, rejections = 0, {}
+    for i, j in itertools.product(session.input_labels, session.output_labels):
+        gaps = _pair_gaps(session, i, j, delta, kappa)
+        swap_tests += 2 * len(gaps) + 1
+        if gaps and gaps[-1] > delta:  # the gaps stop at the first over delta
+            rejections[(i, j)] = gaps[-1]
+        else:  # every pair tested before this one was rejected
+            worst = max(gaps, default=None)
+            return FindLastResult((i, j), swap_tests, len(rejections) + 1, rejections, worst)
+    return FindLastResult(None, swap_tests, len(rejections), rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +329,16 @@ def discover_general(
 ) -> DiscoveryReport:
     """Recover a compatible tooth ordering of a general comb.
 
-    Repeatedly finds a valid last tooth and wires it shut, building the
-    order back to front.  Fails with ``"not a quantum comb"`` when some
-    stage rejects every remaining pair.
+    Repeatedly finds a valid last tooth (:func:`find_last`) and wires it
+    shut, building the order back to front.  Fails with ``"not a quantum
+    comb"`` when some stage rejects every remaining pair.
 
     ``kappa`` is passed to every swap test as its own failure
     probability, so a run can fail with probability up to the number of
     tests it runs times ``kappa``.  ``theoretical_queries`` bounds the
     billed queries by the loop bounds: stage ``m`` runs at most
-    ``m^2 (2 d^2 - 1)`` tests of ``2 * runs`` queries each.
+    ``m^2 (2 d^2 - 1)`` tests of ``2 * runs`` queries each, where ``runs``
+    is :func:`_swap_budget`'s, checked before the first stage.
 
     Each stage's margins sit next to ``delta`` in its diagnostics:
     ``accepted_gap``, the accepted pair's largest gap (``None`` if none
@@ -340,6 +347,7 @@ def discover_general(
     smallest gap that rejected a pair (``None`` if none was rejected).
     """
     t0 = time.perf_counter()
+    _, runs = _swap_budget(session, delta, kappa)
     n = session.n_teeth
     d_max = max((session.dim_of(l) for l in session.input_labels), default=1)
     start_queries = session.query_count
@@ -361,7 +369,6 @@ def discover_general(
         order.insert(0, res.pair)
         if remaining > 1:
             current = current.reduce(*res.pair)
-    runs = swap_test_sample_size(delta / 4.0, kappa)
     theoretical = 2 * runs * (2 * d_max**2 - 1) * sum(m * m for m in range(1, n + 1))
     diagnostics = dict(
         delta=delta, kappa=kappa, swap_runs_per_test=runs,
@@ -403,11 +410,16 @@ def discover_totalorder(
     persisting ties mean the promise does not hold for this process.
     In sampled mode, or under the theoretical policy, the run bills
     ``n_shots`` queries, or ``3 * n_shots`` after a retry.  A ``chi_min``
-    that is not a positive finite number, or a ``povm`` that is not a POVM
-    on every wire's dimension, raises ``ValueError`` first.
+    that is not a positive finite number, a ``povm`` that is not a POVM
+    on every wire's dimension, or in sampled mode an ``n_shots`` whose
+    retry would exceed :data:`~causalcomb.oracle.MAX_SHOTS`, raises
+    ``ValueError`` first.
     """
     if not 0 < chi_min < math.inf:
         raise ValueError(f"chi_min must be a positive finite number, got {chi_min}")
+    if session.mode == "sampled" and 2 * n_shots > MAX_SHOTS:
+        raise ValueError(f"a batch takes at most {MAX_SHOTS} shots: a tie's retry of "
+                         f"2 * {n_shots} would exceed it")
     t0 = time.perf_counter()
     start_queries = session.query_count
     threshold = chi_min / 2.0

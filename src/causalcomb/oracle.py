@@ -46,6 +46,7 @@ from .combs import build_choi  # noqa: F401
 from .tensors import partial_trace  # noqa: F401
 
 __all__ = [
+    "MAX_SHOTS",
     "OracleConfig",
     "OracleSession",
     "PrepRecipe",
@@ -67,7 +68,7 @@ _SHOT_BLOCK = 2**15
 #: The most shots a batch takes.  :func:`_multinomial` keeps cumulative
 #: counts in float64, exact up to ``2**53``, and a draw's Poisson total
 #: exceeds its shots by a few of their square roots, far less than ``2**52``.
-_MAX_SHOTS = 2**52
+MAX_SHOTS = 2**52
 
 #: A sampled table is drawn in blocks of at most this many cells, whose
 #: weights take 0.5 MB and one column's amplitudes 1 MB: cache-sized, and
@@ -108,15 +109,15 @@ def swap_test_estimate(
 
 def _shot_count(n_shots) -> int:
     """``n_shots`` as a non-negative ``int``: a float or a boolean raises
-    ``TypeError``, a negative count or one over :data:`_MAX_SHOTS`
+    ``TypeError``, a negative count or one over :data:`MAX_SHOTS`
     ``ValueError``."""
     if isinstance(n_shots, bool):
         raise TypeError("a boolean is not a number of shots")
     n_shots = operator.index(n_shots)
     if n_shots < 0:
         raise ValueError(f"a number of shots cannot be negative, got {n_shots}")
-    if n_shots > _MAX_SHOTS:
-        raise ValueError(f"a batch takes at most {_MAX_SHOTS} shots, got {n_shots}")
+    if n_shots > MAX_SHOTS:
+        raise ValueError(f"a batch takes at most {MAX_SHOTS} shots, got {n_shots}")
     return n_shots
 
 

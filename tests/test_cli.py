@@ -482,6 +482,19 @@ def test_a_budget_the_draw_cannot_count_exits_2(capsys, tmp_path, argv, says):
     assert err.startswith("error: ") and says in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["--mode", "sampled", "--delta", "1e-9"], ["--delta", "1e-300"]]
+)
+def test_a_delta_whose_swap_budget_cannot_be_run_is_named(capsys, tmp_path, argv):
+    """Both used to name ``eps = delta / 4``, an ``eps`` no user sets."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--n", "2", "--seed", "0", "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: delta = {float(argv[-1])} ") and "kappa = 0.05" in err
+    assert "eps" not in err and err.count("\n") == 1
+
+
 def test_bench_names_an_out_of_range_delta(capsys, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import io
 import itertools
 import tracemalloc
 
@@ -15,11 +16,15 @@ from conftest import (
     reference_correlation_norm,
     session_born_table,
 )
+from test_verdict_pins import PINS
+from test_verdict_pins import _comb as _verdict_comb
 
 import causalcomb.discovery as discovery
+import causalcomb.oracle as oracle
 from causalcomb.combs import (
     build_choi,
     check_comb_condition,
+    compatible_orders,
     enumerate_orders,
     gen_fig3_comb,
     gen_memoryless_comb,
@@ -40,7 +45,7 @@ from causalcomb.discovery import (
     independence_matrix,
     xi_constant,
 )
-from causalcomb.oracle import OracleConfig, OracleSession, swap_test_sample_size
+from causalcomb.oracle import OracleConfig, OracleSession, PrepRecipe, swap_test_sample_size
 from causalcomb.povm import (
     ic_povm_for_dim,
     povm_preset,
@@ -69,9 +74,10 @@ def test_oracle_opacity_of_discovery_source():
     """Discovery never peeks: no spec, no Choi construction, no session internals.
 
     It reads no ``_``-prefixed attribute off anything, a session included,
-    and names none of the helpers that read a factor of the hidden process.
-    Nor does it draw, bill or marginalize shots: the session hands over a
-    batch's pair frequencies already billed.
+    imports no ``_``-prefixed name from another module, and names none of
+    the helpers that read a factor of the hidden process.  Nor does it
+    draw, bill or marginalize shots: the session hands over a batch's pair
+    frequencies already billed.
     """
     src = inspect.getsource(discovery)
     for forbidden in (
@@ -83,6 +89,9 @@ def test_oracle_opacity_of_discovery_source():
     for node in ast.walk(ast.parse(src)):
         if isinstance(node, ast.Attribute):
             assert not node.attr.startswith("_"), f"reads .{node.attr}"
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                assert not alias.name.startswith("_"), f"imports {alias.name}"
         named = {getattr(node, f, None) for f in ("id", "attr", "name", "asname")}
         assert not named & factor_helpers, named & factor_helpers
 
@@ -651,3 +660,62 @@ def test_exact_totalorder_runs_past_the_table_cap():
     report = discover_totalorder(_session(spec), sic_qubit(), 0, chi_min)
     assert report.ok
     assert check_comb_condition(spec, report.order).ok
+
+
+@pytest.mark.parametrize(
+    "mode, delta, says",
+    [("sampled", 1e-9, "more than a 64-bit count holds"), ("sampled", 1e-300, "overflow a float"),
+     ("exact", 1e-300, "overflow a float")],
+)
+def test_a_delta_whose_swap_budget_cannot_be_run_is_refused_by_name(mode, delta, says):
+    """Both refusals used to name ``eps = delta / 4``, which no caller sets,
+    and came from the first swap test rather than from the search."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0))
+    config = OracleConfig(mode=mode, seed=0, query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    for search in (find_last, discover_general):
+        with pytest.raises(ValueError, match=rf"^delta = {delta} .*kappa = 0.05.*{says}"):
+            search(session, delta, 0.05)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    # nothing was drawn: the next estimate is a fresh session's
+    fresh = OracleSession(spec, OracleConfig(mode=mode, seed=0))
+    recipe = PrepRecipe("A1", np.diag([1.0, 0.0]).astype(complex), "B1")
+    assert session.overlap_estimate(recipe, recipe, 0.1, 0.05) == fresh.overlap_estimate(
+        recipe, recipe, 0.1, 0.05
+    )
+
+
+def test_a_totalorder_retry_the_session_cannot_draw_is_refused_before_the_first_batch(
+    monkeypatch,
+):
+    """At 600 shots under a 1000-shot limit, the first batch used to be drawn
+    and billed, and the tie's 1200-shot retry then refused."""
+    for module in (oracle, discovery):  # the limit both read
+        monkeypatch.setattr(module, "MAX_SHOTS", 1000)
+    spec = gen_memoryless_comb(3, 2, np.random.default_rng(0))
+    config = OracleConfig(mode="sampled", seed=1, query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    with pytest.raises(ValueError, match="at most 1000 shots: a tie's retry of 2 \\* 600"):
+        discover_totalorder(session, sic_qubit(), 600, 0.05)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    # a retry within the limit still runs, and bills both batches
+    report = discover_totalorder(session, sic_qubit(), 500, 0.05)
+    assert report.diagnostics["retried"] and report.queries == 1500
+    # exact mode never retries, so it takes any budget one batch can
+    exact = discover_totalorder(_session(spec, policy="theoretical"), sic_qubit(), 600, 0.05)
+    assert exact.queries == 600 and not exact.diagnostics["retried"]
+
+
+@pytest.mark.parametrize("cell", list(PINS), ids=lambda c: "-".join(map(str, c)))
+def test_the_pair_test_accepts_exactly_the_last_teeth_of_compatible_orders(cell):
+    """At the root session, in exact mode, the pair test's verdict on every
+    (input, output) pair is the checker's: some compatible order ends in it."""
+    spec = _verdict_comb(*cell)
+    last_teeth = {order[-1] for order in compatible_orders(spec)[0]}
+    session = _session(spec)
+    accepted = {
+        (i, j)
+        for i, j in itertools.product(session.input_labels, session.output_labels)
+        if not any(gap > 1e-6 for gap in discovery._pair_gaps(session, i, j, 1e-6, 0.05))
+    }
+    assert accepted == last_teeth

@@ -94,6 +94,22 @@ def test_a_swap_test_past_a_64_bit_count_is_refused_before_it_bills():
     assert report.queries == 2 * runs * report.diagnostics["swap_tests"]
 
 
+def test_a_direct_overlap_estimate_past_a_64_bit_count_is_refused_before_it_bills():
+    """Discovery refuses such a budget by its ``delta`` before any swap test;
+    a direct caller still meets the session's own refusal, by ``eps``."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0))
+    config = OracleConfig(mode="sampled", seed=0, query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    recipe = PrepRecipe("A1", np.diag([1.0, 0.0]).astype(complex), "B1")
+    with pytest.raises(ValueError, match="eps = 2.5e-10 needs .* more than a 64-bit count holds"):
+        session.overlap_estimate(recipe, recipe, 2.5e-10, 0.05)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+    fresh = OracleSession(spec, OracleConfig(mode="sampled", seed=0))
+    assert session.overlap_estimate(recipe, recipe, 0.1, 0.05) == fresh.overlap_estimate(
+        recipe, recipe, 0.1, 0.05
+    )
+
+
 def test_swap_test_estimate_concentrates():
     rng = np.random.default_rng(0)
     misses = 0
