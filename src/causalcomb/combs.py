@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from .tensors import (
     correlation_norms,
     fold,
     haar_unitary,
-    kron_all,
     pair_marginals,
     partial_trace,
     random_pure_state,
@@ -224,47 +223,34 @@ class CombCheck:
 # Choi construction
 
 
-def _apply_two_site(state, axes_labels, gate4, lab_a, lab_b, new_a, new_b):
-    """Contract a two-site gate onto the named axes of a dense state tensor."""
-    ia, ib = axes_labels.index(lab_a), axes_labels.index(lab_b)
-    out = np.tensordot(gate4, state, axes=([2, 3], [ia, ib]))
-    rest = [l for k, l in enumerate(axes_labels) if k not in (ia, ib)]
-    return out, [new_a, new_b] + rest
-
-
 def choi_factor(spec: CombSpec) -> tuple[WireSpace, np.ndarray]:
-    """Simulate the comb on entangled-pair inputs and return its purification.
+    """The comb's purification: its Choi operator is ``V V^H``.
+
+    ``V`` is built as the chain ``psi0 . W_1 ... W_n`` of the teeth in
+    temporal order, with ``W_t[m, a, b, m'] = U_t[(b, m'), (a, m)] / sqrt(d)``:
+    each tooth adds its input copy ``a`` (wire ``A{input_perm[t]}``, the
+    untouched half of a maximally entangled pair) and its output ``b``
+    (wire ``B{output_perm[t]}``) to the rows and carries the memory ``m``
+    in the columns.  The 2n wire axes are then permuted into sorted order
+    once.
 
     Returns the wire space ``A1..An, B1..Bn`` (sorted), each wire of
-    dimension ``spec.wire_dim``, and the ``d^{2n} x d_M`` matrix ``V`` whose
-    columns are the final state's components along the memory basis, so
-    that the unit-trace Choi operator is ``V V^H``.
+    dimension ``spec.wire_dim``, and the ``d^{2n} x d_M`` matrix ``V``; a
+    ``V`` over :data:`MAX_ENTRIES` entries raises ``ValueError`` before
+    anything is built.
     """
     d, dm, n = spec.wire_dim, spec.memory_dim, spec.n
     total = d ** (2 * n)
     check_entries(total * dm, "the purification")
-
-    # State tensor over: one channel-side axis per tooth, one kept copy per
-    # input wire, and the memory axis.  Each channel-side axis starts
-    # maximally entangled with its copy.
-    pair = np.eye(d) / math.sqrt(d)  # axes (channel, copy)
-    factors = [pair] * n + [spec.psi0]
-    state = reduce(np.multiply.outer, factors)
-    labels: list[str] = []
-    for t in range(n):
-        labels += [f"T{t}", input_label(spec.input_perm[t])]
-    labels.append("M")
-
-    for t in range(n):
-        gate4 = spec.unitaries[t].reshape(d, dm, d, dm)
-        state, labels = _apply_two_site(
-            state, labels, gate4, f"T{t}", "M", output_label(spec.output_perm[t]), "M"
-        )
-
-    wire_order = sorted((l for l in labels if l != "M"), key=wire_key)
-    perm = [labels.index(l) for l in wire_order] + [labels.index("M")]
-    v = state.transpose(perm).reshape(total, dm)
-    return WireSpace(tuple(wire_order), (d,) * (2 * n)), v
+    v = spec.psi0.reshape(1, dm)
+    for u in spec.unitaries:
+        w = u.reshape(d, dm, d, dm).transpose(3, 2, 0, 1) / math.sqrt(d)
+        v = np.tensordot(v, w, axes=1).reshape(-1, dm)
+    labels = [wire for tooth in spec.true_order for wire in tooth]  # the rows' axes
+    wires = sorted(labels, key=wire_key)
+    perm = [labels.index(l) for l in wires] + [2 * n]
+    v = v.reshape((d,) * (2 * n) + (dm,)).transpose(perm).reshape(total, dm)
+    return WireSpace(tuple(wires), (d,) * (2 * n)), v
 
 
 def build_choi(spec: CombSpec) -> Op:
@@ -601,35 +587,20 @@ def gen_memoryless_comb(
     overall Choi still factorizes tooth by tooth.
     """
     pi = tuple(int(v) for v in rng.permutation(n) + 1)
-    if not constant_tooth:
-        return CombSpec(
-            n=n,
-            wire_dim=wire_dim,
-            memory_dim=1,
-            psi0=np.ones(1),
-            unitaries=tuple(haar_unitary(wire_dim, rng) for _ in range(n)),
-            input_perm=tuple(range(1, n + 1)),
-            output_perm=pi,
-            metadata={"generator": "memoryless"},
-        )
-    d = wire_dim
-    psi0 = np.zeros(d)
-    psi0[0] = 1.0
-    swap = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            swap[b * d + a, a * d + b] = 1.0
-    unitaries = [np.kron(haar_unitary(d, rng), np.eye(d)) for _ in range(n - 1)]
-    unitaries.append(swap)
+    d, dm = wire_dim, wire_dim if constant_tooth else 1
+    unitaries = [np.kron(haar_unitary(d, rng), np.eye(dm)) for _ in range(n - constant_tooth)]
+    if constant_tooth:
+        # the swap of wire and memory: its row (a, b) is the identity's row (b, a)
+        unitaries.append(np.eye(d * d)[np.arange(d * d).reshape(d, d).T.ravel()])
     return CombSpec(
         n=n,
         wire_dim=d,
-        memory_dim=d,
-        psi0=psi0,
+        memory_dim=dm,
+        psi0=np.eye(1, dm)[0],
         unitaries=tuple(unitaries),
         input_perm=tuple(range(1, n + 1)),
         output_perm=pi,
-        metadata={"generator": "memoryless+constant"},
+        metadata={"generator": "memoryless+constant" if constant_tooth else "memoryless"},
     )
 
 
@@ -665,11 +636,17 @@ def gen_totalorder_comb(
     tooth positions j >= i has pairwise correlation at least
     ``corr_floor``.  The achieved floor is recorded in the metadata under
     ``achieved_chi_min``.  Raises :class:`RejectionBudgetError` after
-    ``budget`` failed draws, carrying the best candidate seen.  A positive
-    ``corr_floor`` that no draw can reach, because every pair it covers is
-    exactly uncorrelated (``wire_dim`` 1, or ``memory_dim`` 1 with n >= 2),
-    raises ``ValueError`` before the first draw.
+    ``budget`` failed draws, carrying the best candidate seen.  A
+    ``corr_floor`` that no draw can reach raises ``ValueError`` before the
+    first draw: NaN, or one above 2, the largest trace distance between two
+    states, or a positive one when every pair it covers is exactly
+    uncorrelated (``wire_dim`` 1, or ``memory_dim`` 1 with n >= 2).
     """
+    if not corr_floor <= 2:  # also refuses NaN
+        raise ValueError(
+            f"no draw can reach pairwise correlation {corr_floor}: a correlation is a "
+            "trace distance between two states, at most 2"
+        )
     if corr_floor > 0 and (wire_dim == 1 or (memory_dim == 1 and n >= 2)):
         why = (
             "on wires of dimension 1 every pair is uncorrelated"
@@ -734,21 +711,20 @@ def gen_signaling_comb(rng: np.random.Generator | None = None) -> CombSpec:
     the teeth are dressed by Haar local unitaries, which changes the comb
     but none of the compatibility margins.
     """
-    u1 = _CNOT
-    u2 = _SWAP2
+    teeth = (_CNOT, _SWAP2)
     if rng is not None:
-        u1 = kron_all([haar_unitary(2, rng), haar_unitary(2, rng)]) @ u1 @ kron_all(
-            [haar_unitary(2, rng), np.eye(2)]
-        )
-        u2 = kron_all([haar_unitary(2, rng), haar_unitary(2, rng)]) @ u2 @ kron_all(
-            [haar_unitary(2, rng), np.eye(2)]
+        teeth = tuple(
+            np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            @ u
+            @ np.kron(haar_unitary(2, rng), np.eye(2))
+            for u in teeth
         )
     return CombSpec(
         n=2,
         wire_dim=2,
         memory_dim=2,
         psi0=np.array([1.0, 0.0]),
-        unitaries=(u1, u2),
+        unitaries=teeth,
         input_perm=(1, 2),
         output_perm=(1, 2),
         metadata={"generator": "signaling"},

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -400,7 +399,3 @@ def random_density(
 def max_entangled_ket(dim: int) -> np.ndarray:
     """(1/sqrt(d)) sum_i |ii> as a length d*d vector."""
     return np.eye(dim).reshape(dim * dim) / math.sqrt(dim)
-
-
-def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)

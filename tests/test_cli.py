@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 
 import pytest
 
@@ -334,17 +335,17 @@ def test_unreachable_totalorder_floor_exits_2(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "gen_totalorder_comb", small_budget)
     code, out, err = run(
-        capsys, "gen", "--kind", "totalorder", "--n", "2", "--corr-floor", "3.0",
+        capsys, "gen", "--kind", "totalorder", "--n", "2", "--corr-floor", "2.0",
         "-o", str(tmp_path / "c.json"),
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: no draw reached pairwise correlation 3.0 in 3 tries")
+    assert err.startswith("error: no draw reached pairwise correlation 2.0 in 3 tries")
     assert err.count("\n") == 1
     cfg = tmp_path / "exp.json"
     cfg.write_text(
         json.dumps(
             {
-                "generator": {"kind": "totalorder", "n": 2, "corr_floor": 3.0},
+                "generator": {"kind": "totalorder", "n": 2, "corr_floor": 2.0},
                 "algorithm": {"name": "totalorder"},
                 "trials": 1,
             }
@@ -353,6 +354,52 @@ def test_unreachable_totalorder_floor_exits_2(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "bench", str(cfg))
     assert code == 2
     assert err.startswith("error: no draw reached") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("floor", ["nan", "2.5", "inf"])
+def test_a_floor_above_every_correlation_exits_2_before_any_draw(capsys, tmp_path, floor):
+    """A floor no draw can reach is refused at once, not after 10,000 draws."""
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "gen", "--kind", "totalorder", "--n", "3", "--corr-floor", floor,
+        "-o", str(tmp_path / "c.json"),
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: no draw can reach pairwise correlation {float(floor)}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_bench_reports_an_order_too_large_to_check_and_goes_on(capsys, tmp_path):
+    """At n = 8 (d_M = 2) the checker refuses the prefix-3 deviation for its
+    size: each trial keeps its order as not verified, and the run reaches its
+    summary and its report."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "generator": {"kind": "unitary", "n": 8, "d_M": 2},
+                "algorithm": {"name": "general"},
+                "trials": 2,
+            }
+        )
+    )
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "bench", str(cfg), "--out", str(report))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("0/2 trials succeeded")
+    for t, line in enumerate(lines[1:3]):
+        assert re.match(rf"  trial +{t} fail queries=0 +order=(A\d:B\d,){{7}}A\d:B\d  ", line)
+        assert line.endswith(
+            "(not verified: the prefix-3 deviation would have 4194304 entries, "
+            "over the cap of 1048576)"
+        )
+    assert lines[3] == f"wrote {report}"
+    payload = json.loads(report.read_text())
+    assert [r["worst_deviation"] for r in payload["results"]] == [None, None]
+    assert all(len(r["order"]) == 8 for r in payload["results"])
 
 
 def test_totalorder_without_floor_exits_2(capsys, tmp_path):

@@ -63,6 +63,51 @@ def test_identity_comb_choi_is_bell_pairs():
     np.testing.assert_allclose(choi.matrix, expect, atol=1e-12)
 
 
+def _reference_purification(spec):
+    """V row by row from its definition: for each assignment of input values,
+    psi0 run through the teeth with |a> fed to each tooth's input wire,
+    scaled by d^{-n/2} and placed at the sorted (A1..An, B1..Bn) row."""
+    d, dm, n = spec.wire_dim, spec.memory_dim, spec.n
+    v = np.zeros((d,) * (2 * n) + (dm,), dtype=complex)
+    # the temporal output axis that holds each wire B1..Bn
+    outs = [spec.output_perm.index(j) for j in range(1, n + 1)]
+    for a in itertools.product(range(d), repeat=n):  # a[i - 1] is fed to A{i}
+        psi = spec.psi0.reshape(1, dm)  # rows: the outputs so far, in temporal order
+        for u, i in zip(spec.unitaries, spec.input_perm):
+            fed = u @ np.kron(np.eye(d)[:, [a[i - 1]]], np.eye(dm))  # rows (b, m'), columns m
+            psi = (psi @ fed.T).reshape(-1, dm)
+        v[a] = psi.reshape((d,) * n + (dm,)).transpose(outs + [n]) / d ** (n / 2)
+    return v.reshape(-1, dm)
+
+
+REFERENCE_SPECS = {
+    **{
+        f"n={n} d={d} d_M={dm}": lambda n=n, d=d, dm=dm: gen_unitary_comb(
+            n, d, dm, np.random.default_rng([n, d, dm])
+        )
+        for n in (1, 2, 3, 4)
+        for d in (1, 2, 3)
+        for dm in (1, 2, 4)
+    },
+    "fig3": gen_fig3_comb,
+    "signaling": lambda: gen_signaling_comb(np.random.default_rng(0)),
+    "memoryless+constant": lambda: gen_memoryless_comb(
+        3, 2, np.random.default_rng(0), constant_tooth=True
+    ),
+}
+
+
+@pytest.mark.parametrize("make", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
+def test_purification_matches_its_definition_row_by_row(make):
+    spec = make()
+    space, v = combs.choi_factor(spec)
+    n = spec.n
+    assert space.labels == spec.input_labels + spec.output_labels
+    assert space.dims == (spec.wire_dim,) * (2 * n)
+    assert v.shape == (spec.wire_dim ** (2 * n), spec.memory_dim)
+    np.testing.assert_allclose(v, _reference_purification(spec), rtol=0, atol=1e-12)
+
+
 def test_choi_is_positive_unit_trace():
     rng = np.random.default_rng(0)
     spec = gen_unitary_comb(3, 2, 2, rng)
@@ -315,8 +360,9 @@ def test_comb_spec_refuses_a_dimension_below_one(wire_dim, memory_dim, name):
     with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
         gen_unitary_comb(2, wire_dim, memory_dim, rng)
     if name == "wire_dim":
-        with pytest.raises(ValueError, match="^wire_dim must be at least 1"):
-            gen_memoryless_comb(2, 0, rng)
+        for constant_tooth in (False, True):
+            with pytest.raises(ValueError, match="^wire_dim must be at least 1"):
+                gen_memoryless_comb(2, 0, rng, constant_tooth)
 
 
 def test_memoryless_constant_tooth_hides_one_output():
@@ -384,8 +430,8 @@ def test_totalorder_generator_draws_what_the_per_pair_loop_draws(n, monkeypatch)
 def test_totalorder_rejection_budget_error_carries_best():
     rng = np.random.default_rng(9)
     with pytest.raises(RejectionBudgetError) as info:
-        gen_totalorder_comb(2, 2, 2, rng, corr_floor=10.0, budget=5)
-    assert info.value.best_floor < 10.0
+        gen_totalorder_comb(2, 2, 2, rng, corr_floor=2.0, budget=5)
+    assert info.value.best_floor < 2.0
     assert info.value.best_spec is not None
 
 
@@ -427,6 +473,16 @@ def test_a_totalorder_floor_no_draw_can_reach_is_refused_before_the_first_draw(n
         gen_totalorder_comb(n, d, d_m, rng, corr_floor=1e-20)
     assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
     assert gen_totalorder_comb(n, d, d_m, rng, corr_floor=0.0).metadata["achieved_chi_min"] < 1e-12
+
+
+@pytest.mark.parametrize("floor", [float("nan"), 2.5, float("inf")])
+def test_a_totalorder_floor_above_every_correlation_is_refused_before_the_first_draw(floor):
+    """A pair's correlation is a trace distance, at most 2, and NaN compares
+    false with every correlation."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"no draw can reach pairwise correlation {floor}: "):
+        gen_totalorder_comb(3, 2, 2, rng, corr_floor=floor)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
 
 def test_one_tooth_without_memory_still_reaches_a_floor():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import io
 import itertools
@@ -59,7 +60,6 @@ from causalcomb.tensors import (
     PAULI_Z,
     Op,
     WireSpace,
-    kron_all,
     partial_trace,
 )
 
@@ -197,7 +197,7 @@ def _last_probe_comb():
     proj_in = [np.outer(v.conj(), v) for v in vecs.T]
     proj_out = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     mat = sum(
-        kron_all([proj_in[a1], proj_in[a2], proj_out[a1], proj_out[a1 ^ a2]])
+        functools.reduce(np.kron, [proj_in[a1], proj_in[a2], proj_out[a1], proj_out[a1 ^ a2]])
         for a1 in range(2)
         for a2 in range(2)
     ) / 4

@@ -10,6 +10,10 @@ docstring or doc comment under ``src/causalcomb`` must resolve to one of:
 - a member of a class defined in that module (``:meth:`shut``` in
   ``_Factor``'s docstring).
 
+Every backticked ``module.name`` in ``README.md`` whose module is one of
+the package's (``discovery._pair_gaps``, ``combs.MAX_ENTRIES = 2**20``)
+must name an attribute of that module, looked up the same way.
+
 So a rename that leaves a stale reference behind fails here.
 """
 
@@ -22,6 +26,9 @@ import pytest
 from test_private_helpers import SRC
 
 ROLE = re.compile(r":(?:func|meth|class|data|attr):`~?([\w.]+)`")
+README = SRC.parents[1] / "README.md"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+README_REF = re.compile(rf"`((?:{'|'.join(MODULES)})\.\w+(?:\.\w+)*)")
 
 
 def _lookup(obj, dotted: list[str]) -> bool:
@@ -83,3 +90,19 @@ def test_every_docstring_cross_reference_resolves():
 )
 def test_a_stale_reference_does_not_resolve(module, target):
     assert not _resolves(importlib.import_module(module), target)
+
+
+def _stale_readme_references(text: str) -> list[str]:
+    refs = README_REF.findall(text)
+    assert len(refs) >= 12
+    return [ref for ref in refs if not _qualified(f"causalcomb.{ref}")]
+
+
+def test_every_readme_module_reference_resolves():
+    stale = _stale_readme_references(README.read_text())
+    assert not stale, f"README names nothing at: {stale}"
+
+
+def test_a_readme_naming_a_deleted_helper_fails():
+    text = README.read_text() + "\nV is built by `combs._apply_two_site`.\n"
+    assert _stale_readme_references(text) == ["combs._apply_two_site"]

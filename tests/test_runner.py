@@ -346,6 +346,35 @@ def test_general_trial_verifies_past_the_dense_cap():
     assert peak < 32 * 2**20
 
 
+def test_a_trial_past_the_checker_cap_keeps_its_order_unverified():
+    """n = 8 with a qubit memory: discovery runs, but the prefix-3 deviation
+    would have 2^22 entries, over the cap."""
+    config = ExperimentConfig(
+        generator={"kind": "unitary", "n": 8, "d_M": 2}, algorithm={"name": "general"}, trials=1
+    )
+    result = run_trial(config, 0)
+    spec = generate_comb(config.generator, np.random.default_rng([config.seed, 0]))
+    assert not result.ok
+    assert result.order == spec.true_order
+    assert result.worst_deviation is None
+    assert result.failure == (
+        "not verified: the prefix-3 deviation would have 4194304 entries, "
+        "over the cap of 1048576"
+    )
+
+
+def test_only_the_checker_size_refusal_leaves_a_trial_unverified(monkeypatch):
+    """Any other refusal from the checker still ends the run."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("order does not cover the Choi wires")
+
+    monkeypatch.setattr(runner, "check_comb_condition", refuse)
+    config = ExperimentConfig(generator={"kind": "unitary"}, algorithm={"name": "general"})
+    with pytest.raises(ValueError, match="does not cover"):
+        run_trial(config, 0)
+
+
 def test_verification_never_builds_the_dense_choi():
     """The emitted order is checked on the spec, so it is not capped at n = 5."""
     for module in (runner, cli):

@@ -13,7 +13,6 @@ from causalcomb.tensors import (
     fold,
     haar_unitary,
     is_hermitian,
-    kron_all,
     max_entangled_ket,
     numerical_rank,
     partial_trace,
@@ -274,9 +273,3 @@ def test_max_entangled_ket_marginal_is_mixed():
     rho = np.outer(v, v.conj()).reshape(3, 3, 3, 3)
     marg = np.einsum("ikjk->ij", rho)
     np.testing.assert_allclose(marg, np.eye(3) / 3, atol=1e-12)
-
-
-def test_kron_all_and_maximally_mixed():
-    np.testing.assert_allclose(kron_all([np.eye(2), np.eye(3)]), np.eye(6))
-    np.testing.assert_allclose(kron_all([np.eye(2) / 2, np.eye(2) / 2]), np.eye(4) / 4)
-    np.testing.assert_allclose(kron_all([]), np.eye(1))
