@@ -26,6 +26,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .checks import lemma_suite
 from .combs import RejectionBudgetError, _check_tol, check_comb_condition, compatible_orders
 from .oracle import OracleConfig, OracleSession
 from .runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, ConfigError
-from .runner import ExperimentConfig, dispatch, generate_comb, given, run_experiment
+from .runner import ExperimentConfig, dispatch, generate_comb, given, run_experiment, verify_order
 from .serialize import load_comb, load_json, save_comb, save_json
 
 EXIT_OK = 0
@@ -57,8 +58,8 @@ def parse_order(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _out_dir(explicit: str | None) -> Path:
-    path = Path(explicit or os.environ.get("CAUSALCOMB_OUT_DIR", "."))
+def _out_dir() -> Path:
+    path = Path(os.environ.get("CAUSALCOMB_OUT_DIR", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -68,7 +69,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     gen = given(vars(args), ["kind", *GENERATOR_KEYS[kind]])
     spec = generate_comb(gen, np.random.default_rng(args.seed))
     if out is None:
-        out = _out_dir(None) / f"{kind}_n{spec.n}_d{spec.wire_dim}_s{args.seed}.json"
+        out = _out_dir() / f"{kind}_n{spec.n}_d{spec.wire_dim}_s{args.seed}.json"
     save_comb(spec, out)
     print(f"wrote {out}")
     print(
@@ -106,10 +107,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if not report.ok:
         return EXIT_FAIL
     if args.verify:
-        check = check_comb_condition(spec, report.order, tol=args.tol)
-        verdict = "valid" if check.ok else "INVALID"
-        print(f"verify:    {verdict} (worst deviation {check.worst_deviation:.3g})")
-        if not check.ok:
+        check, failure = verify_order(spec, report.order, args.tol)
+        verdict = failure if check is None else "valid" if check.ok else "INVALID"
+        worst = "" if check is None else f" (worst deviation {check.worst_deviation:.3g})"
+        print(f"verify:    {verdict}{worst}")
+        if failure:
             return EXIT_FAIL
     return EXIT_OK
 
@@ -147,6 +149,9 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     data = load_json(args.config)
     config = ExperimentConfig.from_dict(data)
+    out = args.out and Path(args.out)
+    if out and (out.is_dir() or not out.parent.is_dir()):  # refused before the run, not after
+        raise ValueError(f"--out {out} is a directory or in one that does not exist")
     summary = run_experiment(config)
     print(summary.line())
     for r in summary.results:
@@ -157,20 +162,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"order={order}" + (f"  ({r.failure})" if r.failure else "")
         )
     if args.out:
-        save_json(
-            {
-                "config": data,
-                "trials": summary.trials,
-                "successes": summary.successes,
-                "success_rate": summary.success_rate,
-                "ok": summary.ok,
-                "mean_queries": summary.mean_queries,
-                "max_queries": summary.max_queries,
-                "wall_ms": summary.wall_ms,
-                "results": [vars(r) for r in summary.results],
-            },
-            args.out,
-        )
+        save_json({"config": data, **asdict(summary)}, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK if summary.ok else EXIT_FAIL
 

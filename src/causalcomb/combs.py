@@ -58,6 +58,7 @@ __all__ = [
     "CausalOrder",
     "CombCheck",
     "RejectionBudgetError",
+    "SizeCapError",
     "MAX_ENTRIES",
     "check_entries",
     "input_label",
@@ -88,10 +89,14 @@ MAX_ENTRIES = 2**20
 CausalOrder = tuple[tuple[str, str], ...]
 
 
+class SizeCapError(ValueError):
+    """Raised for an array over :data:`MAX_ENTRIES` entries, before it is formed."""
+
+
 def check_entries(entries: int, what: str) -> None:
-    """Raise ``ValueError`` before forming an array over :data:`MAX_ENTRIES`."""
+    """Raise ``SizeCapError`` before forming an array over :data:`MAX_ENTRIES`."""
     if entries > MAX_ENTRIES:
-        raise ValueError(f"{what} would have {entries} entries, over the cap of {MAX_ENTRIES}")
+        raise SizeCapError(f"{what} would have {entries} entries, over the cap of {MAX_ENTRIES}")
 
 
 def input_label(i: int) -> str:
@@ -236,7 +241,7 @@ def choi_factor(spec: CombSpec) -> tuple[WireSpace, np.ndarray]:
 
     Returns the wire space ``A1..An, B1..Bn`` (sorted), each wire of
     dimension ``spec.wire_dim``, and the ``d^{2n} x d_M`` matrix ``V``; a
-    ``V`` over :data:`MAX_ENTRIES` entries raises ``ValueError`` before
+    ``V`` over :data:`MAX_ENTRIES` entries raises ``SizeCapError`` before
     anything is built.
     """
     d, dm, n = spec.wire_dim, spec.memory_dim, spec.n
@@ -359,7 +364,7 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
 
     A :class:`CombSpec` gives its purification from :func:`choi_factor`,
     which is exact, so the residual is 0.0.  A dense ``Op`` over
-    :data:`MAX_ENTRIES` entries raises ``ValueError``; any other is factored
+    :data:`MAX_ENTRIES` entries raises ``SizeCapError``; any other is factored
     by pivoted Cholesky, stopped once no residual diagonal entry exceeds
     ``1e-13 * Tr C / dim``.  The factor is used only if
     ``sqrt(dim) * ||C - G G^H||_F``, a bound on ``||C - G G^H||_1`` and the
@@ -436,12 +441,12 @@ def check_comb_condition(
     is a linear map of ``C`` that at most doubles the trace norm, so the
     deviations of ``G G^H`` are those of ``C`` to within twice
     ``residual_bound``.  An operator that is not Hermitian positive
-    semidefinite with a positive trace raises ``ValueError``, as does an
-    operator or a prefix matrix over :data:`MAX_ENTRIES` (a prefix from
-    n = 8 on qubit wires with d_M = 2).  The factor is computed once per
-    input and kept on it, so checking many orders of one operator or spec
-    factors it once.  A ``tol`` that is not a positive finite number
-    raises ``ValueError`` before anything is factored.
+    semidefinite with a positive trace raises ``ValueError``; an operator
+    or a prefix matrix over :data:`MAX_ENTRIES` (a prefix from n = 8 on
+    qubit wires with d_M = 2) raises its subclass ``SizeCapError``.  The
+    factor is computed once per input and kept on it, so checking many
+    orders of one operator or spec factors it once; a ``tol`` that is not
+    a positive finite number raises ``ValueError`` before any factoring.
     """
     _check_tol(tol)
     space, g, residual = verified_factor(choi)
@@ -515,8 +520,8 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
     and under 50 MB at n = 6.  Each input permutation picks its rows of
     teeth once, and each order maps the output permutation over them.
     A bool or non-integer ``n`` raises ``TypeError``; ``n < 1``, and an
-    ``n`` whose (n!)^2 orders exceed :data:`MAX_ENTRIES` (n >= 7), raise
-    ``ValueError``, before anything is built; past n = 20 the message
+    ``n`` whose (n!)^2 orders exceed :data:`MAX_ENTRIES` (n >= 7) raises
+    ``SizeCapError``, before anything is built; past n = 20 the message
     bounds the count rather than forming or printing it.
     """
     from itertools import permutations
@@ -527,7 +532,7 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
     if n < 1:
         raise ValueError(f"an order needs n >= 1 inputs, got n = {n}")
     if n > 20:  # (n!)^2 > 10^39; from n = 1000 on, str() refuses its 4,300 digits
-        raise ValueError(
+        raise SizeCapError(
             "the list of orders for n > 20 would have over 10^39 entries, "
             f"over the cap of {MAX_ENTRIES}"
         )

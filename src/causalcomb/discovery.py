@@ -113,11 +113,14 @@ def _budget_terms(kappa: float, povm_a: IcPovm, povm_b: IcPovm) -> tuple[float, 
     """``log(2 K / kappa)`` and ``2 xi^2``, the two terms both shot budgets share.
 
     ``K = da^2 db^2 + da^2 + db^2`` counts a pair's outcome classes: the
-    joint outcomes and each side's own.  Needs ``0 < kappa < 1``, else
-    ``ValueError``.
+    joint outcomes and each side's own.  Needs ``0 < kappa < 1`` and two
+    informationally complete POVMs, else ``ValueError``.
     """
     if not 0 < kappa < 1:
         raise ValueError(f"kappa must be in (0, 1), got {kappa}")
+    for povm in (povm_a, povm_b):
+        if not frame_of(povm).is_ic:  # xi is 0, so no shot budget reaches any accuracy
+            raise ValueError(f"POVM {povm.name!r} is not informationally complete")
     da, db = povm_a.dim, povm_b.dim
     classes = da**2 * db**2 + da**2 + db**2
     return math.log(2.0 * classes / kappa), 2.0 * xi_constant(povm_a, povm_b) ** 2

@@ -21,8 +21,10 @@ from typing import Any, Mapping, get_type_hints
 import numpy as np
 
 from .combs import (
-    MAX_ENTRIES,
+    CausalOrder,
+    CombCheck,
     CombSpec,
+    SizeCapError,
     check_comb_condition,
     gen_fig3_comb,
     gen_memoryless_comb,
@@ -48,6 +50,7 @@ __all__ = [
     "read_section",
     "generate_comb",
     "dispatch",
+    "verify_order",
     "run_trial",
     "run_experiment",
 ]
@@ -271,14 +274,26 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
 
 
-def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
-    """Generate one comb, run the configured algorithm, verify the order.
+def verify_order(
+    spec: CombSpec, order: CausalOrder, tol: float
+) -> tuple[CombCheck | None, str | None]:
+    """The comb check of an emitted ``order`` and its failure, ``None`` if it holds.
 
     An order the checker refuses for its size (a prefix over
     :data:`~causalcomb.combs.MAX_ENTRIES` entries, from n = 8 on qubit
-    wires with d_M = 2) is kept but not ok, with no ``worst_deviation``
-    and a failure that starts ``not verified:``.
+    wires with d_M = 2) has no check and a failure that starts
+    ``not verified:``; any other refusal is raised.
     """
+    try:
+        check = check_comb_condition(spec, order, tol=tol)
+    except SizeCapError as exc:
+        return None, f"not verified: {exc}"
+    return check, None if check.ok else f"emitted order deviates by {check.worst_deviation:.3g}"
+
+
+def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
+    """Generate one comb, run the configured algorithm, and judge its order
+    by :func:`verify_order`; an unverified order is kept but not ok."""
     t0 = time.perf_counter()
     rng = np.random.default_rng([config.seed, trial])
     spec = generate_comb(config.generator, rng)
@@ -287,18 +302,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     wall = (time.perf_counter() - t0) * 1e3
     if not report.ok:
         return TrialResult(trial, False, None, report.queries, wall, None, report.failure)
-    try:
-        check = check_comb_condition(spec, report.order, tol=config.success_tol)
-    except ValueError as exc:  # a prefix too large to check leaves the order unverified
-        if f"over the cap of {MAX_ENTRIES}" not in str(exc):
-            raise
-        return TrialResult(
-            trial, False, report.order, report.queries, wall, None, f"not verified: {exc}"
-        )
-    failure = None if check.ok else f"emitted order deviates by {check.worst_deviation:.3g}"
-    return TrialResult(
-        trial, check.ok, report.order, report.queries, wall, check.worst_deviation, failure
-    )
+    check, failure = verify_order(spec, report.order, config.success_tol)
+    worst = None if check is None else check.worst_deviation
+    return TrialResult(trial, failure is None, report.order, report.queries, wall, worst, failure)
 
 
 def run_experiment(config: ExperimentConfig) -> RunSummary:

@@ -55,6 +55,26 @@ def test_discover_verify_roundtrip(capsys, tmp_path):
     assert "order:" in out and "valid" in out
 
 
+def test_discover_verify_past_the_checker_cap_is_a_failed_check(capsys, tmp_path):
+    """An emitted order too large to check used to exit 2, as a config error
+    does; ``verify`` on the same comb still exits 2, since the check is the
+    command there."""
+    path = tmp_path / "c.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "8", "--d", "2", "--d-M", "2", "--seed", "3",
+        "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), "--verify")
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[-2].startswith("order:")
+    assert lines[-1] == (
+        "verify:    not verified: the prefix-3 deviation would have 4194304 entries, "
+        "over the cap of 1048576"
+    )
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the prefix-3 deviation would have 4194304 entries")
+
+
 def test_discover_totalorder_uses_stored_floor(capsys, tmp_path):
     path = tmp_path / "to.json"
     run(capsys, "gen", "--kind", "totalorder", "--n", "2", "--seed", "8", "-o", str(path))
@@ -469,15 +489,21 @@ def test_a_file_whose_top_level_is_not_an_object_exits_2(capsys, tmp_path, comma
 @pytest.mark.parametrize(
     "argv",
     [("verify", "{dir}"), ("discover", "{dir}"), ("bench", "{dir}"),
-     ("discover", "{comb}", "--query-log", "{dir}")],
-    ids=["verify", "discover", "bench", "query-log"],
+     ("discover", "{comb}", "--query-log", "{dir}"), ("bench", "{config}", "--out", "{dir}"),
+     ("bench", "{config}", "--out", "{dir}/missing/r.json")],
+    ids=["verify", "discover", "bench", "query-log", "bench-out", "bench-out-missing-dir"],
 )
 def test_a_directory_given_for_a_file_exits_2(capsys, tmp_path, argv):
-    comb = tmp_path / "c.json"
+    """``bench --out`` used to run and print every trial before refusing."""
+    comb, config = tmp_path / "c.json", tmp_path / "b.json"
     run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
-    code, out, err = run(capsys, *(a.format(dir=tmp_path, comb=comb) for a in argv))
+    config.write_text(json.dumps({"generator": {"kind": "unitary"}, "algorithm": {}}))
+    code, out, err = run(
+        capsys, *(a.format(dir=tmp_path, comb=comb, config=config) for a in argv)
+    )
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "c.json"]
 
 
 @pytest.mark.parametrize("argv", [["--d-M", "1"], ["--d", "1"]], ids=["d_M=1", "d=1"])

@@ -285,6 +285,15 @@ def test_enumerate_orders_allows_exactly_the_cap(monkeypatch):
         enumerate_orders(4)
 
 
+def test_a_size_refusal_is_a_size_cap_error():
+    assert issubclass(combs.SizeCapError, ValueError)
+    with pytest.raises(combs.SizeCapError) as refused:
+        combs.check_entries(2**20 + 1, "the table")
+    assert str(refused.value) == "the table would have 1048577 entries, over the cap of 1048576"
+    with pytest.raises(combs.SizeCapError, match="^the list of orders for n > 20 would have"):
+        enumerate_orders(21)
+
+
 def test_true_order_and_labels_are_derived_once_per_spec():
     spec = gen_unitary_comb(4, 2, 2, np.random.default_rng(5))
     per_tooth = tuple(

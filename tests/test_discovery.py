@@ -48,6 +48,7 @@ from causalcomb.discovery import (
 )
 from causalcomb.oracle import OracleConfig, OracleSession, PrepRecipe, swap_test_sample_size
 from causalcomb.povm import (
+    IcPovm,
     ic_povm_for_dim,
     povm_preset,
     reconstruct_pair,
@@ -129,6 +130,19 @@ def test_budget_helpers_name_an_argument_out_of_their_domain(call, name):
     returned a budget, and zeros or negative counts broke inside the formula."""
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(sic_qubit())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda sic, basis: correlation_sample_size(0.1, 0.05, basis, sic),
+     lambda sic, basis: correlation_error_bound(1000, 0.05, sic, basis)],
+    ids=["sample_size", "error_bound"],
+)
+def test_budget_helpers_refuse_a_povm_that_is_not_informationally_complete(call):
+    """The computational basis has ``xi = 0``: the budgets divided by zero."""
+    basis = IcPovm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), name="basis")
+    with pytest.raises(ValueError, match="^POVM 'basis' is not informationally complete$"):
+        call(sic_qubit(), basis)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import causalcomb
-from causalcomb import cli, runner
+from causalcomb import cli, combs, runner
 from causalcomb.combs import gen_signaling_comb
 from causalcomb.oracle import OracleConfig, OracleSession
 from causalcomb.runner import (
@@ -346,9 +346,12 @@ def test_general_trial_verifies_past_the_dense_cap():
     assert peak < 32 * 2**20
 
 
-def test_a_trial_past_the_checker_cap_keeps_its_order_unverified():
+@pytest.mark.parametrize("cap", [2**20, 2**21])
+def test_a_trial_past_the_checker_cap_keeps_its_order_unverified(monkeypatch, cap):
     """n = 8 with a qubit memory: discovery runs, but the prefix-3 deviation
-    would have 2^22 entries, over the cap."""
+    would have 2^22 entries, over the cap.  A raised cap used to end the run,
+    since the refusal was told apart by the text of the default cap."""
+    monkeypatch.setattr(combs, "MAX_ENTRIES", cap)
     config = ExperimentConfig(
         generator={"kind": "unitary", "n": 8, "d_M": 2}, algorithm={"name": "general"}, trials=1
     )
@@ -359,7 +362,7 @@ def test_a_trial_past_the_checker_cap_keeps_its_order_unverified():
     assert result.worst_deviation is None
     assert result.failure == (
         "not verified: the prefix-3 deviation would have 4194304 entries, "
-        "over the cap of 1048576"
+        f"over the cap of {cap}"
     )
 
 
