@@ -58,6 +58,29 @@ def parse_order(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
+def _check_out(flag: str, path: str | None) -> None:
+    """Refuse, before the run, an output path that is a directory or is in
+    one that does not exist, so that no run is thrown away after it ends."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"{flag} {path} is a directory or in one that does not exist")
+
+
+class _QueryLog:
+    """The ``--query-log`` file, opened at its first record, so that a
+    refused run leaves the path as it was and creates nothing there."""
+
+    def __init__(self, path: str):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> None:
+        self.file = self.file or open(self.path, "w")
+        self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
 def _out_dir() -> Path:
     path = Path(os.environ.get("CAUSALCOMB_OUT_DIR", "."))
     path.mkdir(parents=True, exist_ok=True)
@@ -85,10 +108,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
     spec = load_comb(args.comb)
     alg = given(vars(args), ["name", *ALGORITHM_KEYS[args.name or next(iter(ALGORITHM_KEYS))]])
     oracle = given(vars(args), ORACLE_KEYS)
-    log = open(args.query_log, "w") if args.query_log else None
+    _check_out("--query-log", args.query_log)
+    log = _QueryLog(args.query_log) if args.query_log else None
     try:
         config = OracleConfig(seed=args.seed, query_log=log, **oracle)
         report = dispatch(OracleSession(spec, config), spec, alg)
+        if log is not None:
+            log.write("")  # a run that billed nothing still leaves its (empty) log
     finally:
         if log is not None:
             log.close()
@@ -149,9 +175,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     data = load_json(args.config)
     config = ExperimentConfig.from_dict(data)
-    out = args.out and Path(args.out)
-    if out and (out.is_dir() or not out.parent.is_dir()):  # refused before the run, not after
-        raise ValueError(f"--out {out} is a directory or in one that does not exist")
+    _check_out("--out", args.out)
     summary = run_experiment(config)
     print(summary.line())
     for r in summary.results:

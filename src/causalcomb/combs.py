@@ -23,10 +23,14 @@ acceptance harness uses.  The prefix-k identity depends only on the
 prefix node, the sets of the first k inputs and outputs, so the (n!)^2
 orders share C(2n, n) - 1 nodes; ``compatible_orders`` finds every
 compatible order by walking them from the empty prefix, and one node
-function serves both, so they report the same deviations.  Both work on
-one factor ``G`` with ``C = G G^H``, on sorted wires: a spec's
-purification, or the verified Cholesky factor of a dense operator, which
-also certifies that the operator is positive.
+method serves both, so they report the same deviations.
+
+Every comb is held as its low-rank factor, a :class:`Factor` ``V`` with
+``C = V V^H`` on sorted wires: a spec's purification, or the verified
+Cholesky factor of a dense operator, which also certifies that the
+operator is positive.  The checker, the totalorder floor and the oracle's
+sessions all read ``V`` through its methods, and only it knows ``V``'s
+layout.
 """
 
 from __future__ import annotations
@@ -43,12 +47,9 @@ from .tensors import (
     Op,
     WireSpace,
     correlation_norms,
-    fold,
     haar_unitary,
-    pair_marginals,
     partial_trace,
     random_pure_state,
-    span,
     trace_norm,
     wire_key,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "CombSpec",
     "CausalOrder",
     "CombCheck",
+    "Factor",
     "RejectionBudgetError",
     "SizeCapError",
     "MAX_ENTRIES",
@@ -225,10 +227,140 @@ class CombCheck:
 
 
 # ---------------------------------------------------------------------------
+# the factor
+
+#: A reduced factor keeps the eigenvalues above this fraction of the largest one.
+_RANK_RTOL = 1e-13
+
+
+class Factor:
+    """A positive semidefinite operator ``C = V V^H`` on a wire space, held as ``V``.
+
+    ``V`` has one row per basis state of ``space``, row-major over its
+    wires, and one column per term; nothing forms ``C``.  This is the only
+    code that knows that layout.  Each read folds some wires into ``V``'s
+    columns (:meth:`fold`): :meth:`shut` and :meth:`swap_matrix` take the
+    folded factor's Gram on its smaller side, :meth:`pair_states` stacks
+    ``K K^H`` for each pair, :meth:`node_deviation` compresses a prefix
+    node onto its column span, and :meth:`block` forms a sampled block.
+    """
+
+    def __init__(self, space: WireSpace, v: np.ndarray):
+        self.space, self.v = space, v
+
+    @property
+    def trace(self) -> float:
+        """``Tr C = ||V||_F^2``."""
+        return np.vdot(self.v, self.v).real
+
+    def fold(self, rows: Sequence[str], folded: Sequence[str]) -> np.ndarray:
+        """``V`` with the ``folded`` wires moved into its columns.
+
+        ``rows`` and ``folded`` together name every wire of the space once.
+        The result has one row per value of the ``rows`` wires, in that
+        order, and one column per value of the ``folded`` wires and a column
+        of ``V``, the latter fastest.  Its Gram ``K K^H`` is ``Tr_folded C``.
+        """
+        t = self.v.reshape(self.space.dims + (self.v.shape[1],))
+        axes = [self.space.index(l) for l in [*rows, *folded]] + [len(self.space.dims)]
+        d_rows = math.prod(self.space.dim_of(l) for l in rows)
+        return t.transpose(axes).reshape(d_rows, -1)
+
+    def pair_states(self, pairs: Sequence[Sequence[str]]) -> np.ndarray:
+        """``Tr_rest C`` on wires ``a`` then ``b`` for each ``(a, b)`` of ``pairs``, stacked:
+        the Gram of ``V`` with the other wires folded into its columns, one fold at a time."""
+        folded = (self.fold(p, [l for l in self.space.labels if l not in p]) for p in pairs)
+        return np.stack([k @ k.conj().T for k in folded])
+
+    def node_deviation(self, done: frozenset[str]) -> float:
+        """The deviation of one prefix node of ``C``, on a span that holds it.
+
+        The node is the set ``done`` of its first k inputs and outputs.  Its
+        wires keep the space's sorted order, which puts the late inputs
+        before the late outputs, so the result depends on the node alone.
+        The columns ``G_k`` are ``V`` with the late outputs folded in, so
+        the marginal is ``G_k G_k^H``; folding the late inputs in as well
+        gives ``H_k`` with ``Tr_late`` of the marginal equal to
+        ``H_k H_k^H``.  Both terms of the deviation then map into the span
+        of ``Q (x) 1_late``, where ``Q`` is an orthonormal basis of the
+        columns of ``H_k``, and the deviation compressed there, ``K K^H``
+        minus its own late marginal for ``K = (Q^H (x) 1) G_k``, has the same
+        trace norm.  ``K`` is the ``R`` of a QR of ``H_k``, which is
+        ``Q^H H_k`` with ``Q`` never formed, with the late inputs split back
+        out of its columns; where ``H_k`` has no fewer columns than rows,
+        ``K`` is ``G_k`` itself.
+        """
+        early = [l for l in self.space.labels if l in done]
+        late = [l for l in self.space.labels if l not in done]
+        d_late = math.prod(self.space.dim_of(l) for l in late if l.startswith("A"))
+        h = self.fold(early, late)
+        r = np.linalg.qr(h, mode="r") if h.shape[1] < h.shape[0] else h
+        gk = r.reshape(-1, h.shape[1] // d_late)
+        check_entries(gk.shape[0] ** 2, f"the prefix-{len(done) // 2} deviation")
+        # with the late wires last the product term is block diagonal, and it is
+        # subtracted from the diagonal of each (early, early) block in place
+        lhs = gk @ gk.conj().T
+        blocks = lhs.reshape(len(lhs) // d_late, d_late, len(lhs) // d_late, d_late)
+        small = np.trace(blocks, axis1=1, axis2=3) / d_late
+        diag = np.einsum("iaja->iaj", blocks)  # writable view of the late diagonals
+        diag -= small[:, None, :]
+        return trace_norm(lhs)
+
+    def shut(self, i: str, j: str) -> "Factor":
+        """The factor of ``Tr_{i,j} C``: ``K``, with both wires folded into
+        its columns, recompressed by its Gram on the smaller side to the
+        eigenvalues above :data:`_RANK_RTOL` of the largest.  A tall ``K``
+        gives columns ``K u`` for eigenvectors ``u`` of ``K^H K``; a wide one
+        the eigenvectors of ``K K^H``, each times the root of its eigenvalue.
+        """
+        keep = [l for l in self.space.labels if l not in (i, j)]
+        k = self.fold(keep, (i, j))
+        tall = k.shape[1] < k.shape[0]
+        lam, u = np.linalg.eigh(k.conj().T @ k if tall else k @ k.conj().T)
+        rank = lam > _RANK_RTOL * lam.max()
+        v = k @ u[:, rank] if tall else u[:, rank] * np.sqrt(lam[rank])
+        return Factor(self.space.restrict(keep), v)
+
+    def swap_matrix(self, i: str, j: str) -> np.ndarray:
+        """The swap test's acceptance operator on input ``i`` and a primed copy.
+
+        ``Tr[rho_a rho_b] = Tr[(d s_a^T (x) d s_b^T) W]`` for the states
+        left by feeding ``s_a`` and ``s_b`` into ``i`` and discarding output
+        ``j``.  With ``K_x`` the factor's rows at input value ``x``, ``j``
+        folded into its columns, ``W[(x,u),(y,v)]`` is
+        ``Tr(K_x K_y^H K_u K_v^H)``: ``Tr(P_xy P_uv)`` from the row Gram
+        ``P_xy = K_x K_y^H``, or ``Tr(G_yu G_vx)`` from the column Gram
+        ``G_yu = K_y^H K_u``, whichever has fewer entries.
+        """
+        rest = [l for l in self.space.labels if l not in (i, j)]
+        d, d_out = self.space.dim_of(i), self.space.dim_of(j)
+        rows, cols = len(self.v) // (d * d_out), d_out * self.v.shape[1]
+        check_entries((d * min(rows, cols)) ** 2, "the swap operator's Gram")
+        if rows <= cols:
+            k = self.fold([i, *rest], [j])
+            gram, axes = k @ k.conj().T, (0, 2, 1, 3)  # [x, r, y, s] = P_xy[r, s]
+        else:
+            k = self.fold(rest, [i, j])
+            gram, axes = k.conj().T @ k, (3, 1, 0, 2)  # [y, a, u, b] = G_yu[a, b]
+        t = gram.reshape(d, len(gram) // d, d, -1)
+        # Tr(T_ij T_kl) for the blocks T_ij = t[i, :, j, :], then (x, u, y, v) first
+        blocks = t.transpose(0, 2, 1, 3).reshape(d * d, -1)
+        swapped = t.transpose(0, 2, 3, 1).reshape(d * d, -1)  # each T_kl transposed
+        w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
+        return w.reshape(d * d, d * d)
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """``V_B``: ``(r (x) 1) V`` side by side for every row ``r`` of
+        ``rows``, which act on the leading wires; a factor on the rest."""
+        # [column, lead index, rest index]: a view of V, row- or column-major
+        lead = self.v.T.reshape(-1, rows.shape[1], len(self.v) // rows.shape[1])
+        return (rows @ lead).reshape(-1, lead.shape[2]).T
+
+# ---------------------------------------------------------------------------
 # Choi construction
 
 
-def choi_factor(spec: CombSpec) -> tuple[WireSpace, np.ndarray]:
+def choi_factor(spec: CombSpec) -> Factor:
     """The comb's purification: its Choi operator is ``V V^H``.
 
     ``V`` is built as the chain ``psi0 . W_1 ... W_n`` of the teeth in
@@ -239,8 +371,8 @@ def choi_factor(spec: CombSpec) -> tuple[WireSpace, np.ndarray]:
     in the columns.  The 2n wire axes are then permuted into sorted order
     once.
 
-    Returns the wire space ``A1..An, B1..Bn`` (sorted), each wire of
-    dimension ``spec.wire_dim``, and the ``d^{2n} x d_M`` matrix ``V``; a
+    Returns the :class:`Factor` ``V``, ``d^{2n} x d_M``, on the wires
+    ``A1..An, B1..Bn`` (sorted), each of dimension ``spec.wire_dim``; a
     ``V`` over :data:`MAX_ENTRIES` entries raises ``SizeCapError`` before
     anything is built.
     """
@@ -255,7 +387,7 @@ def choi_factor(spec: CombSpec) -> tuple[WireSpace, np.ndarray]:
     wires = sorted(labels, key=wire_key)
     perm = [labels.index(l) for l in wires] + [2 * n]
     v = v.reshape((d,) * (2 * n) + (dm,)).transpose(perm).reshape(total, dm)
-    return WireSpace(tuple(wires), (d,) * (2 * n)), v
+    return Factor(WireSpace(tuple(wires), (d,) * (2 * n)), v)
 
 
 def build_choi(spec: CombSpec) -> Op:
@@ -263,9 +395,9 @@ def build_choi(spec: CombSpec) -> Op:
 
     It has unit trace and rank at most ``spec.memory_dim``.
     """
-    space, v = choi_factor(spec)
-    check_entries(space.dim**2, "the Choi operator")
-    return Op(space, v @ v.conj().T)
+    factor = choi_factor(spec)
+    check_entries(factor.space.dim**2, "the Choi operator")
+    return Op(factor.space, factor.v @ factor.v.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -326,41 +458,8 @@ def _residual_bound(c: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt(c.shape[0] * total)
 
 
-def _node_deviation(space: WireSpace, g: np.ndarray, done: frozenset[str]) -> float:
-    """The deviation of one prefix node of ``G G^H``, on a span that holds it.
-
-    The node is the set ``done`` of its first k inputs and outputs.  Its
-    wires keep ``space``'s sorted order, which puts the late inputs before
-    the late outputs, so the result depends on the node alone.  The
-    columns ``G_k`` are ``G`` with the late outputs folded in, so the
-    marginal is ``G_k G_k^H``; folding the late inputs in as well gives
-    ``H_k`` with ``Tr_late`` of the marginal equal to ``H_k H_k^H``.  Both terms of the deviation then map
-    into the span of ``Q (x) 1_late``, where ``Q`` is an orthonormal basis
-    of the columns of ``H_k``, and the deviation compressed there, ``K K^H``
-    minus its own late marginal for ``K = (Q^H (x) 1) G_k``, has the same
-    trace norm.  ``Q^H H_k`` is :func:`~causalcomb.tensors.span` of
-    ``H_k``, and ``K`` is that with the late inputs split back out of its
-    columns; where ``H_k`` has no fewer columns than rows, ``K`` is
-    ``G_k`` itself.
-    """
-    early = [l for l in space.labels if l in done]
-    late = [l for l in space.labels if l not in done]
-    d_late = math.prod(space.dim_of(l) for l in late if l.startswith("A"))
-    h = fold(space, g, early, late)
-    gk = span(h).reshape(-1, h.shape[1] // d_late)
-    check_entries(gk.shape[0] ** 2, f"the prefix-{len(done) // 2} deviation")
-    # with the late wires last the product term is block diagonal, and it is
-    # subtracted from the diagonal of each (early, early) block in place
-    lhs = gk @ gk.conj().T
-    blocks = lhs.reshape(len(lhs) // d_late, d_late, len(lhs) // d_late, d_late)
-    small = np.trace(blocks, axis1=1, axis2=3) / d_late
-    diag = np.einsum("iaja->iaj", blocks)  # writable view of the late diagonals
-    diag -= small[:, None, :]
-    return trace_norm(lhs)
-
-
-def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
-    """A factor ``G`` with ``C = G G^H``, its wire space and a bound on its residual.
+def verified_factor(x: Op | CombSpec) -> tuple[Factor, float]:
+    """A :class:`Factor` ``G`` with ``C = G G^H`` and a bound on its residual.
 
     A :class:`CombSpec` gives its purification from :func:`choi_factor`,
     which is exact, so the residual is 0.0.  A dense ``Op`` over
@@ -371,11 +470,11 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     residual returned, is at most ``1e-13 * Tr C``; as ``G G^H`` is
     positive semidefinite, so is ``C`` to within it.  An operator without
     positive trace, or one the factor cannot reproduce (indefinite or not
-    Hermitian), raises ``ValueError``.  The rows of ``G`` follow sorted
-    wire order (:func:`~causalcomb.tensors.wire_key`): a purification's
-    already do, and an operator's factor is folded into it once.
+    Hermitian), raises ``ValueError``.  The factor is on sorted wires
+    (:func:`~causalcomb.tensors.wire_key`): a purification already is, and
+    an operator's factor is folded into them once.
 
-    The result is computed once per input and kept in its ``__dict__``,
+    The pair is computed once per input and kept in its ``__dict__``,
     where ``functools.cached_property`` keeps a spec's ``true_order``, with
     ``G`` read-only.  ``Op`` and ``CombSpec`` are frozen and hold read-only
     arrays, so the memo is keyed by content and is freed with its input.
@@ -385,8 +484,7 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
     if "verified_factor" in memo:
         return memo["verified_factor"]
     if isinstance(x, CombSpec):
-        space, g = choi_factor(x)
-        residual = 0.0
+        factor, residual = choi_factor(x), 0.0
     else:
         space, c = x.space, x.matrix
         check_entries(space.dim**2, "the Choi operator")
@@ -402,11 +500,11 @@ def verified_factor(x: Op | CombSpec) -> tuple[WireSpace, np.ndarray, float]:
                 f"by up to {residual:.3g} in trace norm, over {bound:.3g}"
             )
         labels = sorted(space.labels, key=wire_key)
-        g = fold(space, g, labels, [])
-        space = WireSpace(tuple(labels), tuple(space.dim_of(l) for l in labels))
-    g.setflags(write=False)
-    memo["verified_factor"] = space, g, residual
-    return space, g, residual
+        g = Factor(space, g).fold(labels, [])
+        factor = Factor(WireSpace(tuple(labels), tuple(space.dim_of(l) for l in labels)), g)
+    factor.v.setflags(write=False)
+    memo["verified_factor"] = factor, residual
+    return factor, residual
 
 
 def _check_tol(tol: float) -> None:
@@ -430,11 +528,11 @@ def check_comb_condition(
     first k outputs) is compared in trace norm against (marginal on first
     k teeth) x (maximally mixed on the later inputs).  ``ok`` means every
     deviation is at most ``tol``.  Each deviation is that of one prefix
-    node, the set of the first k inputs and outputs (``_node_deviation``),
+    node, the set of the first k inputs and outputs (:meth:`Factor.node_deviation`),
     and depends on the node alone; :func:`compatible_orders` walks the
     same nodes for every order at once and reports the same deviations.
 
-    Every node is checked on the factor ``G`` of :func:`verified_factor`:
+    Every node is checked on the :class:`Factor` ``G`` of :func:`verified_factor`:
     a spec's purification, with no Choi-sized array formed, or the
     verified Cholesky factor of a dense ``Op``, whose bound on
     ``||C - G G^H||_1`` is reported as ``residual_bound``.  Each deviation
@@ -449,10 +547,10 @@ def check_comb_condition(
     a positive finite number raises ``ValueError`` before any factoring.
     """
     _check_tol(tol)
-    space, g, residual = verified_factor(choi)
-    order = _validate_order(order, space)
+    factor, residual = verified_factor(choi)
+    order = _validate_order(order, factor.space)
     nodes = (frozenset().union(*order[:k]) for k in range(len(order)))
-    return _comb_check(tuple(_node_deviation(space, g, done) for done in nodes), tol, residual)
+    return _comb_check(tuple(factor.node_deviation(done) for done in nodes), tol, residual)
 
 
 def compatible_orders(
@@ -473,8 +571,8 @@ def compatible_orders(
     :func:`check_comb_condition`.
     """
     _check_tol(tol)
-    space, g, residual = verified_factor(choi)
-    ins, outs = wire_roles(space.labels)
+    factor, residual = verified_factor(choi)
+    ins, outs = wire_roles(factor.space.labels)
     nodes: dict[frozenset[str], float] = {}
     found: dict[CausalOrder, CombCheck] = {}
 
@@ -484,7 +582,7 @@ def compatible_orders(
             return
         done = frozenset().union(*order)
         if done not in nodes:
-            nodes[done] = _node_deviation(space, g, done)
+            nodes[done] = factor.node_deviation(done)
         if nodes[done] <= tol:
             devs += (nodes[done],)
             for a in ins:
@@ -615,16 +713,15 @@ def pairwise_correlation_floor(spec: CombSpec) -> float:
     Pairs with j < i in tooth order are causally forced to be exactly
     uncorrelated and are excluded from the floor.  The n(n+1)/2 pair
     marginals are read from the comb's purification as one stack by
-    :func:`~causalcomb.tensors.pair_marginals`, so no Choi-sized array is
-    formed, and go through one :func:`~causalcomb.tensors.correlation_norms` call.
+    :meth:`Factor.pair_states`, so no Choi-sized array is formed, and go
+    through one :func:`~causalcomb.tensors.correlation_norms` call.
     """
-    space, v = choi_factor(spec)
     pairs = [
         (input_label(spec.input_perm[i]), output_label(spec.output_perm[j]))
         for i in range(spec.n)
         for j in range(i, spec.n)
     ]
-    return float(correlation_norms(pair_marginals(space, v, pairs), spec.wire_dim).min())
+    return float(correlation_norms(choi_factor(spec).pair_states(pairs), spec.wire_dim).min())
 
 
 def gen_totalorder_comb(

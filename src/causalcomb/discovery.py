@@ -102,8 +102,12 @@ def xi_constant(povm_a: IcPovm, povm_b: IcPovm) -> float:
 
     A frequency vector within ``xi * eps`` of the Born values (in the
     2-norm sense captured by the frame sandwich) keeps the reconstructed
-    correlation within ``eps`` of the truth.
+    correlation within ``eps`` of the truth.  A POVM that is not
+    informationally complete has no such constant and raises ``ValueError``.
     """
+    for povm in (povm_a, povm_b):
+        if not frame_of(povm).is_ic:
+            raise ValueError(f"POVM {povm.name!r} is not informationally complete")
     da, db = povm_a.dim, povm_b.dim
     lam = frame_of(povm_a).lambda_min * frame_of(povm_b).lambda_min
     return math.sqrt(lam) / (math.sqrt(da**2 * db**2 + 4 * db**2 + 4 * da**2) * da * db)
@@ -114,13 +118,10 @@ def _budget_terms(kappa: float, povm_a: IcPovm, povm_b: IcPovm) -> tuple[float, 
 
     ``K = da^2 db^2 + da^2 + db^2`` counts a pair's outcome classes: the
     joint outcomes and each side's own.  Needs ``0 < kappa < 1`` and two
-    informationally complete POVMs, else ``ValueError``.
+    informationally complete POVMs (:func:`xi_constant`), else ``ValueError``.
     """
     if not 0 < kappa < 1:
         raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    for povm in (povm_a, povm_b):
-        if not frame_of(povm).is_ic:  # xi is 0, so no shot budget reaches any accuracy
-            raise ValueError(f"POVM {povm.name!r} is not informationally complete")
     da, db = povm_a.dim, povm_b.dim
     classes = da**2 * db**2 + da**2 + db**2
     return math.log(2.0 * classes / kappa), 2.0 * xi_constant(povm_a, povm_b) ** 2
@@ -131,10 +132,11 @@ def correlation_error_bound(
 ) -> float:
     """Accuracy ``eps`` achieved with failure probability ``kappa`` at ``n_shots``.
 
-    Needs ``n_shots >= 1`` and ``0 < kappa < 1``, else ``ValueError``.
+    Needs a whole ``n_shots >= 1``, not a boolean, and ``0 < kappa < 1``,
+    else ``ValueError``.
     """
-    if not n_shots >= 1:
-        raise ValueError(f"n_shots must be at least 1, got {n_shots}")
+    if isinstance(n_shots, bool) or not (1 <= n_shots < math.inf and n_shots % 1 == 0):
+        raise ValueError(f"n_shots must be a whole number of at least 1, got {n_shots!r}")
     log_term, two_xi_sq = _budget_terms(kappa, povm_a, povm_b)
     return math.sqrt(log_term / (two_xi_sq * n_shots))
 

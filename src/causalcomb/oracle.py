@@ -10,7 +10,8 @@ by destructive swap circuits (``overlap_estimate``), and wire a tooth
 shut (``reduce``).  The hidden spec and its Choi operator are private
 attributes with no accessor; discovery code sees statistics only, and
 the session alone decides how they are drawn in each mode and what they
-bill.  It reads the operator only through its factor, :class:`_Factor`.
+bill.  It reads the operator only through its factor, a
+:class:`~causalcomb.combs.Factor`.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -32,13 +33,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .combs import CombSpec, check_entries, verified_factor, wire_roles
+from .combs import CombSpec, Factor, check_entries, verified_factor, wire_roles
 from .povm import IcPovm, pair_probs, product_born_table
-from .tensors import Op, WireSpace, contract_wire, fold, pair_marginals
+from .tensors import Op, WireSpace, contract_wire
 
 # unused here; kept importable because the benchmark's tracer wraps them at
 # this import site (ROADMAP item 1)
@@ -54,9 +55,6 @@ __all__ = [
     "swap_test_estimate",
 ]
 
-
-#: A reduced factor keeps the eigenvalues above this fraction of the largest one.
-_RANK_RTOL = 1e-13
 
 #: How far a root session's ``Tr C = ||V||_F^2`` may be from 1.
 _TRACE_ATOL = 1e-6
@@ -206,91 +204,6 @@ class _QueryMeter:
             self._log.write(json.dumps(rec) + "\n")
 
 
-class _Factor:
-    """The hidden Choi operator ``C = V V^H``, held as ``V`` on sorted wires.
-
-    ``V`` is :func:`~causalcomb.combs.verified_factor`'s, ``d^{2n} x r``:
-    the comb's purification (``r = d_M``) for a spec, the verified Cholesky
-    factor for a dense operator.  So ``C`` is positive semidefinite, and
-    nothing forms it.  Only this class knows ``V``'s layout.  Each of its
-    four reads folds some wires into ``V``'s columns: :meth:`shut` and
-    :meth:`swap_matrix` take the folded factor's Gram on its smaller side,
-    :meth:`pair_states` stacks ``K K^H``, the other wires in ``K``'s columns,
-    for each pair, and :meth:`block` a sampled table's block factor, of at most
-    :data:`_BLOCK_CELLS` cells, so a batch's counts are its only
-    cell-sized array.  A spec's factor and a sampled table must fit under
-    :data:`~causalcomb.combs.MAX_ENTRIES`; exact pair statistics form no table.
-    """
-
-    def __init__(self, space: WireSpace, v: np.ndarray):
-        self.space, self.v = space, v
-
-    @classmethod
-    def of(cls, comb: CombSpec | Op) -> "_Factor":
-        """The comb's read-only factor from :func:`~causalcomb.combs.verified_factor`,
-        already in sorted wire order; a trace other than 1 raises ``ValueError``."""
-        space, g, _ = verified_factor(comb)
-        trace = np.vdot(g, g).real
-        if not abs(trace - 1.0) <= _TRACE_ATOL:
-            raise ValueError(f"the Choi operator has trace {trace:.6g}, not 1")
-        return cls(space, g)
-
-    def shut(self, i: str, j: str) -> "_Factor":
-        """The factor of ``Tr_{i,j} C``: ``K``, with both wires folded into
-        its columns, recompressed by its Gram on the smaller side to the
-        eigenvalues above :data:`_RANK_RTOL` of the largest.  A tall ``K``
-        gives columns ``K u`` for eigenvectors ``u`` of ``K^H K``; a wide one
-        the eigenvectors of ``K K^H``, each times the root of its eigenvalue.
-        """
-        keep = [l for l in self.space.labels if l not in (i, j)]
-        k = fold(self.space, self.v, keep, (i, j))
-        tall = k.shape[1] < k.shape[0]
-        lam, u = np.linalg.eigh(k.conj().T @ k if tall else k @ k.conj().T)
-        rank = lam > _RANK_RTOL * lam.max()
-        v = k @ u[:, rank] if tall else u[:, rank] * np.sqrt(lam[rank])
-        return _Factor(self.space.restrict(keep), v)
-
-    def swap_matrix(self, i: str, j: str) -> np.ndarray:
-        """The swap test's acceptance operator on input ``i`` and a primed copy.
-
-        ``Tr[rho_a rho_b] = Tr[(d s_a^T (x) d s_b^T) W]`` for the states
-        left by feeding ``s_a`` and ``s_b`` into ``i`` and discarding output
-        ``j``.  With ``K_x`` the factor's rows at input value ``x``, ``j``
-        folded into its columns, ``W[(x,u),(y,v)]`` is
-        ``Tr(K_x K_y^H K_u K_v^H)``: ``Tr(P_xy P_uv)`` from the row Gram
-        ``P_xy = K_x K_y^H``, or ``Tr(G_yu G_vx)`` from the column Gram
-        ``G_yu = K_y^H K_u``, whichever has fewer entries.
-        """
-        rest = [l for l in self.space.labels if l not in (i, j)]
-        d, d_out = self.space.dim_of(i), self.space.dim_of(j)
-        rows, cols = len(self.v) // (d * d_out), d_out * self.v.shape[1]
-        check_entries((d * min(rows, cols)) ** 2, "the swap operator's Gram")
-        if rows <= cols:
-            k = fold(self.space, self.v, [i, *rest], [j])
-            gram, axes = k @ k.conj().T, (0, 2, 1, 3)  # [x, r, y, s] = P_xy[r, s]
-        else:
-            k = fold(self.space, self.v, rest, [i, j])
-            gram, axes = k.conj().T @ k, (3, 1, 0, 2)  # [y, a, u, b] = G_yu[a, b]
-        t = gram.reshape(d, len(gram) // d, d, -1)
-        # Tr(T_ij T_kl) for the blocks T_ij = t[i, :, j, :], then (x, u, y, v) first
-        blocks = t.transpose(0, 2, 1, 3).reshape(d * d, -1)
-        swapped = t.transpose(0, 2, 3, 1).reshape(d * d, -1)  # each T_kl transposed
-        w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
-        return w.reshape(d * d, d * d)
-
-    def pair_states(self, ins: Sequence[str], outs: Sequence[str]) -> np.ndarray:
-        """``Tr_rest C`` on input ``a`` then output ``b``, at ``[a, b]`` for ``ins x outs``."""
-        states = pair_marginals(self.space, self.v, [(a, b) for a in ins for b in outs])
-        return states.reshape(len(ins), len(outs), *states.shape[1:])
-
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        """``V_B``: ``(r (x) 1) V`` side by side for every row ``r`` of
-        ``rows``, which act on the leading wires; a factor on the rest."""
-        # [column, lead index, rest index]: a view of V, row- or column-major
-        lead = self.v.T.reshape(-1, rows.shape[1], len(self.v) // rows.shape[1])
-        return (rows @ lead).reshape(-1, lead.shape[2]).T
-
-
 class OracleSession:
     """Black-box handle on a comb; see the module docstring for the contract."""
 
@@ -302,11 +215,14 @@ class OracleSession:
         not ``n >= 1`` inputs ``A…`` and ``n`` outputs ``B…``
         (:func:`~causalcomb.combs.wire_roles`) raise ``ValueError`` before
         anything is billed."""
-        self._setup(_Factor.of(comb), config or OracleConfig())
+        factor = verified_factor(comb)[0]
+        if not abs(factor.trace - 1.0) <= _TRACE_ATOL:
+            raise ValueError(f"the Choi operator has trace {factor.trace:.6g}, not 1")
+        self._setup(factor, config or OracleConfig())
 
     def _setup(
         self,
-        factor: _Factor,
+        factor: Factor,
         config: OracleConfig,
         rng: np.random.Generator | None = None,
         meter: _QueryMeter | None = None,
@@ -332,10 +248,10 @@ class OracleSession:
         The named input is fed maximally mixed and the named output is
         discarded on every future invocation.  The child shares this
         session's query meter and random stream, and its factor is
-        :meth:`_Factor.shut`'s.  The labels must name an input and an
-        output (:meth:`_check_pair`), and it must keep at least one tooth:
-        shutting the last one raises ``ValueError``.  Both are checked before
-        anything is folded.
+        :meth:`~causalcomb.combs.Factor.shut`'s.  The labels must name an
+        input and an output (:meth:`_check_pair`), and it must keep at least
+        one tooth: shutting the last one raises ``ValueError``.  Both are
+        checked before anything is folded.
         """
         pair = (input_label, output_label)
         self._check_pair(*pair)
@@ -388,11 +304,11 @@ class OracleSession:
         mode sums one :meth:`sample_batch` draw over the other inputs, once
         per input, then over the other outputs, and divides by ``n_shots``.
         Exact mode gives every pair's Born probabilities from the stack of
-        pair states (:meth:`_Factor.pair_states`), with no joint table, and
-        bills ``n_shots`` under the theoretical policy only.  Both modes
-        check ``n_shots`` and ``povm`` as :meth:`sample_batch` does, before
-        anything is drawn or billed, except that exact mode also takes 0
-        shots.
+        pair states (:meth:`~causalcomb.combs.Factor.pair_states`), with no
+        joint table, and bills ``n_shots`` under the theoretical policy only.
+        Both modes check ``n_shots`` and ``povm`` as :meth:`sample_batch`
+        does, before anything is drawn or billed, except that exact mode also
+        takes 0 shots.
         """
         ins, outs = self._inputs, self._outputs
         if self.mode == "sampled":
@@ -405,7 +321,9 @@ class OracleSession:
             return tables / n_shots
         n_shots = _shot_count(n_shots)
         self._check_povm(povm)
-        probs = pair_probs(povm, povm, self._factor.pair_states(ins, outs))
+        states = self._factor.pair_states([(a, b) for a in ins for b in outs])
+        states = states.reshape(len(ins), len(outs), *states.shape[1:])
+        probs = pair_probs(povm, povm, states)
         self._bill("independence", n_shots)
         return probs / probs.sum(axis=(-2, -1), keepdims=True)
 
@@ -431,14 +349,16 @@ class OracleSession:
         :data:`_BLOCK_CELLS` cells per block, one block per lead outcome
         ``B``.  ``B``'s rows are the Kronecker product of its elements'
         rows (:attr:`IcPovm.rows`), and its factor ``V_B``
-        (:meth:`_Factor.block`) holds ``(r (x) 1) V`` side by side for every
-        such row ``r``.  Since the other wires' POVMs sum to the identity,
-        the block's probability is ``||V_B||_F^2``.  One :func:`_multinomial`
-        draw gives the block totals, and one per nonzero block its counts
-        from :func:`~causalcomb.povm.product_born_table` of ``V_B``, its
-        slice.  ``V_B`` is formed for each read, so no two blocks' factors
-        are held at once.  A table of at most :data:`_BLOCK_CELLS` cells is
-        one block, which takes every shot without a draw.
+        (:meth:`~causalcomb.combs.Factor.block`) holds ``(r (x) 1) V`` side
+        by side for every such row ``r``.  Since the other wires' POVMs sum to
+        the identity,
+        the block's probability is ``||V_B||_F^2``.  One
+        :func:`_multinomial` draw gives the block totals, and one per nonzero
+        block its counts from :func:`~causalcomb.povm.product_born_table` of
+        ``V_B``, its slice.  ``V_B`` is formed for each read, so no two
+        blocks' factors are held at once.  A table of at most
+        :data:`_BLOCK_CELLS` cells is one block, which takes every shot
+        without a draw.
         """
         n_shots = _shot_count(n_shots)
         if self.mode != "sampled":

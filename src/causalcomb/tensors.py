@@ -10,6 +10,8 @@ comparisons normalize to sorted label order first (``reorder`` /
 
 All matrices are dense complex ``numpy`` arrays.  Construction freezes the
 backing array (``writeable = False``) so values are immutable once built.
+A comb's low-rank factor ``C = V V^H`` is not an ``Op``: it is a
+:class:`~causalcomb.combs.Factor`, whose methods are its only reads.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ __all__ = [
     "reorder",
     "sort_wires",
     "contract_wire",
-    "fold",
-    "pair_marginals",
-    "span",
     "trace_norm",
     "is_hermitian",
     "numerical_rank",
@@ -218,48 +217,6 @@ def contract_wire(x: Op, label: str, k: np.ndarray) -> Op:
     res = np.einsum("asbtrc,rs->abtc", t, k)
     space = WireSpace(labels[:w] + labels[w + 1 :], dims[:w] + dims[w + 1 :])
     return Op(space, res.reshape(space.dim, space.dim))
-
-
-# ---------------------------------------------------------------------------
-# factors
-#
-# A factor of an operator C on a wire space is a matrix V with one row per
-# basis state of the space and C = V V^H, so C is positive semidefinite.
-
-
-def fold(space: WireSpace, v: np.ndarray, rows: Sequence[str], folded: Sequence[str]) -> np.ndarray:
-    """Move the ``folded`` wires of a factor ``V`` on ``space`` into its columns.
-
-    ``rows`` and ``folded`` together name every wire of ``space`` once.
-    The result has one row per value of the ``rows`` wires, in that order,
-    and one column per value of the ``folded`` wires and a column of ``V``,
-    the latter fastest.  Its Gram product ``K K^H`` is ``Tr_folded(V V^H)``.
-    """
-    t = v.reshape(space.dims + (v.shape[1],))
-    axes = [space.index(l) for l in [*rows, *folded]] + [len(space.dims)]
-    d_rows = math.prod(space.dim_of(l) for l in rows)
-    return t.transpose(axes).reshape(d_rows, -1)
-
-
-def pair_marginals(space: WireSpace, v: np.ndarray, pairs: Sequence[Sequence[str]]) -> np.ndarray:
-    """``Tr_rest(V V^H)`` on wires ``a`` then ``b`` for each ``(a, b)`` of ``pairs``, stacked:
-    the Gram of ``V`` with the other wires folded into its columns, one fold at a time."""
-    folded = (fold(space, v, pair, [l for l in space.labels if l not in pair]) for pair in pairs)
-    return np.stack([k @ k.conj().T for k in folded])
-
-
-def span(k: np.ndarray) -> np.ndarray:
-    """``K`` written in an orthonormal basis of its column span, if that is smaller.
-
-    With fewer columns than rows this is the ``R`` of a QR of ``K``, which
-    is ``Q^H K`` for an isometry ``Q`` onto the span of ``K``'s columns;
-    ``Q`` is never formed.  Then ``R R^H = Q^H (K K^H) Q``, so the two
-    share their nonzero spectrum and every overlap, and
-    ``K K^H = Q R R^H Q^H``.  Otherwise ``K`` itself is returned.
-    """
-    if k.shape[1] < k.shape[0]:
-        return np.linalg.qr(k, mode="r")
-    return k
 
 
 # ---------------------------------------------------------------------------

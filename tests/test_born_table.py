@@ -23,9 +23,9 @@ from causalcomb.tensors import Op, WireSpace, partial_trace
 
 
 def _spec_tables(spec, povm):
-    space, v = choi_factor(spec)
-    got = product_born_table(space, v, povm)
-    return got, reference_born_table(build_choi(spec), {l: povm for l in space.labels})
+    factor = choi_factor(spec)
+    got = product_born_table(factor.space, factor.v, povm)
+    return got, reference_born_table(build_choi(spec), {l: povm for l in factor.space.labels})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -172,6 +172,38 @@ def test_discover_sampled_with_query_log(capsys, tmp_path):
     assert sum(r["n"] for r in lines) >= 2_000_000
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--delta", "5"], ["--algorithm", "memoryless", "--povm", "sic3"],
+     ["--algorithm", "totalorder"]],
+    ids=["delta", "povm", "no-chi-min"],
+)
+def test_a_refused_discover_leaves_its_query_log_as_it_was(capsys, tmp_path, argv, existing):
+    """The log used to be opened, and so emptied or created, before the
+    algorithm's keys were read."""
+    comb, log = tmp_path / "c.json", tmp_path / "q.jsonl"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
+    if existing:
+        log.write_bytes(b'{"old": 1}\n\n')
+    code, out, err = run(capsys, "discover", str(comb), *argv, "--query-log", str(log))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    if existing:
+        assert log.read_bytes() == b'{"old": 1}\n\n'
+    else:
+        assert not log.exists()
+
+
+def test_a_discover_that_bills_nothing_leaves_an_empty_query_log(capsys, tmp_path):
+    comb, log = tmp_path / "c.json", tmp_path / "q.jsonl"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
+    log.write_text('{"old": 1}\n')
+    code, _, _ = run(capsys, "discover", str(comb), "--query-log", str(log))
+    assert code == 0
+    assert log.read_bytes() == b""
+
+
 def test_verify_rejects_wrong_order(capsys, tmp_path):
     path = tmp_path / "sig.json"
     run(capsys, "gen", "--kind", "signaling", "--undressed", "--seed", "0", "-o", str(path))

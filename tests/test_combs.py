@@ -100,8 +100,8 @@ REFERENCE_SPECS = {
 @pytest.mark.parametrize("make", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
 def test_purification_matches_its_definition_row_by_row(make):
     spec = make()
-    space, v = combs.choi_factor(spec)
-    n = spec.n
+    factor = combs.choi_factor(spec)
+    space, v, n = factor.space, factor.v, spec.n
     assert space.labels == spec.input_labels + spec.output_labels
     assert space.dims == (spec.wire_dim,) * (2 * n)
     assert v.shape == (spec.wire_dim ** (2 * n), spec.memory_dim)

@@ -123,11 +123,15 @@ def test_correlation_bound_roundtrip():
         (lambda sic: correlation_error_bound(0, 0.05, sic, sic), "n_shots"),
         (lambda sic: correlation_error_bound(1000, 0.0, sic, sic), "kappa"),
         (lambda sic: correlation_error_bound(1000, 1.0, sic, sic), "kappa"),
+        (lambda sic: correlation_error_bound(float("inf"), 0.05, sic, sic), "n_shots"),
+        (lambda sic: correlation_error_bound(1.5, 0.05, sic, sic), "n_shots"),
+        (lambda sic: correlation_error_bound(True, 0.05, sic, sic), "n_shots"),
     ],
 )
 def test_budget_helpers_name_an_argument_out_of_their_domain(call, name):
     """``eps = -1`` used to size a budget as ``eps = 1`` did, ``kappa = 1.5``
-    returned a budget, and zeros or negative counts broke inside the formula."""
+    returned a budget, and zeros or negative counts broke inside the formula.
+    ``n_shots`` = inf gave 0.0, 1.5 and True a bound for shots never taken."""
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(sic_qubit())
 
@@ -135,11 +139,14 @@ def test_budget_helpers_name_an_argument_out_of_their_domain(call, name):
 @pytest.mark.parametrize(
     "call",
     [lambda sic, basis: correlation_sample_size(0.1, 0.05, basis, sic),
-     lambda sic, basis: correlation_error_bound(1000, 0.05, sic, basis)],
-    ids=["sample_size", "error_bound"],
+     lambda sic, basis: correlation_error_bound(1000, 0.05, sic, basis),
+     lambda sic, basis: xi_constant(basis, sic),
+     lambda sic, basis: xi_constant(sic, basis)],
+    ids=["sample_size", "error_bound", "xi_basis_first", "xi_basis_second"],
 )
 def test_budget_helpers_refuse_a_povm_that_is_not_informationally_complete(call):
-    """The computational basis has ``xi = 0``: the budgets divided by zero."""
+    """The computational basis has ``xi = 0``: the budgets divided by zero,
+    and ``xi_constant`` returned 0.0."""
     basis = IcPovm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), name="basis")
     with pytest.raises(ValueError, match="^POVM 'basis' is not informationally complete$"):
         call(sic_qubit(), basis)

@@ -6,9 +6,9 @@ docstring or doc comment under ``src/causalcomb`` must resolve to one of:
 - a name qualified with ``causalcomb.``, imported and looked up attribute
   by attribute;
 - an attribute of the module it is written in, followed by the same
-  lookup for any dotted rest (``_Factor.shut``);
+  lookup for any dotted rest (``Factor.shut``);
 - a member of a class defined in that module (``:meth:`shut``` in
-  ``_Factor``'s docstring).
+  ``Factor``'s docstring).
 
 Every backticked ``module.name`` in ``README.md`` whose module is one of
 the package's (``discovery._pair_gaps``, ``combs.MAX_ENTRIES = 2**20``)

@@ -1,7 +1,6 @@
 """Black-box session semantics: state preparation, sampling, query billing."""
 
 import ast
-import inspect
 import io
 import itertools
 import json
@@ -18,6 +17,7 @@ from conftest import (
     reference_born_table,
     session_born_table,
 )
+from test_private_helpers import SRC
 
 import causalcomb.combs as combs
 import causalcomb.oracle as oracle
@@ -44,7 +44,6 @@ from causalcomb.tensors import (
     Op,
     WireSpace,
     contract_wire,
-    fold,
     haar_unitary,
     partial_trace,
     random_density,
@@ -192,9 +191,9 @@ def test_pair_frequencies_are_one_float_stack_of_the_per_pair_tables(mode, d, pr
     assert got.shape == (n, n, povm.size, povm.size)
     pairs = itertools.product(enumerate(spec.input_labels), enumerate(spec.output_labels))
     if mode == "exact":
-        space, v, _ = combs.verified_factor(spec)
+        factor = combs.verified_factor(spec)[0]
         for (i, a), (j, b) in pairs:
-            k = fold(space, v, [a, b], [l for l in space.labels if l not in (a, b)])
+            k = factor.fold([a, b], [l for l in factor.space.labels if l not in (a, b)])
             p = pair_probs(povm, povm, k @ k.conj().T)
             np.testing.assert_array_equal(got[i, j], p / p.sum())
     else:
@@ -667,12 +666,12 @@ def test_reduce_refuses_wires_in_the_wrong_role_before_folding(
     session = OracleSession(gen_unitary_comb(2, 2, 2, np.random.default_rng(14)))
     if n == 1:
         session = session.reduce("A2", "B2")
-    monkeypatch.setattr(oracle, "fold", lambda *args: pytest.fail("folded"))
+    monkeypatch.setattr(combs.Factor, "fold", lambda *args: pytest.fail("folded"))
     with pytest.raises(error, match=message):
         session.reduce(*pair)
 
 
-class _RotatedFactor(oracle._Factor):
+class _RotatedFactor(combs.Factor):
     """``V U`` for a fresh Haar unitary ``U`` on the columns, again after every shut."""
 
     def __init__(self, factor, rng):
@@ -727,21 +726,21 @@ def test_no_session_read_depends_on_the_factors_column_basis(n, dm):
 
 
 def test_only_the_factor_knows_its_layout():
-    """No session method names the wire algebra or reads the factor's array."""
-    tree = ast.parse(inspect.getsource(oracle))
-    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    named = {
-        getattr(node, field, None) for node in ast.walk(classes["OracleSession"])
-        for field in ("id", "attr", "name")
-    }
-    assert not named & {"fold", "marginal", "pair_marginals", "_v", "_space", "_swap_operator"}
-    reads = [
-        node.lineno
-        for top in tree.body
-        if top is not classes["_Factor"]
-        for node in ast.walk(top)
-        if isinstance(node, ast.Attribute) and node.attr == "v"
-    ]
+    """No module reads a factor's array or folds it, outside ``combs.Factor``
+    and the three ``combs`` functions that build a factor or read it whole."""
+    builders = {"Factor", "choi_factor", "verified_factor", "build_choi"}
+    reads, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.stem == "combs" and getattr(top, "name", None) in builders:
+                seen.add(top.name)
+                continue
+            reads += [
+                f"{path.name}:{node.lineno} .{node.attr}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr in ("v", "fold")
+            ]
+    assert seen == builders
     assert reads == []
 
 
@@ -880,7 +879,7 @@ def test_from_choi_keeps_one_column_for_a_rank_one_operator():
 
 def test_a_spec_session_opens_on_the_purification():
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(4))
-    np.testing.assert_array_equal(OracleSession(spec)._factor.v, combs.choi_factor(spec)[1])
+    np.testing.assert_array_equal(OracleSession(spec)._factor.v, combs.choi_factor(spec).v)
 
 
 @pytest.mark.parametrize("trace", [8.0, 0.5])

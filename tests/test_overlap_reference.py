@@ -16,6 +16,7 @@ bill.
 import numpy as np
 import pytest
 
+import causalcomb.combs as combs
 import causalcomb.oracle as oracle
 from causalcomb.combs import build_choi, gen_unitary_comb, trace_out_tooth
 from causalcomb.discovery import find_last
@@ -145,7 +146,7 @@ def test_wide_factor_overlaps_match_and_stay_within_the_pair_operator(monkeypatc
     rank = session._factor.v.shape[1]
     assert rank == noisy.space.dim
     sizes = []
-    monkeypatch.setattr(oracle, "check_entries", lambda entries, what: sizes.append(entries))
+    monkeypatch.setattr(combs, "check_entries", lambda entries, what: sizes.append(entries))
     _assert_overlaps_match(session, noisy, PROBES, np.random.default_rng(35))
     rest = noisy.space.dim // 4
     assert sizes and max(sizes) <= (2 * min(rest, 4 * rank)) ** 2

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from conftest import reference_correlation_norm
 
+from causalcomb.combs import Factor
 from causalcomb.tensors import (
     Op,
     WireSpace,
     contract_wire,
     correlation_norm,
     correlation_norms,
-    fold,
     haar_unitary,
     is_hermitian,
     max_entangled_ket,
@@ -20,7 +20,6 @@ from causalcomb.tensors import (
     random_pure_state,
     reorder,
     sort_wires,
-    span,
     tensor,
     trace_norm,
     wire_key,
@@ -130,19 +129,9 @@ def test_fold_gives_a_factor_of_the_partial_trace(seed):
     labels = list(rng.permutation(space.labels))
     cut = int(rng.integers(0, len(labels) + 1))
     rows, folded = labels[:cut], labels[cut:]
-    k = fold(space, v, rows, folded)
+    k = Factor(space, v).fold(rows, folded)
     want = reorder(partial_trace(Op(space, v @ v.conj().T), rows), rows)
     np.testing.assert_allclose(k @ k.conj().T, want.matrix, atol=1e-12)
-
-
-def test_span_keeps_every_overlap_and_only_compresses():
-    rng = np.random.default_rng(10)
-    tall = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-    r = span(tall)
-    assert r.shape == (5, 5)
-    np.testing.assert_allclose(r.conj().T @ r, tall.conj().T @ tall, atol=1e-12)
-    wide = tall.T
-    assert span(wide) is wide
 
 
 def test_trace_norm_of_density_difference():
