@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import lemma_suite
-from .combs import RejectionBudgetError, _check_tol, check_comb_condition, compatible_orders
+from .combs import RejectionBudgetError, _check_tol, check_comb_condition, compatible_orders, tooth
 from .oracle import OracleConfig, OracleSession
 from .runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, ConfigError
 from .runner import ExperimentConfig, dispatch, generate_comb, given, run_experiment, verify_order
@@ -54,7 +54,7 @@ def parse_order(text: str) -> tuple[tuple[str, str], ...]:
         parts = chunk.strip().split(":")
         if len(parts) != 2 or not all(parts):
             raise ValueError(f"bad order token {chunk!r}; expected like A1:B2")
-        pairs.append((parts[0], parts[1]))
+        pairs.append(tooth(parts[0], parts[1]))
     return tuple(pairs)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ from .tensors import (
     partial_trace,
     random_pure_state,
     trace_norm,
+    whole,
     wire_key,
 )
 
@@ -65,6 +66,7 @@ __all__ = [
     "check_entries",
     "input_label",
     "output_label",
+    "tooth",
     "wire_roles",
     "build_choi",
     "choi_factor",
@@ -87,7 +89,9 @@ __all__ = [
 #: ``2^20`` is a dense Choi operator at n = 5 on qubit wires.
 MAX_ENTRIES = 2**20
 
-#: An ordering of teeth as ((input_label, output_label), ...) pairs.
+#: An ordering of teeth as ((input_label, output_label), ...) pairs, first
+#: to last.  Every order the package builds holds the shared pairs of
+#: :func:`tooth`, so a kept order costs one n-tuple of references.
 CausalOrder = tuple[tuple[str, str], ...]
 
 
@@ -107,6 +111,13 @@ def input_label(i: int) -> str:
 
 def output_label(j: int) -> str:
     return f"B{j}"
+
+
+@cache
+def tooth(input_label: str, output_label: str) -> tuple[str, str]:
+    """The tooth ``(input_label, output_label)``, one tuple per label pair: every
+    order the package builds is made of these, and compares equal to fresh pairs."""
+    return input_label, output_label
 
 
 def wire_roles(labels: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -150,10 +161,15 @@ class CombSpec:
     output_perm : same for output wire numbers.
     metadata : free-form provenance (generator name, seed, achieved floors).
 
+    ``n``, the dimensions and the permutation entries are stored as ``int``;
+    one that is not a whole number (:func:`~causalcomb.tensors.is_whole`), a
+    boolean included, raises ``ValueError`` naming it before any conversion.
+
     ``true_order``, ``input_labels`` and ``output_labels`` are each derived
     once, by ``functools.cached_property``, and kept in the instance
     ``__dict__`` beside :func:`verified_factor`'s memo.  They are not
     fields, so ``==``, ``repr`` and ``dataclasses.replace`` ignore them.
+    ``true_order`` is made of the shared teeth of :func:`tooth`.
     """
 
     n: int
@@ -166,6 +182,11 @@ class CombSpec:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n", "wire_dim", "memory_dim"):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
+        for name in ("input_perm", "output_perm"):
+            perm = tuple(whole(v, f"an {name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, perm)
         psi0 = np.array(self.psi0, dtype=complex)
         psi0.setflags(write=False)
         object.__setattr__(self, "psi0", psi0)
@@ -173,8 +194,6 @@ class CombSpec:
         for u in us:
             u.setflags(write=False)
         object.__setattr__(self, "unitaries", us)
-        object.__setattr__(self, "input_perm", tuple(int(v) for v in self.input_perm))
-        object.__setattr__(self, "output_perm", tuple(int(v) for v in self.output_perm))
         self._validate()
 
     def _validate(self):
@@ -202,7 +221,8 @@ class CombSpec:
 
     @cached_property
     def true_order(self) -> CausalOrder:
-        return tuple(zip(map(input_label, self.input_perm), map(output_label, self.output_perm)))
+        ins, outs = map(input_label, self.input_perm), map(output_label, self.output_perm)
+        return tuple(map(tooth, ins, outs))
 
     @cached_property
     def input_labels(self) -> tuple[str, ...]:
@@ -383,7 +403,7 @@ def choi_factor(spec: CombSpec) -> Factor:
     for u in spec.unitaries:
         w = u.reshape(d, dm, d, dm).transpose(3, 2, 0, 1) / math.sqrt(d)
         v = np.tensordot(v, w, axes=1).reshape(-1, dm)
-    labels = [wire for tooth in spec.true_order for wire in tooth]  # the rows' axes
+    labels = [wire for pair in spec.true_order for wire in pair]  # the rows' axes
     wires = sorted(labels, key=wire_key)
     perm = [labels.index(l) for l in wires] + [2 * n]
     v = v.reshape((d,) * (2 * n) + (dm,)).transpose(perm).reshape(total, dm)
@@ -565,8 +585,9 @@ def compatible_orders(
     A comb with one compatible order takes ``1 + sum(m^2 for m in 2..n)``
     nodes, where an exhaustive check scores ``(n!)^2`` orders.
 
-    Returns each compatible order, in lexicographic wire order of its pairs,
-    mapped to its :class:`CombCheck`, and the number of nodes evaluated.
+    Returns each compatible order, in lexicographic wire order of its pairs
+    and made of the shared teeth of :func:`tooth`, mapped to its
+    :class:`CombCheck`, and the number of nodes evaluated.
     ``tol`` must be a positive finite number, as for
     :func:`check_comb_condition`.
     """
@@ -588,7 +609,7 @@ def compatible_orders(
             for a in ins:
                 for b in outs:
                     if a not in done and b not in done:
-                        walk(order + ((a, b),), devs)
+                        walk(order + (tooth(a, b),), devs)
 
     walk((), ())
     return found, len(nodes)
@@ -612,8 +633,8 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
 
     Inputs vary slowest: the orders run through the input permutations in
     lexicographic order and, for each, through every output permutation.
-    The n^2 teeth ``(input_label(i), output_label(j))`` are built once per
-    call and every order is a tuple of references to them, so the list
+    Every order is a tuple of references to the n^2 shared teeth
+    ``tooth(input_label(i), output_label(j))`` (:func:`tooth`), so the list
     costs about one n-tuple per order: 1.2 MB at n = 5 (14,400 orders)
     and under 50 MB at n = 6.  Each input permutation picks its rows of
     teeth once, and each order maps the output permutation over them.
@@ -636,7 +657,7 @@ def enumerate_orders(n: int) -> list[CausalOrder]:
         )
     check_entries(math.factorial(n) ** 2, f"the list of n = {n} orders")
     wires = range(1, n + 1)
-    teeth = [[(input_label(i), output_label(j)) for j in wires] for i in wires]
+    teeth = [[tooth(input_label(i), output_label(j)) for j in wires] for i in wires]
     perms = list(permutations(range(n)))
     orders = []
     for ins in perms:
@@ -669,8 +690,8 @@ def gen_unitary_comb(
         memory_dim=memory_dim,
         psi0=random_pure_state(memory_dim, rng),
         unitaries=tuple(haar_unitary(dt, rng) for _ in range(n)),
-        input_perm=tuple(int(v) for v in input_perm),
-        output_perm=tuple(int(v) for v in output_perm),
+        input_perm=tuple(input_perm),
+        output_perm=tuple(output_perm),
         metadata={"generator": "unitary"},
     )
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combs import CausalOrder
+from .combs import CausalOrder, tooth
 from .oracle import MAX_SHOTS, OracleSession, PrepRecipe, swap_test_sample_size
 from .povm import IcPovm, frame_of, ic_povm_for_dim, reconstruct_pair, state_set_of
 from .tensors import correlation_norms
@@ -202,6 +202,9 @@ def independence_matrix(
 
 @dataclass(frozen=True)
 class FindLastResult:
+    """One last-tooth search: ``pair`` is the accepted tooth, the shared one of
+    :func:`~causalcomb.combs.tooth`, or ``None`` when every pair was rejected."""
+
     pair: tuple[str, str] | None
     swap_tests: int
     pairs_tested: int
@@ -278,7 +281,7 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
             rejections[(i, j)] = gaps[-1]
         else:  # every pair tested before this one was rejected
             worst = max(gaps, default=None)
-            return FindLastResult((i, j), swap_tests, len(rejections) + 1, rejections, worst)
+            return FindLastResult(tooth(i, j), swap_tests, len(rejections) + 1, rejections, worst)
     return FindLastResult(None, swap_tests, len(rejections), rejections)
 
 
@@ -439,7 +442,7 @@ def discover_totalorder(
     in_rank = np.argsort(-c_in, kind="stable")
     out_rank = np.argsort(c_out, kind="stable")
     order = tuple(
-        (ind.input_labels[i], ind.output_labels[j]) for i, j in zip(in_rank, out_rank)
+        tooth(ind.input_labels[i], ind.output_labels[j]) for i, j in zip(in_rank, out_rank)
     )
     diagnostics = dict(
         threshold=threshold, n_shots=ind.n_shots, estimates=ind.estimates, chi_min=chi_min,
@@ -490,11 +493,11 @@ def discover_memoryless(
     guessed = [i for i in range(len(ins)) if i not in pairing]
     for i in guessed:
         pairing[i] = leftovers.pop(0)
-    order = tuple((ins[i], outs[pairing[i]]) for i in range(len(ins)))
+    order = tuple(tooth(ins[i], outs[pairing[i]]) for i in range(len(ins)))
     c_in, c_out = _relation_counts(ind)
     diagnostics = dict(
         threshold=threshold, n_shots=ind.n_shots, estimates=ind.estimates,
-        paired_by_index=[(ins[i], outs[pairing[i]]) for i in guessed],
+        paired_by_index=[order[i] for i in guessed],
     )
     failure = NOT_MEMORYLESS if max(c_in.max(), c_out.max()) > 1 else None
     return _report("memoryless", session, start_queries, t0, order, failure, None, diagnostics)

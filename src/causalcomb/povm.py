@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .combs import check_entries
-from .tensors import Op, WireSpace, random_pure_state
+from .tensors import Op, WireSpace, random_pure_state, whole
 
 __all__ = [
     "IcPovm",
@@ -207,8 +207,12 @@ def ic_povm_for_dim(d: int, rng: np.random.Generator | None = None) -> IcPovm:
     use a randomized frame completion: ``d*d`` Haar-random rank-one
     projectors, symmetrized through ``G^{-1/2} . G^{-1/2}`` so they sum to
     the identity; draws are rejected until the frame is comfortably
-    invertible.
+    invertible.  A ``d`` below 1 or not a whole number raises ``ValueError``
+    before anything is built; a whole ``2.0`` is ``2``.
     """
+    d = whole(d, "an IC POVM's dimension")
+    if d < 1:
+        raise ValueError(f"an IC POVM needs a dimension of at least 1, got {d}")
     if d == 1:
         return IcPovm((np.eye(1),), kind="povm", name="trivial1")
     if d & (d - 1) == 0:  # power of two

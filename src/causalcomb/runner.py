@@ -40,7 +40,7 @@ from .discovery import (
 )
 from .oracle import OracleConfig, OracleSession
 from .povm import povm_preset
-from .serialize import is_whole
+from .tensors import is_whole
 
 __all__ = [
     "ConfigError",

@@ -7,13 +7,13 @@ innermost pairs; every file carries a ``format_version`` field.
 from __future__ import annotations
 
 import json
-import numbers
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .combs import CombSpec
+from .tensors import whole
 
 FORMAT_VERSION = 1
 #: The keys :func:`comb_from_dict` reads; ``metadata`` is optional.
@@ -34,22 +34,7 @@ __all__ = [
     "save_json",
     "load_json",
     "jsonable",
-    "is_whole",
 ]
-
-
-def is_whole(value) -> bool:
-    """Whether ``value`` is a whole number: ``0``, ``3`` or ``3.0``, never
-    ``2.6``, ``-1``, ``True`` or ``"3"``.  A boolean is not a number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return value >= 0 and (isinstance(value, numbers.Integral) or float(value).is_integer())
-
-
-def _whole(key: str, value) -> int:
-    if not is_whole(value):
-        raise ValueError(f"comb file: {key} must be a non-negative whole number, got {value!r}")
-    return int(value)
 
 
 def encode_vector(v: np.ndarray) -> list:
@@ -104,13 +89,13 @@ def comb_from_dict(data: dict) -> CombSpec:
         if not isinstance(data.get(key, kind()), kind):
             raise ValueError(f"comb file: {key} must be a {kind.__name__}, got {data[key]!r}")
     return CombSpec(
-        n=_whole("n", data["n"]),
-        wire_dim=_whole("d_A", data["d_A"]),
-        memory_dim=_whole("d_M", data["d_M"]),
+        n=whole(data["n"], "comb file: n"),
+        wire_dim=whole(data["d_A"], "comb file: d_A"),
+        memory_dim=whole(data["d_M"], "comb file: d_M"),
         psi0=_decode(data["psi0"], 1, "comb file: psi0"),
         unitaries=tuple(_decode(data["unitaries"], 3, "comb file: unitaries")),
-        input_perm=tuple(_whole("sigma_true", v) for v in data["sigma_true"]),
-        output_perm=tuple(_whole("pi_true", v) for v in data["pi_true"]),
+        input_perm=tuple(whole(v, "comb file: sigma_true") for v in data["sigma_true"]),
+        output_perm=tuple(whole(v, "comb file: pi_true") for v in data["pi_true"]),
         metadata=dict(data.get("metadata", {})),
     )
 

@@ -17,6 +17,7 @@ A comb's low-rank factor ``C = V V^H`` is not an ``Op``: it is a
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,6 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "is_whole",
+    "whole",
     "WireSpace",
     "Op",
     "wire_key",
@@ -53,6 +56,24 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _LABEL_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
 
+def is_whole(value) -> bool:
+    """Whether ``value`` is a whole number: ``0``, ``3`` or ``3.0``, never
+    ``2.6``, ``-1``, ``True`` or ``"3"``.  A boolean is not a number."""
+    if type(value) is int:  # the common case, without the ABC checks
+        return value >= 0
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return value >= 0 and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
+def whole(value, what: str) -> int:
+    """``value`` as an ``int`` if it :func:`is_whole`; else ``ValueError``
+    naming ``what``, before anything converts it."""
+    if not is_whole(value):
+        raise ValueError(f"{what} must be a non-negative whole number, got {value!r}")
+    return int(value)
+
+
 def wire_key(label: str):
     """Natural sort key for wire labels: ``A2`` before ``A10``, ``A`` before ``B``."""
     m = _LABEL_RE.match(label)
@@ -64,14 +85,15 @@ def wire_key(label: str):
 
 @dataclass(frozen=True)
 class WireSpace:
-    """Ordered collection of named wires with dimensions."""
+    """Ordered collection of named wires with dimensions, each a whole number
+    of at least 1 stored as ``int``; any other, ``2.7`` or ``True``, raises ``ValueError``."""
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(whole(d, "a wire dimension") for d in self.dims))
         if len(self.labels) != len(self.dims):
             raise ValueError("labels and dims must have equal length")
         if len(set(self.labels)) != len(self.labels):

@@ -9,6 +9,7 @@ import pytest
 
 from causalcomb import cli
 from causalcomb.cli import format_order, main, parse_order
+from causalcomb.combs import tooth
 from causalcomb.runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, dispatch
 from causalcomb.serialize import load_comb
 
@@ -26,6 +27,12 @@ def test_order_string_roundtrip():
         parse_order("A1B1")
     with pytest.raises(ValueError):
         parse_order("A1:")
+
+
+def test_a_parsed_order_is_made_of_the_shared_teeth():
+    order = parse_order("A2:B1, A1:B2")
+    assert order == (("A2", "B1"), ("A1", "B2"))
+    assert all(pair is tooth(*pair) for pair in order)
 
 
 def test_gen_writes_loadable_comb(capsys, tmp_path):

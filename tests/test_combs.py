@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import reference_correlation_norm
+from test_verdict_pins import PINS
+from test_verdict_pins import _comb as _verdict_comb
 
 import causalcomb.combs as combs
 from causalcomb.combs import (
@@ -17,6 +19,7 @@ from causalcomb.combs import (
     RejectionBudgetError,
     build_choi,
     check_comb_condition,
+    compatible_orders,
     enumerate_orders,
     gen_fig3_comb,
     gen_memoryless_comb,
@@ -230,6 +233,23 @@ def test_enumerate_orders_share_their_teeth():
     assert len({id(tooth) for order in orders for tooth in order}) == 25
 
 
+def test_tooth_is_one_tuple_per_label_pair():
+    pair = combs.tooth("A2", "B1")
+    assert pair == ("A2", "B1") and type(pair) is tuple
+    assert combs.tooth("A" + "2", "B" + "1") is pair
+
+
+@pytest.mark.parametrize("cell", list(PINS), ids=lambda c: "-".join(map(str, c)))
+def test_every_order_the_module_builds_is_made_of_the_shared_teeth(cell):
+    """``true_order``, the keys of ``compatible_orders`` and ``enumerate_orders``
+    hold the one tuple ``tooth`` keeps for each label pair."""
+    spec = _verdict_comb(*cell)
+    found, _ = compatible_orders(spec)
+    assert spec.true_order in found
+    for order in [spec.true_order, *found, *enumerate_orders(spec.n)]:
+        assert all(pair is combs.tooth(*pair) for pair in order)
+
+
 def test_enumerate_orders_memory():
     # building fresh pairs for every order takes about 12 MB at n = 5
     tracemalloc.start()
@@ -372,6 +392,28 @@ def test_comb_spec_refuses_a_dimension_below_one(wire_dim, memory_dim, name):
         for constant_tooth in (False, True):
             with pytest.raises(ValueError, match="^wire_dim must be at least 1"):
                 gen_memoryless_comb(2, 0, rng, constant_tooth)
+
+
+@pytest.mark.parametrize(
+    "name, value, says",
+    [("n", True, "n"), ("n", 2.5, "n"), ("wire_dim", 2.5, "wire_dim"),
+     ("wire_dim", False, "wire_dim"), ("memory_dim", True, "memory_dim"),
+     ("memory_dim", 1.5, "memory_dim"), ("input_perm", (1.5, 2), "an input_perm entry"),
+     ("output_perm", (2, 1.9), "an output_perm entry"),
+     ("input_perm", (True, 2), "an input_perm entry"),
+     ("output_perm", (2, "1"), "an output_perm entry")],
+)
+def test_comb_spec_refuses_a_size_or_wire_number_that_is_not_whole(name, value, says):
+    """``(1.5, 2)`` used to become ``(1, 2)`` and pass, and ``n = True`` one
+    tooth; each is refused by name before any conversion.  A whole ``2.0``,
+    which as ``wire_dim`` used to fail later with a ``TypeError``, is ``2``."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0), (1, 2), (2, 1))
+    with pytest.raises(ValueError, match=f"^{says} must be a non-negative whole number, got"):
+        replace(spec, **{name: value})
+    floats = replace(spec, n=2.0, wire_dim=2.0, memory_dim=np.float64(2.0),
+                     input_perm=(1.0, 2.0), output_perm=np.array([2, 1]))
+    ints = (floats.n, floats.wire_dim, floats.memory_dim, *floats.input_perm, *floats.output_perm)
+    assert ints == (2, 2, 2, 1, 2, 2, 1) and all(type(v) is int for v in ints)
 
 
 def test_memoryless_constant_tooth_hides_one_output():

@@ -32,6 +32,7 @@ from causalcomb.combs import (
     gen_signaling_comb,
     gen_totalorder_comb,
     gen_unitary_comb,
+    tooth,
 )
 from causalcomb.discovery import (
     ASSUMPTION_VIOLATED,
@@ -740,3 +741,27 @@ def test_the_pair_test_accepts_exactly_the_last_teeth_of_compatible_orders(cell)
         if not any(gap > 1e-6 for gap in discovery._pair_gaps(session, i, j, 1e-6, 0.05))
     }
     assert accepted == last_teeth
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_every_emitted_order_is_made_of_the_shared_teeth(mode):
+    """Each tooth of an emitted order, of a stage's accepted pair and of a
+    guessed pair is the one tuple ``tooth`` holds for its labels, so a kept
+    order costs one n-tuple of references."""
+    sic, reports = sic_qubit(), []
+    for n in (2, 3, 4):
+        rng = np.random.default_rng([9, n])
+        spec = gen_totalorder_comb(n, 2, 2, rng, corr_floor=0.05)
+        chi = spec.metadata["achieved_chi_min"]
+        reports.append(discover_general(_session(spec, mode, seed=n), delta=1e-3))
+        reports.append(discover_totalorder(_session(spec, mode, seed=n), sic, 10_000, chi))
+        spec = gen_memoryless_comb(n, 2, rng, constant_tooth=True)
+        reports.append(discover_memoryless(_session(spec, mode, seed=n), sic, 10_000, 0.1))
+    guessed = 0
+    for report in reports:
+        diag = report.diagnostics
+        pairs = [s["pair"] for s in diag.get("stages", [])] + diag.get("paired_by_index", [])
+        guessed += len(diag.get("paired_by_index", []))
+        assert report.order is not None and None not in pairs
+        assert all(pair is tooth(*pair) for pair in [*report.order, *pairs])
+    assert guessed  # some constant tooth was paired by index

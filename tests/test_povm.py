@@ -144,6 +144,24 @@ def test_povm_preset_names():
 
 
 @pytest.mark.parametrize(
+    "build, says",
+    [(lambda: ic_povm_for_dim(0), "needs a dimension of at least 1, got 0"),
+     (lambda: povm_preset("sic0", 0), "needs a dimension of at least 1, got 0"),
+     (lambda: povm_preset("random-ic:0", 0), "needs a dimension of at least 1, got 0"),
+     (lambda: ic_povm_for_dim(-1, np.random.default_rng(0)), "must be a non-negative whole"),
+     (lambda: ic_povm_for_dim(True), "must be a non-negative whole number, got True"),
+     (lambda: ic_povm_for_dim(2.5), "must be a non-negative whole number, got 2.5")],
+    ids=["d=0", "sic0", "random-ic", "d=-1", "d=True", "d=2.5"],
+)
+def test_a_dimension_below_one_or_not_whole_has_no_ic_povm(build, says):
+    """``d = 0`` passed the power-of-two test ``d & (d - 1) == 0`` and got the
+    two-dimensional SIC, ``True`` the trivial POVM and ``2.0`` a ``TypeError``."""
+    with pytest.raises(ValueError, match=f"^an IC POVM('s dimension)? {says}"):
+        build()
+    assert ic_povm_for_dim(2.0).name == "sic2"
+
+
+@pytest.mark.parametrize(
     "name, dim, why",
     [
         ("sicX", 2, "'X' is not a dimension"),

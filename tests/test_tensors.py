@@ -36,6 +36,15 @@ def test_wire_key_natural_sort():
     assert sorted(labels, key=wire_key) == ["A1", "A2", "A10", "B1", "B2", "B10"]
 
 
+@pytest.mark.parametrize("dim", [2.7, True, -2, "2", None])
+def test_wire_space_refuses_a_dimension_that_is_not_whole(dim):
+    """``2.7`` used to become a dimension of 2; a whole ``2.0`` is still 2."""
+    with pytest.raises(ValueError, match="^a wire dimension must be a non-negative whole number"):
+        WireSpace(("A1", "B1"), (2, dim))
+    space = WireSpace(("A1", "B1"), (2.0, np.int64(3)))
+    assert space.dims == (2, 3) and all(type(d) is int for d in space.dims)
+
+
 def test_op_is_immutable():
     op = _bell_op()
     with pytest.raises(ValueError):
