@@ -164,6 +164,9 @@ class CombSpec:
     ``n``, the dimensions and the permutation entries are stored as ``int``;
     one that is not a whole number (:func:`~causalcomb.tensors.is_whole`), a
     boolean included, raises ``ValueError`` naming it before any conversion.
+    A NaN or infinite entry in ``psi0`` or in a unitary raises ``ValueError``
+    naming the field, as a state that is not normalized or a matrix that is
+    not unitary does.
 
     ``true_order``, ``input_labels`` and ``output_labels`` are each derived
     once, by ``functools.cached_property``, and kept in the instance
@@ -210,13 +213,18 @@ class CombSpec:
             raise ValueError(f"output_perm {self.output_perm} is not a permutation of 1..n")
         if self.psi0.shape != (self.memory_dim,):
             raise ValueError("psi0 shape mismatch with memory_dim")
-        if abs(np.linalg.norm(self.psi0) - 1.0) > 1e-9:
+        # finite first, and `not <=` so that a NaN fails each comparison
+        if not np.isfinite(self.psi0).all():
+            raise ValueError("psi0 has a non-finite entry")
+        if not abs(np.linalg.norm(self.psi0) - 1.0) <= 1e-9:
             raise ValueError("psi0 must be normalized")
         dt = self.wire_dim * self.memory_dim
         for t, u in enumerate(self.unitaries):
             if u.shape != (dt, dt):
                 raise ValueError(f"tooth {t} unitary has shape {u.shape}, expected {(dt, dt)}")
-            if np.abs(u @ u.conj().T - np.eye(dt)).max() > 1e-9:
+            if not np.isfinite(u).all():
+                raise ValueError(f"tooth {t} matrix has a non-finite entry")
+            if not np.abs(u @ u.conj().T - np.eye(dt)).max() <= 1e-9:
                 raise ValueError(f"tooth {t} matrix is not unitary")
 
     @cached_property

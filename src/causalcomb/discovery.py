@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combs import CausalOrder, tooth
-from .oracle import MAX_SHOTS, OracleSession, PrepRecipe, swap_test_sample_size
+from .oracle import MAX_SHOTS, OracleSession, swap_test_sample_size
 from .povm import IcPovm, frame_of, ic_povm_for_dim, reconstruct_pair, state_set_of
 from .tensors import correlation_norms
 
@@ -213,11 +213,13 @@ class FindLastResult:
 
 
 @functools.cache
-def _probe_states(dim: int) -> tuple[np.ndarray, ...]:
-    # deterministic IC probe set; seeded construction for exotic dimensions.
-    # The elements are frozen arrays, so every caller may share them.
+def _probe_states(dim: int) -> np.ndarray:
+    """The deterministic IC probe set on dimension ``dim``, one read-only stack
+    ``(dim^2, dim, dim)`` that every caller shares; seeded for exotic dimensions."""
     povm = ic_povm_for_dim(dim, np.random.default_rng(0))
-    return state_set_of(povm).elements
+    probes = state_set_of(povm).stack()
+    probes.setflags(write=False)
+    return probes
 
 
 def _swap_budget(session: OracleSession, delta: float, kappa: float) -> tuple[float, int]:
@@ -244,16 +246,19 @@ def _pair_gaps(session: OracleSession, i: str, j: str, delta: float, kappa: floa
     """The last-tooth test of (input ``i``, output ``j``): its gaps, in probe order.
 
     Gap ``k`` is ``||rho_1 - rho_k||_2^2 = p1 + pk - 2 p1k`` from swap tests on the states left
-    by probe states 1 and ``k`` fed into ``i``, ``j`` discarded.  The gaps end at the first over
+    by probe states 1 and ``k`` fed into ``i``, ``j`` discarded.  The pair opens one batch of swap
+    tests over the whole probe stack (:meth:`~causalcomb.oracle.OracleSession.swap_tests`) and
+    reads ``p1``, then ``pk`` and ``p1k`` for each ``k``.  The gaps end at the first over
     ``delta``, if any; the pair is accepted when none exceeds it, after ``2 len(gaps) + 1`` tests.
     """
     eps, _ = _swap_budget(session, delta, kappa)
-    first, *rest = [PrepRecipe(i, s, j) for s in _probe_states(session.dim_of(i))]
-    p1 = session.overlap_estimate(first, first, eps, kappa)
+    probes = _probe_states(session.dim_of(i))
+    estimate = session.swap_tests(i, j, probes, eps, kappa)
+    p1 = estimate(0, 0)
     gaps: list[float] = []
-    for recipe in rest:
-        pk = session.overlap_estimate(recipe, recipe, eps, kappa)
-        p1k = session.overlap_estimate(first, recipe, eps, kappa)
+    for k in range(1, len(probes)):
+        pk = estimate(k, k)
+        p1k = estimate(0, k)
         gaps.append(p1 + pk - 2.0 * p1k)
         if gaps[-1] > delta:
             break

@@ -6,8 +6,9 @@ exposes only what a lab could do with the physical process: run batches
 of prepare-and-measure shots, each measuring every wire with one POVM
 (``sample_batch``), read every (input, output) pair's frequencies from
 one batch as one stack (``pair_frequencies``), estimate state overlaps
-by destructive swap circuits (``overlap_estimate``), and wire a tooth
-shut (``reduce``).  The hidden spec and its Choi operator are private
+by destructive swap circuits (``swap_tests``, one batch per tested pair,
+and ``overlap_estimate``, its two-state case), and wire a tooth shut
+(``reduce``).  The hidden spec and its Choi operator are private
 attributes with no accessor; discovery code sees statistics only, and
 the session alone decides how they are drawn in each mode and what they
 bill.  It reads the operator only through its factor, a
@@ -17,12 +18,13 @@ Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
 overlap estimate at accuracy ``eps`` and confidence ``kappa`` costs
 ``2 * ceil(2 * eps^-2 * log(2 / kappa))`` invocations (two state
-preparations per swap circuit run).  In exact mode an estimate is the
-true overlap and a batch's pair frequencies are Born probabilities; the
-charging policy decides whether those virtual runs and shots are still
-billed (``"theoretical"``) or only real invocations count (``"actual"``,
-the default).  One rule, ``OracleSession._bill``, applies it to every
-charge.
+preparations per swap circuit run), billed when the estimate is read;
+opening a batch of swap tests bills nothing.  In exact mode an estimate
+is the true overlap and a batch's pair frequencies are Born
+probabilities; the charging policy decides whether those virtual runs
+and shots are still billed (``"theoretical"``) or only real invocations
+count (``"actual"``, the default).  One rule, ``OracleSession._bill``,
+applies it to every charge.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -85,6 +87,15 @@ def swap_test_sample_size(eps: float, kappa: float) -> int:
         raise ValueError(f"eps = {eps} is too small: its circuit runs overflow a float") from None
 
 
+def _drawable_runs(eps: float, kappa: float) -> int:
+    """:func:`swap_test_sample_size`, refused with ``ValueError`` past a 64-bit
+    count, the most a binomial draw takes."""
+    n = swap_test_sample_size(eps, kappa)
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"eps = {eps} needs {n} circuit runs, more than a 64-bit count holds")
+    return n
+
+
 def swap_test_estimate(
     overlap: float, eps: float, kappa: float, rng: np.random.Generator
 ) -> float:
@@ -97,9 +108,7 @@ def swap_test_estimate(
     directly is statistically identical.  An ``N`` beyond a 64-bit count,
     the draw's limit, raises ``ValueError`` before anything is drawn.
     """
-    n = swap_test_sample_size(eps, kappa)
-    if n > np.iinfo(np.int64).max:
-        raise ValueError(f"eps = {eps} needs {n} circuit runs, more than a 64-bit count holds")
+    n = _drawable_runs(eps, kappa)
     p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
     accepts = rng.binomial(n, p)
     return 2.0 * accepts / n - 1.0
@@ -239,8 +248,6 @@ class OracleSession:
         self._factor = factor
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
-        # ((input, discard), swap operator, {state bytes: the state fed into it})
-        self._swap_slot: tuple | None = None
 
     def reduce(self, input_label: str, output_label: str) -> "OracleSession":
         """Session for the comb with one tooth wired shut.
@@ -425,41 +432,70 @@ class OracleSession:
     ) -> float:
         """Estimate ``Tr[rho_a rho_b]`` for two preparation recipes.
 
-        Sampled mode runs ``N = ceil(2 eps^-2 log(2/kappa))`` simulated
-        swap circuits (2N queries), and refuses an ``N`` past a 64-bit count
-        (:func:`swap_test_estimate`) before it bills.  Exact mode returns the
-        true overlap; the theoretical policy still bills the 2N virtual
-        invocations.
-        ``kappa`` is the failure probability of this one estimate.
-
-        Both recipes feed one input and discard one output.  One slot holds
-        the swap operator ``W`` of the current pair.  Each distinct state
-        ``s_a`` is fed into ``W`` once, leaving ``M_a`` on the copy, and the
-        overlap is ``Tr[d s_b^T M_a] = d sum(M_a * s_b)``.
+        Both recipes must feed one input and discard one output, else
+        ``ValueError``.  This is the two-state case of :meth:`swap_tests`:
+        it opens a batch on the two states, with that method's refusals and
+        in its order, and reads its one estimate.  Sampled mode runs
+        ``N = ceil(2 eps^-2 log(2/kappa))`` simulated swap circuits (2N
+        queries); exact mode returns the true overlap, and the theoretical
+        policy still bills the 2N virtual invocations.  ``kappa`` is the
+        failure probability of this one estimate.
         """
-        n = swap_test_sample_size(eps, kappa)
+        swap_test_sample_size(eps, kappa)
         pair = (recipe_a.input_label, recipe_a.discard_label)
         other = (recipe_b.input_label, recipe_b.discard_label)
         if other != pair:
             raise ValueError(f"recipes feed and discard different wires: {pair} vs {other}")
-        d = self.dim_of(pair[0])
-        s_a = np.asarray(recipe_a.state, dtype=complex)
-        s_b = np.asarray(recipe_b.state, dtype=complex)
-        for state in (s_a, s_b):
-            if state.shape != (d, d):
-                raise ValueError(f"prep state shape {state.shape} != wire dim {d}")
-        if self._swap_slot is None or self._swap_slot[0] != pair:
-            self._check_pair(*pair)
-            space = WireSpace((pair[0], f"{pair[0]}'"), (d, d))
-            self._swap_slot = (pair, Op(space, self._factor.swap_matrix(*pair)), {})
-        _, swap_op, fed = self._swap_slot
-        key = s_a.tobytes()
-        if key not in fed:
-            fed[key] = contract_wire(swap_op, pair[0], d * s_a.T).matrix
-        # sum(M_a * s_b), not np.vdot: M_a must not be conjugated
-        overlap = float(d * (fed[key].ravel() @ s_b.ravel()).real)
+        estimate = self.swap_tests(*pair, (recipe_a.state, recipe_b.state), eps, kappa)
+        return estimate(0, 1)
+
+    def swap_tests(
+        self, input_label: str, discard_label: str, states, eps: float, kappa: float
+    ) -> Callable[[int, int], float]:
+        """One batch of swap tests on the states that ``states`` leave behind.
+
+        State ``a`` of ``states``, a stack ``(K, d, d)`` or a sequence of
+        ``(d, d)`` states, is fed into ``input_label`` with
+        ``discard_label`` discarded, which leaves ``rho_a``.  Returns
+        ``estimate(a, b)``, the swap test of ``Tr[rho_a rho_b]`` at accuracy
+        ``eps`` and confidence ``kappa``, as :meth:`overlap_estimate` runs
+        it: each call makes sampled mode's draw (:func:`swap_test_estimate`)
+        and only then bills ``2N`` as ``swap_test``, in call order.
+
+        Opening the batch bills nothing and draws nothing.  It refuses, in
+        this order, an ``eps`` or ``kappa`` out of range
+        (:func:`swap_test_sample_size`), an input that is no wire, a state
+        of another shape than ``(d, d)``, labels that name no input and
+        output (:meth:`_check_pair`), and in sampled mode an ``N`` past a
+        64-bit count.  It then builds the pair's swap operator ``W``
+        (:meth:`~causalcomb.combs.Factor.swap_matrix`) once, feeds the
+        whole stack into it with one :func:`~causalcomb.tensors.contract_wire`
+        call, which leaves ``M_a`` on the copy for each state, and reads
+        every exact overlap ``Tr[d s_b^T M_a] = d sum(M_a * s_b)`` off one
+        product.
+        """
+        n = swap_test_sample_size(eps, kappa)
+        d = self.dim_of(input_label)
+        for state in states:
+            if np.shape(state) != (d, d):
+                raise ValueError(f"prep state shape {np.shape(state)} != wire dim {d}")
+        self._check_pair(input_label, discard_label)
         if self.mode == "sampled":
-            # drawn before the bill, so a refused draw bills nothing
-            overlap = swap_test_estimate(overlap, eps, kappa, self._rng)
-        self._bill("swap_test", 2 * n)
-        return overlap
+            _drawable_runs(eps, kappa)
+        states = np.asarray(states, dtype=complex).reshape(-1, d, d)
+        space = WireSpace((input_label, f"{input_label}'"), (d, d))
+        swap_op = Op(space, self._factor.swap_matrix(input_label, discard_label))
+        fed = contract_wire(swap_op, input_label, d * states.transpose(0, 2, 1))
+        # sum(M_a * s_b), unconjugated, as one (1, d^2) @ (d^2, 1) product per
+        # pair (a, b): the kernel, and so the bits, of a lone pair's dot
+        rows, cols = fed.reshape(len(fed), 1, 1, -1), states.reshape(1, len(states), -1, 1)
+        overlaps = d * np.matmul(rows, cols)[..., 0, 0].real
+
+        def estimate(a: int, b: int) -> float:
+            overlap = float(overlaps[a, b])
+            if self.mode == "sampled":
+                overlap = swap_test_estimate(overlap, eps, kappa, self._rng)
+            self._bill("swap_test", 2 * n)
+            return overlap
+
+        return estimate

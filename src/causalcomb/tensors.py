@@ -219,26 +219,28 @@ def sort_wires(x: Op) -> Op:
     return reorder(x, sorted(x.labels, key=wire_key))
 
 
-def contract_wire(x: Op, label: str, k: np.ndarray) -> Op:
+def contract_wire(x: Op, label: str, k: np.ndarray) -> np.ndarray:
     """Apply ``k`` to one wire and trace that wire out.
 
-    Returns ``Tr_w[(k_w (x) 1) x]`` as an operator on the remaining wires.
-    This is the workhorse for feeding states into a Choi operator (use
-    ``k = d * state.T``) and for accumulating measurement elements
-    (use ``k = povm_element``).
+    Returns the matrix ``Tr_w[(k_w (x) 1) x]`` on the remaining wires, in
+    ``x``'s order.  ``k`` is one ``(d, d)`` kernel or a stack ``(..., d, d)``
+    of them, contracted in one ``einsum``; a stack gives one matrix per
+    kernel, each bit for bit the matrix of its own call.  A kernel whose last
+    two axes are not ``(d, d)`` raises ``ValueError``.  This is the workhorse
+    for feeding states into a Choi operator (use ``k = d * state.T``) and for
+    accumulating measurement elements (use ``k = povm_element``).
     """
     w = x.space.index(label)
-    labels, dims = x.labels, x.space.dims
+    dims = x.space.dims
     d = dims[w]
     k = np.asarray(k, dtype=complex)
-    if k.shape != (d, d):
+    if k.shape[-2:] != (d, d):
         raise ValueError(f"contraction kernel shape {k.shape} != wire dim {d}")
     pre, post = math.prod(dims[:w]), math.prod(dims[w + 1 :])
     t = x.matrix.reshape(pre, d, post, pre, d, post)
     # Tr_w[(K x 1) X] contracts K[r, s] against X[row_w = s, col_w = r].
-    res = np.einsum("asbtrc,rs->abtc", t, k)
-    space = WireSpace(labels[:w] + labels[w + 1 :], dims[:w] + dims[w + 1 :])
-    return Op(space, res.reshape(space.dim, space.dim))
+    res = np.einsum("asbtrc,...rs->...abtc", t, k)
+    return res.reshape(k.shape[:-2] + (pre * post, pre * post))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,25 @@ def test_a_tol_that_is_not_positive_and_finite_exits_2(capsys, tmp_path, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--enumerate"), ("discover",)])
+@pytest.mark.parametrize("field, says", [("unitaries", "tooth 1 matrix"), ("psi0", "psi0")])
+def test_a_comb_file_with_a_nan_entry_exits_2(capsys, tmp_path, argv, field, says):
+    """``verify`` exited 3 with "numerical error: SVD did not converge", and
+    ``discover`` refused only through "the Choi operator has trace nan"."""
+    path = tmp_path / "nan.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "3", "--seed", "1", "-o", str(path))
+    data = json.loads(path.read_text())
+    if field == "psi0":
+        data["psi0"][0][0] = float("nan")
+    else:
+        data["unitaries"][1][0][1][0] = float("nan")
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert err.splitlines() == [f"error: {says} has a non-finite entry"]
+    assert out == ""
+
+
 def test_discover_names_the_pairs_it_guessed(capsys, tmp_path):
     """fig3 looks uncorrelated pair by pair, so memoryless guesses all three."""
     path = tmp_path / "f.json"

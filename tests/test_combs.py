@@ -197,7 +197,8 @@ def test_removing_nonfinal_tooth_depends_on_fed_state():
     choi = build_choi(spec)
 
     def residual(in_label, out_label, state):
-        fed = contract_wire(choi, in_label, 2.0 * state.T)
+        rest = [l for l in choi.labels if l != in_label]
+        fed = Op(choi.space.restrict(rest), contract_wire(choi, in_label, 2.0 * state.T))
         keep = [l for l in fed.labels if l != out_label]
         return partial_trace(fed, keep)
 
@@ -414,6 +415,22 @@ def test_comb_spec_refuses_a_size_or_wire_number_that_is_not_whole(name, value, 
                      input_perm=(1.0, 2.0), output_perm=np.array([2, 1]))
     ints = (floats.n, floats.wire_dim, floats.memory_dim, *floats.input_perm, *floats.output_perm)
     assert ints == (2, 2, 2, 1, 2, 2, 1) and all(type(v) is int for v in ints)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 0)])
+@pytest.mark.parametrize("field, says", [("psi0", "psi0"), ("unitaries", "tooth 1 matrix")])
+def test_comb_spec_refuses_a_non_finite_entry_by_its_field(value, field, says):
+    """A NaN passed every ``> 1e-9`` comparison, so a comb with a NaN in a
+    unitary or in ``psi0`` was built, and failed later in an SVD or a trace."""
+    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(0))
+    if field == "psi0":
+        bad = np.array(spec.psi0)
+        bad[1] = value
+    else:
+        bad = [np.array(u) for u in spec.unitaries]
+        bad[1][2, 3] = value
+    with pytest.raises(ValueError, match=f"^{says} has a non-finite entry$"):
+        replace(spec, **{field: bad})
 
 
 def test_memoryless_constant_tooth_hides_one_output():

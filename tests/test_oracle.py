@@ -574,7 +574,9 @@ def test_prepare_rejects_a_discard_label_that_is_no_output_wire():
             session.overlap_estimate(bad, bad, eps=0.1, kappa=0.05)
     assert session.query_count == 0
     good = PrepRecipe("A1", proj, discard_label="B1")
-    rho = partial_trace(contract_wire(build_choi(spec), "A1", 2 * proj.T), ["A2", "B2"])
+    choi = build_choi(spec)
+    fed = Op(choi.space.restrict(["A2", "B1", "B2"]), contract_wire(choi, "A1", 2 * proj.T))
+    rho = partial_trace(fed, ["A2", "B2"])
     got = session.overlap_estimate(good, good, eps=0.1, kappa=0.05)
     assert got == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, abs=1e-12)
 
@@ -632,6 +634,75 @@ def test_query_policies():
     theo = OracleSession(spec, OracleConfig(query_policy="theoretical"))
     theo.overlap_estimate(r0, r0, eps=0.1, kappa=0.05)
     assert theo.query_count == 2 * 738
+
+
+def _batch_session(mode, log=None):
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(43))
+    config = OracleConfig(mode=mode, seed=44, query_policy="theoretical", query_log=log)
+    return OracleSession(spec, config)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_a_batch_bills_nothing_when_opened_and_each_read_in_read_order(mode):
+    """Each read is the swap test ``overlap_estimate`` runs on its two states:
+    the same estimate from the same draw, and ``2N`` billed as it is read."""
+    log = io.StringIO()
+    session, twin = _batch_session(mode, log), _batch_session(mode)
+    probes = state_set_of(sic_qubit()).stack()
+    estimate = session.swap_tests("A2", "B3", probes, 0.1, 0.05)
+    assert session.query_count == 0 and log.getvalue() == ""
+    runs = swap_test_sample_size(0.1, 0.05)
+    reads = [(0, 0), (3, 3), (0, 3), (2, 1), (0, 0)]
+    for k, (a, b) in enumerate(reads, 1):
+        recipes = PrepRecipe("A2", probes[a], "B3"), PrepRecipe("A2", probes[b], "B3")
+        assert estimate(a, b) == twin.overlap_estimate(*recipes, 0.1, 0.05)
+        assert session.query_count == twin.query_count == 2 * runs * k
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
+    assert records == [
+        {"trial": None, "op": "swap_test", "n": 2 * runs, "total": 2 * runs * k}
+        for k in range(1, len(reads) + 1)
+    ]
+
+
+_PROBES = state_set_of(sic_qubit()).stack()
+_QUTRIT = np.eye(3, dtype=complex) / 3
+
+
+_REFUSED_BATCHES = [
+    (("A1", "B1", _PROBES, 0.0, 0.05), ValueError, "need 0 < eps <= 1"),
+    (("A1", "B1", _PROBES, 0.1, 1.0), ValueError, "need 0 < eps <= 1"),
+    (("A9", "B1", _PROBES, 0.1, 0.05), KeyError, "no wire 'A9'"),
+    (("A1", "B1", [_PROBES[0], _QUTRIT], 0.1, 0.05), ValueError, r"prep state shape \(3, 3\)"),
+    (("A1", "B1", _PROBES[0], 0.1, 0.05), ValueError, r"prep state shape \(2,\)"),
+    (("B1", "B2", _PROBES, 0.1, 0.05), KeyError, "input label 'B1' is not an input wire"),
+    (("A1", "A2", _PROBES, 0.1, 0.05), KeyError, "discard label 'A2' is not an output wire"),
+    # two faults: the first in the docstring's order is the one refused
+    (("A9", "B1", _PROBES, 0.0, 0.05), ValueError, "need 0 < eps <= 1"),
+    (("A9", "A2", [_QUTRIT], 0.1, 0.05), KeyError, "no wire 'A9'"),
+    (("A1", "A2", [_QUTRIT], 0.1, 0.05), ValueError, r"prep state shape \(3, 3\)"),
+    (("A1", "A2", _PROBES, 2.5e-10, 0.05), KeyError, "discard label 'A2'"),
+]
+# exact mode runs any countable N
+_SAMPLED_ONLY = [(("A1", "B1", _PROBES, 2.5e-10, 0.05), ValueError, "more than a 64-bit count")]
+
+
+@pytest.mark.parametrize(
+    "mode, args, error, message",
+    [("exact", *row) for row in _REFUSED_BATCHES]
+    + [("sampled", *row) for row in _REFUSED_BATCHES + _SAMPLED_ONLY],
+)
+def test_a_refused_batch_bills_draws_and_logs_nothing(mode, args, error, message):
+    """A refusal comes before anything is billed or drawn: the next estimate is
+    a fresh session's."""
+    log = io.StringIO()
+    session = _batch_session(mode, log)
+    with pytest.raises(error, match=message):
+        session.swap_tests(*args)
+    assert session.query_count == 0 and log.getvalue() == ""
+    recipe = PrepRecipe("A1", _PROBES[1], "B2")
+    fresh = _batch_session(mode)
+    got = session.overlap_estimate(recipe, recipe, 0.1, 0.05)
+    assert got == fresh.overlap_estimate(recipe, recipe, 0.1, 0.05)
 
 
 def test_query_log_records_jsonl():

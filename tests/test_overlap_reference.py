@@ -4,14 +4,18 @@ The reference prepares both states of every swap test from the full Choi
 operator: feed the probe into the input wire, trace out the discarded
 output, sort the wires, and take ``Tr[rho_a rho_b]`` of the matrix
 product.  The session instead holds the Choi operator as a factor
-``V V^H``: once per (input, discard) pair it folds the input and the
-discarded output out of the rows, takes the Gram of the result on its
-smaller side, and contracts that into the swap operator, a ``d^2 x d^2``
-operator on the input and a copy of it.  Each distinct probe is fed into
-the swap operator once, and an overlap is read off against the other
-probe.  Both must give the same overlaps, the same search and the same
-bill.
+``V V^H``: once per batch of swap tests, one (input, discard) pair and a
+stack of states, it folds the input and the discarded output out of the
+rows, takes the Gram of the result on its smaller side, and contracts
+that into the swap operator, a ``d^2 x d^2`` operator on the input and a
+copy of it.  The whole stack is fed into the swap operator with one call,
+and every overlap of the batch is read off one product of the fed stack
+against the states.  Both must give the same overlaps, one at a time
+through ``overlap_estimate`` (a batch of two) or a pair's whole batch,
+the same search and the same bill.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -32,7 +36,9 @@ SHAPES = [(n, dm) for n in (2, 3, 4) for dm in (1, 2, 4)] * 2 + [(3, 2), (4, 2)]
 
 def _reference_prepare(choi, recipe):
     d = choi.dim_of(recipe.input_label)
-    fed = contract_wire(choi, recipe.input_label, d * np.asarray(recipe.state).T)
+    rest = [l for l in choi.labels if l != recipe.input_label]
+    kernel = d * np.asarray(recipe.state).T
+    fed = Op(choi.space.restrict(rest), contract_wire(choi, recipe.input_label, kernel))
     keep = [l for l in fed.labels if l != recipe.discard_label]
     return sort_wires(partial_trace(fed, keep))
 
@@ -98,7 +104,8 @@ def _with_white_noise(choi):
 
 
 def _assert_overlaps_match(session, choi, probes, rng):
-    """Every probe pair of every (input, discard) pair, in a shuffled order."""
+    """Every probe pair of every (input, discard) pair, in a shuffled order,
+    one ``overlap_estimate`` each; then each pair's batch, all its overlaps."""
     calls = [
         (i, j, a, b)
         for i in session.input_labels
@@ -110,13 +117,19 @@ def _assert_overlaps_match(session, choi, probes, rng):
         (i, j, a): _reference_prepare(choi, PrepRecipe(i, probes[a], j)).matrix
         for i, j, a, _ in calls
     }
-    # a shuffled order also replaces the session's swap operator often
+    # a shuffled order also moves between (input, discard) pairs often
     for idx in rng.permutation(len(calls)):
         i, j, a, b = calls[idx]
         ra, rb = PrepRecipe(i, probes[a], j), PrepRecipe(i, probes[b], j)
         got = session.overlap_estimate(ra, rb, eps=0.1, kappa=0.05)
         want = np.trace(ref[i, j, a] @ ref[i, j, b]).real
         assert got == pytest.approx(want, abs=1e-12)
+    for i in session.input_labels:
+        for j in session.output_labels:
+            estimate = session.swap_tests(i, j, probes, eps=0.1, kappa=0.05)
+            for a, b in itertools.product(range(len(probes)), repeat=2):
+                want = np.trace(ref[i, j, a] @ ref[i, j, b]).real
+                assert estimate(a, b) == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_overlaps_match_the_reference():
@@ -153,21 +166,22 @@ def test_wide_factor_overlaps_match_and_stay_within_the_pair_operator(monkeypatc
 
 
 def test_a_pair_feeds_each_probe_into_the_swap_operator_once(monkeypatch):
+    """One ``contract_wire`` call per tested pair, on that pair's own swap
+    operator, and its one kernel stack holds every probe, ``d s^T``."""
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(36))
     fed = []
 
     def counting(x, label, k):
-        fed.append((x, np.asarray(k).tobytes()))
+        fed.append((x, np.array(k)))
         return contract_wire(x, label, k)
 
     monkeypatch.setattr(oracle, "contract_wire", counting)
     res = find_last(OracleSession(spec), 1e-6, 0.05)
     assert res.pairs_tested > 1
-    operators = {id(x) for x, _ in fed}
-    assert len(operators) == res.pairs_tested
-    for op_id in operators:
-        kernels = [k for x, k in fed if id(x) == op_id]
-        assert len(kernels) == len(set(kernels)) <= len(PROBES)
+    assert len(fed) == len({id(x) for x, _ in fed}) == res.pairs_tested
+    kernels = 2 * np.array(PROBES).transpose(0, 2, 1)
+    for _, k in fed:
+        np.testing.assert_array_equal(k, kernels)
 
 
 def test_overlaps_and_reduction_need_no_qr(monkeypatch):

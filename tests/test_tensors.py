@@ -116,7 +116,7 @@ def test_contract_wire_feeds_a_state():
     rng = np.random.default_rng(4)
     psi = random_pure_state(2, rng)
     proj = np.outer(psi, psi.conj())
-    out = contract_wire(bell, "A1", 2.0 * proj.T)
+    out = Op(bell.space.restrict(["B1"]), contract_wire(bell, "A1", 2.0 * proj.T))
     assert out.labels == ("B1",)
     np.testing.assert_allclose(out.matrix, proj, atol=1e-12)
 
@@ -124,9 +124,30 @@ def test_contract_wire_feeds_a_state():
 def test_contract_wire_with_identity_is_partial_trace():
     rng = np.random.default_rng(5)
     joint = Op(WireSpace(("A1", "B1"), (2, 2)), random_density(4, rng=rng))
-    via_contract = contract_wire(joint, "A1", np.eye(2))
+    via_contract = Op(joint.space.restrict(["B1"]), contract_wire(joint, "A1", np.eye(2)))
     via_trace = partial_trace(joint, ["B1"])
     np.testing.assert_allclose(via_contract.matrix, via_trace.matrix, atol=1e-12)
+
+
+def test_contract_wire_on_a_kernel_stack_equals_the_per_kernel_calls_bit_for_bit():
+    rng = np.random.default_rng(6)
+    x = Op(WireSpace(("A1", "B1", "A2"), (2, 3, 2)), random_density(12, rng=rng))
+    for label in x.labels:
+        d = x.dim_of(label)
+        kernels = rng.standard_normal((2, 5, d, d)) + 1j * rng.standard_normal((2, 5, d, d))
+        stack = contract_wire(x, label, kernels)
+        assert stack.shape == (2, 5, 12 // d, 12 // d)
+        for idx in np.ndindex(2, 5):
+            one = contract_wire(x, label, kernels[idx])
+            assert one.shape == (12 // d, 12 // d)
+            assert np.array_equal(stack[idx], one)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 3), (2,), (3, 3), (2, 2, 2, 1)])
+def test_contract_wire_refuses_a_kernel_whose_last_axes_are_not_the_wire(shape):
+    x = Op(WireSpace(("A1", "B1"), (2, 2)), np.eye(4) / 4)
+    with pytest.raises(ValueError, match="contraction kernel shape .* != wire dim 2"):
+        contract_wire(x, "A1", np.ones(shape))
 
 
 @pytest.mark.parametrize("seed", range(6))
