@@ -24,8 +24,6 @@ from .povm import (
     sic_qubit,
 )
 from .tensors import (
-    Op,
-    WireSpace,
     haar_unitary,
     max_entangled_ket,
     numerical_rank,
@@ -165,11 +163,7 @@ def check_constant_channel_rank(seed: int = 0) -> CheckResult:
     lines = []
     for d, r in [(2, 1), (2, 2), (3, 2), (4, 3)]:
         sigma = random_density(d, r, rng)
-        choi = Op(
-            WireSpace(("A1", "B1"), (d, d)),
-            np.kron(np.eye(d) / d, sigma),
-        )
-        got = numerical_rank(choi)
+        got = numerical_rank(np.kron(np.eye(d) / d, sigma))
         ok &= got == d * r
         lines.append(f"d={d},rank={r}: choi rank {got} (want {d * r})")
     return CheckResult(

@@ -90,6 +90,7 @@ def _out_dir() -> Path:
 def cmd_gen(args: argparse.Namespace) -> int:
     kind, out = args.kind or next(iter(GENERATOR_KEYS)), args.out
     gen = given(vars(args), ["kind", *GENERATOR_KEYS[kind]])
+    _check_out("-o", out)  # before the draw it would throw away
     spec = generate_comb(gen, np.random.default_rng(args.seed))
     if out is None:
         out = _out_dir() / f"{kind}_n{spec.n}_d{spec.wire_dim}_s{args.seed}.json"

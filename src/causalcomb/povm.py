@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .combs import check_entries
-from .tensors import Op, WireSpace, random_pure_state, whole
+from .tensors import WireSpace, random_pure_state, whole
 
 __all__ = [
     "IcPovm",
@@ -267,17 +267,16 @@ def povm_preset(name: str, dim: int) -> IcPovm:
 # statistics
 
 
-def born_probs(povm: IcPovm, rho: np.ndarray | Op) -> np.ndarray:
-    mat = rho.matrix if isinstance(rho, Op) else np.asarray(rho)
-    return np.einsum("aij,ji->a", povm.stack(), mat).real
+def born_probs(povm: IcPovm, rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities ``Tr[E_a rho]`` of measuring the matrix ``rho`` with ``povm``."""
+    return np.einsum("aij,ji->a", povm.stack(), rho).real
 
 
-def pair_probs(povm_a: IcPovm, povm_b: IcPovm, rho_ab: np.ndarray | Op) -> np.ndarray:
+def pair_probs(povm_a: IcPovm, povm_b: IcPovm, rho_ab: np.ndarray) -> np.ndarray:
     """Joint outcome matrix ``[..., a, b]`` of a product measurement on a bipartite state,
-    or on each state of a stack ``(..., d_a d_b, d_a d_b)``."""
-    mat = rho_ab.matrix if isinstance(rho_ab, Op) else np.asarray(rho_ab)
+    or on each state of a stack ``(..., d_a d_b, d_a d_b)``; ``rho_ab`` is an array."""
     da, db = povm_a.dim, povm_b.dim
-    t = mat.reshape(mat.shape[:-2] + (da, db, da, db))
+    t = rho_ab.reshape(rho_ab.shape[:-2] + (da, db, da, db))
     return np.einsum("aij,bkl,...jlik->...ab", povm_a.stack(), povm_b.stack(), t).real
 
 
@@ -360,8 +359,8 @@ def reconstruct_pair(povm_a: IcPovm, povm_b: IcPovm, joint: np.ndarray) -> np.nd
     return (mat + mat.conj().swapaxes(-2, -1)) / 2
 
 
-def frame_norm_bounds(povm: IcPovm, rho, sigma) -> dict:
-    """Frame sandwich on the Hilbert-Schmidt distance of two states.
+def frame_norm_bounds(povm: IcPovm, rho: np.ndarray, sigma: np.ndarray) -> dict:
+    """Frame sandwich on the Hilbert-Schmidt distance of two states, given as matrices.
 
     Returns ``lower <= hs <= upper`` where the bounds are the squared
     probability-vector distance divided by the largest respectively
@@ -371,9 +370,7 @@ def frame_norm_bounds(povm: IcPovm, rho, sigma) -> dict:
     p = born_probs(povm, rho)
     q = born_probs(povm, sigma)
     gap = float(((p - q) ** 2).sum())
-    mr = rho.matrix if isinstance(rho, Op) else np.asarray(rho)
-    ms = sigma.matrix if isinstance(sigma, Op) else np.asarray(sigma)
-    hs = float(np.linalg.norm(mr - ms) ** 2)
+    hs = float(np.linalg.norm(rho - sigma) ** 2)
     return {
         "lower": gap / frame.lambda_max,
         "upper": gap / frame.lambda_min,

@@ -1,14 +1,15 @@
 """JSON round-tripping for comb specs, reports, and run summaries.
 
-Complex matrices are stored as row-major nested lists with ``[re, im]``
-innermost pairs; every file carries a ``format_version`` field.
+Reports and run summaries hold plain JSON values only. Complex matrices
+appear only in comb files, stored as row-major nested lists with
+``[re, im]`` innermost pairs; every file carries a ``format_version``
+field.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "load_comb",
     "save_json",
     "load_json",
-    "jsonable",
 ]
 
 
@@ -108,29 +108,9 @@ def load_comb(path) -> CombSpec:
     return comb_from_dict(json.loads(Path(path).read_text()))
 
 
-def jsonable(obj: Any) -> Any:
-    """Recursively coerce numpy scalars/arrays and tuples for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return encode_matrix(obj) if obj.ndim == 2 else encode_vector(obj)
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def save_json(data: dict, path) -> None:
-    payload = {"format_version": FORMAT_VERSION}
-    payload.update(jsonable(data))
-    Path(path).write_text(json.dumps(payload, indent=2))
+    """Write ``data``, a dict of plain JSON values, with ``format_version`` first."""
+    Path(path).write_text(json.dumps({"format_version": FORMAT_VERSION, **data}, indent=2))
 
 
 def load_json(path) -> dict:

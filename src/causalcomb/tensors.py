@@ -159,10 +159,6 @@ class Op:
         return self.space.dim_of(label)
 
 
-def _mat(x) -> np.ndarray:
-    return x.matrix if isinstance(x, Op) else np.asarray(x)
-
-
 # ---------------------------------------------------------------------------
 # wire algebra
 
@@ -279,8 +275,8 @@ def is_hermitian(m: np.ndarray):
     return bool(ok) if m.ndim == 2 else ok
 
 
-def trace_norm(x):
-    """Sum of singular values (Schatten 1-norm), per matrix of a stack.
+def trace_norm(m: np.ndarray):
+    """Sum of singular values (Schatten 1-norm) of the array ``m``, per matrix of a stack.
 
     A Hermitian matrix, up to a relative asymmetry of 1e-12, takes the
     eigenvalue path: its singular values are the absolute values of its
@@ -288,7 +284,6 @@ def trace_norm(x):
     matrix goes through the SVD.  One matrix gives a float; a stack
     ``(..., n, n)`` an array of its leading shape.
     """
-    m = _mat(x)
     herm = is_hermitian(m)
     if m.ndim == 2:
         s = np.abs(np.linalg.eigvalsh(m)) if herm else np.linalg.svd(m, compute_uv=False)
@@ -299,9 +294,9 @@ def trace_norm(x):
     return out
 
 
-def numerical_rank(x, tol: float = 1e-10) -> int:
+def numerical_rank(x: Op | np.ndarray, tol: float = 1e-10) -> int:
     """Number of singular values above ``tol`` times the largest one."""
-    s = np.linalg.svd(_mat(x), compute_uv=False)
+    s = np.linalg.svd(x.matrix if isinstance(x, Op) else x, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

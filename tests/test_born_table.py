@@ -229,7 +229,7 @@ def test_one_table_at_n5_stays_small():
 
 def _dense_pair_probs(choi, pair, povm):
     rho = partial_trace(choi, pair)
-    return pair_probs(povm, povm, rho) / np.trace(rho.matrix).real
+    return pair_probs(povm, povm, rho.matrix) / np.trace(rho.matrix).real
 
 
 @pytest.mark.parametrize("povm", [sic_qubit(), rank_two_povm()], ids=["sic", "rank-two"])

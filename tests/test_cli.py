@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through main() in-process."""
 
 import argparse
+import dataclasses
 import json
 import re
 import time
@@ -10,7 +11,14 @@ import pytest
 from causalcomb import cli
 from causalcomb.cli import format_order, main, parse_order
 from causalcomb.combs import tooth
-from causalcomb.runner import ALGORITHM_KEYS, GENERATOR_KEYS, ORACLE_KEYS, dispatch
+from causalcomb.runner import (
+    ALGORITHM_KEYS,
+    GENERATOR_KEYS,
+    ORACLE_KEYS,
+    RunSummary,
+    TrialResult,
+    dispatch,
+)
 from causalcomb.serialize import load_comb
 
 
@@ -378,6 +386,11 @@ def test_bench_subcommand(capsys, tmp_path):
     payload = json.loads(report.read_text())
     assert payload["successes"] == 3
     assert len(payload["results"]) == 3
+    summary_keys = [f.name for f in dataclasses.fields(RunSummary)]
+    assert list(payload) == ["format_version", "config", *summary_keys]
+    trial_keys = [f.name for f in dataclasses.fields(TrialResult)]
+    assert all(list(r) == trial_keys for r in payload["results"])
+    assert payload["config"] == json.loads(cfg.read_text())
 
 
 def test_bench_bad_config_exits_2(capsys, tmp_path):
@@ -548,11 +561,15 @@ def test_a_file_whose_top_level_is_not_an_object_exits_2(capsys, tmp_path, comma
     "argv",
     [("verify", "{dir}"), ("discover", "{dir}"), ("bench", "{dir}"),
      ("discover", "{comb}", "--query-log", "{dir}"), ("bench", "{config}", "--out", "{dir}"),
-     ("bench", "{config}", "--out", "{dir}/missing/r.json")],
-    ids=["verify", "discover", "bench", "query-log", "bench-out", "bench-out-missing-dir"],
+     ("bench", "{config}", "--out", "{dir}/missing/r.json"),
+     ("gen", "--kind", "unitary", "--n", "2", "-o", "{dir}"),
+     ("gen", "--kind", "unitary", "--n", "2", "-o", "{dir}/missing/c.json")],
+    ids=["verify", "discover", "bench", "query-log", "bench-out", "bench-out-missing-dir",
+         "gen-o", "gen-o-missing-dir"],
 )
 def test_a_directory_given_for_a_file_exits_2(capsys, tmp_path, argv):
-    """``bench --out`` used to run and print every trial before refusing."""
+    """``bench --out`` used to run and print every trial before refusing, and
+    ``gen -o`` to draw the comb first and then fail on an ``[Errno ...]``."""
     comb, config = tmp_path / "c.json", tmp_path / "b.json"
     run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
     config.write_text(json.dumps({"generator": {"kind": "unitary"}, "algorithm": {}}))
@@ -562,6 +579,8 @@ def test_a_directory_given_for_a_file_exits_2(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "c.json"]
+    if argv[0] == "gen":
+        assert err.startswith("error: -o ")
 
 
 @pytest.mark.parametrize("argv", [["--d-M", "1"], ["--d", "1"]], ids=["d_M=1", "d=1"])

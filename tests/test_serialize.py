@@ -10,7 +10,6 @@ from causalcomb.serialize import (
     FORMAT_VERSION,
     comb_from_dict,
     comb_to_dict,
-    jsonable,
     load_comb,
     load_json,
     save_comb,
@@ -63,25 +62,9 @@ def test_comb_dict_names_its_missing_keys():
     assert "'n'" not in str(info.value)
 
 
-def test_jsonable_handles_numpy_and_complex():
-    out = jsonable(
-        {
-            "a": np.float64(1.5),
-            "b": np.arange(3),
-            "c": np.array([1 + 2j]),
-            "d": (np.int64(2), "x"),
-        }
-    )
-    json.dumps(out)
-    assert out["a"] == 1.5
-    assert out["b"] == [0, 1, 2]
-    assert out["c"] == [[1.0, 2.0]]
-    assert out["d"] == [2, "x"]
-
-
 def test_save_json_injects_version(tmp_path):
     path = tmp_path / "report.json"
-    save_json({"hello": np.int32(5)}, path)
+    save_json({"hello": 5}, path)
     data = load_json(path)
     assert data["format_version"] == FORMAT_VERSION
     assert data["hello"] == 5
