@@ -50,12 +50,10 @@ from .oracle import (
 from .povm import (
     FrameOperator,
     IcPovm,
-    born_probs,
     frame_of,
     ic_povm_for_dim,
     pair_probs,
     povm_preset,
-    reconstruct,
     reconstruct_pair,
     sic_qubit,
     state_set_of,
@@ -105,7 +103,6 @@ __all__ = [
     "RunSummary",
     "TrialResult",
     "WireSpace",
-    "born_probs",
     "build_choi",
     "check_comb_condition",
     "compatible_orders",
@@ -137,7 +134,6 @@ __all__ = [
     "povm_preset",
     "random_density",
     "random_pure_state",
-    "reconstruct",
     "reconstruct_pair",
     "run_experiment",
     "run_trial",

@@ -3,8 +3,12 @@
 Each check exercises one quantitative guarantee the discovery algorithms
 rely on — estimator calibration, frame inversion, norm inequalities,
 rank bookkeeping, sampling fidelity — on seeded random instances, and
-reports a pass/fail verdict with its measured margin.  The CLI ``lemmas``
-subcommand and the acceptance suite both run :func:`lemma_suite`.
+reports a pass/fail verdict with its measured margin.  A check runs the
+function discovery runs, not a stand-in for it: the two-sided inversion
+``reconstruct_pair`` of ``pair_probs`` tables, and the product frame
+whose smallest eigenvalue ``xi_constant`` puts into every shot budget.
+The CLI ``lemmas`` subcommand and the acceptance suite both run
+:func:`lemma_suite`.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ import numpy as np
 from .combs import CombSpec, build_choi, gen_unitary_comb, trace_out_tooth
 from .discovery import correlation_error_bound, correlation_from_freqs
 from .oracle import OracleConfig, OracleSession, swap_test_estimate
-from .povm import (
-    born_probs,
-    frame_norm_bounds,
-    pair_probs,
-    reconstruct,
-    sic_qubit,
-)
+from .povm import frame_of, pair_probs, reconstruct_pair, sic_qubit
 from .tensors import (
     haar_unitary,
     max_entangled_ket,
@@ -96,14 +94,11 @@ def check_correlation_confidence(
 
 
 def check_reconstruction(seed: int = 0, trials: int = 100) -> CheckResult:
-    """Linear inversion from exact probabilities is exact."""
+    """Two-sided inversion of exact SIC x SIC tables gives back random two-qubit states."""
     rng = np.random.default_rng(seed)
     sic = sic_qubit()
-    worst = 0.0
-    for _ in range(trials):
-        rho = random_density(2, rng=rng)
-        err = np.abs(reconstruct(sic, born_probs(sic, rho)) - rho).max()
-        worst = max(worst, err)
+    rho = np.stack([random_density(4, rng=rng) for _ in range(trials)])
+    worst = float(np.abs(reconstruct_pair(sic, sic, pair_probs(sic, sic, rho)) - rho).max())
     return CheckResult(
         name="frame-reconstruction",
         passed=worst < 1e-10,
@@ -113,16 +108,24 @@ def check_reconstruction(seed: int = 0, trials: int = 100) -> CheckResult:
 
 
 def check_frame_sandwich(seed: int = 0, trials: int = 1000) -> CheckResult:
-    """Probability-vector distances bracket the Hilbert-Schmidt distance."""
+    """SIC x SIC table distances bracket the Hilbert-Schmidt distance of two-qubit states.
+
+    The product frame's eigenvalues run from ``lambda_min^2`` to
+    ``lambda_max^2`` of the qubit SIC's frame, so
+    ``lambda_min^2 ||rho - sigma||_2^2 <= ||p - q||^2 <= lambda_max^2 ||rho - sigma||_2^2``;
+    the lower side is the eigenvalue :func:`~causalcomb.discovery.xi_constant` reads.
+    """
     rng = np.random.default_rng(seed)
     sic = sic_qubit()
+    frame = frame_of(sic)
     slack = 1e-12
-    worst = np.inf
-    for _ in range(trials):
-        a = random_density(2, rng=rng)
-        b = random_density(2, rng=rng)
-        r = frame_norm_bounds(sic, a, b)
-        worst = min(worst, r["hs"] - r["lower"] + slack, r["upper"] - r["hs"] + slack)
+    pairs = np.stack([[random_density(4, rng=rng) for _ in range(2)] for _ in range(trials)])
+    probs = pair_probs(sic, sic, pairs)
+    gap = ((probs[:, 0] - probs[:, 1]) ** 2).sum(axis=(1, 2))
+    hs = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=(1, 2)) ** 2
+    lower = gap - frame.lambda_min**2 * hs
+    upper = frame.lambda_max**2 * hs - gap
+    worst = float(min(lower.min(), upper.min())) + slack
     return CheckResult(
         name="frame-sandwich",
         passed=worst >= 0,

@@ -266,6 +266,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before anything is read, written or drawn
+            raise ValueError(f"--seed must be a non-negative whole number, got {args.seed}")
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError, so it must come first
         print(f"numerical error: {exc}", file=sys.stderr)

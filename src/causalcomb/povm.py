@@ -34,12 +34,9 @@ __all__ = [
     "ic_povm_for_dim",
     "povm_preset",
     "frame_of",
-    "born_probs",
     "pair_probs",
     "product_born_table",
-    "reconstruct",
     "reconstruct_pair",
-    "frame_norm_bounds",
 ]
 
 
@@ -267,11 +264,6 @@ def povm_preset(name: str, dim: int) -> IcPovm:
 # statistics
 
 
-def born_probs(povm: IcPovm, rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities ``Tr[E_a rho]`` of measuring the matrix ``rho`` with ``povm``."""
-    return np.einsum("aij,ji->a", povm.stack(), rho).real
-
-
 def pair_probs(povm_a: IcPovm, povm_b: IcPovm, rho_ab: np.ndarray) -> np.ndarray:
     """Joint outcome matrix ``[..., a, b]`` of a product measurement on a bipartite state,
     or on each state of a stack ``(..., d_a d_b, d_a d_b)``; ``rho_ab`` is an array."""
@@ -328,17 +320,6 @@ def product_born_table(space: WireSpace, v: np.ndarray, povm: IcPovm) -> np.ndar
 # reconstruction
 
 
-def reconstruct(povm: IcPovm, probs: Sequence[float]) -> np.ndarray:
-    """Linear inversion of outcome probabilities; Hermitized, not PSD-projected."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (povm.size,):
-        raise ValueError(f"expected {povm.size} probabilities, got shape {probs.shape}")
-    vec = povm.dual @ probs
-    d = povm.dim
-    mat = vec.reshape(d, d)
-    return (mat + mat.conj().T) / 2
-
-
 def reconstruct_pair(povm_a: IcPovm, povm_b: IcPovm, joint: np.ndarray) -> np.ndarray:
     """Two-sided linear inversion of joint outcome matrices.
 
@@ -357,22 +338,3 @@ def reconstruct_pair(povm_a: IcPovm, povm_b: IcPovm, joint: np.ndarray) -> np.nd
     da, db, lead = povm_a.dim, povm_b.dim, joint.shape[:-2]
     mat = v.reshape(lead + (da, da, db, db)).swapaxes(-3, -2).reshape(lead + (da * db,) * 2)
     return (mat + mat.conj().swapaxes(-2, -1)) / 2
-
-
-def frame_norm_bounds(povm: IcPovm, rho: np.ndarray, sigma: np.ndarray) -> dict:
-    """Frame sandwich on the Hilbert-Schmidt distance of two states, given as matrices.
-
-    Returns ``lower <= hs <= upper`` where the bounds are the squared
-    probability-vector distance divided by the largest respectively
-    smallest frame eigenvalue, and ``hs`` is ``||rho - sigma||_2^2``.
-    """
-    frame = frame_of(povm)
-    p = born_probs(povm, rho)
-    q = born_probs(povm, sigma)
-    gap = float(((p - q) ** 2).sum())
-    hs = float(np.linalg.norm(rho - sigma) ** 2)
-    return {
-        "lower": gap / frame.lambda_max,
-        "upper": gap / frame.lambda_min,
-        "hs": hs,
-    }

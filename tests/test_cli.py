@@ -546,6 +546,23 @@ def test_gen_with_a_dimension_below_one_exits_2_naming_it(capsys, tmp_path, argv
     assert err == f"error: {name} must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "-o", "{out}"], ["discover", "{comb}"],
+     ["discover", "{comb}", "--mode", "sampled", "--query-log", "{out}"], ["lemmas"]],
+    ids=["gen -o", "exact discover", "sampled discover --query-log", "lemmas"],
+)
+def test_a_negative_seed_exits_2_naming_it(capsys, tmp_path, argv):
+    """NumPy's own refusal, ``expected non-negative integer``, named no
+    option; exact ``discover`` met it too, though it draws nothing."""
+    comb, out = tmp_path / "c.json", tmp_path / "out.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
+    code, stdout, err = run(capsys, *[a.format(comb=comb, out=out) for a in argv], "--seed", "-1")
+    assert (code, stdout) == (2, "")
+    assert err == "error: --seed must be a non-negative whole number, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "discover", "bench"])
 @pytest.mark.parametrize("top", [[1, 2], "comb"], ids=["list", "string"])
 def test_a_file_whose_top_level_is_not_an_object_exits_2(capsys, tmp_path, command, top):
