@@ -5,8 +5,9 @@ rely on — estimator calibration, frame inversion, norm inequalities,
 rank bookkeeping, sampling fidelity — on seeded random instances, and
 reports a pass/fail verdict with its measured margin.  A check runs the
 function discovery runs, not a stand-in for it: the two-sided inversion
-``reconstruct_pair`` of ``pair_probs`` tables, and the product frame
-whose smallest eigenvalue ``xi_constant`` puts into every shot budget.
+``reconstruct_pair`` of ``pair_probs`` tables, the product frame whose
+smallest eigenvalue ``xi_constant`` puts into every shot budget, and the
+reduction ``Factor.shut`` that ``OracleSession.reduce`` runs.
 The CLI ``lemmas`` subcommand and the acceptance suite both run
 :func:`lemma_suite`.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combs import CombSpec, build_choi, gen_unitary_comb, trace_out_tooth
+from .combs import CombSpec, build_choi, gen_unitary_comb, trace_out_tooth, verified_factor
 from .discovery import correlation_error_bound, correlation_from_freqs
 from .oracle import OracleConfig, OracleSession, swap_test_estimate
 from .povm import frame_of, pair_probs, reconstruct_pair, sic_qubit
@@ -178,26 +179,33 @@ def check_constant_channel_rank(seed: int = 0) -> CheckResult:
 
 
 def check_reduction_rank(seed: int = 0, combs: int = 20) -> CheckResult:
-    """Choi rank stays at most the memory dimension through valid reductions."""
+    """Choi rank stays at most the memory dimension through valid reductions.
+
+    Each comb's true order is peeled from its last tooth with
+    :meth:`~causalcomb.combs.Factor.shut`, as ``OracleSession.reduce``
+    peels it, and the rank read as the reduced factor's column count; its
+    Gram must match the dense :func:`trace_out_tooth` chain to 1e-12.
+    """
     rng = np.random.default_rng(seed)
-    worst_excess = -np.inf
+    worst_excess, worst_gram = -np.inf, 0.0
     for _ in range(combs):
         n = int(rng.integers(2, 5))
         dm = int(rng.choice([1, 2, 4]))
         spec = gen_unitary_comb(n, 2, dm, rng)
-        choi = build_choi(spec)
+        factor, choi = verified_factor(spec)[0], build_choi(spec)
         order = list(spec.true_order)
         while order:
-            rank = numerical_rank(choi, tol=1e-10)
-            worst_excess = max(worst_excess, rank - dm)
+            worst_excess = max(worst_excess, factor.terms - dm)
+            worst_gram = max(worst_gram, float(np.abs(factor.dense() - choi.matrix).max()))
             a, b = order.pop()  # peel the temporally last tooth
             if order:
-                choi = trace_out_tooth(choi, a, b)
+                factor, choi = factor.shut(a, b), trace_out_tooth(choi, a, b)
     return CheckResult(
         name="reduction-rank-bound",
-        passed=worst_excess <= 0,
-        margin=float(-worst_excess),
-        details=f"worst rank excess over memory dim: {worst_excess}",
+        passed=worst_excess <= 0 and worst_gram <= 1e-12,
+        margin=float(min(-worst_excess, 1e-12 - worst_gram)),
+        details=f"worst rank excess over memory dim: {worst_excess}; "
+        f"worst Gram error {worst_gram:.2e}",
     )
 
 

@@ -53,15 +53,17 @@ def parse_order(text: str) -> tuple[tuple[str, str], ...]:
     for chunk in text.split(","):
         parts = chunk.strip().split(":")
         if len(parts) != 2 or not all(parts):
-            raise ValueError(f"bad order token {chunk!r}; expected like A1:B2")
+            raise ValueError(f"--order has a bad token {chunk!r}; expected like A1:B2")
         pairs.append(tooth(parts[0], parts[1]))
     return tuple(pairs)
 
 
 def _check_out(flag: str, path: str | None) -> None:
-    """Refuse, before the run, an output path that is a directory or is in
-    one that does not exist, so that no run is thrown away after it ends."""
-    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+    """Refuse, before the run, an output path that is empty, is a directory or
+    is in one that does not exist, so that no run is thrown away after it ends."""
+    if path == "":
+        raise ValueError(f"{flag} was given an empty path")
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
         raise ValueError(f"{flag} {path} is a directory or in one that does not exist")
 
 
@@ -106,11 +108,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_discover(args: argparse.Namespace) -> int:
     if args.verify:
         _check_tol(args.tol)  # before the discovery it would judge
+    _check_out("--query-log", args.query_log)
     spec = load_comb(args.comb)
     alg = given(vars(args), ["name", *ALGORITHM_KEYS[args.name or next(iter(ALGORITHM_KEYS))]])
     oracle = given(vars(args), ORACLE_KEYS)
-    _check_out("--query-log", args.query_log)
-    log = _QueryLog(args.query_log) if args.query_log else None
+    log = None if args.query_log is None else _QueryLog(args.query_log)
     try:
         config = OracleConfig(seed=args.seed, query_log=log, **oracle)
         report = dispatch(OracleSession(spec, config), spec, alg)
@@ -144,6 +146,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    order = None if args.order is None else parse_order(args.order)  # before the file is read
     spec = load_comb(args.comb)
     if args.enumerate:
         found, _ = compatible_orders(spec, tol=args.tol)
@@ -151,7 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"ok  {format_order(order):40s} worst={check.worst_deviation:.3g}")
         print(f"{len(found)}/{math.factorial(spec.n) ** 2} orders valid at tol={args.tol}")
         return EXIT_OK if found else EXIT_FAIL
-    order = parse_order(args.order) if args.order else spec.true_order
+    order = spec.true_order if order is None else order
     check = check_comb_condition(spec, order, tol=args.tol)
     print(f"order:  {format_order(order)}")
     print(
@@ -174,9 +177,9 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_out("--out", args.out)
     data = load_json(args.config)
     config = ExperimentConfig.from_dict(data)
-    _check_out("--out", args.out)
     summary = run_experiment(config)
     print(summary.line())
     for r in summary.results:
@@ -186,7 +189,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"  trial {r.trial:3d} {state} queries={r.queries:<12d} "
             f"order={order}" + (f"  ({r.failure})" if r.failure else "")
         )
-    if args.out:
+    if args.out is not None:
         save_json({"config": data, **asdict(summary)}, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK if summary.ok else EXIT_FAIL

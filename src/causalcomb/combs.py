@@ -265,12 +265,14 @@ class Factor:
     """A positive semidefinite operator ``C = V V^H`` on a wire space, held as ``V``.
 
     ``V`` has one row per basis state of ``space``, row-major over its
-    wires, and one column per term; nothing forms ``C``.  This is the only
-    code that knows that layout.  Each read folds some wires into ``V``'s
-    columns (:meth:`fold`): :meth:`shut` and :meth:`swap_matrix` take the
-    folded factor's Gram on its smaller side, :meth:`pair_states` stacks
-    ``K K^H`` for each pair, :meth:`node_deviation` compresses a prefix
-    node onto its column span, and :meth:`block` forms a sampled block.
+    wires, and one column per term (:attr:`terms`); only :meth:`dense`,
+    for :func:`build_choi` and the lemma battery, forms ``C``.  This is
+    the only code that knows that layout.  Each other read folds some
+    wires into ``V``'s columns (:meth:`fold`): :meth:`shut` and
+    :meth:`swap_matrix` take the folded factor's Gram on its smaller side,
+    :meth:`pair_states` stacks ``K K^H`` for each pair,
+    :meth:`node_deviation` compresses a prefix node onto its column span,
+    and :meth:`block` forms a sampled block.
     """
 
     def __init__(self, space: WireSpace, v: np.ndarray):
@@ -280,6 +282,16 @@ class Factor:
     def trace(self) -> float:
         """``Tr C = ||V||_F^2``."""
         return np.vdot(self.v, self.v).real
+
+    @property
+    def terms(self) -> int:
+        """``V``'s column count: ``C``'s rank when the columns are independent,
+        as those :meth:`shut` keeps are."""
+        return self.v.shape[1]
+
+    def dense(self) -> np.ndarray:
+        """``C = V V^H`` itself, in the space's wire order."""
+        return self.v @ self.v.conj().T
 
     def fold(self, rows: Sequence[str], folded: Sequence[str]) -> np.ndarray:
         """``V`` with the ``folded`` wires moved into its columns.
@@ -425,7 +437,7 @@ def build_choi(spec: CombSpec) -> Op:
     """
     factor = choi_factor(spec)
     check_entries(factor.space.dim**2, "the Choi operator")
-    return Op(factor.space, factor.v @ factor.v.conj().T)
+    return Op(factor.space, factor.dense())
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "sort_wires",
     "contract_wire",
     "trace_norm",
-    "is_hermitian",
     "numerical_rank",
     "correlation_norm",
     "correlation_norms",
@@ -243,55 +242,16 @@ def contract_wire(x: Op, label: str, k: np.ndarray) -> np.ndarray:
 # norms and spectra
 
 
-# Relative asymmetry below which a matrix counts as Hermitian, and the row
-# block the test walks so that its temporaries stay a few rows wide.
-_HERMITIAN_RTOL = 1e-12
-_HERMITIAN_ROWS = 64
-
-
-def _largest_part(a: np.ndarray):
-    """Largest absolute real or imaginary part of each matrix; NaN if it holds one."""
-    return np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
-
-
-def is_hermitian(m: np.ndarray):
-    """Whether no part of ``m - m^H`` exceeds 1e-12 times the largest of ``m``.
-
-    ``m`` is one matrix or a stack ``(..., n, n)``; a stack gets one
-    verdict per matrix, as a boolean array.  Block row ``r`` is compared
-    from its diagonal block rightwards, which covers every pair of
-    mirrored entries once.  A NaN entry makes it false.
-    """
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        return False
-    asym = scale = 0.0
-    for r in range(0, m.shape[-1], _HERMITIAN_ROWS):
-        rows = m[..., r : r + _HERMITIAN_ROWS, :]
-        cols = m[..., r:, r : r + _HERMITIAN_ROWS]
-        # np.maximum, unlike max, carries a NaN through
-        asym = np.maximum(asym, _largest_part(rows[..., r:] - cols.conj().swapaxes(-2, -1)))
-        scale = np.maximum(scale, _largest_part(rows))
-    ok = asym <= _HERMITIAN_RTOL * scale
-    return bool(ok) if m.ndim == 2 else ok
-
-
 def trace_norm(m: np.ndarray):
-    """Sum of singular values (Schatten 1-norm) of the array ``m``, per matrix of a stack.
+    """Sum of singular values (Schatten 1-norm) of the Hermitian array ``m``, per matrix of a stack.
 
-    A Hermitian matrix, up to a relative asymmetry of 1e-12, takes the
-    eigenvalue path: its singular values are the absolute values of its
-    eigenvalues, and ``eigvalsh`` costs about half an SVD.  Any other
-    matrix goes through the SVD.  One matrix gives a float; a stack
+    ``m`` must be Hermitian: its singular values are then the absolute
+    values of its eigenvalues, and only its lower triangle is read, as
+    with ``numpy.linalg.eigvalsh``.  One matrix gives a float; a stack
     ``(..., n, n)`` an array of its leading shape.
     """
-    herm = is_hermitian(m)
-    if m.ndim == 2:
-        s = np.abs(np.linalg.eigvalsh(m)) if herm else np.linalg.svd(m, compute_uv=False)
-        return float(s.sum())
-    out = np.empty(m.shape[:-2])
-    out[herm] = np.abs(np.linalg.eigvalsh(m[herm])).sum(axis=-1)
-    out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
-    return out
+    s = np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+    return float(s) if m.ndim == 2 else s
 
 
 def numerical_rank(x: Op | np.ndarray, tol: float = 1e-10) -> int:
@@ -321,8 +281,10 @@ def correlation_norms(m: np.ndarray, d_a: int):
 
     Each matrix is on ``A (x) B`` in that Kronecker order, with ``A`` of
     dimension ``d_a``; ``rho_A`` and ``rho_B`` are its partial traces.
-    One matrix gives a float, a stack an array of its leading shape; the
-    whole stack takes one :func:`trace_norm` call.
+    Each must be Hermitian, as a state is, and so then is its distance
+    from the product, which :func:`trace_norm` needs.  One matrix gives a
+    float, a stack an array of its leading shape; the whole stack takes
+    one :func:`trace_norm` call.
     """
     m = np.asarray(m)
     lead, d = m.shape[:-2], m.shape[-1]

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from causalcomb import checks
+from causalcomb import checks, combs
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -33,3 +33,11 @@ def test_a_smallest_frame_eigenvalue_10_percent_high_fails_the_sandwich_check(mo
 
     monkeypatch.setattr(checks, "frame_of", too_high)
     assert not checks.check_frame_sandwich(4).passed
+
+
+def test_a_reduction_that_keeps_roundoff_columns_fails_the_rank_check(monkeypatch):
+    """With no eigenvalue cut, ``Factor.shut`` keeps columns that hold only
+    roundoff, which the dense chain's ``numerical_rank`` never counted."""
+    assert checks.check_reduction_rank(7).passed
+    monkeypatch.setattr(combs, "_RANK_RTOL", 0.0)
+    assert not checks.check_reduction_rank(7).passed

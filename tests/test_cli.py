@@ -600,6 +600,33 @@ def test_a_directory_given_for_a_file_exits_2(capsys, tmp_path, argv):
         assert err.startswith("error: -o ")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(("verify", "{comb}", "--order", ""), "--order"),
+     (("discover", "{comb}", "--query-log", ""), "--query-log"),
+     (("bench", "{config}", "--out", ""), "--out"),
+     (("gen", "--kind", "unitary", "--n", "2", "-o", ""), "-o")],
+    ids=["verify-order", "query-log", "bench-out", "gen-o"],
+)
+def test_an_empty_order_or_path_exits_2_naming_it(capsys, tmp_path, monkeypatch, argv, option):
+    """An empty string used to read as unset: ``verify`` checked the stored
+    true order, ``--query-log`` and ``bench --out`` wrote nothing, and
+    ``gen -o`` drew the comb before failing on ``[Errno 21]``."""
+    comb, config = tmp_path / "c.json", tmp_path / "b.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "2", "--seed", "3", "-o", str(comb))
+    config.write_text(json.dumps({"generator": {"kind": "unitary"}, "algorithm": {}}))
+
+    def untouched(*args):
+        raise AssertionError("read or drew before refusing the option")
+
+    for name in ("load_comb", "load_json", "generate_comb"):
+        monkeypatch.setattr(cli, name, untouched)
+    code, out, err = run(capsys, *(a.format(comb=comb, config=config) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "c.json"]
+
+
 @pytest.mark.parametrize("argv", [["--d-M", "1"], ["--d", "1"]], ids=["d_M=1", "d=1"])
 def test_gen_refuses_a_totalorder_floor_no_draw_can_reach(capsys, tmp_path, argv):
     code, out, err = run(
