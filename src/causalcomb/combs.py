@@ -267,8 +267,10 @@ class Factor:
     ``V`` has one row per basis state of ``space``, row-major over its
     wires, and one column per term (:attr:`terms`); only :meth:`dense`,
     for :func:`build_choi` and the lemma battery, forms ``C``.  This is
-    the only code that knows that layout.  Each other read folds some
-    wires into ``V``'s columns (:meth:`fold`): :meth:`shut` and
+    the only code that knows that layout.  It builds ``V``'s tensor view
+    ``(*dims, terms)`` once, and each other read folds some wires into
+    ``V``'s columns (:meth:`fold`) by transposing that view by the wires'
+    axis numbers, which the space maps once: :meth:`shut` and
     :meth:`swap_matrix` take the folded factor's Gram on its smaller side,
     :meth:`pair_states` stacks ``K K^H`` for each pair,
     :meth:`node_deviation` compresses a prefix node onto its column span,
@@ -277,6 +279,7 @@ class Factor:
 
     def __init__(self, space: WireSpace, v: np.ndarray):
         self.space, self.v = space, v
+        self._tensor = v.reshape(space.dims + (v.shape[1],))  # splits rows only: a view
 
     @property
     def trace(self) -> float:
@@ -301,10 +304,8 @@ class Factor:
         order, and one column per value of the ``folded`` wires and a column
         of ``V``, the latter fastest.  Its Gram ``K K^H`` is ``Tr_folded C``.
         """
-        t = self.v.reshape(self.space.dims + (self.v.shape[1],))
-        axes = [self.space.index(l) for l in [*rows, *folded]] + [len(self.space.dims)]
-        d_rows = math.prod(self.space.dim_of(l) for l in rows)
-        return t.transpose(axes).reshape(d_rows, -1)
+        t = self._tensor.transpose([*map(self.space.index, [*rows, *folded]), len(self.space.dims)])
+        return t.reshape(math.prod(t.shape[: len(rows)]), -1)
 
     def pair_states(self, pairs: Sequence[Sequence[str]]) -> np.ndarray:
         """``Tr_rest C`` on wires ``a`` then ``b`` for each ``(a, b)`` of ``pairs``, stacked:

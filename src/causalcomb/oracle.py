@@ -12,7 +12,8 @@ and ``overlap_estimate``, its two-state case), and wire a tooth shut
 attributes with no accessor; discovery code sees statistics only, and
 the session alone decides how they are drawn in each mode and what they
 bill.  It reads the operator only through its factor, a
-:class:`~causalcomb.combs.Factor`.
+:class:`~causalcomb.combs.Factor`.  Only a sampled session holds a
+random stream, seeded at its root and shared by its reduced children.
 
 Every channel invocation — real or virtual — goes through one cumulative
 query meter that reduced child sessions share with their parent.  An
@@ -112,6 +113,12 @@ def swap_test_estimate(
     p = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
     accepts = rng.binomial(n, p)
     return 2.0 * accepts / n - 1.0
+
+
+@functools.cache
+def _copy_space(label: str, d: int) -> WireSpace:
+    """Input ``label`` and its primed copy, each of dimension ``d``: a swap operator's space."""
+    return WireSpace((label, f"{label}'"), (d, d))
 
 
 def _shot_count(n_shots) -> int:
@@ -240,13 +247,14 @@ class OracleSession:
 
         The hidden Choi operator is ``factor``'s, whose input and output
         wires :func:`~causalcomb.combs.wire_roles` sorts out once, here.  A
-        root session draws a fresh random stream and query meter from
-        ``config``; a reduced child passes in its parent's.
+        root session makes a query meter, and in sampled mode a random stream,
+        from ``config``; a reduced child passes in its parent's.
         """
         self._inputs, self._outputs = wire_roles(factor.space.labels)
         self._config = config
         self._factor = factor
-        self._rng = rng if rng is not None else np.random.default_rng(config.seed)
+        sampled = config.mode == "sampled"
+        self._rng = np.random.default_rng(config.seed) if rng is None and sampled else rng
         self._meter = meter if meter is not None else _QueryMeter(config.query_log, config.trial)
 
     def reduce(self, input_label: str, output_label: str) -> "OracleSession":
@@ -467,24 +475,26 @@ class OracleSession:
         (:func:`swap_test_sample_size`), an input that is no wire, a state
         of another shape than ``(d, d)``, labels that name no input and
         output (:meth:`_check_pair`), and in sampled mode an ``N`` past a
-        64-bit count.  It then builds the pair's swap operator ``W``
-        (:meth:`~causalcomb.combs.Factor.swap_matrix`) once, feeds the
-        whole stack into it with one :func:`~causalcomb.tensors.contract_wire`
+        64-bit count.  A ``(K, d, d)`` ndarray, the stack discovery sends,
+        is checked by its one shape, any other form state by state.  It then
+        builds the pair's swap operator ``W`` on the input and its copy
+        (:meth:`~causalcomb.combs.Factor.swap_matrix`) once, feeds the whole
+        stack, as complex, into it with one :func:`~causalcomb.tensors.contract_wire`
         call, which leaves ``M_a`` on the copy for each state, and reads
-        every exact overlap ``Tr[d s_b^T M_a] = d sum(M_a * s_b)`` off one
-        product.
+        each exact overlap ``Tr[d s_b^T M_a] = d sum(M_a * s_b)`` off one product.
         """
         n = swap_test_sample_size(eps, kappa)
         d = self.dim_of(input_label)
-        for state in states:
+        stack = isinstance(states, np.ndarray) and states.ndim == 3
+        for state in states[:1] if stack else states:  # a stack's states share one shape
             if np.shape(state) != (d, d):
                 raise ValueError(f"prep state shape {np.shape(state)} != wire dim {d}")
         self._check_pair(input_label, discard_label)
         if self.mode == "sampled":
             _drawable_runs(eps, kappa)
         states = np.asarray(states, dtype=complex).reshape(-1, d, d)
-        space = WireSpace((input_label, f"{input_label}'"), (d, d))
-        swap_op = Op(space, self._factor.swap_matrix(input_label, discard_label))
+        w = self._factor.swap_matrix(input_label, discard_label)
+        swap_op = Op(_copy_space(input_label, d), w)
         fed = contract_wire(swap_op, input_label, d * states.transpose(0, 2, 1))
         # sum(M_a * s_b), unconjugated, as one (1, d^2) @ (d^2, 1) product per
         # pair (a, b): the kernel, and so the bits, of a lone pair's dot

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, get_type_hints
@@ -314,8 +315,9 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
         # imported here: the pool machinery costs every process that loads it
         from concurrent.futures import ProcessPoolExecutor
 
-        # on fork every worker starts at the first submit: no more than there are trials
-        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials)) as pool:
+        # on fork every worker starts at the first submit: at most one per trial and usable CPU
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.trials, cpus or 1)) as pool:
             results = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
     else:
         results = [run_trial(config, t) for t in range(config.trials)]

@@ -99,6 +99,7 @@ class WireSpace:
             raise ValueError(f"duplicate wire labels: {self.labels}")
         if any(d < 1 for d in self.dims):
             raise ValueError(f"wire dimensions must be >= 1: {self.dims}")
+        object.__setattr__(self, "_index", {l: k for k, l in enumerate(self.labels)})  # not a field
 
     @property
     def dim(self) -> int:
@@ -107,8 +108,8 @@ class WireSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise KeyError(f"no wire {label!r} in {self.labels}") from None
 
     def dim_of(self, label: str) -> int:

@@ -556,3 +556,56 @@ def test_a_totalorder_floor_above_every_correlation_is_refused_before_the_first_
 def test_one_tooth_without_memory_still_reaches_a_floor():
     spec = gen_totalorder_comb(1, 2, 1, np.random.default_rng(0), corr_floor=0.05)
     assert spec.metadata["achieved_chi_min"] >= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the factor's tensor view
+
+
+def _nodes(labels):
+    """Every prefix node: k inputs and k outputs, 0 <= k < n."""
+    ins = [l for l in labels if l.startswith("A")]
+    outs = [l for l in labels if l.startswith("B")]
+    return [
+        frozenset((*a, *b))
+        for k in range(len(ins))
+        for a in itertools.combinations(ins, k)
+        for b in itertools.combinations(outs, k)
+    ]
+
+
+@pytest.mark.parametrize("n, d, d_m", [(2, 2, 2), (3, 2, 4), (2, 3, 2)])
+def test_a_column_major_factor_reads_as_its_row_major_copy_bit_for_bit(n, d, d_m):
+    """A dense operator's factor comes out of pivoted Cholesky column-major.
+    Every read of it equals, bit for bit, that of the same ``V`` row-major."""
+    spec = gen_unitary_comb(n, d, d_m, np.random.default_rng([51, n, d, d_m]))
+    f_major = combs.verified_factor(build_choi(spec))[0]
+    assert f_major.v.flags.f_contiguous and not f_major.v.flags.c_contiguous
+    c_major = combs.Factor(f_major.space, np.ascontiguousarray(f_major.v))
+    labels = f_major.space.labels
+    rng = np.random.default_rng([52, n, d, d_m])
+    for _ in range(6):
+        order = [str(l) for l in rng.permutation(labels)]
+        cut = int(rng.integers(0, len(order) + 1))
+        np.testing.assert_array_equal(
+            f_major.fold(order[:cut], order[cut:]), c_major.fold(order[:cut], order[cut:])
+        )
+    ins = [l for l in labels if l.startswith("A")]
+    outs = [l for l in labels if l.startswith("B")]
+    for i, j in itertools.product(ins, outs):
+        np.testing.assert_array_equal(f_major.swap_matrix(i, j), c_major.swap_matrix(i, j))
+        np.testing.assert_array_equal(f_major.shut(i, j).v, c_major.shut(i, j).v)
+    pairs = list(itertools.product(ins, outs))
+    np.testing.assert_array_equal(f_major.pair_states(pairs), c_major.pair_states(pairs))
+    for node in _nodes(labels):
+        assert f_major.node_deviation(node) == c_major.node_deviation(node)
+
+
+def test_the_tensor_view_is_a_view_with_one_axis_per_wire():
+    """For a spec's purification, a dense operator's factor and a shut child."""
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(53))
+    root = combs.verified_factor(spec)[0]
+    factors = [root, combs.verified_factor(build_choi(spec))[0], root.shut("A2", "B1")]
+    for factor in factors:
+        assert factor._tensor.shape == factor.space.dims + (factor.terms,)
+        assert np.shares_memory(factor._tensor, factor.v)  # a view, not a copy

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -30,7 +31,7 @@ from causalcomb.combs import (
     gen_unitary_comb,
     trace_out_tooth,
 )
-from causalcomb.discovery import discover_general, discover_memoryless
+from causalcomb.discovery import discover_general, discover_memoryless, independence_matrix
 from causalcomb.oracle import (
     OracleConfig,
     OracleSession,
@@ -705,6 +706,74 @@ def test_a_refused_batch_bills_draws_and_logs_nothing(mode, args, error, message
     assert got == fresh.overlap_estimate(recipe, recipe, 0.1, 0.05)
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        (np.zeros((4, 3, 3), complex), r"prep state shape \(3, 3\) != wire dim 2"),
+        (_PROBES[None], r"prep state shape \(4, 2, 2\) != wire dim 2"),
+    ],
+    ids=["qutrit-stack", "stack-of-stacks"],
+)
+def test_a_complex_stack_of_another_shape_is_refused_state_by_state(mode, states, message):
+    """A ``(K, d, d)`` stack is checked by its first state's shape, any other
+    array state by state; each gets the message that names that shape."""
+    with pytest.raises(ValueError, match=message):
+        _batch_session(mode).swap_tests("A1", "B1", states, 0.1, 0.05)
+
+
+def _numpy_with_default_rng(default_rng):
+    """``numpy`` as ``oracle`` sees it, with ``np.random.default_rng`` replaced."""
+
+    class Numpy:
+        random = types.SimpleNamespace(default_rng=default_rng)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    return Numpy()
+
+
+def test_an_exact_session_makes_no_random_stream(monkeypatch):
+    """Exact mode never draws, so neither its root sessions nor their
+    reductions seed a generator."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact session made a random stream")
+
+    monkeypatch.setattr(oracle, "np", _numpy_with_default_rng(refuse))
+    for n in (2, 3, 4):
+        spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([45, n]))
+        report = discover_general(OracleSession(spec))
+        assert report.ok and len(report.diagnostics["stages"]) == n
+        assert report.order == spec.true_order
+    session = OracleSession(gen_memoryless_comb(3, 2, np.random.default_rng(46)))
+    estimates = independence_matrix(session, sic_qubit(), 1000, 0.05).estimates
+    assert estimates.shape == (3, 3)
+
+
+def test_a_sampled_session_tree_shares_one_random_stream(monkeypatch):
+    """The root makes one generator from its seed, and every reduced child
+    draws from that same stream."""
+    made = []
+
+    def counting(seed):
+        made.append(np.random.default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "np", _numpy_with_default_rng(counting))
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(47))
+    config = OracleConfig(mode="sampled", seed=48)
+    report = discover_general(OracleSession(spec, config), delta=0.1)
+    assert report.ok and len(report.diagnostics["stages"]) == 3
+    assert len(made) == 1
+    root = OracleSession(spec, config)
+    child = root.reduce(*spec.true_order[-1])
+    grandchild = child.reduce(*spec.true_order[-2])
+    assert len(made) == 2
+    assert root._rng is child._rng is grandchild._rng is made[1]
+
+
 def test_query_log_records_jsonl():
     spec = gen_signaling_comb()
     buf = io.StringIO()
@@ -797,9 +866,11 @@ def test_no_session_read_depends_on_the_factors_column_basis(n, dm):
 
 
 def test_only_the_factor_knows_its_layout():
-    """No module reads a factor's array or folds it, outside ``combs.Factor``
-    and the three ``combs`` functions that build a factor or read it whole."""
+    """No module reads a factor's array or its tensor view, or folds it,
+    outside ``combs.Factor`` and the three ``combs`` functions that build a
+    factor or read it whole."""
     builders = {"Factor", "choi_factor", "verified_factor", "build_choi"}
+    layout = ("v", "fold", "_tensor")
     reads, seen = [], set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -809,7 +880,7 @@ def test_only_the_factor_knows_its_layout():
             reads += [
                 f"{path.name}:{node.lineno} .{node.attr}"
                 for node in ast.walk(top)
-                if isinstance(node, ast.Attribute) and node.attr in ("v", "fold")
+                if isinstance(node, ast.Attribute) and node.attr in layout
             ]
     assert seen == builders
     assert reads == []

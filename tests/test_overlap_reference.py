@@ -23,10 +23,10 @@ import pytest
 import causalcomb.combs as combs
 import causalcomb.oracle as oracle
 from causalcomb.combs import build_choi, gen_unitary_comb, trace_out_tooth
-from causalcomb.discovery import find_last
+from causalcomb.discovery import _probe_states, find_last
 from causalcomb.oracle import OracleConfig, OracleSession, PrepRecipe, swap_test_sample_size
 from causalcomb.povm import ic_povm_for_dim, state_set_of
-from causalcomb.tensors import Op, contract_wire, partial_trace, sort_wires
+from causalcomb.tensors import Op, WireSpace, contract_wire, partial_trace, sort_wires
 
 PROBES = state_set_of(ic_povm_for_dim(2)).elements
 
@@ -182,6 +182,51 @@ def test_a_pair_feeds_each_probe_into_the_swap_operator_once(monkeypatch):
     kernels = 2 * np.array(PROBES).transpose(0, 2, 1)
     for _, k in fed:
         np.testing.assert_array_equal(k, kernels)
+
+
+def _route_overlaps(factor, i, j, states):
+    """Every overlap of a batch by the route ``swap_tests`` takes: the pair's
+    swap operator, the stack fed into it by one ``contract_wire`` call, and
+    one product of the fed stack against the states."""
+    d = factor.space.dim_of(i)
+    states = np.array(states, dtype=complex).reshape(-1, d, d)
+    swap_op = Op(WireSpace((i, f"{i}'"), (d, d)), factor.swap_matrix(i, j))
+    fed = contract_wire(swap_op, i, d * states.transpose(0, 2, 1))
+    rows, cols = fed.reshape(len(fed), 1, 1, -1), states.reshape(1, len(states), -1, 1)
+    return d * np.matmul(rows, cols)[..., 0, 0].real
+
+
+_REAL_STATES = np.array([np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.diag([0.3, 0.7])])
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda: np.array(PROBES),
+        lambda: _probe_states(2),
+        lambda: _REAL_STATES,
+        lambda: list(PROBES),
+        lambda: (PROBES[0], _REAL_STATES[2]),
+    ],
+    ids=["complex-stack", "discovery-stack", "float-stack", "list", "two-state-tuple"],
+)
+def test_every_probe_form_gives_the_routes_overlaps_bit_for_bit(form):
+    """A complex stack is taken as given and any other form is coerced
+    first; both read the same bits off the same route."""
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(37))
+    root = OracleSession(spec)
+    sessions = [root, root.reduce("A2", "B3"), OracleSession(build_choi(spec))]
+    states = form()
+    k = len(states)
+    for session in sessions:
+        for i, j in itertools.product(session.input_labels, session.output_labels):
+            want = _route_overlaps(session._factor, i, j, states)
+            estimate = session.swap_tests(i, j, states, 0.1, 0.05)
+            got = np.array([[estimate(a, b) for b in range(k)] for a in range(k)])
+            assert got.tobytes() == want.tobytes()
+            if k == 2:
+                recipes = PrepRecipe(i, states[0], j), PrepRecipe(i, states[1], j)
+                assert session.overlap_estimate(*recipes, 0.1, 0.05) == want[0, 1]
 
 
 def test_overlaps_and_reduction_need_no_qr(monkeypatch):

@@ -240,9 +240,10 @@ def test_run_experiment_with_workers_matches_serial():
     assert [r.order for r in serial.results] == [r.order for r in parallel.results]
 
 
-@pytest.mark.parametrize("workers, trials, started", [(64, 2, 2), (1, 3, 1), (3, 3, 3)])
-def test_the_pool_starts_no_more_workers_than_trials(monkeypatch, workers, trials, started):
-    """On fork, a pool launches all its workers at the first submit."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool a run opens, from a pool that starts
+    no process and runs the trials in this one."""
     import concurrent.futures
 
     sizes = []
@@ -261,6 +262,10 @@ def test_the_pool_starts_no_more_workers_than_trials(monkeypatch, workers, trial
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def _run_with_workers(workers: int, trials: int) -> None:
     cfg = ExperimentConfig(
         generator={"kind": "unitary", "n": 2, "d_M": 1},
         algorithm={"name": "general"},
@@ -268,7 +273,48 @@ def test_the_pool_starts_no_more_workers_than_trials(monkeypatch, workers, trial
         workers=workers,
     )
     assert len(run_experiment(cfg).results) == trials
-    assert sizes == [started]
+
+
+def _usable_cpus(monkeypatch, cpus: int) -> None:
+    """Patch this process's affinity mask to ``cpus`` CPUs, and the machine's count above it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus + 4)
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, started",
+    [
+        (64, 2, 8, 2), (1, 3, 8, 1), (3, 3, 8, 3),
+        (5000, 5000, 2, 2), (64, 3, 1, 1), (2, 6, 4, 2), (6, 3, 4, 3),
+    ],
+)
+def test_the_pool_starts_no_more_workers_than_trials(
+    monkeypatch, pool_sizes, workers, trials, cpus, started
+):
+    """On fork, a pool launches all its workers at the first submit, so it
+    gets at most one per trial and one per CPU of the affinity mask (patched
+    below the machine's CPU count, which it does not reach)."""
+    if trials == 5000:  # 5,000 real trials would take a while
+
+        def trial(config, t):
+            return runner.TrialResult(t, True, None, 0, 0.0, None, None)
+
+        monkeypatch.setattr(runner, "run_trial", trial)
+    _usable_cpus(monkeypatch, cpus)
+    _run_with_workers(workers, trials)
+    assert pool_sizes == [started]
+
+
+@pytest.mark.parametrize("count, started", [(2, 2), (None, 1)])
+def test_without_an_affinity_mask_the_pool_is_bounded_by_the_cpu_count(
+    monkeypatch, pool_sizes, count, started
+):
+    """Where the platform has no ``sched_getaffinity``, ``os.cpu_count()`` bounds
+    the pool, and an unknown count (``None``) allows one worker."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    _run_with_workers(64, 3)
+    assert pool_sizes == [started]
 
 
 def test_theoretical_exact_run_bills_the_named_budget():

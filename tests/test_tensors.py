@@ -44,6 +44,16 @@ def test_wire_space_refuses_a_dimension_that_is_not_whole(dim):
     assert space.dims == (2, 3) and all(type(d) is int for d in space.dims)
 
 
+def test_wire_space_looks_up_every_label_by_its_position():
+    """The label map is no field: two spaces on the same wires are equal."""
+    space = WireSpace(["B1", "A2", "A1"], (3, 2, 4))
+    assert [space.index(l) for l in space.labels] == [0, 1, 2]
+    assert [space.dim_of(l) for l in space.labels] == [3, 2, 4]
+    assert space == WireSpace(("B1", "A2", "A1"), (3, 2, 4)) and "_index" not in repr(space)
+    with pytest.raises(KeyError, match="no wire 'B2' in"):
+        space.index("B2")
+
+
 def test_op_is_immutable():
     op = _bell_op()
     with pytest.raises(ValueError):
