@@ -242,7 +242,9 @@ def _swap_budget(session: OracleSession, delta: float, kappa: float) -> tuple[fl
     return eps, runs
 
 
-def _pair_gaps(session: OracleSession, i: str, j: str, delta: float, kappa: float) -> list[float]:
+def _pair_gaps(
+    session: OracleSession, i: str, j: str, delta: float, eps: float, kappa: float
+) -> list[float]:
     """The last-tooth test of (input ``i``, output ``j``): its gaps, in probe order.
 
     Gap ``k`` is ``||rho_1 - rho_k||_2^2 = p1 + pk - 2 p1k`` from swap tests on the states left
@@ -251,7 +253,6 @@ def _pair_gaps(session: OracleSession, i: str, j: str, delta: float, kappa: floa
     reads ``p1``, then ``pk`` and ``p1k`` for each ``k``.  The gaps end at the first over
     ``delta``, if any; the pair is accepted when none exceeds it, after ``2 len(gaps) + 1`` tests.
     """
-    eps, _ = _swap_budget(session, delta, kappa)
     probes = _probe_states(session.dim_of(i))
     estimate = session.swap_tests(i, j, probes, eps, kappa)
     p1 = estimate(0, 0)
@@ -278,9 +279,10 @@ def find_last(session: OracleSession, delta: float, kappa: float) -> FindLastRes
     and a union bound over them is the search's failure probability.  A ``delta`` or
     ``kappa`` that :func:`_swap_budget` refuses raises ``ValueError`` before any billing.
     """
+    eps, _ = _swap_budget(session, delta, kappa)
     swap_tests, rejections = 0, {}
     for i, j in itertools.product(session.input_labels, session.output_labels):
-        gaps = _pair_gaps(session, i, j, delta, kappa)
+        gaps = _pair_gaps(session, i, j, delta, eps, kappa)
         swap_tests += 2 * len(gaps) + 1
         if gaps and gaps[-1] > delta:  # the gaps stop at the first over delta
             rejections[(i, j)] = gaps[-1]

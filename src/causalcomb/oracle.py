@@ -31,7 +31,6 @@ applies it to every charge.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -362,15 +361,13 @@ class OracleSession:
         The draw is staged, and exact in law by the chain rule.  The lead
         wires are the fewest leading wires that leave at most
         :data:`_BLOCK_CELLS` cells per block, one block per lead outcome
-        ``B``.  ``B``'s rows are the Kronecker product of its elements'
-        rows (:attr:`IcPovm.rows`), and its factor ``V_B``
-        (:meth:`~causalcomb.combs.Factor.block`) holds ``(r (x) 1) V`` side
-        by side for every such row ``r``.  Since the other wires' POVMs sum to
-        the identity,
-        the block's probability is ``||V_B||_F^2``.  One
-        :func:`_multinomial` draw gives the block totals, and one per nonzero
-        block its counts from :func:`~causalcomb.povm.product_born_table` of
-        ``V_B``, its slice.  ``V_B`` is formed for each read, so no two
+        ``B``.  ``B``'s row ``r``, the Kronecker product of its elements'
+        rows (:attr:`IcPovm.rows`), gives its factor ``V_B = (r (x) 1) V``
+        (:meth:`~causalcomb.combs.Factor.block`).  Since the other wires'
+        POVMs sum to the identity, the block's probability is ``||V_B||_F^2``.
+        One :func:`_multinomial` draw gives the block totals, and one per
+        nonzero block its counts from :func:`~causalcomb.povm.product_born_table`
+        of ``V_B``, its slice.  ``V_B`` is formed for each read, so no two
         blocks' factors are held at once.  A table of at most
         :data:`_BLOCK_CELLS` cells is one block, which takes every shot
         without a draw.
@@ -386,23 +383,16 @@ class OracleSession:
         k = 0
         while k < n - 1 and m ** (n - k) > _BLOCK_CELLS:
             k += 1
-        rows, owner = povm.rows
-        groups = [rows[owner == x] for x in range(m)]
-        block_rows = [
-            functools.reduce(np.kron, b, np.ones((1, 1)))
-            for b in itertools.product(groups, repeat=k)
-        ]
-        q = np.array([np.linalg.norm(self._factor.block(r)) ** 2 for r in block_rows])
+        lead = functools.reduce(np.kron, [povm.rows] * k, np.ones((1, 1)))[:, None]
+        q = np.array([np.linalg.norm(self._factor.block(r)) ** 2 for r in lead])
         totals = _multinomial(self._rng, n_shots, q) if q.size > 1 else [n_shots]
-        counts = np.empty(m**n, np.int32 if n_shots < 2**31 else np.int64)
+        counts = np.zeros(m**n, np.int32 if n_shots < 2**31 else np.int64)
         blocks = counts.reshape(q.size, -1)
         rest = self._factor.space.restrict(self.wires[k:])
-        for b, (r, total) in enumerate(zip(block_rows, totals)):
+        for b, (r, total) in enumerate(zip(lead, totals)):
             if total:
                 tbl = product_born_table(rest, self._factor.block(r), povm)
                 blocks[b] = _multinomial(self._rng, total, tbl).reshape(-1)
-            else:
-                blocks[b] = 0
         self._bill("sample_batch", n_shots)
         return counts.reshape((m,) * n)
 

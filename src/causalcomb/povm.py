@@ -42,12 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IcPovm:
-    """A finite collection of PSD operators, either a POVM or a state set.
+    """A finite collection of rank-one PSD operators, either a POVM or a state set.
 
     ``kind`` is ``"povm"`` (elements sum to the identity) or
-    ``"state-set"`` (each element has unit trace).  Validation enforces
-    whichever constraint applies; informational completeness is a property
-    of the frame, checked separately via :func:`frame_of`.
+    ``"state-set"`` (each element has unit trace).  Validation enforces that,
+    finite entries and rank one (:attr:`rows`); informational completeness
+    is a property of the frame, checked separately via :func:`frame_of`.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -59,12 +59,16 @@ class IcPovm:
         if not els:
             raise ValueError("empty element list")
         d = els[0].shape[0]
-        for e in els:
+        spectra = []
+        for x, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError("all elements must be square of equal dimension")
+            if not np.isfinite(e).all():
+                raise ValueError(f"element {x} has a non-finite entry")
             if np.abs(e - e.conj().T).max() > 1e-9:
                 raise ValueError("elements must be Hermitian")
-            if np.linalg.eigvalsh(e).min() < -1e-9:
+            spectra.append(np.linalg.eigvalsh(e))
+            if spectra[-1].min() < -1e-9:
                 raise ValueError("elements must be PSD")
             e.setflags(write=False)
         if self.kind == "povm":
@@ -76,6 +80,9 @@ class IcPovm:
                     raise ValueError("state-set elements must have unit trace")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
+        for x, lam in enumerate(spectra):  # rank one: one eigenvalue above 1e-12 of the largest
+            if np.count_nonzero(lam > 1e-12 * lam.max()) > 1:
+                raise ValueError(f"element {x} has rank above one: every element must be rank one")
         object.__setattr__(self, "elements", els)
 
     @property
@@ -101,24 +108,15 @@ class IcPovm:
         return dual
 
     @functools.cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``sqrt(lam) u^H``, one per eigenvector ``u`` of each element, and their elements.
-
-        Returns the ``(rows, d)`` matrix and, per row, the index of its
-        element, in ascending order; the rows of element ``x`` give
-        ``E_x = sum_k r_k^H r_k``.  A rank-one element has one row.
-        Eigenvalues below ``1e-12`` of the element's largest are dropped.
-        """
-        rows, owner = [], []
+    def rows(self) -> np.ndarray:
+        """The ``(m, d)`` matrix of rows ``r_x = sqrt(lam) u^H``, with ``(lam, u)`` the
+        top eigenpair of element ``x``: rank one, the element is ``E_x = r_x^H r_x``."""
+        rows = np.empty((self.size, self.dim), dtype=complex)
         for x, e in enumerate(self.elements):
             lam, u = np.linalg.eigh(e)
-            keep = lam > 1e-12 * lam.max()
-            rows.append((u[:, keep] * np.sqrt(lam[keep])).conj().T)
-            owner += [x] * int(keep.sum())
-        rows, owner = np.vstack(rows), np.array(owner, dtype=int)
+            rows[x] = (u[:, -1] * np.sqrt(max(lam[-1], 0.0))).conj()
         rows.setflags(write=False)
-        owner.setflags(write=False)
-        return rows, owner
+        return rows
 
 
 @dataclass(frozen=True)
@@ -295,24 +293,19 @@ def product_born_table(space: WireSpace, v: np.ndarray, povm: IcPovm) -> np.ndar
     """Outcome probabilities of measuring every wire of ``C = V V^H`` with ``povm``.
 
     Returns a real array with one axis per wire of ``space``.  ``C`` is
-    never formed.  With ``r`` the :attr:`IcPovm.rows` of an element,
-    ``Tr[(x) E C] = sum_c |((x) r) v_c|^2`` summed over the element's
-    rows, so the rows are applied to one column of ``V`` at a time, two
-    wires' Kronecker product per step, and the squares are added up; no
-    entry can be negative.  The table and the amplitudes of one column
-    must fit under :data:`~causalcomb.combs.MAX_ENTRIES`.
+    never formed.  With ``r`` the elements' :attr:`IcPovm.rows`,
+    ``Tr[(x) E C] = sum_c |((x) r) v_c|^2``, so the rows are applied to one
+    column of ``V`` at a time, two wires' Kronecker product per step, and
+    the squares are added up; no entry can be negative.  The table must
+    fit under :data:`~causalcomb.combs.MAX_ENTRIES`.
     """
-    n, (rows, owner) = len(space.labels), povm.rows
+    n, rows = len(space.labels), povm.rows
     check_entries(povm.size**n, "the outcome table")
-    check_entries(len(rows) ** n, "the outcome amplitudes")
     # two wires per step: 2.5 times as fast as one at n = 5, d_M = 2
     steps = [np.kron(rows, rows)] * (n // 2) + [rows] * (n % 2)
-    table = np.zeros(len(rows) ** n)
+    table = np.zeros(povm.size**n)
     for vc in np.ascontiguousarray(v.T):
         _add_power(table, _per_wire(vc, steps))
-    if not np.array_equal(owner, np.arange(povm.size)):
-        # sum the rows of each element into its outcome
-        table = _per_wire(table, [(np.arange(povm.size)[:, None] == owner).astype(float)] * n)
     return table.reshape((povm.size,) * n)
 
 

@@ -10,9 +10,8 @@ table the factored one is compared against, :func:`session_born_table`
 the whole normalized table a session samples from, and
 :func:`global_unitary_choi` a process with no causal order.
 :func:`reference_correlation_norm` is the per-pair correlation formula the
-stacked kernel is compared against, :func:`pauli6` a six-outcome
-qubit POVM to mix with the SIC, and :func:`rank_two_povm` a qubit POVM
-with a rank-two element.
+stacked kernel is compared against, and :func:`pauli6` a six-outcome
+qubit POVM to mix with the SIC.
 """
 
 import platform
@@ -20,7 +19,7 @@ import platform
 import numpy as np
 
 from causalcomb.combs import CombCheck
-from causalcomb.povm import IcPovm, product_born_table, sic_qubit
+from causalcomb.povm import IcPovm, product_born_table
 from causalcomb.tensors import (
     PAULI_X,
     PAULI_Y,
@@ -144,14 +143,3 @@ def pauli6():
     """The six Pauli eigenprojectors, each weighted 1/3: an IC qubit POVM of six outcomes."""
     els = [(np.eye(2) + s * p) / 6 for p in (PAULI_X, PAULI_Y, PAULI_Z) for s in (1, -1)]
     return IcPovm(tuple(els), kind="povm", name="pauli6")
-
-
-def rank_two_povm():
-    """``E = diag(0.3, 0.2)`` (rank two) and the qubit SIC squeezed into ``1 - E``.
-
-    Five outcomes, six rows: the SIC elements stay rank one under
-    ``S^(1/2) . S^(1/2)`` for ``S = 1 - E = diag(0.7, 0.8)``.
-    """
-    e = np.diag([0.3, 0.2])
-    root = np.sqrt(np.eye(2) - e)
-    return IcPovm((e,) + tuple(root @ x @ root for x in sic_qubit().elements))

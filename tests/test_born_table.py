@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import pauli6, rank_two_povm, reference_born_table, session_born_table
+from conftest import pauli6, reference_born_table, session_born_table
 
 import causalcomb.oracle as oracle
 from causalcomb.combs import build_choi, choi_factor, gen_unitary_comb, trace_out_tooth
@@ -45,19 +45,8 @@ def test_qutrit_random_ic_table_matches_the_reference():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_rank_two_element_rows_sum_into_its_outcome():
-    spec = gen_unitary_comb(2, 2, 2, np.random.default_rng(42))
-    rank_two = rank_two_povm()
-    rows, owner = rank_two.rows
-    assert rows.shape == (6, 2)
-    assert owner.tolist() == [0, 0, 1, 2, 3, 4]
-    got, want = _spec_tables(spec, rank_two)
-    assert got.shape == (5, 5, 5, 5)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize(
-    "povm", [rank_two_povm(), povm_preset("random-ic:6", 3)], ids=["rank-two", "qutrit"]
+    "povm", [pauli6(), povm_preset("random-ic:6", 3)], ids=["pauli6", "qutrit"]
 )
 def test_factor_on_an_odd_number_of_wires(povm):
     """Three wires leave one wire for the last step alone."""
@@ -77,7 +66,7 @@ def test_from_choi_on_a_full_rank_operator_matches_the_reference():
     noisy = Op(choi.space, 0.9 * choi.matrix + 0.1 * np.eye(64) / 64)
     session = OracleSession(noisy)
     assert session._factor.v.shape == (64, 64)
-    for povm in (sic_qubit(), rank_two_povm()):
+    for povm in (sic_qubit(), pauli6()):
         want = reference_born_table(noisy, {l: povm for l in noisy.labels})
         np.testing.assert_allclose(
             session_born_table(session, povm), want / want.sum(), rtol=0, atol=1e-12
@@ -152,12 +141,10 @@ def _staged_weights(monkeypatch, session, n_shots, povm):
     "n, block_cells, lead, povm",
     [
         (5, None, 2, sic_qubit()),
-        # a lead outcome's rows are the Kronecker product of its elements' rows,
-        # so the rank-two element gives blocks of one, two, four and eight rows
-        (2, 16, 3, rank_two_povm()),
+        (2, 4, 3, sic_qubit()),
         (3, 6**3, 3, pauli6()),
     ],
-    ids=["sic", "rank-two", "pauli6"],
+    ids=["sic", "sic-n2", "pauli6"],
 )
 def test_staged_weights_are_the_chain_rule_of_the_reference(
     monkeypatch, n, block_cells, lead, povm
@@ -232,7 +219,7 @@ def _dense_pair_probs(choi, pair, povm):
     return pair_probs(povm, povm, rho.matrix) / np.trace(rho.matrix).real
 
 
-@pytest.mark.parametrize("povm", [sic_qubit(), rank_two_povm()], ids=["sic", "rank-two"])
+@pytest.mark.parametrize("povm", [sic_qubit(), pauli6()], ids=["sic", "pauli6"])
 def test_pair_distribution_matches_the_dense_partial_trace(povm):
     """Spec, reduced and full-rank dense-operator sessions, every (input, output) pair.
 

@@ -13,7 +13,6 @@ import pytest
 from conftest import (
     global_unitary_choi,
     pauli6,
-    rank_two_povm,
     reference_correlation_norm,
     session_born_table,
 )
@@ -627,7 +626,7 @@ def test_exact_independence_matrix_forms_no_joint_table(monkeypatch):
     assert session.query_count == 1000
 
 
-@pytest.mark.parametrize("povm", [pauli6(), rank_two_povm()], ids=["pauli6", "rank-two"])
+@pytest.mark.parametrize("povm", [pauli6(), sic_qubit()], ids=["pauli6", "sic"])
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_independence_matrix_matches_the_per_pair_loop(mode, povm):
     spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(28))
@@ -707,6 +706,21 @@ def test_a_delta_whose_swap_budget_cannot_be_run_is_refused_by_name(mode, delta,
     )
 
 
+def test_the_swap_budget_is_taken_once_per_search_stage(monkeypatch):
+    """``discover_general`` takes it once to bound the run, and each stage's
+    ``find_last`` once for all the pairs it tests, not once per pair."""
+    calls = []
+    original = discovery._swap_budget
+    monkeypatch.setattr(
+        discovery, "_swap_budget", lambda *args: calls.append(args) or original(*args)
+    )
+    report = discover_general(_session(gen_unitary_comb(4, 2, 2, np.random.default_rng(11))))
+    stages = report.diagnostics["stages"]
+    assert report.ok and len(stages) == 4
+    assert sum(s["pairs_tested"] for s in stages) > len(stages)
+    assert len(calls) == 1 + len(stages)
+
+
 def test_a_totalorder_retry_the_session_cannot_draw_is_refused_before_the_first_batch(
     monkeypatch,
 ):
@@ -735,10 +749,11 @@ def test_the_pair_test_accepts_exactly_the_last_teeth_of_compatible_orders(cell)
     spec = _verdict_comb(*cell)
     last_teeth = {order[-1] for order in compatible_orders(spec)[0]}
     session = _session(spec)
+    eps, _ = discovery._swap_budget(session, 1e-6, 0.05)
     accepted = {
         (i, j)
         for i, j in itertools.product(session.input_labels, session.output_labels)
-        if not any(gap > 1e-6 for gap in discovery._pair_gaps(session, i, j, 1e-6, 0.05))
+        if not any(gap > 1e-6 for gap in discovery._pair_gaps(session, i, j, 1e-6, eps, 0.05))
     }
     assert accepted == last_teeth
 

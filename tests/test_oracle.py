@@ -14,7 +14,6 @@ import pytest
 from conftest import (
     global_unitary_choi,
     pauli6,
-    rank_two_povm,
     reference_born_table,
     session_born_table,
 )
@@ -322,8 +321,8 @@ def _assert_multinomial_law(x, n, p):
 @pytest.mark.parametrize(
     "n, block_cells, shots, draws, kept",
     [
-        (2, 25, 40, 800, ("A1", "A2", "B1", "B2")),  # 625 cells in 25 blocks; every cell
-        (3, 625, 20, 1000, ("A1", "B2")),  # 15625 cells in 25 blocks; one pair's sums
+        (2, 36, 40, 800, ("A1", "A2", "B1", "B2")),  # 1296 cells in 36 blocks; every cell
+        (3, 1296, 20, 1000, ("A1", "B2")),  # 46656 cells in 36 blocks; one pair's sums
     ],
 )
 def test_staged_batches_draw_the_multinomial_law(
@@ -331,17 +330,17 @@ def test_staged_batches_draw_the_multinomial_law(
 ):
     """Small blocks: the lead wires' totals, then each block's counts.
 
-    Every wire measures with the rank-two POVM, so the block factor of a
-    lead outcome with k rank-two elements holds ``2^k`` rows' columns.  At
-    n = 2 every one of the 625 cells is tested; the exact per-cell law
-    holds for cells that few or no draws hit.  At n = 3 the batches' sums
-    over all wires but (A1, B2), a lead and a rest wire, are tested.  A
-    multinomial's sums over cells are multinomial too.
+    Every wire measures with the six-outcome Pauli POVM, so two lead wires
+    give 36 blocks at each n.  At n = 2 every one of the 1296 cells is
+    tested; the exact per-cell law holds for cells that few or no draws hit.
+    At n = 3 the batches' sums over all wires but (A1, B2), a lead and a
+    rest wire, are tested.  A multinomial's sums over cells are multinomial
+    too.
     """
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
     spec = gen_unitary_comb(n, 2, 2, np.random.default_rng([64, n]))
     choi = build_choi(spec)
-    povm = rank_two_povm()
+    povm = pauli6()
     session = OracleSession(spec, OracleConfig(mode="sampled", seed=65))
     others = tuple(k for k, l in enumerate(choi.labels) if l not in kept)
     x = np.array([session.sample_batch(shots, povm).sum(axis=others) for _ in range(draws)])

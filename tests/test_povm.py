@@ -51,10 +51,61 @@ def test_state_set_frame_eigenvalues():
 
 def test_povm_validation():
     half = np.eye(2) / 2
-    with pytest.raises(ValueError):
-        IcPovm((half,), kind="povm")  # doesn't sum to identity
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^POVM elements must sum to the identity$"):
+        IcPovm((half,), kind="povm")  # rank two, but the sum is refused first
+    with pytest.raises(ValueError, match="^elements must be PSD$"):
         IcPovm((half, -half, np.eye(2)), kind="povm")  # negative element
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_element_is_refused_by_name(bad):
+    """A NaN used to pass with a warning, and ``frame_of`` then failed to
+    converge; an infinity passed silently.  Both are refused before the
+    Hermitian check, so no warning is raised on the way."""
+    z = np.diag([1.0, 0.0]).astype(complex)
+    broken = np.eye(2) - z
+    broken[1, 1] = bad
+    with pytest.raises(ValueError, match="^element 1 has a non-finite entry$"):
+        IcPovm((z, broken), kind="povm")
+
+
+def test_a_rank_two_element_is_refused_at_construction():
+    """``E = diag(0.3, 0.2)`` and the qubit SIC squeezed into ``1 - E`` are five
+    PSD outcomes that sum to the identity, the first of them rank two: every
+    other check passes, so no session can be handed such a POVM."""
+    e = np.diag([0.3, 0.2])
+    root = np.sqrt(np.eye(2) - e)
+    elements = (e,) + tuple(root @ x @ root for x in sic_qubit().elements)
+    np.testing.assert_allclose(sum(elements), np.eye(2), atol=1e-12)
+    says = "^element 0 has rank above one: every element must be rank one$"
+    with pytest.raises(ValueError, match=says):
+        IcPovm(elements, kind="povm")
+    with pytest.raises(ValueError, match="^element 1 has rank above one"):
+        IcPovm((np.diag([1.0, 0.0]), np.eye(2) / 2), kind="state-set")
+
+
+_BUILT = (
+    [(f"sic{d}", povm_preset(f"sic{d}", d)) for d in (2, 4, 8)]
+    + [
+        (f"random-ic:{seed}-d{d}", povm_preset(f"random-ic:{seed}", d))
+        for d in (1, 2, 3, 4, 5)
+        for seed in (0, 1, 7)
+    ]
+    + [
+        ("sic_qubit", sic_qubit()),
+        ("sic*pauli6", tensor_povm(sic_qubit(), pauli6())),
+        ("states(sic)", state_set_of(sic_qubit())),
+    ]
+)
+
+
+@pytest.mark.parametrize("povm", [p for _, p in _BUILT], ids=[name for name, _ in _BUILT])
+def test_every_povm_the_package_builds_is_rank_one(povm):
+    """One row per element, and each element is its row's outer product."""
+    rows = povm.rows
+    assert rows.shape == (povm.size, povm.dim) and not rows.flags.writeable
+    for r, e in zip(rows, povm.elements):
+        np.testing.assert_allclose(np.outer(r.conj(), r), e, rtol=0, atol=1e-12)
 
 
 def test_not_ic_collection_flagged():
