@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--query-log", default=None,
                    help="write one JSON line per oracle charge to this file")
     d.add_argument("--delta", type=float,
-                   help="general: distance threshold for rejecting a pair, in (0, 4]")
+                   help="general: distance threshold for rejecting a pair, in [1e-12, 4]")
     d.add_argument("--kappa", type=float,
                    help="general: failure probability of each swap test, in (0, 1), so "
                         "a run may fail with up to (number of tests) x kappa")
@@ -232,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="promise algorithms: prepare-and-measure shots per independence "
                         "matrix, drawn in sampled mode and billed under the theoretical policy")
     d.add_argument("--chi-min", type=float,
-                   help="totalorder: promised minimum causal correlation")
+                   help="totalorder: promised minimum causal correlation, at least 1e-12")
     d.add_argument("--threshold", type=float,
-                   help="memoryless: correlation level declaring a pair related")
+                   help="memoryless: correlation level declaring a pair related, at least 1e-12")
     d.add_argument("--povm", help="POVM preset, sic<d> or random-ic:<seed> (default random-ic:0, "
                                   "which is sic<d> when d is a power of two)")
     d.add_argument("--verify", action="store_true",

@@ -390,12 +390,12 @@ class Factor:
         w = (blocks @ swapped.T).reshape(d, d, d, d).transpose(axes)
         return w.reshape(d * d, d * d)
 
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        """``V_B``: ``(r (x) 1) V`` side by side for every row ``r`` of
-        ``rows``, which act on the leading wires; a factor on the rest."""
-        # [column, lead index, rest index]: a view of V, row- or column-major
-        lead = self.v.T.reshape(-1, rows.shape[1], len(self.v) // rows.shape[1])
-        return (rows @ lead).reshape(-1, lead.shape[2]).T
+    def block(self, row: np.ndarray) -> np.ndarray:
+        """``V_B = (r (x) 1) V`` for one row ``r`` of shape ``(d^k,)`` on the
+        leading wires: a factor on the rest, of shape ``(rest, D)``."""
+        # [column, lead index, rest index]: a view of V row-major, for the same bits in any layout
+        lead = np.ascontiguousarray(self.v).T.reshape(-1, len(row), len(self.v) // len(row))
+        return (row @ lead).T
 
 # ---------------------------------------------------------------------------
 # Choi construction

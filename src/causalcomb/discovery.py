@@ -214,18 +214,28 @@ class FindLastResult:
 
 @functools.cache
 def _probe_states(dim: int) -> np.ndarray:
-    """The deterministic IC probe set on dimension ``dim``, one read-only stack
-    ``(dim^2, dim, dim)`` that every caller shares; seeded for exotic dimensions."""
-    povm = ic_povm_for_dim(dim, np.random.default_rng(0))
-    probes = state_set_of(povm).stack()
-    probes.setflags(write=False)
-    return probes
+    """The deterministic IC probe set on dimension ``dim``, seeded for exotic dimensions:
+    its state set's own read-only ``(dim^2, dim, dim)`` elements, which every caller shares."""
+    return state_set_of(ic_povm_for_dim(dim, np.random.default_rng(0))).elements
+
+
+#: The smallest ``delta``, ``threshold`` or ``chi_min`` a run takes: exact-mode gaps and
+#: estimates of valid pairs are roundoff, below 1e-14, and must not decide a pair.
+_DECISION_FLOOR = 1e-12
+
+
+def _check_floor(name: str, value: float) -> None:
+    """``ValueError`` naming a decision threshold below :data:`_DECISION_FLOOR`."""
+    if value < _DECISION_FLOOR:
+        raise ValueError(f"{name} = {value} is below {_DECISION_FLOOR}, the smallest decision "
+                         "threshold, under which exact roundoff would reject valid pairs")
 
 
 def _swap_budget(session: OracleSession, delta: float, kappa: float) -> tuple[float, int]:
     """Each overlap's accuracy ``eps`` and circuit runs in a pair test at gap ``delta``;
-    ``ValueError`` names a ``delta`` or ``kappa`` out of range, or a ``delta`` whose runs
-    overflow a float or, in sampled mode, a 64-bit count."""
+    ``ValueError`` names a ``delta`` or ``kappa`` out of range, a ``delta`` whose runs
+    overflow a float or, in sampled mode, a 64-bit count, or else one below
+    :data:`_DECISION_FLOOR`."""
     if not 0 < delta <= 4:
         raise ValueError(f"delta must be in (0, 4], got {delta}")
     if not 0 < kappa < 1:
@@ -239,6 +249,7 @@ def _swap_budget(session: OracleSession, delta: float, kappa: float) -> tuple[fl
     if session.mode == "sampled" and runs > np.iinfo(np.int64).max:
         raise ValueError(f"delta = {delta} at kappa = {kappa} needs {runs} circuit runs, "
                          "more than a 64-bit count holds")
+    _check_floor("delta", delta)
     return eps, runs
 
 
@@ -428,13 +439,14 @@ def discover_totalorder(
     that is not a positive finite number, a ``povm`` that is not a POVM
     on every wire's dimension, or in sampled mode an ``n_shots`` whose
     retry would exceed :data:`~causalcomb.oracle.MAX_SHOTS`, raises
-    ``ValueError`` first.
+    ``ValueError`` first, as does then a ``chi_min`` below :data:`_DECISION_FLOOR`.
     """
     if not 0 < chi_min < math.inf:
         raise ValueError(f"chi_min must be a positive finite number, got {chi_min}")
     if session.mode == "sampled" and 2 * n_shots > MAX_SHOTS:
         raise ValueError(f"a batch takes at most {MAX_SHOTS} shots: a tie's retry of "
                          f"2 * {n_shots} would exceed it")
+    _check_floor("chi_min", chi_min)
     t0 = time.perf_counter()
     start_queries = session.query_count
     threshold = chi_min / 2.0
@@ -480,12 +492,13 @@ def discover_memoryless(
     than one partner breaks that promise: the report fails with
     ``NOT_MEMORYLESS`` and still carries the matched order.  In sampled
     mode, or under the theoretical policy, the run bills ``n_shots`` queries.
-    A ``threshold`` that is not a positive finite number, or a ``povm``
-    that is not a POVM on every wire's dimension, raises ``ValueError``
-    first.
+    A ``threshold`` that is not a positive finite number or is below
+    :data:`_DECISION_FLOOR`, or a ``povm`` that is not a POVM on every
+    wire's dimension, raises ``ValueError`` first.
     """
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be a positive finite number, got {threshold}")
+    _check_floor("threshold", threshold)
     t0 = time.perf_counter()
     start_queries = session.query_count
     ind = independence_matrix(session, povm, n_shots, threshold)

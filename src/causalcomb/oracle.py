@@ -361,10 +361,10 @@ class OracleSession:
         The draw is staged, and exact in law by the chain rule.  The lead
         wires are the fewest leading wires that leave at most
         :data:`_BLOCK_CELLS` cells per block, one block per lead outcome
-        ``B``.  ``B``'s row ``r``, the Kronecker product of its elements'
-        rows (:attr:`IcPovm.rows`), gives its factor ``V_B = (r (x) 1) V``
-        (:meth:`~causalcomb.combs.Factor.block`).  Since the other wires'
-        POVMs sum to the identity, the block's probability is ``||V_B||_F^2``.
+        ``B``.  ``B``'s one ``(d^k,)`` row ``r`` on the ``k`` lead wires, the
+        Kronecker product of its elements' rows (:attr:`IcPovm.rows`), gives its
+        factor ``V_B = (r (x) 1) V`` (:meth:`~causalcomb.combs.Factor.block`).  Since
+        the other wires' POVMs sum to the identity, the block's probability is ``||V_B||_F^2``.
         One :func:`_multinomial` draw gives the block totals, and one per
         nonzero block its counts from :func:`~causalcomb.povm.product_born_table`
         of ``V_B``, its slice.  ``V_B`` is formed for each read, so no two
@@ -383,7 +383,7 @@ class OracleSession:
         k = 0
         while k < n - 1 and m ** (n - k) > _BLOCK_CELLS:
             k += 1
-        lead = functools.reduce(np.kron, [povm.rows] * k, np.ones((1, 1)))[:, None]
+        lead = functools.reduce(np.kron, [povm.rows] * k, np.ones((1, 1)))
         q = np.array([np.linalg.norm(self._factor.block(r)) ** 2 for r in lead])
         totals = _multinomial(self._rng, n_shots, q) if q.size > 1 else [n_shots]
         counts = np.zeros(m**n, np.int32 if n_shots < 2**31 else np.int64)

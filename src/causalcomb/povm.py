@@ -44,58 +44,55 @@ __all__ = [
 class IcPovm:
     """A finite collection of rank-one PSD operators, either a POVM or a state set.
 
-    ``kind`` is ``"povm"`` (elements sum to the identity) or
-    ``"state-set"`` (each element has unit trace).  Validation enforces that,
-    finite entries and rank one (:attr:`rows`); informational completeness
-    is a property of the frame, checked separately via :func:`frame_of`.
+    ``elements`` (any sequence of ``d x d`` matrices) is kept as one read-only
+    complex ``(m, d, d)`` array.  ``kind`` is ``"povm"`` (elements sum to the
+    identity) or ``"state-set"`` (each element has unit trace).  One pass over the
+    stack enforces, in order, the shape, finite entries, Hermiticity, PSD, that
+    condition, and rank one (:attr:`rows`); informational completeness is a property
+    of the frame, checked separately via :func:`frame_of`.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     kind: str = "povm"
     name: str = ""
 
     def __post_init__(self):
-        els = tuple(np.array(e, dtype=complex) for e in self.elements)
-        if not els:
+        if len({np.shape(e) for e in self.elements}) > 1:
+            raise ValueError("all elements must be square of equal dimension")
+        els = np.array(self.elements, dtype=complex)
+        if not len(els):
             raise ValueError("empty element list")
-        d = els[0].shape[0]
-        spectra = []
-        for x, e in enumerate(els):
-            if e.shape != (d, d):
-                raise ValueError("all elements must be square of equal dimension")
-            if not np.isfinite(e).all():
-                raise ValueError(f"element {x} has a non-finite entry")
-            if np.abs(e - e.conj().T).max() > 1e-9:
-                raise ValueError("elements must be Hermitian")
-            spectra.append(np.linalg.eigvalsh(e))
-            if spectra[-1].min() < -1e-9:
-                raise ValueError("elements must be PSD")
-            e.setflags(write=False)
-        if self.kind == "povm":
-            if np.abs(sum(els) - np.eye(d)).max() > 1e-8:
-                raise ValueError("POVM elements must sum to the identity")
-        elif self.kind == "state-set":
-            for e in els:
-                if abs(np.trace(e) - 1.0) > 1e-8:
-                    raise ValueError("state-set elements must have unit trace")
-        else:
+        if els.ndim != 3 or els.shape[1] != els.shape[2] or not els.shape[1]:
+            raise ValueError("all elements must be square of equal dimension")
+        finite = np.isfinite(els).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"element {np.argmin(finite)} has a non-finite entry")
+        if np.abs(els - els.conj().transpose(0, 2, 1)).max() > 1e-9:
+            raise ValueError("elements must be Hermitian")
+        spectra = np.linalg.eigvalsh(els)
+        if spectra.min() < -1e-9:
+            raise ValueError("elements must be PSD")
+        if self.kind == "povm" and np.abs(els.sum(axis=0) - np.eye(els.shape[1])).max() > 1e-8:
+            raise ValueError("POVM elements must sum to the identity")
+        if self.kind == "state-set" and np.abs(np.trace(els, axis1=1, axis2=2) - 1).max() > 1e-8:
+            raise ValueError("state-set elements must have unit trace")
+        if self.kind not in ("povm", "state-set"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        for x, lam in enumerate(spectra):  # rank one: one eigenvalue above 1e-12 of the largest
-            if np.count_nonzero(lam > 1e-12 * lam.max()) > 1:
-                raise ValueError(f"element {x} has rank above one: every element must be rank one")
+        # rank one: one eigenvalue above 1e-12 of the largest
+        high = np.count_nonzero(spectra > 1e-12 * spectra[:, -1:], axis=1) > 1
+        if high.any():
+            x = np.argmax(high)
+            raise ValueError(f"element {x} has rank above one: every element must be rank one")
+        els.setflags(write=False)
         object.__setattr__(self, "elements", els)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def stack(self) -> np.ndarray:
-        """Elements as one array of shape (m, d, d)."""
-        return np.stack(self.elements)
 
     # The elements are read-only, so what is derived from them is computed on
     # first use and kept, read-only too, on the instance.
@@ -103,18 +100,16 @@ class IcPovm:
     @functools.cached_property
     def dual(self) -> np.ndarray:
         """The dual frame ``F^-1 [|P_a>>]``, shape ``(d*d, m)``: ``dual @ p`` inverts ``p``."""
-        dual = frame_of(self).inverse() @ _flat(self).T
+        dual = frame_of(self).inverse() @ self.elements.reshape(self.size, -1).T
         dual.setflags(write=False)
         return dual
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        """The ``(m, d)`` matrix of rows ``r_x = sqrt(lam) u^H``, with ``(lam, u)`` the
-        top eigenpair of element ``x``: rank one, the element is ``E_x = r_x^H r_x``."""
-        rows = np.empty((self.size, self.dim), dtype=complex)
-        for x, e in enumerate(self.elements):
-            lam, u = np.linalg.eigh(e)
-            rows[x] = (u[:, -1] * np.sqrt(max(lam[-1], 0.0))).conj()
+        """The ``(m, d)`` matrix of rows ``r_x = sqrt(lam) u^H``, with ``(lam, u)`` the top
+        eigenpair of element ``x`` by one batched ``eigh``: rank one, ``E_x = r_x^H r_x``."""
+        lam, u = np.linalg.eigh(self.elements)
+        rows = (u[:, :, -1] * np.sqrt(np.maximum(lam[:, -1:], 0.0))).conj()
         rows.setflags(write=False)
         return rows
 
@@ -141,18 +136,13 @@ class FrameOperator:
         return np.linalg.inv(self.matrix)
 
 
-def _flat(povm: IcPovm) -> np.ndarray:
-    """Row-major vectorized elements, shape (m, d*d)."""
-    return povm.stack().reshape(povm.size, -1)
-
-
 #: A frame counts as informationally complete when its smallest eigenvalue
 #: exceeds this fraction of the largest one (or of 1, if that is larger).
 _IC_RTOL = 1e-10
 
 
 def frame_of(povm: IcPovm) -> FrameOperator:
-    flat = _flat(povm)
+    flat = povm.elements.reshape(povm.size, -1)  # row-major vectorized elements
     f = flat.T @ flat.conj()
     vals = np.linalg.eigvalsh(f)
     is_ic = bool(vals[0] > _IC_RTOL * max(vals[-1], 1.0))
@@ -267,7 +257,7 @@ def pair_probs(povm_a: IcPovm, povm_b: IcPovm, rho_ab: np.ndarray) -> np.ndarray
     or on each state of a stack ``(..., d_a d_b, d_a d_b)``; ``rho_ab`` is an array."""
     da, db = povm_a.dim, povm_b.dim
     t = rho_ab.reshape(rho_ab.shape[:-2] + (da, db, da, db))
-    return np.einsum("aij,bkl,...jlik->...ab", povm_a.stack(), povm_b.stack(), t).real
+    return np.einsum("aij,bkl,...jlik->...ab", povm_a.elements, povm_b.elements, t).real
 
 
 def _per_wire(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:

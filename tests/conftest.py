@@ -102,7 +102,7 @@ def reference_born_table(x, povms):
     # contract wire 0 repeatedly; finished outcome axes pile up in front
     for k in range(n):
         # current layout: k outcome axes, then rows, then cols of the rest
-        t = np.tensordot(povms[labels[k]].stack(), t, axes=([1, 2], [n, k]))
+        t = np.tensordot(povms[labels[k]].elements, t, axes=([1, 2], [n, k]))
     # outcome axes are now reversed (last contracted first)
     return np.ascontiguousarray(t.transpose(tuple(reversed(range(n)))).real)
 

@@ -689,6 +689,15 @@ def test_a_delta_whose_swap_budget_cannot_be_run_is_named(capsys, tmp_path, argv
     assert "eps" not in err and err.count("\n") == 1
 
 
+def test_an_exact_delta_below_the_floor_exits_2_naming_it(capsys, tmp_path):
+    """It used to print ``failure: not a quantum comb`` and exit 1 on a valid comb."""
+    path = tmp_path / "u4.json"
+    run(capsys, "gen", "--kind", "unitary", "--n", "4", "-o", str(path))
+    code, out, err = run(capsys, "discover", str(path), "--delta", "1e-16")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: delta = 1e-16 is below 1e-12, ") and err.count("\n") == 1
+
+
 def test_bench_names_an_out_of_range_delta(capsys, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(

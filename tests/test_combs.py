@@ -1,5 +1,6 @@
 """Comb construction, the comb-condition checker, and the generator families."""
 
+import functools
 import itertools
 import math
 import pickle
@@ -29,6 +30,7 @@ from causalcomb.combs import (
     pairwise_correlation_floor,
     trace_out_tooth,
 )
+from causalcomb.povm import ic_povm_for_dim
 from causalcomb.serialize import comb_to_dict, load_comb, save_comb
 from causalcomb.tensors import (
     Op,
@@ -599,6 +601,10 @@ def test_a_column_major_factor_reads_as_its_row_major_copy_bit_for_bit(n, d, d_m
     np.testing.assert_array_equal(f_major.pair_states(pairs), c_major.pair_states(pairs))
     for node in _nodes(labels):
         assert f_major.node_deviation(node) == c_major.node_deviation(node)
+    rows = ic_povm_for_dim(d, np.random.default_rng(0)).rows
+    for k in (1, 2):  # every lead row of a staged draw on the first k wires
+        for row in functools.reduce(np.kron, [rows] * k):
+            np.testing.assert_array_equal(f_major.block(row), c_major.block(row))
 
 
 def test_the_tensor_view_is_a_view_with_one_axis_per_wire():

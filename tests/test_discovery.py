@@ -168,6 +168,26 @@ def test_promise_algorithms_refuse_a_threshold_that_is_not_positive(algorithm, v
     assert session.query_count == 0
 
 
+@pytest.mark.parametrize("value", [1e-16, 9.99e-13])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("algorithm", ["totalorder", "memoryless"])
+def test_promise_algorithms_refuse_a_threshold_below_the_floor(algorithm, mode, value):
+    """Exact estimates of unrelated pairs are roundoff, up to 5.3e-15 on qutrits:
+    a threshold of 1e-16 used to call a valid memoryless comb ``NOT_MEMORYLESS``.
+    Below the floor the value is refused, named, before anything is billed."""
+    spec = gen_memoryless_comb(3, 2, np.random.default_rng(1))
+    session = _session(spec, mode=mode, seed=2, policy="theoretical")
+    run, name = {
+        "totalorder": (discover_totalorder, "chi_min"),
+        "memoryless": (discover_memoryless, "threshold"),
+    }[algorithm]
+    with pytest.raises(ValueError, match=f"^{name} = {value} is below 1e-12, "):
+        run(session, sic_qubit(), 1000, value)
+    assert session.query_count == 0
+    run(session, sic_qubit(), 1000, 1e-12)  # the floor itself runs, and bills
+    assert session.query_count >= 1000
+
+
 def test_find_last_rejects_wrong_pair_on_signaling_comb():
     spec = gen_signaling_comb()
     res = find_last(_session(spec), delta=1e-6, kappa=0.05)
@@ -704,6 +724,48 @@ def test_a_delta_whose_swap_budget_cannot_be_run_is_refused_by_name(mode, delta,
     assert session.overlap_estimate(recipe, recipe, 0.1, 0.05) == fresh.overlap_estimate(
         recipe, recipe, 0.1, 0.05
     )
+
+
+@pytest.mark.parametrize("delta", [1e-16, 9.99e-13])
+def test_an_exact_delta_below_the_floor_is_refused_by_name(delta):
+    """Exact gaps of valid pairs are roundoff, and at delta = 1e-16 most Haar combs
+    used to be reported "not a quantum comb".  Sampled mode refuses such a delta
+    already, by its run count, so only exact mode reaches the floor."""
+    spec = gen_unitary_comb(3, 2, 2, np.random.default_rng(0))
+    config = OracleConfig(query_policy="theoretical", query_log=io.StringIO())
+    session = OracleSession(spec, config)
+    for search in (find_last, discover_general):
+        with pytest.raises(ValueError, match=rf"^delta = {delta} is below 1e-12, "):
+            search(session, delta, 0.05)
+    assert session.query_count == 0 and config.query_log.getvalue() == ""
+
+
+def test_exact_general_discovery_at_the_floor_finds_every_haar_comb():
+    """The accepted gaps over this grid are roundoff, at most 4.4e-16.  Before the
+    floor, 29 of these 36 combs failed at delta = 1e-16; at the floor none does."""
+    for n, d_m, seed in itertools.product((3, 4, 5, 6), (1, 2, 4), range(3)):
+        spec = gen_unitary_comb(n, 2, d_m, np.random.default_rng([25, n, d_m, seed]))
+        report = discover_general(_session(spec), delta=1e-12)
+        assert report.ok, (n, d_m, seed, report.failure)
+        assert check_comb_condition(spec, report.order).ok
+
+
+def test_the_probe_stack_is_its_state_sets_own_array(monkeypatch):
+    """Not a copy: a state set's elements are one read-only stack already."""
+    made = []
+
+    def spy(povm):
+        made.append(state_set_of(povm))
+        return made[-1]
+
+    monkeypatch.setattr(discovery, "state_set_of", spy)
+    discovery._probe_states.cache_clear()
+    try:
+        for d in (2, 3):
+            probes = discovery._probe_states(d)
+            assert probes is made[-1].elements and not probes.flags.writeable
+    finally:
+        discovery._probe_states.cache_clear()  # drop what the spy built
 
 
 def test_the_swap_budget_is_taken_once_per_search_stage(monkeypatch):

@@ -648,7 +648,7 @@ def test_a_batch_bills_nothing_when_opened_and_each_read_in_read_order(mode):
     the same estimate from the same draw, and ``2N`` billed as it is read."""
     log = io.StringIO()
     session, twin = _batch_session(mode, log), _batch_session(mode)
-    probes = state_set_of(sic_qubit()).stack()
+    probes = state_set_of(sic_qubit()).elements
     estimate = session.swap_tests("A2", "B3", probes, 0.1, 0.05)
     assert session.query_count == 0 and log.getvalue() == ""
     runs = swap_test_sample_size(0.1, 0.05)
@@ -664,7 +664,7 @@ def test_a_batch_bills_nothing_when_opened_and_each_read_in_read_order(mode):
     ]
 
 
-_PROBES = state_set_of(sic_qubit()).stack()
+_PROBES = state_set_of(sic_qubit()).elements
 _QUTRIT = np.eye(3, dtype=complex) / 3
 
 

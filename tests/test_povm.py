@@ -84,6 +84,30 @@ def test_a_rank_two_element_is_refused_at_construction():
         IcPovm((np.diag([1.0, 0.0]), np.eye(2) / 2), kind="state-set")
 
 
+def test_a_fault_in_a_later_element_is_named_by_its_index():
+    """The checks run on the whole stack at once, and still name the element."""
+    z, o = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    plus, minus = np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])
+    broken = o.astype(complex)
+    broken[0, 1] = np.nan
+    with pytest.raises(ValueError, match="^element 2 has a non-finite entry$"):
+        IcPovm((z / 2, o / 2, broken, plus / 2, minus / 2), kind="povm")
+    says = "^element 3 has rank above one: every element must be rank one$"
+    with pytest.raises(ValueError, match=says):
+        IcPovm((z, o, plus, np.eye(2) / 2), kind="state-set")
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [(1.0,), (np.eye(2), 1.0), (np.eye(2)[0],), (np.ones((2, 3)),), (np.eye(2), np.eye(3))],
+    ids=["0-d", "0-d-second", "1-d", "not-square", "unequal"],
+)
+def test_an_element_that_is_not_a_square_matrix_is_refused_by_shape(elements):
+    """A 0-d element used to raise ``IndexError``: tuple index out of range."""
+    with pytest.raises(ValueError, match="^all elements must be square of equal dimension$"):
+        IcPovm(elements, kind="povm")
+
+
 _BUILT = (
     [(f"sic{d}", povm_preset(f"sic{d}", d)) for d in (2, 4, 8)]
     + [
@@ -101,7 +125,11 @@ _BUILT = (
 
 @pytest.mark.parametrize("povm", [p for _, p in _BUILT], ids=[name for name, _ in _BUILT])
 def test_every_povm_the_package_builds_is_rank_one(povm):
-    """One row per element, and each element is its row's outer product."""
+    """One row per element, and each element, one of a read-only complex stack,
+    is its row's outer product."""
+    els = povm.elements
+    assert isinstance(els, np.ndarray) and els.dtype == complex
+    assert els.shape == (povm.size, povm.dim, povm.dim) and not els.flags.writeable
     rows = povm.rows
     assert rows.shape == (povm.size, povm.dim) and not rows.flags.writeable
     for r, e in zip(rows, povm.elements):
@@ -177,12 +205,12 @@ def test_povm_preset_names():
         povm_preset("mystery", 2)
     r = povm_preset("random-ic:7", 3)
     assert frame_of(r).is_ic
-    np.testing.assert_array_equal(povm_preset("sic4", 4).stack(), ic_povm_for_dim(4).stack())
+    np.testing.assert_array_equal(povm_preset("sic4", 4).elements, ic_povm_for_dim(4).elements)
     for seed in (0, 7, 10**20):
         for dim in (2, 3):
             want = ic_povm_for_dim(dim, np.random.default_rng(seed))
             np.testing.assert_array_equal(
-                povm_preset(f"random-ic:{seed}", dim).stack(), want.stack()
+                povm_preset(f"random-ic:{seed}", dim).elements, want.elements
             )
 
 
@@ -242,7 +270,7 @@ def test_product_born_table_matches_pair_probs():
 def test_dual_frame_is_computed_once_per_povm(monkeypatch):
     rng = np.random.default_rng(8)
     sic = sic_qubit()
-    flat = sic.stack().reshape(sic.size, -1)
+    flat = sic.elements.reshape(sic.size, -1)
     dual = frame_of(sic).inverse() @ flat.T
     calls = []
     original = povm_module.frame_of
